@@ -29,7 +29,7 @@ import numpy as np
 from .codes import DecodeInstance, plant_instance, random_code
 from .decoder import decode_structured
 from .errors import PqdecError, PreconditionUnmet
-from .gf import Field, expand_operator, stack_digits, top_digit_submatrix, unstack_digits
+from .gf import Field, stack_digits, top_digit_submatrix, unstack_digits
 from .metrics import manhattan_dist
 from .modp import fp_solve, invertibility_product, invertible_fraction
 from .qsim import SigmaParam
@@ -59,18 +59,14 @@ def direct_inversion_decode(inst: DecodeInstance, r: int) -> DirectInversionRepo
         raise PreconditionUnmet(
             f"system underdetermined: {rows} noise-free rows < {m * k} unknowns"
         )
-    expanded = expand_operator(code.matrix, f)
-    top = top_digit_submatrix(expanded, r)
-    t_digits = stack_digits(inst.t)
-    rhs = np.array(
-        [t_digits[i * m + ell] for i in range(n) for ell in range(r, m)], dtype=np.int64
-    )
+    top = top_digit_submatrix(code.operator, r)
+    rhs = stack_digits(inst.t).reshape(n, m)[:, r:].reshape(-1)
     solved = fp_solve(top, rhs, f.p)
     if solved.status == "inconsistent":
         return DirectInversionReport(r, (rows, m * k), "inconsistent", None)
     if solved.status == "rank_deficient":
         return DirectInversionReport(r, (rows, m * k), "singular", None)
-    s_hat = unstack_digits(f, [int(x) for x in solved.solution])
+    s_hat = unstack_digits(f, solved.solution)
     residual = (top @ np.array(solved.solution, dtype=np.int64) - rhs) % f.p
     assert not residual.any(), "solver returned a non-solution"
     if inst.w is not None and manhattan_dist(inst.t, code.encode(s_hat)) > inst.w:

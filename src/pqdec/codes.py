@@ -8,6 +8,11 @@ minimum norm: the metric is not shift invariant, so the two differ.
 Message enumeration order is lexicographic on the tuple of coordinate
 images (first coordinate most significant); every deterministic
 tie-break below refers to that order.
+
+Every application of A, single codewords and the whole codeword table
+alike, goes through the code's cached expanded F_p operator, so no
+scalar field product is formed; ``FieldElement`` is only the scalar
+view at the interface.
 """
 
 from __future__ import annotations
@@ -18,15 +23,23 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BadShape, BudgetExceeded, LengthMismatch
-from .gf import Field, FieldElement
+from .errors import BadShape, BudgetExceeded, FieldMismatch, LengthMismatch
+from .gf import Field, FieldElement, expand_operator, stack_digits, unstack_digits
 from .metrics import manhattan_dist
+from .modp import rank
 
 DEFAULT_ENUM_BUDGET = 2**20
+_BLOCK_DIGITS = 2**21  # codeword digits per block in codeword_images
 
 
 class LinearCode:
-    """Generator matrix over F_q with rank-k columns, optional cached distance."""
+    """Generator matrix over F_q with rank-k columns, optional cached distance.
+
+    ``operator`` is the digit-expanded F_p operator of the generator
+    matrix (see :func:`pqdec.gf.expand_operator`), built once and stored
+    read-only; encoding, the rank check and the codeword tables all go
+    through it.
+    """
 
     def __init__(
         self,
@@ -42,7 +55,10 @@ class LinearCode:
             raise BadShape("ragged generator matrix")
         if self.k < 1 or self.n < self.k:
             raise BadShape(f"need n >= k >= 1, got n={self.n}, k={self.k}")
-        if _field_rank(self.matrix, field) < self.k:
+        self.operator = expand_operator(self.matrix, field)
+        self.operator.entries.setflags(write=False)
+        # A is injective over F_q iff its F_p expansion is injective
+        if rank(self.operator.entries, field.p) < field.m * self.k:
             raise BadShape("generator columns are linearly dependent over F_q")
         self.d = d
 
@@ -50,40 +66,16 @@ class LinearCode:
         """Codeword A @ s."""
         if len(s) != self.k:
             raise LengthMismatch(f"message length {len(s)} != k = {self.k}")
-        out = []
-        for row in self.matrix:
-            acc = self.field.zero
-            for a, x in zip(row, s):
-                acc = acc + a * x
-            out.append(acc)
-        return tuple(out)
+        if any(x.field != self.field for x in s):
+            raise FieldMismatch("message entry from a different field")
+        digits = self.operator.entries @ stack_digits(s) % self.field.p
+        return unstack_digits(self.field, digits)
 
     def images(self) -> list[list[int]]:
         return [[e.image for e in row] for row in self.matrix]
 
     def __repr__(self) -> str:
         return f"LinearCode(q={self.field.q}, n={self.n}, k={self.k}, d={self.d})"
-
-
-def _field_rank(matrix: Sequence[Sequence[FieldElement]], field: Field) -> int:
-    rows = [list(r) for r in matrix]
-    n, k = len(rows), len(rows[0])
-    rank = 0
-    for c in range(k):
-        pivot = next((r for r in range(rank, n) if rows[r][c].image != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][c].inv()
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(n):
-            if r != rank and rows[r][c].image != 0:
-                coef = rows[r][c]
-                rows[r] = [x - coef * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == k:
-            break
-    return rank
 
 
 def random_code(
@@ -95,20 +87,27 @@ def random_code(
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     while True:
         matrix = [[field.random_element(rng) for _ in range(k)] for _ in range(n)]
-        if _field_rank(matrix, field) == k:
+        try:
             return LinearCode(field, matrix)
+        except BadShape:  # the shape is valid, so the columns are dependent
+            continue
 
 
 # ----------------------------------------------------------------------
 # Exhaustive enumeration oracles
 # ----------------------------------------------------------------------
 
+def _message_count(field: Field, k: int, budget: int) -> int:
+    total = field.q**k
+    if total > budget:
+        raise BudgetExceeded(f"q^k = {total} exceeds enumeration budget {budget}")
+    return total
+
+
 def message_images(field: Field, k: int, budget: int = DEFAULT_ENUM_BUDGET) -> np.ndarray:
     """(q^k, k) array of message coordinate images, lexicographic order."""
     q = field.q
-    total = q**k
-    if total > budget:
-        raise BudgetExceeded(f"q^k = {total} exceeds enumeration budget {budget}")
+    total = _message_count(field, k, budget)
     if k == 0:
         return np.zeros((1, 0), dtype=np.int64)
     idx = np.arange(total, dtype=np.int64)
@@ -116,30 +115,33 @@ def message_images(field: Field, k: int, budget: int = DEFAULT_ENUM_BUDGET) -> n
     return np.stack(cols, axis=1)
 
 
-def _add_images(a: np.ndarray, b: np.ndarray, p: int, m: int) -> np.ndarray:
-    """Digit-wise mod-p addition of integer images (carry-free)."""
-    out = np.zeros_like(a)
-    pw = 1
-    for _ in range(m):
-        out += (((a // pw) % p + (b // pw) % p) % p) * pw
-        pw *= p
-    return out
-
-
 def codeword_images(code: LinearCode, budget: int = DEFAULT_ENUM_BUDGET) -> np.ndarray:
-    """(q^k, n) array of codeword coordinate images, message-lex order."""
+    """(q^k, n) array of codeword coordinate images, message-lex order.
+
+    Message number ``idx`` in lexicographic image order has the base-p
+    digits of ``idx`` as its stacked digit vector (coordinate-major, LSB
+    first within a coordinate), so every codeword is one product with the
+    expanded operator.  Messages go through in blocks so the digit arrays
+    stay small whatever q^k and n are.
+    """
     f = code.field
-    q, p, m = f.q, f.p, f.m
-    msgs = message_images(f, code.k, budget)
-    out = np.zeros((msgs.shape[0], code.n), dtype=np.int64)
-    for i in range(code.n):
-        acc = np.zeros(msgs.shape[0], dtype=np.int64)
-        for j in range(code.k):
-            lut = np.array(
-                [(code.matrix[i][j] * f.el(v)).image for v in range(q)], dtype=np.int64
-            )
-            acc = _add_images(acc, lut[msgs[:, j]], p, m)
-        out[:, i] = acc
+    p, m, n, k = f.p, f.m, code.n, code.k
+    total = _message_count(f, k, budget)
+    if k == 0:
+        return np.zeros((1, n), dtype=np.int64)  # the zero codeword alone
+    # weight of message digit (coordinate c, digit l) in the message index
+    place = np.array(
+        [p ** (m * (k - 1 - c) + ell) for c in range(k) for ell in range(m)], dtype=np.int64
+    )
+    image_weights = p ** np.arange(m, dtype=np.int64)
+    operator_t = code.operator.entries.T
+    out = np.empty((total, n), dtype=np.int64)
+    block = max(1, _BLOCK_DIGITS // (m * n))
+    for start in range(0, total, block):
+        idx = np.arange(start, min(start + block, total), dtype=np.int64)
+        msg_digits = idx[:, None] // place % p
+        cw_digits = (msg_digits @ operator_t % p).reshape(-1, n, m)
+        out[start : start + idx.size] = cw_digits @ image_weights
     return out
 
 

@@ -314,10 +314,13 @@ def sigma_search(
     seed: int | np.random.Generator = 0,
     retry_budget: int = DEFAULT_RETRY_BUDGET,
 ) -> DecodeResult:
-    """Try sigma = p^0, p^1, ... and return the first verified candidate.
+    """Try sigma = p^0, p^1, ... and return the first verified, concentrated candidate.
 
     The code distance need not be known; each failed or refused run moves
-    to the next exponent.
+    to the next exponent.  A dense run whose final marginal did not
+    concentrate (peak below 1 - CONCENTRATION_TOL) also moves on: below
+    the covering sigma the marginal is spread out, and a sampled candidate
+    that happens to verify is luck, not a decode.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     decode = decode_dense if backend == "dense" else decode_structured
@@ -325,9 +328,11 @@ def sigma_search(
     for r in range(f.m):
         sigma = SigmaParam.from_r(f, r)
         try:
-            return decode(inst, sigma, rng, retry_budget)
+            res = decode(inst, sigma, rng, retry_budget)
         except (PromiseViolated, OrthogonalityViolated, RetryBudgetExhausted):
             continue
+        if res.peak_probability is None or res.peak_probability >= 1.0 - CONCENTRATION_TOL:
+            return res
     raise NoSigmaSucceeded(f"no sigma in p^0..p^{f.m - 1} produced a verified answer")
 
 

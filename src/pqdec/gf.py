@@ -16,7 +16,11 @@ monic degree-m irreducible polynomial, stored as its m low coefficients
 A matrix over F_q also acts as an F_p-linear operator on the stacked
 digit vectors; ``expand_operator`` materialises that operator as an
 (m*n) x (m*k) matrix over F_p whose (i, j) block is the multiplication
-operator of entry (i, j) in the basis (1, x, ..., x^(m-1)).
+operator of entry (i, j) in the basis (1, x, ..., x^(m-1)).  F_q linear
+maps are applied through that expanded operator (numpy products mod p,
+built once per code by :class:`pqdec.codes.LinearCode`); ``FieldElement``
+is the scalar view of one element, used at the public API and by the
+tests as the reference arithmetic.
 """
 
 from __future__ import annotations
@@ -430,14 +434,27 @@ class ExpandedMatrix:
 
 def mul_operator(a: FieldElement) -> np.ndarray:
     """m x m matrix over F_p of multiplication by ``a``, basis (1, x, ...)."""
-    f = a.field
-    cols = []
-    b = a
-    x = f.from_digits([0, 1] + [0] * (f.m - 2)) if f.m > 1 else f.one
-    for _ in range(f.m):
-        cols.append(b.digits)
-        b = b * x
-    return np.array(cols, dtype=np.int64).T % f.p
+    return expand_operator([[a]], a.field).entries
+
+
+def _x_power_operators(field: Field) -> np.ndarray:
+    """(m, m, m) stack whose slice l is the operator of multiplication by x^l.
+
+    Column j of slice l holds the digits of x^(l+j) reduced by the modulus,
+    so all m slices are read off the 2m-1 reduced powers x^0 .. x^(2m-2);
+    slice 1 is the companion matrix of ``field.poly`` and slice l its l-th
+    power.
+    """
+    p, m = field.p, field.m
+    low = np.array(field.poly, dtype=np.int64)
+    powers = np.zeros((2 * m - 1, m), dtype=np.int64)
+    powers[0, 0] = 1
+    for e in range(1, 2 * m - 1):
+        top = powers[e - 1, m - 1]
+        powers[e, 1:] = powers[e - 1, :-1]
+        powers[e] = (powers[e] - top * low) % p  # x^m == -poly
+    hankel = np.add.outer(np.arange(m), np.arange(m))  # [l, j] -> l + j
+    return powers[hankel].transpose(0, 2, 1)  # [l, row, j]
 
 
 def expand_operator(matrix: Sequence[Sequence[FieldElement]], field: Field) -> ExpandedMatrix:
@@ -445,18 +462,20 @@ def expand_operator(matrix: Sequence[Sequence[FieldElement]], field: Field) -> E
 
     Defining property: entries @ digits(x) == digits(A x) for every
     x in F_q^k, with digit vectors stacked coordinate-major, LSB first.
+    Block (i, j) is sum_l digit_l(A[i][j]) * X^l for the multiplication-
+    by-x^l operators X^l, so every block comes out of one contraction of
+    the (n, k, m) digit array of the entries; no field product is formed.
     """
     n = len(matrix)
     k = len(matrix[0]) if n else 0
-    m = field.m
-    out = np.zeros((m * n, m * k), dtype=np.int64)
-    for i in range(n):
-        for j in range(k):
-            a = matrix[i][j]
-            if a.field != field:
-                raise FieldMismatch("matrix entry from a different field")
-            out[i * m : (i + 1) * m, j * m : (j + 1) * m] = mul_operator(a)
-    return ExpandedMatrix(entries=out, n=n, k=k, m=m, p=field.p)
+    m, p = field.m, field.p
+    if any(a.field != field for row in matrix for a in row):
+        raise FieldMismatch("matrix entry from a different field")
+    digits = np.array(
+        [[a.digits for a in row] for row in matrix], dtype=np.int64
+    ).reshape(n, k, m)
+    blocks = np.einsum("ijl,lab->iajb", digits, _x_power_operators(field)) % p
+    return ExpandedMatrix(entries=blocks.reshape(m * n, m * k), n=n, k=k, m=m, p=p)
 
 
 def top_digit_submatrix(expanded: ExpandedMatrix, r: int, rows_per_coord: int | None = None) -> np.ndarray:
@@ -485,6 +504,5 @@ def unstack_digits(field: Field, flat: Sequence[int]) -> tuple[FieldElement, ...
     m = field.m
     if len(flat) % m:
         raise DegreeMismatch(f"digit vector length {len(flat)} not a multiple of m={m}")
-    return tuple(
-        field.from_digits([int(x) for x in flat[i : i + m]]) for i in range(0, len(flat), m)
-    )
+    rows = (np.asarray(flat, dtype=np.int64) % field.p).reshape(-1, m).tolist()
+    return tuple(FieldElement(field, tuple(row)) for row in rows)

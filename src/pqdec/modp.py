@@ -15,7 +15,9 @@ from .errors import BadShape
 
 
 def _as_modp(matrix: np.ndarray, p: int) -> np.ndarray:
-    out = np.array(matrix, dtype=np.int64) % p
+    out = np.array(matrix, dtype=np.int64)
+    # x & 1 == x mod 2 in two's complement, without an integer division
+    out = out & 1 if p == 2 else out % p
     if out.ndim != 2:
         raise BadShape(f"expected a 2-D matrix, got ndim={out.ndim}")
     return out
@@ -52,22 +54,72 @@ def rank(matrix: np.ndarray, p: int) -> int:
     return len(row_echelon(matrix, p)[1])
 
 
+# ----------------------------------------------------------------------
+# F_2 kernels on rows packed into Python-int bitsets (bit c = column c):
+# one XOR adds a whole row, the packed-row elimination of M4RI
+# (Albrecht & Bard, "The M4RI Library")
+# ----------------------------------------------------------------------
+
+def _pack_rows(a: np.ndarray) -> list[int]:
+    rows, cols = a.shape
+    words = -(-cols // 64)
+    packed = np.zeros((rows, 8 * words), dtype=np.uint8)
+    packed[:, : (cols + 7) // 8] = np.packbits(a.astype(np.uint8), axis=1, bitorder="little")
+    word_cols = packed.view("<u8")  # (rows, words), word w holds columns 64w .. 64w+63
+    out = [0] * rows
+    for w in range(words - 1, -1, -1):
+        out = [(hi << 64) | lo for hi, lo in zip(out, word_cols[:, w].tolist())]
+    return out
+
+
+def _unpack_rows(rows: list[int], cols: int) -> np.ndarray:
+    nbytes = (cols + 7) // 8
+    buf = b"".join(row.to_bytes(nbytes, "little") for row in rows)
+    bits = np.unpackbits(np.frombuffer(buf, dtype=np.uint8), bitorder="little")
+    return bits.reshape(len(rows), 8 * nbytes)[:, :cols].astype(np.int64)
+
+
 def _rank_gf2(matrix: np.ndarray) -> int:
-    """Rank over F_2 with rows as int bitsets (fast path for hot loops)."""
-    a = np.array(matrix, dtype=np.int64) % 2
-    rows = [int("".join("1" if b else "0" for b in row), 2) if row.any() else 0 for row in a]
+    """Rank over F_2: rows are reduced one by one into an XOR basis.
+
+    Stops as soon as the basis spans all columns, so a tall full-rank
+    matrix reads only about as many rows as it has columns.
+    """
+    a = _as_modp(matrix, 2)
+    cols = a.shape[1]
+    basis: dict[int, int] = {}  # leading bit -> basis row
+    for row in _pack_rows(a):
+        while row:
+            lead = row.bit_length() - 1
+            if lead not in basis:
+                basis[lead] = row
+                if len(basis) == cols:
+                    return cols
+                break
+            row ^= basis[lead]
+    return len(basis)
+
+
+def _gf2_reduce(aug: np.ndarray, cols: int) -> tuple[list[int], int]:
+    """Gauss-Jordan over F_2 on the first ``cols`` columns of ``aug``.
+
+    Returns the reduced rows (packed) and the pivot count.  The pivot
+    columns are eliminated from every other row, so the first ``cols``
+    columns come out in reduced row echelon form.
+    """
+    rows = _pack_rows(aug)
     r = 0
-    for bit in range(a.shape[1] - 1, -1, -1):
-        mask = 1 << bit
-        pivot = next((i for i in range(r, len(rows)) if rows[i] & mask), None)
+    for c in range(cols):
+        bit = 1 << c
+        pivot = next((i for i in range(r, len(rows)) if rows[i] & bit), None)
         if pivot is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i] & mask:
-                rows[i] ^= rows[r]
+        pr = rows[pivot]
+        rows[pivot] = rows[r]
+        rows = [x ^ pr if x & bit else x for x in rows]
+        rows[r] = pr
         r += 1
-    return r
+    return rows, r
 
 
 @dataclass(frozen=True)
@@ -90,10 +142,16 @@ def fp_gauss_invert(matrix: np.ndarray, p: int) -> FpInverseResult:
     if n != m:
         raise BadShape(f"matrix is {n}x{m}, not square")
     aug = np.concatenate([a, np.eye(n, dtype=np.int64)], axis=1)
-    ech, pivots = row_echelon(aug, p)
-    pivots_in_a = [c for c in pivots if c < n]
-    if len(pivots_in_a) < n:
-        return FpInverseResult(inverse=None, echelon=ech[:, :n], rank=len(pivots_in_a))
+    if p == 2:
+        rows, r = _gf2_reduce(aug, n)
+        ech = _unpack_rows(rows, 2 * n)
+    else:
+        ech, pivots = row_echelon(aug, p)
+        r = sum(1 for c in pivots if c < n)
+    # pivots past column n come from rows whose A part is already zero, so
+    # ech[:, :n] is the reduced echelon form of A either way
+    if r < n:
+        return FpInverseResult(inverse=None, echelon=ech[:, :n], rank=r)
     return FpInverseResult(inverse=ech[:, n:].copy(), echelon=ech[:, :n], rank=n)
 
 

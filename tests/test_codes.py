@@ -18,7 +18,8 @@ from pqdec.codes import (
     plant_instance,
     random_code,
 )
-from pqdec.errors import BadShape, BudgetExceeded, LengthMismatch
+from pqdec.errors import BadShape, BudgetExceeded, FieldMismatch, LengthMismatch
+from pqdec.gf import Field
 from pqdec.metrics import manhattan_dist
 
 
@@ -57,6 +58,66 @@ def test_rank_check_rejects_dependent_columns(f4):
         LinearCode(f4, [[f4.el(1), f4.el(2)], [f4.el(2), f4.el(3)], [f4.el(3), f4.el(1)]])
     with pytest.raises(BadShape):
         LinearCode(f4, [[f4.zero]])
+
+
+@pytest.mark.parametrize("p,m", [(2, 3), (3, 2), (5, 2)])
+def test_rank_check_rejects_scaled_column(p, m):
+    """Column 2 = x * column 1: F_p-independent digits, F_q-dependent columns."""
+    f = Field(p, m)
+    x = f.from_digits([0, 1] + [0] * (m - 2))
+    col = [f.el(1), f.el(p + 1), f.el(2)]
+    with pytest.raises(BadShape):
+        LinearCode(f, [[c, c * x] for c in col])
+    LinearCode(f, [[c, c * x + f.el(i == 0)] for i, c in enumerate(col)])
+
+
+def reference_encode(code, s):
+    """A @ s by FieldElement arithmetic, entry by entry."""
+    out = []
+    for row in code.matrix:
+        acc = code.field.zero
+        for a, x in zip(row, s):
+            acc = acc + a * x
+        out.append(acc)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("p,m", [(2, 2), (2, 16), (3, 3), (5, 2), (7, 3)])
+def test_encode_and_codeword_images_match_scalar_path(p, m):
+    f = Field(p, m)
+    rng = np.random.default_rng(p * 100 + m)
+    k = 1 if f.q > 1000 else 2
+    code = random_code(f, 4, k, rng)
+    for _ in range(20):
+        s = [f.random_element(rng) for _ in range(k)]
+        assert code.encode(s) == reference_encode(code, s)
+    imgs = codeword_images(code)
+    msgs = message_images(f, k)
+    assert imgs.shape == (f.q**k, 4)
+    rows = rng.choice(imgs.shape[0], size=min(imgs.shape[0], 200), replace=False)
+    for row in list(rows) + [0, imgs.shape[0] - 1]:
+        s = [f.el(int(v)) for v in msgs[row]]
+        assert [e.image for e in reference_encode(code, s)] == list(imgs[row])
+
+
+def test_encode_matches_scalar_path_on_f2_64():
+    f = Field(2, 64)
+    rng = np.random.default_rng(64)
+    code = random_code(f, 3, 2, rng)
+    for _ in range(5):
+        s = [f.random_element(rng) for _ in range(2)]
+        assert code.encode(s) == reference_encode(code, s)
+
+
+def test_encode_rejects_foreign_message(f4, f9):
+    with pytest.raises(FieldMismatch):
+        code_123(f4).encode([f9.one])
+
+
+def test_cached_operator_is_read_only(f9):
+    code = random_code(f9, 3, 2, 0)
+    with pytest.raises(ValueError):
+        code.operator.entries[0, 0] = 1
 
 
 # ---------------------------------------------------------------- random codes

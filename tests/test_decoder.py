@@ -5,6 +5,7 @@ import pytest
 
 from pqdec.codes import LinearCode, gen_instance, nearest_codeword_oracle, plant_instance, random_code
 from pqdec.decoder import (
+    CONCENTRATION_TOL,
     _dense_factorized_marginal,
     _dense_full_marginal,
     choose_sigma,
@@ -286,6 +287,17 @@ def test_sigma_search_reaches_working_exponent(f16):
     inst = plant_instance(code, s, e)
     res = sigma_search(inst, backend="dense", seed=0)
     assert res.sigma_r <= 1
+    assert res.s_hat == (11,)
+
+
+def test_sigma_search_skips_unconcentrated_dense_try(f16):
+    """The error is not covered by sigma = 1, whose marginal is uniform over
+    the 16 messages; with this seed the candidate sampled there equals the
+    planted message.  That try must count as failed, not as the answer."""
+    inst = plant_instance(code_q16_d7(f16), (f16.el(11),), (f16.el(1), f16.el(0), f16.el(1)))
+    res = sigma_search(inst, backend="dense", seed=3)
+    assert res.peak_probability >= 1.0 - CONCENTRATION_TOL
+    assert res.sigma_r == 1
     assert res.s_hat == (11,)
 
 

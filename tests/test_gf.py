@@ -261,6 +261,35 @@ def test_mul_operator_of_one_is_identity(f16):
     assert np.array_equal(mul_operator(f16.one), np.eye(4, dtype=np.int64))
 
 
+def scalar_mul_operator(a):
+    """Reference: column j holds the digits of a * x^j, by FieldElement products."""
+    f = a.field
+    x = f.from_digits([0, 1] + [0] * (f.m - 2)) if f.m > 1 else f.one
+    cols, b = [], a
+    for _ in range(f.m):
+        cols.append(b.digits)
+        b = b * x
+    return np.array(cols, dtype=np.int64).T
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (2, 2), (2, 16), (3, 3), (5, 2), (7, 3)])
+def test_expand_operator_equals_scalar_mul_blocks(p, m):
+    f = Field(p, m)
+    rng = np.random.default_rng(p * 100 + m)
+    a = [[f.random_element(rng) for _ in range(2)] for _ in range(3)]
+    entries = expand_operator(a, f).entries
+    for i in range(3):
+        for j in range(2):
+            ref = scalar_mul_operator(a[i][j])
+            assert np.array_equal(entries[i * m : (i + 1) * m, j * m : (j + 1) * m], ref)
+            assert np.array_equal(mul_operator(a[i][j]), ref)
+
+
+def test_expand_operator_rejects_foreign_entry(f4, f9):
+    with pytest.raises(FieldMismatch):
+        expand_operator([[f4.one], [f9.one]], f4)
+
+
 def test_stack_unstack_round_trip(f8):
     rng = np.random.default_rng(6)
     vec = tuple(f8.random_element(rng) for _ in range(5))

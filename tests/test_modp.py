@@ -20,6 +20,55 @@ def test_rank_gf2_matches_generic_echelon():
         assert _rank_gf2(mat) == len(row_echelon(mat, 2)[1])
 
 
+def low_rank_gf2(rng, rows, cols):
+    inner = int(rng.integers(1, min(rows, cols) + 1))
+    return (rng.integers(0, 2, size=(rows, inner)) @ rng.integers(0, 2, size=(inner, cols))) % 2
+
+
+def test_rank_gf2_across_word_boundaries():
+    rng = np.random.default_rng(1)
+    shapes = [(int(rng.integers(1, 140)), cols) for cols in range(1, 131)]
+    shapes += [(rows, cols) for cols in (63, 64, 65, 128) for rows in (cols - 1, cols, cols + 1)]
+    for rows, cols in shapes:
+        for mat in (rng.integers(0, 2, size=(rows, cols)), low_rank_gf2(rng, rows, cols)):
+            assert _rank_gf2(mat) == len(row_echelon(mat, 2)[1]), (rows, cols)
+
+
+def reference_invert(mat, p):
+    """The generic path: row_echelon on [A | I]."""
+    n = mat.shape[0]
+    ech, pivots = row_echelon(np.concatenate([mat % p, np.eye(n, dtype=np.int64)], axis=1), p)
+    return ech, sum(1 for c in pivots if c < n)
+
+
+def test_fp_gauss_invert_gf2_across_word_boundaries():
+    rng = np.random.default_rng(2)
+    for n in [1, 2, 7, 8, 9, 31, 63, 64, 65, 100, 128]:
+        for _ in range(3):
+            mat = rng.integers(0, 2, size=(n, n))
+            res = fp_gauss_invert(mat, 2)
+            ech, r = reference_invert(mat, 2)
+            assert res.rank == r
+            assert np.array_equal(res.echelon, ech[:, :n])
+            if r == n:
+                assert np.array_equal(mat @ res.inverse % 2, np.eye(n, dtype=np.int64))
+                assert np.array_equal(res.inverse, ech[:, n:])
+            else:
+                assert res.singular
+
+
+def test_fp_gauss_invert_gf2_singular_certificate():
+    rng = np.random.default_rng(3)
+    for n in [2, 5, 63, 64, 65, 130]:
+        mat = low_rank_gf2(rng, n, n)
+        mat[:, -1] = mat[:, 0]  # force a repeated column
+        res = fp_gauss_invert(mat, 2)
+        ech, r = reference_invert(mat, 2)
+        assert res.singular and res.inverse is None
+        assert res.rank == r < n
+        assert np.array_equal(res.echelon, ech[:, :n])
+
+
 def test_rank_known_values():
     assert rank(np.eye(5, dtype=np.int64), 2) == 5
     assert rank(np.zeros((3, 4), dtype=np.int64), 3) == 0
