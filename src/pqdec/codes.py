@@ -195,12 +195,20 @@ def nearest_codeword_oracle(
 
 @dataclass
 class DecodeInstance:
-    """A target vector with a promised error budget, optionally planted."""
+    """A target vector with a promised error budget, optionally planted; shapes checked."""
 
     code: LinearCode
     t: tuple[FieldElement, ...]
     w: int | None  # None means no bound (infinite promise)
     s_true: tuple[FieldElement, ...] | None = None
+
+    def __post_init__(self) -> None:
+        if len(self.t) != self.code.n:
+            raise LengthMismatch(f"target length {len(self.t)} != n = {self.code.n}")
+        if self.s_true is not None and len(self.s_true) != self.code.k:
+            raise LengthMismatch(f"message length {len(self.s_true)} != k = {self.code.k}")
+        if self.w is not None and self.w < 0:
+            raise BadShape(f"error budget w = {self.w} must be >= 0")
 
     @property
     def field(self) -> Field:
@@ -214,8 +222,9 @@ def plant_instance(
     w: int | None = None,
 ) -> DecodeInstance:
     """Instance t = A s + e with explicit error; w defaults to the actual distance."""
-    t = tuple(c + err for c, err in zip(code.encode(s), e))
-    actual = manhattan_dist(t, code.encode(s))
+    cw = code.encode(s)
+    t = tuple(c + err for c, err in zip(cw, e))
+    actual = manhattan_dist(t, cw)
     return DecodeInstance(code=code, t=t, w=actual if w is None else w, s_true=tuple(s))
 
 

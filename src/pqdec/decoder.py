@@ -3,22 +3,23 @@
 Dense backend: every circuit step of the decoder is executed on the
 composite register (label work register of T = m*k digit slots, plus T
 cube registers).  When the full tensor product exceeds the amplitude
-guard, the final label marginal is computed exactly from per-register
-Gram matrices instead: the state after the controlled shifts is a sum
-of label-basis terms whose cube part factorises register by register,
-so the measurement distribution is a product of p x p quadratic forms.
-Both paths produce identical marginals where both run.
+guard, the final label marginal is computed exactly without it: the
+state after the controlled shifts is a sum of label-basis terms whose
+cube part factorises register by register, so the measurement
+distribution is a permuted product state, the Kronecker product of one
+row of p Gram-matrix quadratic forms per register, read at u = A^T o
+for outcome o.  Both paths produce identical marginals where both run.
 
 Structured backend: a classical shadow of the same algorithm, valid
 exactly where the eigenphase relation holds (every coordinate of
-t - A s_true has integer image below sigma).  It samples the label
-batch, redraws until the label matrix inverts over F_p, applies the
-phase telescoping conclusion, and negates the measured outcome.  It
-refuses (PromiseViolated) rather than extrapolate: without a planted
-message the phase bookkeeping has no ground truth to follow, and with
-one it checks the eigenphase condition before answering.  Label draws
-are uniform, which is the sampler's exact marginal whenever the cubes
-are orthonormal.
+t - A s_true has integer image below sigma, i.e. zero top m - r
+digits).  It samples the label batch, redraws until the label matrix
+inverts over F_p, applies the phase telescoping conclusion, and negates
+the measured outcome.  It refuses (PromiseViolated) rather than
+extrapolate: without a planted message the phase bookkeeping has no
+ground truth to follow, and with one it checks the eigenphase condition
+before answering.  Label draws are uniform, which is the sampler's
+exact marginal whenever the cubes are orthonormal.
 
 Both backends consume the same label stream from the seed, so they
 agree run for run, including the number of resample rounds.
@@ -27,6 +28,7 @@ agree run for run, including the number of resample rounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -46,6 +48,8 @@ from .qsim import (
     PcsSampler,
     RegisterLayout,
     SigmaParam,
+    label_permutation,
+    label_to_digits,
     shift_cube_vector,
     vector_digit_rows,
 )
@@ -105,9 +109,11 @@ def sample_label_matrix(
 
 def verify_candidate(inst: DecodeInstance, s_hat: tuple[FieldElement, ...]) -> bool:
     """True iff the candidate's codeword is within the instance's bound."""
-    if inst.w is None:
-        return True
-    return manhattan_dist(inst.t, inst.code.encode(s_hat)) <= inst.w
+    return inst.w is None or _within_bound(inst, inst.code.encode(s_hat))
+
+
+def _within_bound(inst: DecodeInstance, codeword: tuple[FieldElement, ...]) -> bool:
+    return inst.w is None or manhattan_dist(inst.t, codeword) <= inst.w
 
 
 def choose_sigma(code: LinearCode) -> SigmaParam | None:
@@ -126,11 +132,6 @@ def _negate_digits(digits: tuple[int, ...], p: int) -> tuple[int, ...]:
     return tuple((-d) % p for d in digits)
 
 
-def _residual(inst: DecodeInstance) -> tuple[FieldElement, ...]:
-    cw = inst.code.encode(inst.s_true)
-    return tuple(a - b for a, b in zip(inst.t, cw))
-
-
 def decode_structured(
     inst: DecodeInstance,
     sigma: SigmaParam,
@@ -142,8 +143,9 @@ def decode_structured(
     f = code.field
     if inst.s_true is None:
         raise PromiseViolated("structured backend needs a planted instance")
-    residual = _residual(inst)
-    if any(e.image >= sigma.sigma for e in residual):
+    codeword = code.encode(inst.s_true)
+    residual = (stack_digits(inst.t) - stack_digits(codeword)).reshape(code.n, f.m) % f.p
+    if residual[:, sigma.r :].any():  # some coordinate of t - A s has image >= sigma
         raise PromiseViolated(
             f"planted error has a coordinate image >= sigma = {sigma.sigma}; "
             "the phased cube states are not eigenvectors of the shift here"
@@ -163,7 +165,8 @@ def decode_structured(
     outcome = _negate_digits(s_digits, f.p)
     s_hat_digits = _negate_digits(outcome, f.p)
     s_hat = unstack_digits(f, s_hat_digits)
-    if not verify_candidate(inst, s_hat):
+    # s_hat equals s_true, so its codeword is the one computed above
+    if not _within_bound(inst, codeword):
         raise PromiseViolated("structured decode failed verification against the bound")
     return DecodeResult(
         s_hat_digits=s_hat_digits,
@@ -201,17 +204,21 @@ def _dense_factorized_marginal(
     field,
     n: int,
 ) -> np.ndarray:
-    """Exact label marginal from per-register Gram matrices.
+    """Exact label marginal as a permuted product state.
 
     After the controlled shifts the state is
     q^(-k/2) sum_z |z> (x)_j U_t^((A^-1 z)_j) Phi_j, so for outcome o the
     probability is prod_j W_j(u_j) with u = A^T o and
     W_j(c) = p^-2 sum_{a,b} omega^((a-b) c) <U^a Phi_j | U^b Phi_j>.
-    No approximation is involved; the tensor product is just never
+    The Kronecker product of the T rows W_j is indexed by the label of u,
+    and the label permutation of A^T moves it to outcome order.  No
+    approximation is involved; the tensor product is just never
     materialised.
     """
     p = field.p
     t = label_matrix.columns.shape[0]
+    if p**t > MAX_MARGINAL:
+        raise ScaleExceeded(f"label marginal of {p**t} outcomes is above the guard")
     omega = np.exp(2j * np.pi / p)
     weights = np.empty((t, p))
     for j, phi in enumerate(pcs_vectors):
@@ -222,32 +229,7 @@ def _dense_factorized_marginal(
             # W(c) = p^-2 sum_{a',a} omega^((a'-a) c) G[a', a]
             w = np.real(f_c @ gram @ np.conj(f_c)) / p**2
             weights[j, c] = max(w, 0.0)
-    label_dim = p**t
-    if label_dim > MAX_MARGINAL:
-        raise ScaleExceeded(f"label marginal of {label_dim} outcomes is above the guard")
-    marginal = np.empty(label_dim)
-    layout_like = _SmallLabelCodec(p, t)
-    at = label_matrix.columns.T % p
-    for idx in range(label_dim):
-        o = np.array(layout_like.decode(idx), dtype=np.int64)
-        u = (at @ o) % p
-        marginal[idx] = float(np.prod(weights[np.arange(t), u]))
-    return marginal
-
-
-class _SmallLabelCodec:
-    """Label digit encoding shared with RegisterLayout, without the guard."""
-
-    def __init__(self, p: int, t: int):
-        self.p = p
-        self.t = t
-
-    def decode(self, index: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.t):
-            out.append(index % self.p)
-            index //= self.p
-        return tuple(reversed(out))
+    return reduce(np.kron, weights)[label_permutation(label_matrix.columns.T, p)]
 
 
 def decode_dense(
@@ -271,8 +253,7 @@ def decode_dense(
     sampler = PcsSampler(code, sigma)  # raises OrthogonalityViolated / ScaleExceeded
     t_digits = f.m * code.k
     label_matrix, rounds = sample_label_matrix(f.p, t_digits, rng, retry_budget)
-    labels = [tuple(int(x) for x in label_matrix.columns[:, j]) for j in range(t_digits)]
-    pcs_vectors = [sampler.collapse(lab) for lab in labels]
+    pcs_vectors = [sampler.collapse(label) for label in label_matrix.columns.T]
     t_rows = vector_digit_rows(inst.t)
     try:
         layout = RegisterLayout(
@@ -291,8 +272,7 @@ def decode_dense(
         outcome_idx = peak_idx
     else:
         outcome_idx = int(rng.choice(len(marginal), p=marginal / total))
-    codec = _SmallLabelCodec(f.p, t_digits)
-    outcome = codec.decode(outcome_idx)
+    outcome = tuple(label_to_digits(outcome_idx, t_digits, f.p).tolist())
     s_hat_digits = _negate_digits(outcome, f.p)
     s_hat = unstack_digits(f, s_hat_digits)
     if not verify_candidate(inst, s_hat):

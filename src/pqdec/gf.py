@@ -126,14 +126,18 @@ def _poly_powmod_x(exponent: int, mod: Sequence[int], p: int) -> list[int]:
     return result
 
 
+def _int_digits(x: int, p: int, width: int) -> list[int]:
+    """The ``width`` low base-p digits of x, LSB first, in Python ints (q may pass 2^63)."""
+    out = []
+    for _ in range(width):
+        x, d = divmod(x, p)
+        out.append(d)
+    return out
+
+
 def _monic_polys_of_degree(d: int, p: int) -> Iterator[list[int]]:
     for enc in range(p**d):
-        coeffs = []
-        x = enc
-        for _ in range(d):
-            coeffs.append(x % p)
-            x //= p
-        yield coeffs + [1]
+        yield _int_digits(enc, p, d) + [1]
 
 
 def is_irreducible(poly_full: Sequence[int], p: int) -> bool:
@@ -199,11 +203,7 @@ def default_irreducible(p: int, m: int) -> tuple[int, ...]:
     deterministic and reproducible.  Returns the m low coefficients.
     """
     for enc in range(p**m):
-        coeffs = []
-        x = enc
-        for _ in range(m):
-            coeffs.append(x % p)
-            x //= p
+        coeffs = _int_digits(enc, p, m)
         if is_irreducible(coeffs + [1], p):
             return tuple(coeffs)
     raise Reducible(f"no irreducible polynomial of degree {m} over F_{p}")  # unreachable
@@ -252,12 +252,7 @@ class Field:
         """Element with the given integer image in [0, q-1]."""
         if not 0 <= image < self.q:
             raise OutOfRange(f"image {image} outside [0, {self.q - 1}]")
-        digits = []
-        x = image
-        for _ in range(self.m):
-            digits.append(x % self.p)
-            x //= self.p
-        return FieldElement(self, tuple(digits))
+        return FieldElement(self, tuple(_int_digits(image, self.p, self.m)))
 
     def from_digits(self, digits: Sequence[int]) -> FieldElement:
         if len(digits) != self.m:
@@ -478,18 +473,15 @@ def expand_operator(matrix: Sequence[Sequence[FieldElement]], field: Field) -> E
     return ExpandedMatrix(entries=blocks.reshape(m * n, m * k), n=n, k=k, m=m, p=p)
 
 
-def top_digit_submatrix(expanded: ExpandedMatrix, r: int, rows_per_coord: int | None = None) -> np.ndarray:
+def top_digit_submatrix(expanded: ExpandedMatrix, r: int) -> np.ndarray:
     """Rows of the expanded operator for the top m-r digits of each output.
 
     Keeps all m*k columns: the unknown stays the full digit vector of the
-    message, only the noisy low-digit rows are dropped.  ``rows_per_coord``
-    is redundant (must equal m-r) and is validated when given.
+    message, only the noisy low-digit rows are dropped.
     """
     m = expanded.m
     if not 0 <= r < m:
         raise OutOfRange(f"low-digit cutoff r = {r} outside [0, {m - 1}]")
-    if rows_per_coord is not None and rows_per_coord != m - r:
-        raise OutOfRange(f"rows_per_coord = {rows_per_coord} != m - r = {m - r}")
     rows = [i * m + ell for i in range(expanded.n) for ell in range(r, m)]
     return expanded.entries[rows, :]
 

@@ -7,13 +7,17 @@ number of cube registers, each an F_q^n vector register (n coordinates
 of m digit slots each).  Every slot has radix p, so a state is a flat
 complex array of p^(L + count*n*m) amplitudes in C order.
 
-Slot order is fixed so dumps are bit-reproducible: label slots first
-(algebraic digit j of the label at axis j), then cube registers in
-order, each coordinate-major.  Within a coordinate the LEAST significant
-digit sits at the last (fastest-varying) axis, so the m axes of a
-coordinate, read as a C-order number, equal the coordinate's integer
-image, and a cube register's block index is the mixed-radix-q number of
-its coordinate images.
+Slot order is fixed so dumps are bit-reproducible: label slots first,
+then cube registers in order, each coordinate-major.  The label codec:
+label digit j sits at axis j, most significant first, so a label's
+basis index is its digit vector read in base p (:func:`label_to_digits`
+and its inverse :func:`digits_to_label`, on scalars and arrays alike).
+Within a coordinate the LEAST significant digit sits at the last
+(fastest-varying) axis, so the m axes of a coordinate, read as a C-order
+number, equal the coordinate's integer image, and a cube register's
+block index is the mixed-radix-q number of its coordinate images.
+Every cube-register shift, controlled or not, goes through the one
+shift kernel :func:`_shift_cube`.
 
 Conventions: omega_p = exp(2*pi*i/p); the forward single-digit Fourier
 transform is F[a, b] = omega_p^(a*b)/sqrt(p); measuring "in the Fourier
@@ -59,6 +63,39 @@ class SigmaParam:
         return cls(r=r, sigma=field.p**r)
 
 
+def label_to_digits(index, width: int, p: int) -> np.ndarray:
+    """Base-p digits of a label index, most significant first.
+
+    A scalar index gives shape (width,); an index array gives one row of
+    digits per index.
+    """
+    weights = p ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    return np.asarray(index, dtype=np.int64)[..., None] // weights % p
+
+
+def digits_to_label(digits, p: int) -> np.ndarray:
+    """Inverse of :func:`label_to_digits` over the last axis (digits taken mod p)."""
+    digits = np.asarray(digits, dtype=np.int64) % p
+    return digits @ p ** np.arange(digits.shape[-1] - 1, -1, -1, dtype=np.int64)
+
+
+def label_permutation(matrix: np.ndarray, p: int) -> np.ndarray:
+    """perm[i] = digits_to_label(M @ label_to_digits(i) mod p) for all p^T labels i.
+
+    Built by Horner's rule, one output digit at a time, so no (p^T, T)
+    digit table is held: over all labels in index order, output digit r
+    is the outer sum of M[r, c] * (0, ..., p-1) across the columns c.
+    """
+    mat = np.asarray(matrix, dtype=np.int64) % p
+    perm = np.zeros(p ** mat.shape[1], dtype=np.int64)
+    for row in mat:
+        digit = np.zeros(1, dtype=np.int64)
+        for coeff in row:
+            digit = np.add.outer(digit, coeff * np.arange(p)).reshape(-1)
+        perm = perm * p + digit % p
+    return perm
+
+
 @dataclass(frozen=True)
 class RegisterLayout:
     """Shape bookkeeping for a label register plus cube registers."""
@@ -99,23 +136,29 @@ class RegisterLayout:
         return base + coord * self.m + (self.m - 1 - digit)
 
     def encode_label(self, digits: Sequence[int]) -> int:
-        acc = 0
-        for d in digits:
-            acc = acc * self.p + int(d) % self.p
-        return acc
+        return int(digits_to_label(digits, self.p))
 
     def decode_label(self, index: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.label_digits):
-            out.append(index % self.p)
-            index //= self.p
-        return tuple(reversed(out))
+        return tuple(label_to_digits(index, self.label_digits, self.p).tolist())
 
 
 def _dft_matrix(p: int, inverse: bool = False) -> np.ndarray:
     sign = -1.0 if inverse else 1.0
     a = np.arange(p)
     return np.exp(sign * 2j * np.pi * np.outer(a, a) / p) / np.sqrt(p)
+
+
+def _shift_cube(t: np.ndarray, digit_rows: np.ndarray, first_axis: int, p: int) -> np.ndarray:
+    """Add an (n, m) digit matrix, LSB first, to the cube register of tensor ``t``
+    whose axes start at ``first_axis`` (``cube_axis(register, 0, m - 1)``);
+    ``t`` itself if every digit is 0 mod p."""
+    n, m = digit_rows.shape
+    for coord in range(n):
+        for digit in range(m):
+            amt = int(digit_rows[coord, digit]) % p
+            if amt:
+                t = np.roll(t, amt, axis=first_axis + coord * m + (m - 1 - digit))
+    return t
 
 
 class DenseState:
@@ -184,17 +227,13 @@ class DenseState:
 
         ``digit_rows`` is the (n, m) digit matrix of the vector, LSB first.
         """
-        p = self.layout.p
-        ell %= p
+        lay = self.layout
+        ell %= lay.p
         if ell == 0:
             return self
-        t = self._tensor()
-        for coord in range(self.layout.n):
-            for digit in range(self.layout.m):
-                amt = (int(digit_rows[coord][digit]) * ell) % p
-                if amt:
-                    t = np.roll(t, amt, axis=self.layout.cube_axis(register, coord, digit))
-        self.vec = t.reshape(-1)
+        first = lay.cube_axis(register, 0, lay.m - 1)
+        amounts = np.asarray(digit_rows, dtype=np.int64) * ell
+        self.vec = _shift_cube(self._tensor(), amounts, first, lay.p).reshape(-1)
         return self._check_norm()
 
     def prep_cube(self, register: int, y_digit_rows: np.ndarray, sigma: SigmaParam) -> DenseState:
@@ -217,42 +256,25 @@ class DenseState:
 
     def permute_label(self, matrix_fp: np.ndarray) -> DenseState:
         """Basis permutation |v> -> |M v> with M invertible over F_p."""
-        lay = self.layout
-        v = self.vec.reshape(lay.label_dim, -1)
-        mat = np.asarray(matrix_fp, dtype=np.int64) % lay.p
-        dst = np.empty(lay.label_dim, dtype=np.int64)
-        for i in range(lay.label_dim):
-            digits = np.array(lay.decode_label(i), dtype=np.int64)
-            dst[i] = lay.encode_label((mat @ digits) % lay.p)
+        v = self.vec.reshape(self.layout.label_dim, -1)
         out = np.empty_like(v)
-        out[dst] = v
+        out[label_permutation(matrix_fp, self.layout.p)] = v
         self.vec = out.reshape(-1)
         return self._check_norm()
 
-    def controlled_register_shifts(
-        self, amounts: Sequence[np.ndarray | None], register: int
-    ) -> DenseState:
+    def controlled_register_shifts(self, amounts: np.ndarray, register: int) -> DenseState:
         """Shift one cube register by a label-dependent F_q^n vector.
 
-        ``amounts[i]`` is the (n, m) digit matrix added to the register on
-        the label basis value i (None = identity).  A pure basis permutation.
+        ``amounts`` has shape (label_dim, n, m): ``amounts[i]`` is the digit
+        matrix added to the register on label basis value i, and a zero
+        matrix is the identity.  A pure basis permutation.
         """
         lay = self.layout
-        shape = (lay.label_dim,) + (lay.p,) * (lay.cube_count * lay.n * lay.m)
-        v = self.vec.reshape(shape)
-        base = register * lay.n * lay.m
-        for i in range(lay.label_dim):
-            rows = amounts[i]
-            if rows is None:
-                continue
-            sl = v[i]
-            for coord in range(lay.n):
-                for digit in range(lay.m):
-                    amt = int(rows[coord][digit]) % lay.p
-                    if amt:
-                        axis = base + coord * lay.m + (lay.m - 1 - digit)
-                        sl = np.roll(sl, amt, axis=axis)
-            v[i] = sl
+        amounts = np.asarray(amounts, dtype=np.int64) % lay.p
+        v = self.vec.reshape((lay.label_dim,) + (lay.p,) * (lay.total_axes - lay.label_digits))
+        first = lay.cube_axis(register, 0, lay.m - 1) - lay.label_digits
+        for i in np.flatnonzero(amounts.reshape(lay.label_dim, -1).any(axis=1)):
+            v[i] = _shift_cube(v[i], amounts[i], first, lay.p)
         self.vec = v.reshape(-1)
         return self._check_norm()
 
@@ -263,12 +285,10 @@ class DenseState:
         digits; powers are ell-fold F_q additions of t.
         """
         lay = self.layout
+        ells = label_to_digits(np.arange(lay.label_dim), lay.label_digits, lay.p)
+        amounts = ells[:, :, None, None] * np.asarray(t_digit_rows, dtype=np.int64)
         for register in range(lay.cube_count):
-            amounts: list[np.ndarray | None] = []
-            for i in range(lay.label_dim):
-                ell = lay.decode_label(i)[register] % lay.p
-                amounts.append(None if ell == 0 else (t_digit_rows * ell) % lay.p)
-            self.controlled_register_shifts(amounts, register)
+            self.controlled_register_shifts(amounts[:, register], register)
         return self
 
     # -- measurement --------------------------------------------------------
@@ -340,17 +360,12 @@ def shift_cube_vector(
     vec: np.ndarray, field: Field, n: int, t_digit_rows: np.ndarray, ell: int = 1
 ) -> np.ndarray:
     """U_t^ell on a bare q^n register vector."""
-    p, m = field.p, field.m
+    p = field.p
     ell %= p
     if ell == 0:
         return vec.copy()
-    t = vec.reshape((p,) * (n * m))
-    for coord in range(n):
-        for digit in range(m):
-            amt = (int(t_digit_rows[coord][digit]) * ell) % p
-            if amt:
-                t = np.roll(t, amt, axis=coord * m + (m - 1 - digit))
-    return t.reshape(-1)
+    amounts = np.asarray(t_digit_rows, dtype=np.int64) * ell
+    return _shift_cube(vec.reshape((p,) * (n * field.m)), amounts, 0, p).reshape(-1)
 
 
 def pcs_state_direct(
@@ -429,14 +444,11 @@ class PcsSampler:
         state = DenseState.zero_state(self.layout)
         state.prep_cube(0, np.zeros((code.n, f.m), dtype=np.int64), sigma)
         state.qft_label()
-        amounts = []
-        for i in range(self.layout.label_dim):
-            digits = self.layout.decode_label(i)
-            c = tuple(
-                f.from_digits(list(digits[j * f.m : (j + 1) * f.m])) for j in range(code.k)
-            )
-            amounts.append(vector_digit_rows(code.encode(c)))
-        state.controlled_register_shifts(amounts, 0)
+        # label digits j*m .. j*m+m-1 are the LSB-first digits of message
+        # coordinate j, i.e. the label is the stacked digit vector of c
+        labels = label_to_digits(np.arange(self.layout.label_dim), self.t_digits, f.p)
+        amounts = labels @ code.operator.entries.T % f.p
+        state.controlled_register_shifts(amounts.reshape(-1, code.n, f.m), 0)
         # change of representation F_q^k -> F_p^{mk}: a no-op for digit slots
         state.qft_label()
         self.state = state
@@ -454,7 +466,9 @@ class PcsSampler:
         slice_ = v[idx]
         nrm = np.linalg.norm(slice_)
         if nrm == 0:
-            raise OrthogonalityViolated(f"label {tuple(label_digits)} has zero amplitude")
+            raise OrthogonalityViolated(
+                f"label {tuple(np.asarray(label_digits).tolist())} has zero amplitude"
+            )
         return (slice_ / nrm).copy()
 
     def sample(self, rng: np.random.Generator) -> tuple[tuple[int, ...], np.ndarray]:

@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from pqdec.gf import Field
+
+# The same examples on every run, with no timing-based failures, so the
+# suite's outcome does not change from run to run.
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

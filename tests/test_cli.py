@@ -102,6 +102,18 @@ def test_decode_honest_failure_exit_one(capsys, tmp_path, good_instance):
     assert "error" in json.loads(out)
 
 
+def test_decode_malformed_instance_exit_two(capsys, tmp_path, good_instance):
+    _, obj = good_instance
+    short = dict(obj, t=obj["t"][:-1])  # the dense backend used to crash on it
+    bad = str(tmp_path / "short.json")
+    json.dump(short, open(bad, "w"))
+    for backend in ("dense", "structured"):
+        code, out = run(capsys, "decode", "--instance", bad, "--backend", backend,
+                        "--sigma-r", "0", "--seed", "1")
+        assert code == 2
+        assert out == ""
+
+
 def test_oracle_subcommand(capsys, good_instance):
     path, obj = good_instance
     code, out = run(capsys, "oracle", "--instance", path)

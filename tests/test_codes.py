@@ -280,3 +280,22 @@ def test_instance_json_unbounded_and_unplanted(f9):
     assert obj["w"] is None and "s_true" not in obj
     back = instance_from_json(obj)
     assert back.w is None and back.s_true is None and back.code.d is None
+
+
+@pytest.mark.parametrize(
+    "mutate,error",
+    [
+        (lambda obj: obj.update(t=obj["t"][:-1]), LengthMismatch),
+        (lambda obj: obj.update(t=obj["t"] + [0]), LengthMismatch),
+        (lambda obj: obj.update(s_true=obj["s_true"] + [1]), LengthMismatch),
+        (lambda obj: obj.update(s_true=[]), LengthMismatch),
+        (lambda obj: obj.update(w=-1), BadShape),
+    ],
+    ids=["short_t", "long_t", "long_s_true", "empty_s_true", "negative_w"],
+)
+def test_instance_from_json_rejects_malformed(f9, mutate, error):
+    obj = instance_to_json(gen_instance(random_code(f9, 3, 1, 4), 3, seed=8))
+    instance_from_json(obj)  # the unmutated instance is accepted
+    mutate(obj)
+    with pytest.raises(error):
+        instance_from_json(obj)

@@ -159,18 +159,32 @@ def test_decode_dense_full_tensor_sigma2(f4):
         assert res2.resample_rounds == res.resample_rounds
 
 
-def test_factorized_marginal_equals_full_tensor(f4, f9):
+def test_factorized_marginal_equals_full_tensor(f4, f8, f9):
+    code_f8 = LinearCode(f8, [[f8.el(1)], [f8.el(2)]], d=3)
     cases = [
-        (code_123(f4), SigmaParam.from_r(f4, 0), 5),
-        (LinearCode(f9, [[f9.el(1)], [f9.el(3)]], d=3), SigmaParam.from_r(f9, 0), 6),
+        (gen_instance(code_123(f4), 0, seed=5), SigmaParam.from_r(f4, 0), 5),
+        (
+            gen_instance(LinearCode(f9, [[f9.el(1)], [f9.el(3)]], d=3), 0, seed=6),
+            SigmaParam.from_r(f9, 0),
+            6,
+        ),
+        # T = 3 with a non-identity label matrix; the peak sits at the digits
+        # of -s, away from label 0, so a wrong permutation moves it
+        (
+            plant_instance(code_f8, (f8.el(5),), (f8.zero, f8.zero)),
+            SigmaParam.from_r(f8, 0),
+            1,
+        ),
     ]
-    for code, sigma, seed in cases:
+    for inst, sigma, seed in cases:
+        code = inst.code
         f = code.field
-        inst = gen_instance(code, 0, seed=seed)
         sampler = PcsSampler(code, sigma)
         rng = np.random.default_rng(seed)
         t_digits = f.m * code.k
         label_matrix, _ = sample_label_matrix(f.p, t_digits, rng)
+        if t_digits >= 3:
+            assert not np.array_equal(label_matrix.columns, np.eye(t_digits))
         pcs = [
             sampler.collapse(tuple(int(x) for x in label_matrix.columns[:, j]))
             for j in range(t_digits)

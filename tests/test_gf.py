@@ -231,12 +231,10 @@ def test_top_digit_submatrix_shapes(f9):
     rng = np.random.default_rng(5)
     a = [[f9.random_element(rng)] for _ in range(4)]
     exp = expand_operator(a, f9)
-    sub = top_digit_submatrix(exp, 1, rows_per_coord=1)
+    sub = top_digit_submatrix(exp, 1)
     assert sub.shape == (4, 2)  # one MSB row per coordinate, all columns
     with pytest.raises(OutOfRange):
         top_digit_submatrix(exp, 2)
-    with pytest.raises(OutOfRange):
-        top_digit_submatrix(exp, 1, rows_per_coord=2)
 
 
 def test_top_digit_extraction_is_singular(f4):

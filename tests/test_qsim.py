@@ -3,11 +3,14 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pqdec.codes import LinearCode
 from pqdec.errors import OrthogonalityViolated, OutOfRange, ScaleExceeded
 from pqdec.gf import Field
 from pqdec.metrics import manhattan_norm
+from pqdec.modp import rank
 from pqdec.qsim import (
     DenseState,
     PcsSampler,
@@ -15,7 +18,10 @@ from pqdec.qsim import (
     SigmaParam,
     cube_overlap,
     cube_vector,
+    digits_to_label,
     dump_state,
+    label_permutation,
+    label_to_digits,
     load_state,
     pcs_state_direct,
     sample_pcs,
@@ -51,6 +57,28 @@ def test_layout_counts_and_codec():
     assert lay.dim == 3 ** (2 + 2 * 2 * 2)
     for idx in range(lay.label_dim):
         assert lay.encode_label(lay.decode_label(idx)) == idx
+
+
+@given(
+    p=st.sampled_from([2, 3, 5, 7]),
+    width=st.integers(0, 8),
+    data=st.data(),
+)
+def test_label_codec_round_trip(p, width, data):
+    lay = RegisterLayout(p=p, m=1, n=1, label_digits=width, cube_count=0)
+    labels = st.integers(0, lay.label_dim - 1)
+    index = data.draw(labels)
+    digits = label_to_digits(index, width, p)
+    assert digits.shape == (width,)
+    assert tuple(digits.tolist()) == lay.decode_label(index)
+    # most significant first: the digits read as a base-p numeral
+    assert int("".join(map(str, digits.tolist())) or "0", p) == index
+    assert int(digits_to_label(digits, p)) == lay.encode_label(digits) == index
+    batch = data.draw(st.lists(labels, max_size=12))
+    table = label_to_digits(np.array(batch, dtype=np.int64), width, p)
+    assert table.shape == (len(batch), width)
+    assert [tuple(row) for row in table.tolist()] == [lay.decode_label(i) for i in batch]
+    assert digits_to_label(table, p).tolist() == batch
 
 
 def test_layout_scale_guard():
@@ -123,6 +151,34 @@ def test_dense_shift_register_matches_small_vector(f4):
     assert np.allclose(st.vec, expect, atol=1e-12)
 
 
+def _random_state(lay: RegisterLayout, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    vec = rng.normal(size=lay.dim) + 1j * rng.normal(size=lay.dim)
+    return vec / np.linalg.norm(vec)
+
+
+def test_controlled_register_shifts_single_row_is_shift_register():
+    lay = RegisterLayout(p=3, m=2, n=2, label_digits=2, cube_count=2)
+    vec = _random_state(lay, 4)
+    v = vec.reshape(lay.label_dim, -1)
+    rows = np.array([[1, 2], [0, 1]])
+    label = 5
+    others = np.arange(lay.label_dim) != label
+    for register in range(lay.cube_count):
+        amounts = np.zeros((lay.label_dim, lay.n, lay.m), dtype=np.int64)
+        amounts[label] = rows
+        got = DenseState(lay, vec.copy()).controlled_register_shifts(amounts, register)
+        got_v = got.vec.reshape(lay.label_dim, -1)
+        weight = np.linalg.norm(v[label])
+        alone = np.zeros_like(v)
+        alone[label] = v[label] / weight
+        want = DenseState(lay, alone.reshape(-1)).shift_register(register, rows)
+        want_v = want.vec.reshape(lay.label_dim, -1)
+        assert np.allclose(got_v[label], weight * want_v[label], atol=1e-12)
+        assert not np.allclose(got_v[label], v[label], atol=1e-6)
+        assert np.array_equal(got_v[others], v[others])
+
+
 # ---------------------------------------------------------------- overlaps
 
 def test_cube_overlap_examples(f4):
@@ -178,6 +234,36 @@ def test_qft_label_zero_to_uniform():
     st = DenseState.zero_state(lay)
     st.qft_label()
     assert np.allclose(st.vec, 3**-1.5, atol=1e-12)
+
+
+# ---------------------------------------------------------------- label permutation
+
+def _permute_label_reference(vec: np.ndarray, matrix: np.ndarray, p: int, t: int) -> np.ndarray:
+    """|v> -> |M v> by one pass over the labels, with the digit arithmetic written out."""
+    v = vec.reshape(p**t, -1)
+    out = np.empty_like(v)
+    for i in range(p**t):
+        digits = [(i // p ** (t - 1 - j)) % p for j in range(t)]
+        image = (matrix @ np.array(digits)) % p
+        out[sum(int(d) * p ** (t - 1 - j) for j, d in enumerate(image))] = v[i]
+    return out.reshape(-1)
+
+
+@pytest.mark.parametrize("p,t", [(2, 4), (3, 3), (5, 2)])
+def test_permute_label_matches_per_label_loop(p, t):
+    rng = np.random.default_rng(p)
+    lay = RegisterLayout(p=p, m=1, n=1, label_digits=t, cube_count=1)
+    for trial in range(4):
+        matrix = rng.integers(0, p, size=(t, t))
+        while rank(matrix, p) < t:
+            matrix = rng.integers(0, p, size=(t, t))
+        vec = _random_state(lay, trial)
+        got = DenseState(lay, vec.copy()).permute_label(matrix)
+        assert np.array_equal(got.vec, _permute_label_reference(vec, matrix, p, t))
+        table = label_to_digits(np.arange(lay.label_dim), t, p)
+        assert np.array_equal(
+            label_permutation(matrix, p), digits_to_label(table @ matrix.T % p, p)
+        )
 
 
 # ---------------------------------------------------------------- controlled shifts
