@@ -83,7 +83,7 @@ def invertibility_stats(
     """Empirical invertibility frequency of uniform T x T matrices over F_p."""
     if trials < 1:
         raise PreconditionUnmet("trials must be >= 1")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     return invertible_fraction(p, t, trials, rng)
 
 
@@ -99,13 +99,13 @@ class SeparationConfig:
     k: int = 2
     trials: int = 200
     seed: int = 0
-    # Promise levels as (name, per-coordinate error digit budget r_e); None
-    # derives tight = the square-system cutoff and loose = two digits less.
-    levels: list[tuple[str, int]] | None = None
 
     def resolved_levels(self) -> list[tuple[str, int]]:
-        if self.levels is not None:
-            return self.levels
+        """Promise levels as (name, per-coordinate error digit budget r_e).
+
+        tight is the square-system cutoff, loose two digits less, and
+        beyond puts every error's top digit out of reach.
+        """
         tight = self.m - (self.m * self.k) // self.n
         return [("tight", tight), ("loose", max(tight - 2, 0)), ("beyond", self.m)]
 

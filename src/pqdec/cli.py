@@ -37,7 +37,7 @@ from .codes import (
     random_code,
 )
 from .decoder import decode_dense, decode_structured, sigma_search
-from .errors import NoSigmaSucceeded, PqdecError, PromiseViolated
+from .errors import BadParams, BadShape, NoSigmaSucceeded, PqdecError, PromiseViolated
 from .gf import Field
 from .hardness import (
     SetCoverInstance,
@@ -73,9 +73,17 @@ def _parse_poly(spec: str | None) -> list[int] | None:
     return [int(x) for x in spec.split(",")]
 
 
-def _load_instance(path: str):
+def _load_json(path: str, error: type[PqdecError]):
+    """Parsed JSON file; ``error`` if it is not JSON."""
     with open(path) as fh:
-        return instance_from_json(json.load(fh))
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not text
+            raise error(f"{path} is not JSON: {exc}") from exc
+
+
+def _load_instance(path: str):
+    return instance_from_json(_load_json(path, BadShape))
 
 
 def _cmd_field(args: argparse.Namespace) -> int:
@@ -168,8 +176,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_hardness(args: argparse.Namespace) -> int:
-    with open(args.sc) as fh:
-        sc = SetCoverInstance.from_json(json.load(fh))
+    sc = SetCoverInstance.from_json(_load_json(args.sc, BadParams))
     f = Field(args.p, args.m, _parse_poly(args.poly))
     gadget = build_gadget(sc, f)
     cover = None

@@ -24,7 +24,15 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BadShape, BudgetExceeded, FieldMismatch, LengthMismatch
-from .gf import Field, FieldElement, expand_operator, stack_digits, unstack_digits
+from .gf import (
+    Field,
+    FieldElement,
+    digits_to_label,
+    expand_operator,
+    label_to_digits,
+    stack_digits,
+    unstack_digits,
+)
 from .metrics import manhattan_dist
 from .modp import rank
 
@@ -84,7 +92,7 @@ def random_code(
     """Uniform n x k generator matrix, redrawn until its columns have rank k."""
     if not n >= k >= 1:
         raise BadShape(f"need n >= k >= 1, got n={n}, k={k}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     while True:
         matrix = [[field.random_element(rng) for _ in range(k)] for _ in range(n)]
         try:
@@ -105,43 +113,39 @@ def _message_count(field: Field, k: int, budget: int) -> int:
 
 
 def message_images(field: Field, k: int, budget: int = DEFAULT_ENUM_BUDGET) -> np.ndarray:
-    """(q^k, k) array of message coordinate images, lexicographic order."""
-    q = field.q
+    """(q^k, k) array of message coordinate images, lexicographic order.
+
+    Row ``idx`` holds the base-q digits of ``idx``, most significant first.
+    """
     total = _message_count(field, k, budget)
-    if k == 0:
-        return np.zeros((1, 0), dtype=np.int64)
-    idx = np.arange(total, dtype=np.int64)
-    cols = [(idx // q ** (k - 1 - c)) % q for c in range(k)]
-    return np.stack(cols, axis=1)
+    return label_to_digits(np.arange(total, dtype=np.int64), k, field.q)
 
 
 def codeword_images(code: LinearCode, budget: int = DEFAULT_ENUM_BUDGET) -> np.ndarray:
     """(q^k, n) array of codeword coordinate images, message-lex order.
 
-    Message number ``idx`` in lexicographic image order has the base-p
-    digits of ``idx`` as its stacked digit vector (coordinate-major, LSB
-    first within a coordinate), so every codeword is one product with the
-    expanded operator.  Messages go through in blocks so the digit arrays
-    stay small whatever q^k and n are.
+    Message number ``idx`` in lexicographic image order has the m*k
+    base-p digits of ``idx`` as its digit vector, coordinate-major and
+    most significant first within a coordinate, and a codeword
+    coordinate's image is its m digits read the same way.  The expanded
+    operator (least significant digit first) is put in that digit order
+    once, so every block of codewords is one product with it, read
+    through the numeral codec.  Messages go through in blocks so the
+    digit arrays stay small whatever q^k and n are.
     """
     f = code.field
     p, m, n, k = f.p, f.m, code.n, code.k
     total = _message_count(f, k, budget)
     if k == 0:
         return np.zeros((1, n), dtype=np.int64)  # the zero codeword alone
-    # weight of message digit (coordinate c, digit l) in the message index
-    place = np.array(
-        [p ** (m * (k - 1 - c) + ell) for c in range(k) for ell in range(m)], dtype=np.int64
-    )
-    image_weights = p ** np.arange(m, dtype=np.int64)
-    operator_t = code.operator.entries.T
+    blocks = code.operator.entries.reshape(n, m, k, m)
+    operator_t = blocks[:, ::-1, :, ::-1].reshape(m * n, m * k).T
     out = np.empty((total, n), dtype=np.int64)
     block = max(1, _BLOCK_DIGITS // (m * n))
     for start in range(0, total, block):
         idx = np.arange(start, min(start + block, total), dtype=np.int64)
-        msg_digits = idx[:, None] // place % p
-        cw_digits = (msg_digits @ operator_t % p).reshape(-1, n, m)
-        out[start : start + idx.size] = cw_digits @ image_weights
+        cw_digits = label_to_digits(idx, m * k, p) @ operator_t  # the codec reduces mod p
+        out[start : start + idx.size] = digits_to_label(cw_digits.reshape(-1, n, m), p)
     return out
 
 
@@ -222,6 +226,8 @@ def plant_instance(
     w: int | None = None,
 ) -> DecodeInstance:
     """Instance t = A s + e with explicit error; w defaults to the actual distance."""
+    if len(e) != code.n:
+        raise LengthMismatch(f"error length {len(e)} != n = {code.n}")
     cw = code.encode(s)
     t = tuple(c + err for c, err in zip(cw, e))
     actual = manhattan_dist(t, cw)
@@ -242,7 +248,7 @@ def gen_instance(
     """
     if w < 0:
         raise BadShape(f"error budget w = {w} must be >= 0")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     f = code.field
     s = tuple(f.random_element(rng) for _ in range(code.k))
     cw = code.encode(s)
@@ -276,12 +282,17 @@ def instance_to_json(inst: DecodeInstance) -> dict:
 
 
 def instance_from_json(obj: dict) -> DecodeInstance:
-    f = Field.from_json(obj["field"])
-    matrix = [[f.el(int(v)) for v in row] for row in obj["A"]]
-    code = LinearCode(f, matrix, d=obj.get("d"))
-    t = tuple(f.el(int(v)) for v in obj["t"])
-    w = obj.get("w")
-    s_true = None
-    if "s_true" in obj and obj["s_true"] is not None:
-        s_true = tuple(f.el(int(v)) for v in obj["s_true"])
-    return DecodeInstance(code=code, t=t, w=None if w is None else int(w), s_true=s_true)
+    """Inverse of :func:`instance_to_json`; BadShape on a missing key or a mistyped value."""
+    try:
+        f = Field.from_json(obj["field"])
+        matrix = [[f.el(int(v)) for v in row] for row in obj["A"]]
+        t = tuple(f.el(int(v)) for v in obj["t"])
+        w, d, s_true = obj.get("w"), obj.get("d"), obj.get("s_true")
+        w = None if w is None else int(w)
+        d = None if d is None else int(d)
+        if s_true is not None:
+            s_true = tuple(f.el(int(v)) for v in s_true)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise BadShape(f"malformed instance: {exc!r}") from exc
+    code = LinearCode(f, matrix, d=d)
+    return DecodeInstance(code=code, t=t, w=w, s_true=s_true)

@@ -40,7 +40,7 @@ from .errors import (
     RetryBudgetExhausted,
     ScaleExceeded,
 )
-from .gf import FieldElement, stack_digits, unstack_digits
+from .gf import FieldElement, label_to_digits, stack_digits, unstack_digits
 from .metrics import manhattan_dist
 from .modp import FpInverseResult, fp_gauss_invert, rank
 from .qsim import (
@@ -49,7 +49,6 @@ from .qsim import (
     RegisterLayout,
     SigmaParam,
     label_permutation,
-    label_to_digits,
     shift_cube_vector,
     vector_digit_rows,
 )
@@ -136,7 +135,6 @@ def decode_structured(
     inst: DecodeInstance,
     sigma: SigmaParam,
     seed: int | np.random.Generator = 0,
-    retry_budget: int = DEFAULT_RETRY_BUDGET,
 ) -> DecodeResult:
     """Analytic run of the decoder, exact under the eigenphase condition."""
     code = inst.code
@@ -155,9 +153,9 @@ def decode_structured(
             f"d = {code.d} <= sigma*n = {sigma.sigma * code.n}; uniform label "
             "sampling is not justified"
         )
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     t_digits = f.m * code.k
-    label_matrix, rounds = sample_label_matrix(f.p, t_digits, rng, retry_budget)
+    label_matrix, rounds = sample_label_matrix(f.p, t_digits, rng)
     # the phases telescope through label_matrix.inverse then label_matrix,
     # leaving -s on the work register; the Fourier-basis measurement reads
     # it out and negation undoes it
@@ -236,7 +234,6 @@ def decode_dense(
     inst: DecodeInstance,
     sigma: SigmaParam,
     seed: int | np.random.Generator = 0,
-    retry_budget: int = DEFAULT_RETRY_BUDGET,
 ) -> DecodeResult:
     """Run the full decoder circuit on the dense simulator.
 
@@ -249,10 +246,10 @@ def decode_dense(
     """
     code = inst.code
     f = code.field
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     sampler = PcsSampler(code, sigma)  # raises OrthogonalityViolated / ScaleExceeded
     t_digits = f.m * code.k
-    label_matrix, rounds = sample_label_matrix(f.p, t_digits, rng, retry_budget)
+    label_matrix, rounds = sample_label_matrix(f.p, t_digits, rng)
     pcs_vectors = [sampler.collapse(label) for label in label_matrix.columns.T]
     t_rows = vector_digit_rows(inst.t)
     try:
@@ -292,7 +289,6 @@ def sigma_search(
     inst: DecodeInstance,
     backend: str = "dense",
     seed: int | np.random.Generator = 0,
-    retry_budget: int = DEFAULT_RETRY_BUDGET,
 ) -> DecodeResult:
     """Try sigma = p^0, p^1, ... and return the first verified, concentrated candidate.
 
@@ -302,13 +298,13 @@ def sigma_search(
     the covering sigma the marginal is spread out, and a sampled candidate
     that happens to verify is luck, not a decode.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     decode = decode_dense if backend == "dense" else decode_structured
     f = inst.field
     for r in range(f.m):
         sigma = SigmaParam.from_r(f, r)
         try:
-            res = decode(inst, sigma, rng, retry_budget)
+            res = decode(inst, sigma, rng)
         except (PromiseViolated, OrthogonalityViolated, RetryBudgetExhausted):
             continue
         if res.peak_probability is None or res.peak_probability >= 1.0 - CONCENTRATION_TOL:

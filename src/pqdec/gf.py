@@ -21,6 +21,21 @@ maps are applied through that expanded operator (numpy products mod p,
 built once per code by :class:`pqdec.codes.LinearCode`); ``FieldElement``
 is the scalar view of one element, used at the public API and by the
 tests as the reference arithmetic.
+
+This module owns the field layer's two conventions, once each:
+
+* The polynomial core: dense coefficient lists over F_p, constant term
+  first, with one long division, :func:`_poly_divmod`, behind field
+  multiplication, the extended Euclid of ``FieldElement.inv`` and the
+  gcd of the irreducibility test (Ben-Or's, at every degree).
+* The numeral codec: :func:`label_to_digits` and :func:`digits_to_label`
+  map an index to its digits in a radix (p for labels and digit vectors,
+  q for message images), most significant first, and back, on numpy
+  scalars and arrays.  The simulator's label register and the message
+  and codeword enumeration of :mod:`pqdec.codes` both go through it.
+  It is int64, so it serves only indices below 2^63; :func:`_int_digits`
+  and ``FieldElement.image`` stay on Python ints because one element's
+  image may pass 2^63 (F_{2^64}).
 """
 
 from __future__ import annotations
@@ -57,6 +72,35 @@ def is_prime(n: int) -> bool:
 
 
 # ----------------------------------------------------------------------
+# Numeral codec: index <-> base-p digits
+# ----------------------------------------------------------------------
+
+def label_to_digits(index, width: int, p: int) -> np.ndarray:
+    """Base-p digits of an index, most significant first.
+
+    A scalar index gives shape (width,); an index array gives one row of
+    digits per index.
+    """
+    weights = p ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    return np.asarray(index, dtype=np.int64)[..., None] // weights % p
+
+
+def digits_to_label(digits, p: int) -> np.ndarray:
+    """Inverse of :func:`label_to_digits` over the last axis (digits taken mod p)."""
+    digits = np.asarray(digits, dtype=np.int64) % p
+    return digits @ p ** np.arange(digits.shape[-1] - 1, -1, -1, dtype=np.int64)
+
+
+def _int_digits(x: int, p: int, width: int) -> list[int]:
+    """The ``width`` low base-p digits of x, LSB first, in Python ints (q may pass 2^63)."""
+    out = []
+    for _ in range(width):
+        x, d = divmod(x, p)
+        out.append(d)
+    return out
+
+
+# ----------------------------------------------------------------------
 # Polynomial helpers over F_p (dense int lists, constant term first)
 # ----------------------------------------------------------------------
 
@@ -78,100 +122,6 @@ def _poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     return _poly_trim(out)
 
 
-def _poly_mod(a: Sequence[int], mod: Sequence[int], p: int) -> list[int]:
-    # mod must be monic
-    out = list(a)
-    dm = len(mod) - 1
-    for i in range(len(out) - 1, dm - 1, -1):
-        c = out[i]
-        if c == 0:
-            continue
-        out[i] = 0
-        for j in range(dm):
-            out[i - dm + j] = (out[i - dm + j] - c * mod[j]) % p
-    return _poly_trim(out)
-
-
-def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _poly_rem(a, b, p)
-    return a
-
-
-def _poly_rem(a: list[int], b: list[int], p: int) -> list[int]:
-    lead_inv = pow(b[-1], -1, p)
-    out = list(a)
-    db = len(b) - 1
-    for i in range(len(out) - 1, db - 1, -1):
-        c = (out[i] * lead_inv) % p
-        if c == 0:
-            continue
-        out[i] = 0
-        for j in range(db):
-            out[i - db + j] = (out[i - db + j] - c * b[j]) % p
-    return _poly_trim(out)
-
-
-def _poly_powmod_x(exponent: int, mod: Sequence[int], p: int) -> list[int]:
-    """x**exponent reduced mod the monic polynomial ``mod``."""
-    result = [1]
-    base = _poly_mod([0, 1], mod, p)
-    e = exponent
-    while e:
-        if e & 1:
-            result = _poly_mod(_poly_mul(result, base, p), mod, p)
-        base = _poly_mod(_poly_mul(base, base, p), mod, p)
-        e >>= 1
-    return result
-
-
-def _int_digits(x: int, p: int, width: int) -> list[int]:
-    """The ``width`` low base-p digits of x, LSB first, in Python ints (q may pass 2^63)."""
-    out = []
-    for _ in range(width):
-        x, d = divmod(x, p)
-        out.append(d)
-    return out
-
-
-def _monic_polys_of_degree(d: int, p: int) -> Iterator[list[int]]:
-    for enc in range(p**d):
-        yield _int_digits(enc, p, d) + [1]
-
-
-def is_irreducible(poly_full: Sequence[int], p: int) -> bool:
-    """Irreducibility of a monic polynomial over F_p.
-
-    Exhaustive trial division up to degree m/2 for m <= 16; Rabin's
-    distinct-degree criterion (via Frobenius powers of x) above.
-    """
-    m = len(poly_full) - 1
-    if m < 1 or poly_full[-1] != 1:
-        raise DegreeMismatch("expected a monic polynomial of degree >= 1")
-    if m == 1:
-        return True
-    if poly_full[0] == 0:
-        return False  # divisible by x
-    if m <= 16:
-        for d in range(1, m // 2 + 1):
-            for cand in _monic_polys_of_degree(d, p):
-                if not _poly_rem(list(poly_full), cand, p):
-                    return False
-        return True
-    # Rabin: x^(p^m) == x mod poly, and gcd(x^(p^(m/l)) - x, poly) == 1
-    # for every prime divisor l of m.
-    if _poly_powmod_x(p**m, poly_full, p) != _poly_mod([0, 1], poly_full, p):
-        return False
-    for ell in _prime_divisors(m):
-        frob = _poly_powmod_x(p ** (m // ell), poly_full, p)
-        diff = _poly_sub(frob, [0, 1], p)
-        g = _poly_gcd(list(poly_full), diff, p)
-        if len(g) - 1 > 0:
-            return False
-    return True
-
-
 def _poly_sub(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     out = [0] * max(len(a), len(b))
     for i, ai in enumerate(a):
@@ -181,18 +131,51 @@ def _poly_sub(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     return _poly_trim(out)
 
 
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+def _poly_divmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[list[int], list[int]]:
+    """(quotient, remainder) of a by b over F_p, both trimmed; b[-1] must be nonzero."""
+    rem = list(a)
+    db = len(b) - 1
+    lead_inv = pow(b[-1], -1, p)
+    quot = [0] * max(len(rem) - db, 0)
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = (rem[i] * lead_inv) % p
+        if c == 0:
+            continue
+        quot[i - db] = c
+        rem[i] = 0
+        for j in range(db):
+            rem[i - db + j] = (rem[i - db + j] - c * b[j]) % p
+    return _poly_trim(quot), _poly_trim(rem)
+
+
+def _poly_gcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+    a, b = list(a), list(b)
+    while b:
+        a, b = b, _poly_divmod(a, b, p)[1]
+    return a
+
+
+def is_irreducible(poly_full: Sequence[int], p: int) -> bool:
+    """Irreducibility of a monic polynomial over F_p, by Ben-Or's test.
+
+    A monic f of degree m is irreducible iff gcd(f, x^(p^i) - x) = 1 for
+    every 1 <= i <= m/2: x^(p^i) - x is the product of all monic
+    irreducibles whose degree divides i, and a reducible f has a factor
+    of degree at most m/2.  Each x^(p^i) mod f is the previous one raised
+    to the p-th power, which over F_p spreads the coefficients,
+    (sum c_j x^j)^p = sum c_j x^(jp), before one reduction.
+    """
+    m = len(poly_full) - 1
+    if m < 1 or poly_full[-1] != 1:
+        raise DegreeMismatch("expected a monic polynomial of degree >= 1")
+    frob = [0, 1]  # x^(p^0)
+    for _ in range(m // 2):
+        spread = [0] * (p * (len(frob) - 1) + 1)
+        spread[::p] = frob
+        frob = _poly_divmod(spread, poly_full, p)[1]
+        if len(_poly_gcd(poly_full, _poly_sub(frob, [0, 1], p), p)) > 1:
+            return False
+    return True
 
 
 def default_irreducible(p: int, m: int) -> tuple[int, ...]:
@@ -342,7 +325,7 @@ class FieldElement:
         self._check(other)
         f = self.field
         prod = _poly_mul(self.digits, other.digits, f.p)
-        red = _poly_mod(prod, list(f.poly) + [1], f.p)
+        _, red = _poly_divmod(prod, f.poly + (1,), f.p)
         red += [0] * (f.m - len(red))
         return FieldElement(f, tuple(red))
 
@@ -356,19 +339,9 @@ class FieldElement:
         r0, r1 = list(f.poly) + [1], _poly_trim(list(self.digits))
         t0, t1 = [], [1]
         while r1:
-            lead_inv = pow(r1[-1], -1, p)
-            q: list[int] = [0] * (len(r0) - len(r1) + 1)
-            rem = list(r0)
-            for i in range(len(rem) - 1, len(r1) - 2, -1):
-                c = (rem[i] * lead_inv) % p
-                if c == 0:
-                    continue
-                q[i - (len(r1) - 1)] = c
-                for j in range(len(r1)):
-                    rem[i - (len(r1) - 1) + j] = (rem[i - (len(r1) - 1) + j] - c * r1[j]) % p
-            rem = _poly_trim(rem)
+            quot, rem = _poly_divmod(r0, r1, p)
             r0, r1 = r1, rem
-            t0, t1 = t1, _poly_sub(t0, _poly_mul(q, t1, p), p)
+            t0, t1 = t1, _poly_sub(t0, _poly_mul(quot, t1, p), p)
         # r0 is now a nonzero constant gcd; scale t0 by its inverse
         scale = pow(r0[0], -1, p)
         t0 = [(c * scale) % p for c in t0]

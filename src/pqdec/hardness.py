@@ -71,12 +71,16 @@ class SetCoverInstance:
 
     @classmethod
     def from_json(cls, obj: dict) -> SetCoverInstance:
-        return cls(
-            universe_size=int(obj["universe"]),
-            sets=tuple(frozenset(int(u) for u in s) for s in obj["sets"]),
-            K=int(obj["K"]),
-            c=int(obj["c"]),
-        )
+        """Inverse of :meth:`to_json`; BadParams on a missing key or a mistyped value."""
+        try:
+            return cls(
+                universe_size=int(obj["universe"]),
+                sets=tuple(frozenset(int(u) for u in s) for s in obj["sets"]),
+                K=int(obj["K"]),
+                c=int(obj["c"]),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise BadParams(f"malformed set cover: {exc!r}") from exc
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,10 @@ complex array of p^(L + count*n*m) amplitudes in C order.
 Slot order is fixed so dumps are bit-reproducible: label slots first,
 then cube registers in order, each coordinate-major.  The label codec:
 label digit j sits at axis j, most significant first, so a label's
-basis index is its digit vector read in base p (:func:`label_to_digits`
-and its inverse :func:`digits_to_label`, on scalars and arrays alike).
+basis index is its digit vector read in base p (the numeral codec
+:func:`pqdec.gf.label_to_digits` and its inverse
+:func:`pqdec.gf.digits_to_label`, on scalars and arrays alike; it lives
+in ``gf`` so that ``codes`` enumerates messages with it too).
 Within a coordinate the LEAST significant digit sits at the last
 (fastest-varying) axis, so the m axes of a coordinate, read as a C-order
 number, equal the coordinate's integer image, and a cube register's
@@ -42,7 +44,7 @@ from .errors import (
     OutOfRange,
     ScaleExceeded,
 )
-from .gf import Field, FieldElement
+from .gf import Field, FieldElement, digits_to_label, label_to_digits
 
 MAX_AMPLITUDES = 2**24
 NORM_TOL = 1e-10
@@ -61,22 +63,6 @@ class SigmaParam:
         if not 0 <= r < field.m:
             raise OutOfRange(f"r = {r} outside [0, {field.m - 1}]")
         return cls(r=r, sigma=field.p**r)
-
-
-def label_to_digits(index, width: int, p: int) -> np.ndarray:
-    """Base-p digits of a label index, most significant first.
-
-    A scalar index gives shape (width,); an index array gives one row of
-    digits per index.
-    """
-    weights = p ** np.arange(width - 1, -1, -1, dtype=np.int64)
-    return np.asarray(index, dtype=np.int64)[..., None] // weights % p
-
-
-def digits_to_label(digits, p: int) -> np.ndarray:
-    """Inverse of :func:`label_to_digits` over the last axis (digits taken mod p)."""
-    digits = np.asarray(digits, dtype=np.int64) % p
-    return digits @ p ** np.arange(digits.shape[-1] - 1, -1, -1, dtype=np.int64)
 
 
 def label_permutation(matrix: np.ndarray, p: int) -> np.ndarray:
@@ -202,9 +188,6 @@ class DenseState:
     def _check_norm(self) -> DenseState:
         assert abs(self.norm() - 1.0) < NORM_TOL, "statevector norm drifted"
         return self
-
-    def inner(self, other: DenseState) -> complex:
-        return complex(np.vdot(self.vec, other.vec))
 
     def _tensor(self) -> np.ndarray:
         return self.vec.reshape((self.layout.p,) * self.layout.total_axes)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def read_json(path):
+    return json.loads(Path(path).read_text())
+
+
+def write_json(path, obj):
+    Path(path).write_text(json.dumps(obj))
 
 
 def test_version_exits_zero(capsys):
@@ -36,7 +45,7 @@ def test_gen_is_byte_identical(tmp_path):
             "--w", "0", "--with-distance", "--seed", "29"]
     assert main(argv + ["--out", a]) == 0
     assert main(argv + ["--out", b]) == 0
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 @pytest.fixture()
@@ -45,7 +54,7 @@ def good_instance(tmp_path):
     path = str(tmp_path / "inst.json")
     assert main(["gen", "--p", "2", "--m", "2", "--n", "3", "--k", "1",
                  "--w", "0", "--with-distance", "--seed", "29", "--out", path]) == 0
-    obj = json.load(open(path))
+    obj = read_json(path)
     assert obj["d"] == 4
     return path, obj
 
@@ -86,7 +95,7 @@ def test_decode_reproducible_output(tmp_path, good_instance):
     argv = ["decode", "--instance", path, "--sigma-r", "0", "--seed", "5"]
     assert main(argv + ["--out", a]) == 0
     assert main(argv + ["--out", b]) == 0
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def test_decode_honest_failure_exit_one(capsys, tmp_path, good_instance):
@@ -96,7 +105,7 @@ def test_decode_honest_failure_exit_one(capsys, tmp_path, good_instance):
     obj2["t"] = [1, 1, 2]
     obj2.pop("s_true")
     bad = str(tmp_path / "bad.json")
-    json.dump(obj2, open(bad, "w"))
+    write_json(bad, obj2)
     code, out = run(capsys, "decode", "--instance", bad, "--search", "--seed", "1")
     assert code == 1
     assert "error" in json.loads(out)
@@ -104,14 +113,20 @@ def test_decode_honest_failure_exit_one(capsys, tmp_path, good_instance):
 
 def test_decode_malformed_instance_exit_two(capsys, tmp_path, good_instance):
     _, obj = good_instance
-    short = dict(obj, t=obj["t"][:-1])  # the dense backend used to crash on it
-    bad = str(tmp_path / "short.json")
-    json.dump(short, open(bad, "w"))
-    for backend in ("dense", "structured"):
-        code, out = run(capsys, "decode", "--instance", bad, "--backend", backend,
-                        "--sigma-r", "0", "--seed", "1")
-        assert code == 2
-        assert out == ""
+    short = str(tmp_path / "short.json")
+    write_json(short, dict(obj, t=obj["t"][:-1]))  # the dense backend used to crash on it
+    no_t = str(tmp_path / "no_t.json")
+    write_json(no_t, {key: v for key, v in obj.items() if key != "t"})
+    not_json = tmp_path / "not.json"
+    not_json.write_text("{not json")
+    for bad in (short, no_t, str(not_json)):
+        for backend in ("dense", "structured"):
+            code, out = run(capsys, "decode", "--instance", bad, "--backend", backend,
+                            "--sigma-r", "0", "--seed", "1")
+            assert code == 2
+            assert out == ""
+        assert run(capsys, "oracle", "--instance", bad) == (2, "")
+        assert run(capsys, "baseline", "--instance", bad, "--r", "0") == (2, "")
 
 
 def test_oracle_subcommand(capsys, good_instance):
@@ -146,13 +161,22 @@ def test_stats_subcommand(capsys):
 def test_hardness_subcommand(capsys, tmp_path):
     sc = {"universe": 2, "sets": [[0], [1]], "K": 2, "c": 2}
     path = str(tmp_path / "sc.json")
-    json.dump(sc, open(path, "w"))
+    write_json(path, sc)
     code, out = run(capsys, "hardness", "--sc", path, "--p", "2", "--m", "1",
                     "--exact-cover", "0,1")
     assert code == 0
     result = json.loads(out)
     assert result["passed"] is True
     assert result["opt"] <= result["bound"]
+
+
+def test_hardness_malformed_set_cover_exit_two(capsys, tmp_path):
+    no_k = str(tmp_path / "no_k.json")
+    write_json(no_k, {"universe": 2, "sets": [[0], [1]], "c": 2})
+    not_json = tmp_path / "not.json"
+    not_json.write_text("universe = 2")
+    for bad in (no_k, str(not_json)):
+        assert run(capsys, "hardness", "--sc", bad, "--p", "2", "--m", "1") == (2, "")
 
 
 def test_separation_subcommand(capsys):
@@ -185,5 +209,5 @@ def test_stats_out_file(tmp_path):
     out = str(tmp_path / "stats.json")
     assert main(["stats", "--p", "3", "--T", "5", "--trials", "200",
                  "--seed", "1", "--out", out]) == 0
-    obj = json.load(open(out))
+    obj = read_json(out)
     assert obj["p"] == 3 and obj["trials"] == 200

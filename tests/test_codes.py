@@ -260,6 +260,15 @@ def test_plant_instance_records_actual_distance(f9):
     assert inst.s_true == s
 
 
+def test_plant_instance_rejects_error_of_wrong_length(f4):
+    code = code_123(f4)
+    s = (f4.el(1),)
+    with pytest.raises(LengthMismatch):
+        plant_instance(code, s, (f4.zero,) * 3 + (f4.el(3),))  # not dropped as w = 0
+    with pytest.raises(LengthMismatch):
+        plant_instance(code, s, (f4.zero,) * 2)
+
+
 def test_instance_json_round_trip(f9):
     code = random_code(f9, 3, 1, 4)
     min_distance_bruteforce(code)
@@ -290,8 +299,26 @@ def test_instance_json_unbounded_and_unplanted(f9):
         (lambda obj: obj.update(s_true=obj["s_true"] + [1]), LengthMismatch),
         (lambda obj: obj.update(s_true=[]), LengthMismatch),
         (lambda obj: obj.update(w=-1), BadShape),
+        (lambda obj: obj.pop("t"), BadShape),
+        (lambda obj: obj.pop("A"), BadShape),
+        (lambda obj: obj.pop("field"), BadShape),
+        (lambda obj: obj["field"].pop("poly"), BadShape),
+        (lambda obj: obj.update(t="abc"), BadShape),
+        (lambda obj: obj.update(d="abc"), BadShape),
     ],
-    ids=["short_t", "long_t", "long_s_true", "empty_s_true", "negative_w"],
+    ids=[
+        "short_t",
+        "long_t",
+        "long_s_true",
+        "empty_s_true",
+        "negative_w",
+        "missing_t",
+        "missing_A",
+        "missing_field",
+        "missing_poly",
+        "text_t",
+        "text_d",
+    ],
 )
 def test_instance_from_json_rejects_malformed(f9, mutate, error):
     obj = instance_to_json(gen_instance(random_code(f9, 3, 1, 4), 3, seed=8))

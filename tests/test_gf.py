@@ -1,5 +1,9 @@
+from itertools import product
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pqdec.errors import (
     DegreeMismatch,
@@ -11,7 +15,9 @@ from pqdec.errors import (
 )
 from pqdec.gf import (
     Field,
+    _poly_divmod,
     expand_operator,
+    is_irreducible,
     mul_operator,
     stack_digits,
     top_digit_submatrix,
@@ -59,6 +65,74 @@ def test_default_polynomials_are_smallest():
     assert Field(2, 3).poly == (1, 1, 0)   # x^3+x+1
     assert Field(2, 4).poly == (1, 1, 0, 0)  # x^4+x+1
     assert Field(3, 2).poly == (1, 0)      # x^2+1
+    # the benchmark's fields keep their moduli
+    assert Field(3, 3).poly == (1, 2, 0)   # x^3+2x+1
+    assert Field(2, 8).poly == (1, 1, 0, 1, 1, 0, 0, 0)  # x^8+x^4+x^3+x+1
+    assert Field(2, 16).poly == (1, 1, 0, 1, 0, 1) + (0,) * 10  # x^16+x^5+x^3+x+1
+
+
+# ---------------------------------------------------------------- polynomial core
+
+def _reference_rem(a, b, p):
+    """Remainder of a by the monic b over F_p by schoolbook division."""
+    out = list(a)
+    db = len(b) - 1
+    for i in range(len(out) - 1, db - 1, -1):
+        c = out[i]
+        for j in range(db + 1):
+            out[i - db + j] = (out[i - db + j] - c * b[j]) % p
+    return out
+
+
+def trial_division_irreducible(poly_full, p):
+    """Reference: no monic divisor of degree 1..m/2, by exhaustive trial division."""
+    m = len(poly_full) - 1
+    for d in range(1, m // 2 + 1):
+        for low in product(range(p), repeat=d):
+            if not any(_reference_rem(poly_full, list(low) + [1], p)):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("p,max_degree", [(2, 7), (3, 4), (5, 4), (7, 4)])
+def test_ben_or_agrees_with_trial_division(p, max_degree):
+    for m in range(1, max_degree + 1):
+        for low in product(range(p), repeat=m):
+            poly_full = list(low) + [1]
+            assert is_irreducible(poly_full, p) == trial_division_irreducible(poly_full, p), (
+                poly_full
+            )
+
+
+def _trimmed(a):
+    a = list(a)
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+@st.composite
+def divmod_inputs(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    a = draw(st.lists(st.integers(0, p - 1), max_size=12))
+    b = draw(st.lists(st.integers(0, p - 1), max_size=6)) + [draw(st.integers(1, p - 1))]
+    return p, a, b
+
+
+@given(divmod_inputs())
+def test_poly_divmod_identity(inputs):
+    p, a, b = inputs
+    quot, rem = _poly_divmod(a, b, p)
+    assert len(rem) < len(b)  # deg r < deg b, with deg 0 = -inf
+    assert quot == _trimmed(quot) and rem == _trimmed(rem)
+    assert all(0 <= c < p for c in quot + rem)
+    total = [0] * (len(quot) + len(b) + len(rem))  # q*b + r, schoolbook
+    for i, qi in enumerate(quot):
+        for j, bj in enumerate(b):
+            total[i + j] += qi * bj
+    for i, ri in enumerate(rem):
+        total[i] += ri
+    assert _trimmed(c % p for c in total) == _trimmed(a)
 
 
 def test_field_json_round_trip(f16):
@@ -295,7 +369,6 @@ def test_stack_unstack_round_trip(f8):
 
 
 def test_large_degree_field_uses_exact_bigints():
-    # m = 64 goes through the distinct-degree irreducibility test and
     # images beyond native widths stay exact
     f = Field(2, 64)
     e = f.el(2**63 + 12345)

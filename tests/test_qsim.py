@@ -454,7 +454,8 @@ def test_dump_golden_bytes(tmp_path, f4):
     st.shift_register(0, vector_digit_rows((f4.el(3), f4.el(1))))
     path = str(tmp_path / "golden.pqds")
     dump_state(st, path, k=1)
-    digest = hashlib.sha256(open(path, "rb").read()).hexdigest()
+    with open(path, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
     assert digest == GOLDEN_SHA256
 
 
