@@ -140,16 +140,17 @@ def separation_experiment(config: SeparationConfig) -> list[dict]:
                     for v in rng.integers(0, config.p**r_e, size=config.n)
                 )
             inst = plant_instance(code, s, e)
+            s_images = tuple(x.image for x in s)
             sigma_r = min(r_e, config.m - 1)
             try:
                 res = decode_structured(inst, SigmaParam.from_r(f, sigma_r), rng)
-                if res.s_hat == tuple(x.image for x in s):
+                if res.s_hat == s_images:
                     q_hits += 1
             except PqdecError:
                 pass
             try:
                 rep = direct_inversion_decode(inst, min(r_e, config.m))
-                if rep.status == "recovered" and rep.s_hat == tuple(x.image for x in s):
+                if rep.status == "recovered" and rep.s_hat == s_images:
                     c_hits += 1
             except PreconditionUnmet:
                 pass

@@ -36,7 +36,7 @@ from .codes import (
     nearest_codeword_oracle,
     random_code,
 )
-from .decoder import decode_dense, decode_structured, sigma_search
+from .decoder import BACKENDS, backend_decoder, sigma_search
 from .errors import BadParams, BadShape, NoSigmaSucceeded, PqdecError, PromiseViolated
 from .gf import Field
 from .hardness import (
@@ -53,7 +53,10 @@ def _seed_from(args: argparse.Namespace) -> int:
         return args.seed
     env = os.environ.get("PQDEC_SEED")
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise BadParams(f"PQDEC_SEED must be an integer, got {env!r}") from None
     return 0
 
 
@@ -67,10 +70,13 @@ def _emit(args: argparse.Namespace, text: str) -> None:
             sys.stdout.write("\n")
 
 
-def _parse_poly(spec: str | None) -> list[int] | None:
+def _parse_ints(spec: str | None, flag: str) -> list[int] | None:
     if spec is None:
         return None
-    return [int(x) for x in spec.split(",")]
+    try:
+        return [int(x) for x in spec.split(",")]
+    except ValueError:
+        raise BadParams(f"{flag} takes comma-separated integers, got {spec!r}") from None
 
 
 def _load_json(path: str, error: type[PqdecError]):
@@ -87,14 +93,14 @@ def _load_instance(path: str):
 
 
 def _cmd_field(args: argparse.Namespace) -> int:
-    f = Field(args.p, args.m, _parse_poly(args.poly))
+    f = Field(args.p, args.m, _parse_ints(args.poly, "--poly"))
     _emit(args, json.dumps(f.to_json(), sort_keys=True))
     return 0
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     seed = _seed_from(args)
-    f = Field(args.p, args.m, _parse_poly(args.poly))
+    f = Field(args.p, args.m, _parse_ints(args.poly, "--poly"))
     rng = np.random.default_rng(seed)
     code = random_code(f, args.n, args.k, rng)
     if args.with_distance:
@@ -117,8 +123,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
             if args.sigma_r is None:
                 raise PqdecError("pass --sigma-r or --search")
             sigma = SigmaParam.from_r(inst.field, args.sigma_r)
-            decode = decode_dense if args.backend == "dense" else decode_structured
-            result = decode(inst, sigma, seed=seed)
+            result = backend_decoder(args.backend)(inst, sigma, seed=seed)
     except (PromiseViolated, NoSigmaSucceeded) as exc:
         _emit(args, json.dumps({"error": str(exc), "seed": seed}, sort_keys=True))
         return 1
@@ -177,11 +182,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _cmd_hardness(args: argparse.Namespace) -> int:
     sc = SetCoverInstance.from_json(_load_json(args.sc, BadParams))
-    f = Field(args.p, args.m, _parse_poly(args.poly))
+    f = Field(args.p, args.m, _parse_ints(args.poly, "--poly"))
     gadget = build_gadget(sc, f)
-    cover = None
-    if args.exact_cover is not None:
-        cover = [int(x) for x in args.exact_cover.split(",")]
+    cover = _parse_ints(args.exact_cover, "--exact-cover")
     report = verify_gap(
         gadget, exact_cover=cover, min_cover_size=args.min_cover_size
     )
@@ -237,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decode", help="run the decoder on an instance file")
     p.add_argument("--instance", required=True)
-    p.add_argument("--backend", choices=["dense", "structured"], default="dense")
+    p.add_argument("--backend", choices=BACKENDS, default="dense")
     p.add_argument("--sigma-r", type=int, default=None, help="exponent r with sigma = p^r")
     p.add_argument("--search", action="store_true", help="scan sigma = p^0, p^1, ...")
     p.add_argument("--timings", action="store_true", help="include wall_ms in output")

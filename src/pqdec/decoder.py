@@ -13,13 +13,13 @@ for outcome o.  Both paths produce identical marginals where both run.
 Structured backend: a classical shadow of the same algorithm, valid
 exactly where the eigenphase relation holds (every coordinate of
 t - A s_true has integer image below sigma, i.e. zero top m - r
-digits).  It samples the label batch, redraws until the label matrix
-inverts over F_p, applies the phase telescoping conclusion, and negates
-the measured outcome.  It refuses (PromiseViolated) rather than
-extrapolate: without a planted message the phase bookkeeping has no
-ground truth to follow, and with one it checks the eigenphase condition
-before answering.  Label draws are uniform, which is the sampler's
-exact marginal whenever the cubes are orthonormal.
+digits).  It redraws the label batch until the label matrix has full
+rank over F_p (only the full-tensor dense path inverts it), and returns
+s_true, the negation of the outcome -s_true that the circuit measures.
+It refuses (PromiseViolated) rather than extrapolate: without a planted
+message the phase bookkeeping has no ground truth to follow, and with
+one it checks the eigenphase condition before answering.  Label draws
+are uniform, the sampler's exact marginal when the cubes are orthonormal.
 
 Both backends consume the same label stream from the seed, so they
 agree run for run, including the number of resample rounds.
@@ -34,6 +34,7 @@ import numpy as np
 
 from .codes import DecodeInstance, LinearCode
 from .errors import (
+    BadParams,
     NoSigmaSucceeded,
     OrthogonalityViolated,
     PromiseViolated,
@@ -42,28 +43,22 @@ from .errors import (
 )
 from .gf import FieldElement, label_to_digits, stack_digits, unstack_digits
 from .metrics import manhattan_dist
-from .modp import FpInverseResult, fp_gauss_invert, rank
+from .modp import fp_gauss_invert, rank
 from .qsim import (
     DenseState,
     PcsSampler,
     RegisterLayout,
     SigmaParam,
     label_permutation,
+    require_cube_orthogonality,
     shift_cube_vector,
     vector_digit_rows,
 )
 
+BACKENDS = ("dense", "structured")
 DEFAULT_RETRY_BUDGET = 64
 CONCENTRATION_TOL = 1e-9
 MAX_MARGINAL = 2**20
-
-
-@dataclass(frozen=True)
-class LabelMatrix:
-    """The T sampled labels assembled column-wise, with a cached inverse."""
-
-    columns: np.ndarray  # (T, T), column j is label j
-    inverse: np.ndarray
 
 
 @dataclass
@@ -77,30 +72,23 @@ class DecodeResult:
     peak_probability: float | None = None
 
 
-def _draw_label_batch(rng: np.random.Generator, p: int, t: int) -> np.ndarray:
-    """One round of T uniform labels, column j = label j (shared by both backends)."""
-    return rng.integers(0, p, size=(t, t)).astype(np.int64)
-
-
 def sample_label_matrix(
     p: int,
     t: int,
     rng: np.random.Generator,
     retry_budget: int = DEFAULT_RETRY_BUDGET,
-) -> tuple[LabelMatrix, int]:
-    """Redraw full label batches until the assembled matrix inverts over F_p.
+) -> tuple[np.ndarray, int]:
+    """Redraw whole batches of T uniform labels until they have rank T over F_p.
 
-    Returns the matrix and the number of batches drawn (expected O(1)).
-    Failed rounds only pay for a rank check; the inverse is computed once
-    for the batch that survives.
+    Returns the surviving (T, T) batch, column j = label j, and the number
+    of batches drawn (expected O(1)).  The draw checks rank only: the
+    inverse is read by the full-tensor dense path alone, which computes
+    it there.
     """
     for rounds in range(1, retry_budget + 1):
-        cols = _draw_label_batch(rng, p, t)
-        if rank(cols, p) < t:
-            continue
-        res: FpInverseResult = fp_gauss_invert(cols, p)
-        assert not res.singular
-        return LabelMatrix(columns=cols, inverse=res.inverse), rounds
+        columns = rng.integers(0, p, size=(t, t)).astype(np.int64)
+        if rank(columns, p) == t:
+            return columns, rounds
     raise RetryBudgetExhausted(
         f"no invertible label matrix in {retry_budget} rounds (p={p}, T={t})"
     )
@@ -119,16 +107,15 @@ def choose_sigma(code: LinearCode) -> SigmaParam | None:
     """Largest sigma = p^r strictly below d/n (None if even sigma=1 is too big)."""
     if code.d is None:
         raise OrthogonalityViolated("code distance unknown; run min_distance_bruteforce")
-    f = code.field
     best = None
-    for r in range(f.m):
-        if f.p**r * code.n < code.d:
-            best = SigmaParam.from_r(f, r)
+    for r in range(code.field.m):
+        sigma = SigmaParam.from_r(code.field, r)
+        try:
+            require_cube_orthogonality(code, sigma)
+        except OrthogonalityViolated:
+            break  # sigma only grows with r
+        best = sigma
     return best
-
-
-def _negate_digits(digits: tuple[int, ...], p: int) -> tuple[int, ...]:
-    return tuple((-d) % p for d in digits)
 
 
 def decode_structured(
@@ -148,27 +135,18 @@ def decode_structured(
             f"planted error has a coordinate image >= sigma = {sigma.sigma}; "
             "the phased cube states are not eigenvectors of the shift here"
         )
-    if code.d is not None and not (code.d > sigma.sigma * code.n):
-        raise OrthogonalityViolated(
-            f"d = {code.d} <= sigma*n = {sigma.sigma * code.n}; uniform label "
-            "sampling is not justified"
-        )
+    require_cube_orthogonality(code, sigma)
     rng = np.random.default_rng(seed)
-    t_digits = f.m * code.k
-    label_matrix, rounds = sample_label_matrix(f.p, t_digits, rng)
-    # the phases telescope through label_matrix.inverse then label_matrix,
-    # leaving -s on the work register; the Fourier-basis measurement reads
-    # it out and negation undoes it
-    s_digits = tuple(int(d) for d in stack_digits(inst.s_true))
-    outcome = _negate_digits(s_digits, f.p)
-    s_hat_digits = _negate_digits(outcome, f.p)
-    s_hat = unstack_digits(f, s_hat_digits)
-    # s_hat equals s_true, so its codeword is the one computed above
+    _, rounds = sample_label_matrix(f.p, f.m * code.k, rng)
+    # the phases telescope through L^-1 then L, leaving -s on the work
+    # register; the Fourier-basis measurement reads it out and negation
+    # recovers s, so the answer is the planted message itself
+    s_hat_digits = tuple(int(d) for d in stack_digits(inst.s_true))
     if not _within_bound(inst, codeword):
         raise PromiseViolated("structured decode failed verification against the bound")
     return DecodeResult(
         s_hat_digits=s_hat_digits,
-        s_hat=tuple(e.image for e in s_hat),
+        s_hat=tuple(e.image for e in inst.s_true),
         sigma_r=sigma.r,
         backend="structured",
         resample_rounds=rounds,
@@ -177,26 +155,28 @@ def decode_structured(
 
 
 def _dense_full_marginal(
-    label_matrix: LabelMatrix,
+    columns: np.ndarray,
     pcs_vectors: list[np.ndarray],
     t_digit_rows: np.ndarray,
     layout: RegisterLayout,
 ) -> np.ndarray:
-    """Steps 3-7 on the materialised composite register."""
+    """Steps 3-7 on the materialised composite register (L = ``columns``)."""
     label_dim = layout.label_dim
     label0 = np.zeros(label_dim, dtype=np.complex128)
     label0[0] = 1.0
     state = DenseState.from_parts(layout, label0, pcs_vectors)
     state.qft_label()  # uniform superposition over the work register
-    state.permute_label(label_matrix.inverse)
+    inverse = fp_gauss_invert(columns, layout.p)
+    assert not inverse.singular  # the label draw keeps full-rank batches only
+    state.permute_label(inverse.inverse)
     state.controlled_shift_power(t_digit_rows)
-    state.permute_label(label_matrix.columns)
+    state.permute_label(columns)
     state.qft_label(inverse=True)  # Fourier-basis measurement
     return state.label_marginal()
 
 
 def _dense_factorized_marginal(
-    label_matrix: LabelMatrix,
+    columns: np.ndarray,
     pcs_vectors: list[np.ndarray],
     t_digit_rows: np.ndarray,
     field,
@@ -214,7 +194,7 @@ def _dense_factorized_marginal(
     materialised.
     """
     p = field.p
-    t = label_matrix.columns.shape[0]
+    t = columns.shape[0]
     if p**t > MAX_MARGINAL:
         raise ScaleExceeded(f"label marginal of {p**t} outcomes is above the guard")
     omega = np.exp(2j * np.pi / p)
@@ -227,7 +207,7 @@ def _dense_factorized_marginal(
             # W(c) = p^-2 sum_{a',a} omega^((a'-a) c) G[a', a]
             w = np.real(f_c @ gram @ np.conj(f_c)) / p**2
             weights[j, c] = max(w, 0.0)
-    return reduce(np.kron, weights)[label_permutation(label_matrix.columns.T, p)]
+    return reduce(np.kron, weights)[label_permutation(columns.T, p)]
 
 
 def decode_dense(
@@ -249,18 +229,16 @@ def decode_dense(
     rng = np.random.default_rng(seed)
     sampler = PcsSampler(code, sigma)  # raises OrthogonalityViolated / ScaleExceeded
     t_digits = f.m * code.k
-    label_matrix, rounds = sample_label_matrix(f.p, t_digits, rng)
-    pcs_vectors = [sampler.collapse(label) for label in label_matrix.columns.T]
+    columns, rounds = sample_label_matrix(f.p, t_digits, rng)
+    pcs_vectors = [sampler.collapse(label) for label in columns.T]
     t_rows = vector_digit_rows(inst.t)
     try:
         layout = RegisterLayout(
             p=f.p, m=f.m, n=code.n, label_digits=t_digits, cube_count=t_digits
         )
-        marginal = _dense_full_marginal(label_matrix, pcs_vectors, t_rows, layout)
+        marginal = _dense_full_marginal(columns, pcs_vectors, t_rows, layout)
     except ScaleExceeded:
-        marginal = _dense_factorized_marginal(
-            label_matrix, pcs_vectors, t_rows, f, code.n
-        )
+        marginal = _dense_factorized_marginal(columns, pcs_vectors, t_rows, f, code.n)
     total = marginal.sum()
     assert abs(total - 1.0) < 1e-9, "final marginal does not sum to 1"
     peak_idx = int(np.argmax(marginal))
@@ -269,8 +247,7 @@ def decode_dense(
         outcome_idx = peak_idx
     else:
         outcome_idx = int(rng.choice(len(marginal), p=marginal / total))
-    outcome = tuple(label_to_digits(outcome_idx, t_digits, f.p).tolist())
-    s_hat_digits = _negate_digits(outcome, f.p)
+    s_hat_digits = tuple((-label_to_digits(outcome_idx, t_digits, f.p) % f.p).tolist())
     s_hat = unstack_digits(f, s_hat_digits)
     if not verify_candidate(inst, s_hat):
         raise PromiseViolated("dense decode failed verification against the bound")
@@ -283,6 +260,13 @@ def decode_dense(
         verified=True,
         peak_probability=peak,
     )
+
+
+def backend_decoder(name: str):
+    """The decode function of a backend, read from the module at call time."""
+    if name not in BACKENDS:
+        raise BadParams(f"unknown backend {name!r}; expected one of {', '.join(BACKENDS)}")
+    return decode_dense if name == "dense" else decode_structured
 
 
 def sigma_search(
@@ -298,8 +282,8 @@ def sigma_search(
     the covering sigma the marginal is spread out, and a sampled candidate
     that happens to verify is luck, not a decode.
     """
+    decode = backend_decoder(backend)
     rng = np.random.default_rng(seed)
-    decode = decode_dense if backend == "dense" else decode_structured
     f = inst.field
     for r in range(f.m):
         sigma = SigmaParam.from_r(f, r)
@@ -313,12 +297,12 @@ def sigma_search(
 
 
 __all__ = [
+    "BACKENDS",
     "DecodeResult",
-    "LabelMatrix",
+    "backend_decoder",
     "choose_sigma",
     "decode_dense",
     "decode_structured",
-    "fp_gauss_invert",
     "sample_label_matrix",
     "sigma_search",
     "verify_candidate",

@@ -65,6 +65,14 @@ class SigmaParam:
         return cls(r=r, sigma=field.p**r)
 
 
+def require_cube_orthogonality(code: LinearCode, sigma: SigmaParam) -> None:
+    """Raise OrthogonalityViolated unless d > sigma*n (an unknown d passes)."""
+    if code.d is not None and not code.d > sigma.sigma * code.n:
+        raise OrthogonalityViolated(
+            f"d = {code.d} <= sigma*n = {sigma.sigma * code.n}; cubes may collide"
+        )
+
+
 def label_permutation(matrix: np.ndarray, p: int) -> np.ndarray:
     """perm[i] = digits_to_label(M @ label_to_digits(i) mod p) for all p^T labels i.
 
@@ -417,10 +425,7 @@ class PcsSampler:
         self.sigma = sigma
         self.field = f
         self.t_digits = f.m * code.k
-        if code.d is not None and not (code.d > sigma.sigma * code.n):
-            raise OrthogonalityViolated(
-                f"d = {code.d} <= sigma*n = {sigma.sigma * code.n}; cubes may collide"
-            )
+        require_cube_orthogonality(code, sigma)
         self.layout = RegisterLayout(
             p=f.p, m=f.m, n=code.n, label_digits=self.t_digits, cube_count=1
         )

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -177,6 +180,37 @@ def test_hardness_malformed_set_cover_exit_two(capsys, tmp_path):
     not_json.write_text("universe = 2")
     for bad in (no_k, str(not_json)):
         assert run(capsys, "hardness", "--sc", bad, "--p", "2", "--m", "1") == (2, "")
+
+
+@pytest.mark.parametrize(
+    "env,argv",
+    [
+        ({}, ["field", "--p", "2", "--m", "2", "--poly", "1,a"]),
+        ({}, ["hardness", "--sc", "SC", "--p", "2", "--m", "1", "--exact-cover", "0,x"]),
+        ({"PQDEC_SEED": "abc"}, ["stats", "--p", "2", "--T", "3", "--trials", "10"]),
+    ],
+    ids=["poly", "exact-cover", "seed-env"],
+)
+def test_malformed_number_exit_two(capsys, monkeypatch, tmp_path, env, argv):
+    sc = str(tmp_path / "sc.json")
+    write_json(sc, {"universe": 2, "sets": [[0], [1]], "K": 2, "c": 2})
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert main([sc if a == "SC" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_malformed_number_exit_two_in_a_process():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pqdec.cli", "field", "--p", "2", "--m", "2", "--poly", "1,a"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
 
 
 def test_separation_subcommand(capsys):

@@ -8,6 +8,7 @@ from pqdec.decoder import (
     CONCENTRATION_TOL,
     _dense_factorized_marginal,
     _dense_full_marginal,
+    backend_decoder,
     choose_sigma,
     decode_dense,
     decode_structured,
@@ -16,6 +17,7 @@ from pqdec.decoder import (
     verify_candidate,
 )
 from pqdec.errors import (
+    BadParams,
     NoSigmaSucceeded,
     OrthogonalityViolated,
     PromiseViolated,
@@ -79,6 +81,28 @@ def test_label_matrix_first_round_frequency(p, expected):
     )
     assert abs(hits / 3000 - expected) < 0.03
     assert abs(invertibility_product(p) - expected) < 1e-5
+
+
+def test_label_matrix_is_first_full_rank_batch():
+    redrawn = 0
+    for p, ts in ((2, (1, 3, 8, 64, 70)), (3, (1, 4, 9)), (5, (2, 6))):
+        for t in ts:
+            for seed in range(4):
+                columns, rounds = sample_label_matrix(p, t, np.random.default_rng(seed))
+                # the invertibility certificate, independent of modp.rank
+                res = fp_gauss_invert(columns, p)
+                assert not res.singular
+                assert np.array_equal(columns @ res.inverse % p, np.eye(t, dtype=np.int64))
+                # the same stream drawn batch by batch, directly
+                direct = np.random.default_rng(seed)
+                for expected_rounds in range(1, 65):
+                    batch = direct.integers(0, p, size=(t, t))
+                    if not fp_gauss_invert(batch, p).singular:
+                        break
+                assert rounds == expected_rounds
+                assert np.array_equal(columns, batch)
+                redrawn += rounds > 1
+    assert redrawn > 0  # some draws passed over a singular batch
 
 
 def test_label_matrix_retry_budget():
@@ -182,19 +206,19 @@ def test_factorized_marginal_equals_full_tensor(f4, f8, f9):
         sampler = PcsSampler(code, sigma)
         rng = np.random.default_rng(seed)
         t_digits = f.m * code.k
-        label_matrix, _ = sample_label_matrix(f.p, t_digits, rng)
+        columns, _ = sample_label_matrix(f.p, t_digits, rng)
         if t_digits >= 3:
-            assert not np.array_equal(label_matrix.columns, np.eye(t_digits))
+            assert not np.array_equal(columns, np.eye(t_digits))
         pcs = [
-            sampler.collapse(tuple(int(x) for x in label_matrix.columns[:, j]))
+            sampler.collapse(tuple(int(x) for x in columns[:, j]))
             for j in range(t_digits)
         ]
         t_rows = vector_digit_rows(inst.t)
         layout = RegisterLayout(
             p=f.p, m=f.m, n=code.n, label_digits=t_digits, cube_count=t_digits
         )
-        full = _dense_full_marginal(label_matrix, pcs, t_rows, layout)
-        fact = _dense_factorized_marginal(label_matrix, pcs, t_rows, f, code.n)
+        full = _dense_full_marginal(columns, pcs, t_rows, layout)
+        fact = _dense_factorized_marginal(columns, pcs, t_rows, f, code.n)
         assert np.allclose(full, fact, atol=1e-12)
 
 
@@ -327,6 +351,17 @@ def test_sigma_search_structured_backend(f16):
     # nonzero error refuses sigma = 1 and lands on sigma = 2
     if any(x.image for x in e):
         assert res.sigma_r == 1
+
+
+def test_unknown_backend_is_rejected(f4):
+    inst = gen_instance(code_123(f4), 0, seed=0)
+    for name in ("Dense", "", "dense "):
+        with pytest.raises(BadParams):
+            sigma_search(inst, backend=name, seed=0)
+        with pytest.raises(BadParams):
+            backend_decoder(name)
+    assert backend_decoder("dense") is decode_dense
+    assert backend_decoder("structured") is decode_structured
 
 
 def test_sigma_search_adversarial_far_target(f4):
