@@ -19,26 +19,32 @@ Within a coordinate the LEAST significant digit sits at the last
 number, equal the coordinate's integer image, and a cube register's
 block index is the mixed-radix-q number of its coordinate images.
 Every cube-register shift, controlled or not, goes through the one
-shift kernel :func:`_shift_cube`.
+shift kernel :func:`_shift_cube`, a gather through a source-index map
+with one entry per basis value of the cube register.
 
 Conventions: omega_p = exp(2*pi*i/p); the forward single-digit Fourier
 transform is F[a, b] = omega_p^(a*b)/sqrt(p); measuring "in the Fourier
 basis" means applying the inverse transform and reading the standard
 basis.  The shift U_x adds digits mod p (no carries), i.e. F_q vector
-addition.  Gates are exactly unitary; the norm is asserted to 1e-10
-after every application.
+addition.  Each gate writes the state once, into a new buffer, and each
+is checked: a Fourier transform asserts the norm to 1e-10 after it
+runs, and a gate that only reorders amplitudes (a label permutation or
+a shift) first checks that its index map is a bijection, which is exact
+and costs one pass over the map instead of one over the state.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import lru_cache, reduce
 from typing import Sequence
 
 import numpy as np
 
 from .codes import LinearCode, message_images
 from .errors import (
+    BadParams,
     BadRegister,
     OrthogonalityViolated,
     OutOfRange,
@@ -49,6 +55,12 @@ from .gf import Field, FieldElement, digits_to_label, label_to_digits
 MAX_AMPLITUDES = 2**24
 NORM_TOL = 1e-10
 UNIFORM_TOL = 1e-12
+# Largest side of one Fourier matrix: a run of digit axes is transformed
+# by one matmul while p^width stays at or under this.  A wider run makes
+# fewer passes over the state but more flops per amplitude.  With one
+# BLAS thread on about 2^21 amplitudes, ten F_2 label digits took 49 ms
+# at 32 against 121 ms at 256, and four F_5 digits 38 ms against 56 ms.
+DFT_BLOCK_DIM = 32
 
 
 @dataclass(frozen=True)
@@ -90,6 +102,14 @@ def label_permutation(matrix: np.ndarray, p: int) -> np.ndarray:
     return perm
 
 
+def _require_bijection(index_map: np.ndarray, what: str) -> np.ndarray:
+    """``index_map`` itself, once it is checked to permute range(len(index_map))."""
+    counts = np.bincount(index_map, minlength=len(index_map))
+    if len(counts) != len(index_map) or not np.all(counts == 1):
+        raise BadParams(f"{what} is not a bijection")
+    return index_map
+
+
 @dataclass(frozen=True)
 class RegisterLayout:
     """Shape bookkeeping for a label register plus cube registers."""
@@ -129,6 +149,14 @@ class RegisterLayout:
         base = self.label_digits + register * self.n * self.m
         return base + coord * self.m + (self.m - 1 - digit)
 
+    def cube_tail(self, register: int, count: int = 1) -> int:
+        """Number of basis values of the cube registers after ``register`` .. ``register + count - 1``."""
+        if not (0 <= register and count >= 1 and register + count <= self.cube_count):
+            raise BadRegister(
+                f"cube registers {register}..{register + count - 1} of {self.cube_count}"
+            )
+        return self.cube_dim ** (self.cube_count - register - count)
+
     def encode_label(self, digits: Sequence[int]) -> int:
         return int(digits_to_label(digits, self.p))
 
@@ -136,23 +164,52 @@ class RegisterLayout:
         return tuple(label_to_digits(index, self.label_digits, self.p).tolist())
 
 
-def _dft_matrix(p: int, inverse: bool = False) -> np.ndarray:
+@lru_cache(maxsize=64)
+def _dft_matrix(p: int, inverse: bool = False, width: int = 1) -> np.ndarray:
+    """Fourier transform on ``width`` digits: the Kronecker power of F (or F^-1)."""
     sign = -1.0 if inverse else 1.0
     a = np.arange(p)
-    return np.exp(sign * 2j * np.pi * np.outer(a, a) / p) / np.sqrt(p)
+    f = np.exp(sign * 2j * np.pi * np.outer(a, a) / p) / np.sqrt(p)
+    out = reduce(np.kron, [f] * width)
+    out.setflags(write=False)
+    return out
 
 
-def _shift_cube(t: np.ndarray, digit_rows: np.ndarray, first_axis: int, p: int) -> np.ndarray:
-    """Add an (n, m) digit matrix, LSB first, to the cube register of tensor ``t``
-    whose axes start at ``first_axis`` (``cube_axis(register, 0, m - 1)``);
-    ``t`` itself if every digit is 0 mod p."""
-    n, m = digit_rows.shape
-    for coord in range(n):
-        for digit in range(m):
-            amt = int(digit_rows[coord, digit]) % p
-            if amt:
-                t = np.roll(t, amt, axis=first_axis + coord * m + (m - 1 - digit))
-    return t
+def _dft_runs(first: int, count: int, p: int) -> list[tuple[int, int]]:
+    """(axis, width) runs tiling axes first .. first+count-1, p^width <= DFT_BLOCK_DIM."""
+    width = 1
+    while p ** (width + 1) <= DFT_BLOCK_DIM:
+        width += 1
+    last = first + count
+    return [(axis, min(width, last - axis)) for axis in range(first, last, width)]
+
+
+def _shift_source(digit_rows: np.ndarray, p: int) -> np.ndarray:
+    """Source-index map of adding an (n, m) digit matrix v, LSB first, to a cube register.
+
+    Adding v sends basis value y to y + v, so output x reads input x - v.
+    Built one digit at a time, as :func:`label_permutation` is, from the
+    least significant place up (last coordinate first, LSB first within
+    it), so each outer sum puts the long, already built part innermost.
+    The map has one entry per basis value of the register.
+    """
+    src = np.zeros(1, dtype=np.intp)
+    place = 1
+    for amt in np.asarray(digit_rows, dtype=np.int64)[::-1].reshape(-1):
+        src = np.add.outer((np.arange(p) - amt) % p * place, src).reshape(-1)
+        place *= p
+    return _require_bijection(src, "cube shift")
+
+
+def _shift_cube(
+    block: np.ndarray, digit_rows: np.ndarray, p: int, axis: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Add an (n, m) digit matrix, LSB first, to the cube register indexed by
+    ``axis`` of ``block``: one gather through its checked source-index map."""
+    src = _shift_source(digit_rows, p)
+    if block.shape[axis] != len(src):
+        raise BadRegister(f"cube register of {block.shape[axis]} values, shift of {len(src)}")
+    return np.take(block, src, axis=axis, out=out, mode="clip")
 
 
 class DenseState:
@@ -180,9 +237,16 @@ class DenseState:
             raise BadRegister(
                 f"expected {layout.cube_count} cube registers, got {len(cube_vecs)}"
             )
-        vec = np.asarray(label_vec, dtype=np.complex128)
-        for cv in cube_vecs:
-            vec = np.kron(vec, np.asarray(cv, dtype=np.complex128))
+        vec = np.asarray(label_vec, dtype=np.complex128).reshape(-1)
+        if len(vec) != layout.label_dim:
+            raise BadRegister(f"label part has {len(vec)} amplitudes, not {layout.label_dim}")
+        for j, cv in enumerate(cube_vecs):
+            part = np.asarray(cv, dtype=np.complex128).reshape(-1)
+            if len(part) != layout.cube_dim:
+                raise BadRegister(
+                    f"cube part {j} has {len(part)} amplitudes, not {layout.cube_dim}"
+                )
+            vec = np.kron(vec, part)
         return cls(layout, vec)
 
     # -- plumbing ---------------------------------------------------------
@@ -191,24 +255,25 @@ class DenseState:
         return DenseState(self.layout, self.vec.copy())
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.vec))
+        return float(np.sqrt(np.vdot(self.vec, self.vec).real))
 
     def _check_norm(self) -> DenseState:
         assert abs(self.norm() - 1.0) < NORM_TOL, "statevector norm drifted"
         return self
 
-    def _tensor(self) -> np.ndarray:
-        return self.vec.reshape((self.layout.p,) * self.layout.total_axes)
-
     # -- gates ------------------------------------------------------------
 
-    def dft_axis(self, axis: int, inverse: bool = False) -> DenseState:
+    def dft_axis(self, axis: int, inverse: bool = False, width: int = 1) -> DenseState:
+        """Fourier transform on the ``width`` digit axes from ``axis``: one matmul."""
         p = self.layout.p
         pre = p**axis
-        post = self.layout.dim // (pre * p)
-        v = self.vec.reshape(pre, p, post)
-        f = _dft_matrix(p, inverse)
-        self.vec = np.einsum("ab,ibj->iaj", f, v).reshape(-1)
+        block = p**width
+        post = self.layout.dim // (pre * block)
+        f = _dft_matrix(p, inverse, width)
+        if post == 1:
+            self.vec = (self.vec.reshape(pre, block) @ f.T).reshape(-1)
+        else:
+            self.vec = np.matmul(f, self.vec.reshape(pre, block, post)).reshape(-1)
         return self._check_norm()
 
     def shift_register(
@@ -219,55 +284,78 @@ class DenseState:
         ``digit_rows`` is the (n, m) digit matrix of the vector, LSB first.
         """
         lay = self.layout
-        ell %= lay.p
-        if ell == 0:
+        tail = lay.cube_tail(register)
+        amounts = np.asarray(digit_rows, dtype=np.int64) * ell % lay.p
+        if not amounts.any():
             return self
-        first = lay.cube_axis(register, 0, lay.m - 1)
-        amounts = np.asarray(digit_rows, dtype=np.int64) * ell
-        self.vec = _shift_cube(self._tensor(), amounts, first, lay.p).reshape(-1)
-        return self._check_norm()
+        v = self.vec.reshape(-1, lay.cube_dim, tail)
+        self.vec = _shift_cube(v, amounts, lay.p, axis=1).reshape(-1)
+        return self
 
     def prep_cube(self, register: int, y_digit_rows: np.ndarray, sigma: SigmaParam) -> DenseState:
         """Turn |0> of a cube register into the side-sigma cube anchored at y.
 
-        Realised as the p-ary Fourier transform on each of the r low digit
-        slots of every coordinate (uniformising [sigma]^n), then the shift
-        by y.  Unitary, so callers starting elsewhere get the rotated state.
+        Realised as the p-ary Fourier transform on the r low digit slots
+        of every coordinate (uniformising [sigma]^n), then the shift by y.
+        Those r slots are adjacent axes, so each coordinate takes one
+        transform.  Unitary, so callers starting elsewhere get the
+        rotated state.
         """
-        for coord in range(self.layout.n):
-            for digit in range(sigma.r):
-                self.dft_axis(self.layout.cube_axis(register, coord, digit))
+        lay = self.layout
+        for coord in range(lay.n):
+            first = lay.cube_axis(register, coord, lay.m - 1) + lay.m - sigma.r
+            for axis, width in _dft_runs(first, sigma.r, lay.p):
+                self.dft_axis(axis, width=width)
         return self.shift_register(register, y_digit_rows)
 
     def qft_label(self, inverse: bool = False) -> DenseState:
         """Tensor-product Fourier transform over Z_p on every label slot."""
-        for axis in range(self.layout.label_digits):
-            self.dft_axis(axis, inverse=inverse)
+        for axis, width in _dft_runs(0, self.layout.label_digits, self.layout.p):
+            self.dft_axis(axis, inverse=inverse, width=width)
         return self
 
     def permute_label(self, matrix_fp: np.ndarray) -> DenseState:
-        """Basis permutation |v> -> |M v> with M invertible over F_p."""
+        """Basis permutation |v> -> |M v> with M invertible over F_p.
+
+        A singular M raises BadParams: its label map is not a bijection.
+        """
+        perm = label_permutation(matrix_fp, self.layout.p)
+        _require_bijection(perm, "label permutation")
         v = self.vec.reshape(self.layout.label_dim, -1)
         out = np.empty_like(v)
-        out[label_permutation(matrix_fp, self.layout.p)] = v
+        out[perm] = v
         self.vec = out.reshape(-1)
-        return self._check_norm()
+        return self
 
     def controlled_register_shifts(self, amounts: np.ndarray, register: int) -> DenseState:
-        """Shift one cube register by a label-dependent F_q^n vector.
+        """Shift cube registers by label-dependent F_q^n vectors.
 
-        ``amounts`` has shape (label_dim, n, m): ``amounts[i]`` is the digit
-        matrix added to the register on label basis value i, and a zero
-        matrix is the identity.  A pure basis permutation.
+        ``amounts`` has shape (label_dim, n, m), the digit matrices added
+        to cube register ``register``, or (label_dim, R, n, m), those added
+        to registers ``register`` .. ``register + R - 1``.  ``amounts[i]``
+        applies on label basis value i, and a zero matrix is the identity.
+        A pure basis permutation, made label by label: each register of a
+        label's slice is one gather, alternating with one slice-sized
+        scratch buffer so that the last lands in the one output buffer.
         """
         lay = self.layout
-        amounts = np.asarray(amounts, dtype=np.int64) % lay.p
-        v = self.vec.reshape((lay.label_dim,) + (lay.p,) * (lay.total_axes - lay.label_digits))
-        first = lay.cube_axis(register, 0, lay.m - 1) - lay.label_digits
-        for i in np.flatnonzero(amounts.reshape(lay.label_dim, -1).any(axis=1)):
-            v[i] = _shift_cube(v[i], amounts[i], first, lay.p)
-        self.vec = v.reshape(-1)
-        return self._check_norm()
+        amounts = np.asarray(amounts, dtype=np.int64)
+        if amounts.ndim == 3:
+            amounts = amounts[:, None]
+        if len(amounts) != lay.label_dim:
+            raise BadRegister(f"{len(amounts)} shift rows for {lay.label_dim} labels")
+        count = amounts.shape[1]
+        tail = lay.cube_tail(register, count)
+        v = self.vec.reshape((lay.label_dim, -1) + (lay.cube_dim,) * count + (tail,))
+        out = np.empty_like(v)
+        scratch = np.empty_like(v[0]) if count > 1 else None
+        for i, label_rows in enumerate(amounts):
+            block = v[i]
+            for j, digit_rows in enumerate(label_rows):
+                dest = out[i] if (count - j) % 2 else scratch
+                block = _shift_cube(block, digit_rows, lay.p, axis=1 + j, out=dest)
+        self.vec = out.reshape(-1)
+        return self
 
     def controlled_shift_power(self, t_digit_rows: np.ndarray) -> DenseState:
         """Apply U_t^(digit j of the label) to cube register j, for every j.
@@ -276,18 +364,21 @@ class DenseState:
         digits; powers are ell-fold F_q additions of t.
         """
         lay = self.layout
+        if lay.cube_count > lay.label_digits:
+            raise BadRegister(
+                f"{lay.cube_count} cube registers but {lay.label_digits} control digits"
+            )
         ells = label_to_digits(np.arange(lay.label_dim), lay.label_digits, lay.p)
-        amounts = ells[:, :, None, None] * np.asarray(t_digit_rows, dtype=np.int64)
-        for register in range(lay.cube_count):
-            self.controlled_register_shifts(amounts[:, register], register)
-        return self
+        amounts = ells[:, : lay.cube_count, None, None] * np.asarray(t_digit_rows, dtype=np.int64)
+        return self.controlled_register_shifts(amounts, 0)
 
     # -- measurement --------------------------------------------------------
 
     def label_marginal(self) -> np.ndarray:
         """Exact outcome distribution of a standard-basis label measurement."""
-        v = self.vec.reshape(self.layout.label_dim, -1)
-        return (np.abs(v) ** 2).sum(axis=1)
+        amps = np.ascontiguousarray(self.vec, dtype=np.complex128)
+        w = amps.view(np.float64).reshape(self.layout.label_dim, -1)
+        return np.einsum("ij,ij->i", w, w)
 
     def measure_label(self, rng: np.random.Generator) -> tuple[tuple[int, ...], DenseState]:
         """Sample the label register and collapse; returns (digits, self)."""
@@ -356,7 +447,7 @@ def shift_cube_vector(
     if ell == 0:
         return vec.copy()
     amounts = np.asarray(t_digit_rows, dtype=np.int64) * ell
-    return _shift_cube(vec.reshape((p,) * (n * field.m)), amounts, 0, p).reshape(-1)
+    return _shift_cube(np.asarray(vec).reshape(-1), amounts, p, axis=0)
 
 
 def pcs_state_direct(
@@ -500,13 +591,25 @@ def dump_state(
 
 
 def load_state(path: str) -> tuple[dict, DenseState]:
+    """Read a :func:`dump_state` file.
+
+    A file that is not a dump, has a short header, or whose payload is
+    not exactly 16 bytes per amplitude of its layout raises OutOfRange.
+    """
     with open(path, "rb") as fh:
         if fh.read(4) != _DUMP_MAGIC:
             raise OutOfRange(f"{path} is not a state dump")
-        p, m, n, k, t, sigma_r = struct.unpack("<6i", fh.read(24))
-        (cube_count,) = struct.unpack("<i", fh.read(4))
+        head = fh.read(28)
+        if len(head) != 28:
+            raise OutOfRange(f"{path}: header has {len(head)} of 28 bytes")
+        p, m, n, k, t, sigma_r, cube_count = struct.unpack("<7i", head)
         layout = RegisterLayout(p=p, m=m, n=n, label_digits=t, cube_count=cube_count)
-        raw = np.frombuffer(fh.read(), dtype="<f8")
-        vec = raw[0::2] + 1j * raw[1::2]
+        payload = fh.read()
+    if len(payload) != 16 * layout.dim:
+        raise OutOfRange(
+            f"{path}: payload has {len(payload)} bytes, not 16 * {layout.dim} amplitudes"
+        )
+    raw = np.frombuffer(payload, dtype="<f8")
+    vec = raw[0::2] + 1j * raw[1::2]
     header = {"p": p, "m": m, "n": n, "k": k, "T": t, "sigma_r": sigma_r}
     return header, DenseState(layout, vec.astype(np.complex128))

@@ -25,7 +25,7 @@ from pqdec.errors import (
 )
 from pqdec.gf import Field
 from pqdec.modp import fp_gauss_invert, invertibility_product
-from pqdec.qsim import PcsSampler, RegisterLayout, SigmaParam, vector_digit_rows
+from pqdec.qsim import MAX_AMPLITUDES, PcsSampler, RegisterLayout, SigmaParam, vector_digit_rows
 
 
 def code_123(f4):
@@ -299,6 +299,35 @@ def test_backends_agree_instance_and_seed(f4, f8, f9, f16):
             assert dense.s_hat == structured.s_hat
             assert dense.s_hat_digits == structured.s_hat_digits
             assert dense.resample_rounds == structured.resample_rounds
+
+
+# Recorded from the per-axis einsum DFT and np.roll shift kernels:
+# (path, field, generator images, s, error images, sigma r, seed,
+#  s_hat_digits, resample_rounds, peak_probability).  The peaks below 1
+# are decodes whose outcome is sampled from the marginal.
+RECORDED_DENSE = [
+    ("full", (2, 2), (1, 2, 3), 2, (0, 0, 0), 0, 2, (0, 1), 3, 0.9999999999999993),
+    ("full", (2, 2), (1, 2, 3), 2, (1, 0, 0), 0, 7, (0, 1), 2, 0.24999999999999983),
+    ("full", (2, 3), (1, 2), 5, (0, 0), 0, 0, (1, 0, 1), 4, 0.9999999999999986),
+    ("full", (3, 2), (1, 3), 7, (0, 0), 0, 1, (1, 2), 6, 1.0000000000000013),
+    ("factorised", (2, 4), (1, 2, 4), 11, (0, 0, 0), 0, 0, (1, 1, 0, 1), 5, 1.0000000000000018),
+    ("factorised", (2, 4), (1, 2, 4), 11, (1, 0, 1), 1, 1, (1, 1, 0, 1), 3, 0.9999999999999933),
+    ("factorised", (2, 4), (1, 2, 4), 11, (1, 0, 1), 0, 3, (1, 1, 0, 1), 5, 0.06250000000000011),
+]
+
+
+@pytest.mark.parametrize("case", RECORDED_DENSE)
+def test_decode_dense_matches_recorded_results(case):
+    path, (p, m), gens, s, err, r, seed, digits, rounds, peak = case
+    full_dim = p ** (m + m * len(gens) * m)  # T = m label digits and T cube registers
+    assert (full_dim <= MAX_AMPLITUDES) == (path == "full")
+    f = Field(p, m)
+    code = LinearCode(f, [[f.el(g)] for g in gens])
+    inst = plant_instance(code, (f.el(s),), tuple(f.el(e) for e in err))
+    res = decode_dense(inst, SigmaParam.from_r(f, r), seed=seed)
+    assert res.s_hat_digits == digits
+    assert res.resample_rounds == rounds
+    assert abs(res.peak_probability - peak) < 1e-12
 
 
 def test_decode_deterministic_given_seed(f4):

@@ -7,11 +7,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pqdec.codes import LinearCode
-from pqdec.errors import OrthogonalityViolated, OutOfRange, ScaleExceeded
+from pqdec.errors import BadParams, BadRegister, OrthogonalityViolated, OutOfRange, ScaleExceeded
 from pqdec.gf import Field
 from pqdec.metrics import manhattan_norm
 from pqdec.modp import rank
 from pqdec.qsim import (
+    DFT_BLOCK_DIM,
     DenseState,
     PcsSampler,
     RegisterLayout,
@@ -177,6 +178,53 @@ def test_controlled_register_shifts_single_row_is_shift_register():
         assert np.allclose(got_v[label], weight * want_v[label], atol=1e-12)
         assert not np.allclose(got_v[label], v[label], atol=1e-6)
         assert np.array_equal(got_v[others], v[others])
+    with pytest.raises(BadRegister):  # every label needs its row, or its slice is never written
+        DenseState(lay, vec.copy()).controlled_register_shifts(amounts[1:], 0)
+
+
+def _shift_cube_reference(t: np.ndarray, digit_rows: np.ndarray, first_axis: int, p: int) -> np.ndarray:
+    """The digit-axis rolling kernel the gather replaced: add (n, m) digit rows, LSB first."""
+    n, m = digit_rows.shape
+    for coord in range(n):
+        for digit in range(m):
+            amt = int(digit_rows[coord, digit]) % p
+            if amt:
+                t = np.roll(t, amt, axis=first_axis + coord * m + (m - 1 - digit))
+    return t
+
+
+@pytest.mark.parametrize("p,m,n", [(2, 2, 2), (3, 2, 1), (5, 1, 2), (2, 3, 1)])
+def test_shift_kernels_match_rolling_reference(p, m, n):
+    rng = np.random.default_rng(p * 10 + m)
+    f = Field(p, m)
+    lay = RegisterLayout(p=p, m=m, n=n, label_digits=2, cube_count=2)
+    tensor_shape = (p,) * lay.total_axes
+    for trial in range(4):
+        rows = rng.integers(0, p, size=(n, m))
+        ell = int(rng.integers(0, p))
+        vec = _random_state(lay, trial)
+        for register in range(lay.cube_count):
+            first = lay.cube_axis(register, 0, m - 1)
+            got = DenseState(lay, vec.copy()).shift_register(register, rows, ell)
+            want = _shift_cube_reference(vec.reshape(tensor_shape), rows * ell, first, p)
+            assert np.array_equal(got.vec, want.reshape(-1))
+        cube = _random_state(RegisterLayout(p=p, m=m, n=n, label_digits=0, cube_count=1), trial)
+        want = _shift_cube_reference(cube.reshape((p,) * (n * m)), rows * ell, 0, p)
+        assert np.array_equal(shift_cube_vector(cube, f, n, rows, ell), want.reshape(-1))
+        # controlled powers: label digit j drives register j
+        got = DenseState(lay, vec.copy()).controlled_shift_power(rows)
+        want = vec.reshape((lay.label_dim,) + tensor_shape[lay.label_digits :]).copy()
+        ells = label_to_digits(np.arange(lay.label_dim), lay.label_digits, p)
+        for i in range(lay.label_dim):
+            for register in range(lay.cube_count):
+                first = lay.cube_axis(register, 0, m - 1) - lay.label_digits
+                want[i] = _shift_cube_reference(want[i], rows * ells[i, register], first, p)
+        assert np.array_equal(got.vec, want.reshape(-1))
+
+
+def test_shift_rejects_mismatched_register(f4):
+    with pytest.raises(BadRegister):
+        shift_cube_vector(np.ones(8, dtype=np.complex128), f4, 2, np.ones((2, 2), dtype=np.int64))
 
 
 # ---------------------------------------------------------------- overlaps
@@ -236,6 +284,61 @@ def test_qft_label_zero_to_uniform():
     assert np.allclose(st.vec, 3**-1.5, atol=1e-12)
 
 
+def _dft_axis_reference(vec: np.ndarray, p: int, axis: int, inverse: bool = False) -> np.ndarray:
+    """The one-digit einsum transform the blocked matmul replaced."""
+    sign = -1.0 if inverse else 1.0
+    a = np.arange(p)
+    f = np.exp(sign * 2j * np.pi * np.outer(a, a) / p) / np.sqrt(p)
+    return np.einsum("ab,ibj->iaj", f, vec.reshape(p**axis, p, -1)).reshape(-1)
+
+
+@pytest.mark.parametrize("p,t", [(2, 4), (3, 3), (5, 2)])
+def test_dft_axis_matches_per_axis_einsum(p, t):
+    lay = RegisterLayout(p=p, m=1, n=2, label_digits=t, cube_count=1)
+    vec = _random_state(lay, p)
+    for width in range(1, t + 1):
+        # first axis, a middle one, and the run that ends at the last axis (post == 1)
+        for axis in sorted({0, (lay.total_axes - width) // 2, lay.total_axes - width}):
+            for inverse in (False, True):
+                got = DenseState(lay, vec.copy()).dft_axis(axis, inverse, width)
+                want = vec
+                for a in range(axis, axis + width):
+                    want = _dft_axis_reference(want, p, a, inverse)
+                assert np.max(np.abs(got.vec - want)) < 1e-12
+
+
+def test_qft_label_over_several_runs_matches_per_axis_einsum():
+    lay = RegisterLayout(p=2, m=1, n=1, label_digits=7, cube_count=1)
+    assert lay.label_dim > DFT_BLOCK_DIM  # more label digits than one matmul takes
+    vec = _random_state(lay, 7)
+    for inverse in (False, True):
+        want = vec
+        for axis in range(lay.label_digits):
+            want = _dft_axis_reference(want, 2, axis, inverse)
+        got = DenseState(lay, vec.copy()).qft_label(inverse)
+        assert np.max(np.abs(got.vec - want)) < 1e-12
+
+
+@pytest.mark.parametrize("p,m,r", [(2, 3, 2), (3, 3, 2), (2, 4, 3)])
+def test_prep_cube_matches_per_axis_reference(p, m, r):
+    f = Field(p, m)
+    sigma = SigmaParam.from_r(f, r)
+    lay = RegisterLayout(p=p, m=m, n=2, label_digits=1, cube_count=2)
+    rng = np.random.default_rng(r)
+    rows = rng.integers(0, p, size=(lay.n, m))
+    vec = _random_state(lay, m)
+    for register in range(lay.cube_count):
+        got = DenseState(lay, vec.copy()).prep_cube(register, rows, sigma)
+        want = vec
+        for coord in range(lay.n):
+            for digit in range(r):
+                want = _dft_axis_reference(want, p, lay.cube_axis(register, coord, digit))
+        want = _shift_cube_reference(
+            want.reshape((p,) * lay.total_axes), rows, lay.cube_axis(register, 0, m - 1), p
+        )
+        assert np.max(np.abs(got.vec - want.reshape(-1))) < 1e-12
+
+
 # ---------------------------------------------------------------- label permutation
 
 def _permute_label_reference(vec: np.ndarray, matrix: np.ndarray, p: int, t: int) -> np.ndarray:
@@ -264,6 +367,22 @@ def test_permute_label_matches_per_label_loop(p, t):
         assert np.array_equal(
             label_permutation(matrix, p), digits_to_label(table @ matrix.T % p, p)
         )
+
+
+def test_permute_label_singular_matrix_raises():
+    lay = RegisterLayout(p=2, m=1, n=1, label_digits=2, cube_count=1)
+    st = DenseState(lay, _random_state(lay, 0))
+    with pytest.raises(BadParams):
+        st.permute_label(np.array([[1, 1], [1, 1]]))
+
+
+def test_from_parts_checks_part_sizes():
+    lay = RegisterLayout(p=2, m=2, n=2, label_digits=1, cube_count=1)  # 32 amplitudes
+    with pytest.raises(BadRegister):
+        DenseState.from_parts(lay, np.ones(2), [np.ones(8)])
+    with pytest.raises(BadRegister):
+        DenseState.from_parts(lay, np.ones(4), [np.ones(16)])
+    assert len(DenseState.from_parts(lay, np.ones(2), [np.ones(16)]).vec) == lay.dim
 
 
 # ---------------------------------------------------------------- controlled shifts
@@ -445,6 +564,22 @@ def test_dump_load_round_trip(tmp_path, f4):
     header, loaded = load_state(path)
     assert header == {"p": 2, "m": 2, "n": 3, "k": 1, "T": 2, "sigma_r": 0}
     assert np.array_equal(loaded.vec, sampler.state.vec)
+
+
+def test_load_state_rejects_malformed_dumps(tmp_path, f4):
+    lay = RegisterLayout(p=2, m=2, n=2, label_digits=1, cube_count=1)
+    path = tmp_path / "state.pqds"
+    dump_state(DenseState.zero_state(lay), str(path), k=1)
+    whole = path.read_bytes()
+    for name, data in [
+        ("missing_last_amplitude", whole[:-16]),
+        ("extra_bytes", whole + bytes(16)),
+        ("short_header", whole[:10]),
+    ]:
+        bad = tmp_path / f"{name}.pqds"
+        bad.write_bytes(data)
+        with pytest.raises(OutOfRange):
+            load_state(str(bad))
 
 
 def test_dump_golden_bytes(tmp_path, f4):
