@@ -282,7 +282,13 @@ def instance_to_json(inst: DecodeInstance) -> dict:
 
 
 def instance_from_json(obj: dict) -> DecodeInstance:
-    """Inverse of :func:`instance_to_json`; BadShape on a missing key or a mistyped value."""
+    """Inverse of :func:`instance_to_json`.
+
+    BadShape on a missing key, a mistyped or infinite value, an ``n`` or
+    ``k`` header that disagrees with the shape of ``A``, or a cached ``d``
+    outside [1, n*(q-1)], the range of Manhattan distances between
+    distinct codewords.
+    """
     try:
         f = Field.from_json(obj["field"])
         matrix = [[f.el(int(v)) for v in row] for row in obj["A"]]
@@ -292,7 +298,12 @@ def instance_from_json(obj: dict) -> DecodeInstance:
         d = None if d is None else int(d)
         if s_true is not None:
             s_true = tuple(f.el(int(v)) for v in s_true)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise BadShape(f"malformed instance: {exc!r}") from exc
     code = LinearCode(f, matrix, d=d)
+    for key, value in (("n", code.n), ("k", code.k)):
+        if key in obj and obj[key] != value:
+            raise BadShape(f"header {key} = {obj[key]!r} but A has {key} = {value}")
+    if d is not None and not 1 <= d <= code.n * (f.q - 1):
+        raise BadShape(f"cached d = {d} outside [1, {code.n * (f.q - 1)}]")
     return DecodeInstance(code=code, t=t, w=w, s_true=s_true)

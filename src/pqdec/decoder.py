@@ -14,7 +14,8 @@ Structured backend: a classical shadow of the same algorithm, valid
 exactly where the eigenphase relation holds (every coordinate of
 t - A s_true has integer image below sigma, i.e. zero top m - r
 digits).  It redraws the label batch until the label matrix has full
-rank over F_p (only the full-tensor dense path inverts it), and returns
+rank over F_p (no path inverts it; the full-tensor dense path undoes it
+through its own index map), and returns
 s_true, the negation of the outcome -s_true that the circuit measures.
 It refuses (PromiseViolated) rather than extrapolate: without a planted
 message the phase bookkeeping has no ground truth to follow, and with
@@ -43,7 +44,7 @@ from .errors import (
 )
 from .gf import FieldElement, label_to_digits, stack_digits, unstack_digits
 from .metrics import manhattan_dist
-from .modp import fp_gauss_invert, rank
+from .modp import rank
 from .qsim import (
     DenseState,
     PcsSampler,
@@ -81,9 +82,9 @@ def sample_label_matrix(
     """Redraw whole batches of T uniform labels until they have rank T over F_p.
 
     Returns the surviving (T, T) batch, column j = label j, and the number
-    of batches drawn (expected O(1)).  The draw checks rank only: the
-    inverse is read by the full-tensor dense path alone, which computes
-    it there.
+    of batches drawn (expected O(1)).  The draw checks rank only; no path
+    inverts the batch, since the full-tensor dense path applies L^-1 as a
+    gather through L's own index map.
     """
     for rounds in range(1, retry_budget + 1):
         columns = rng.integers(0, p, size=(t, t)).astype(np.int64)
@@ -166,9 +167,7 @@ def _dense_full_marginal(
     label0[0] = 1.0
     state = DenseState.from_parts(layout, label0, pcs_vectors)
     state.qft_label()  # uniform superposition over the work register
-    inverse = fp_gauss_invert(columns, layout.p)
-    assert not inverse.singular  # the label draw keeps full-rank batches only
-    state.permute_label(inverse.inverse)
+    state.permute_label(columns, inverse=True)
     state.controlled_shift_power(t_digit_rows)
     state.permute_label(columns)
     state.qft_label(inverse=True)  # Fourier-basis measurement

@@ -2,7 +2,8 @@
 
 Gaussian elimination with exact modular arithmetic; p is assumed small
 enough that intermediate products fit in int64, which holds for every
-desk-scale prime used here.
+desk-scale prime used here.  Inverse and solve run on :func:`row_echelon`
+at every p; the one F_2 specialisation is the rank, on bit-packed rows.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ def rank(matrix: np.ndarray, p: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# F_2 kernels on rows packed into Python-int bitsets (bit c = column c):
+# The F_2 rank on rows packed into Python-int bitsets (bit c = column c):
 # one XOR adds a whole row, the packed-row elimination of M4RI
 # (Albrecht & Bard, "The M4RI Library")
 # ----------------------------------------------------------------------
@@ -70,13 +71,6 @@ def _pack_rows(a: np.ndarray) -> list[int]:
     for w in range(words - 1, -1, -1):
         out = [(hi << 64) | lo for hi, lo in zip(out, word_cols[:, w].tolist())]
     return out
-
-
-def _unpack_rows(rows: list[int], cols: int) -> np.ndarray:
-    nbytes = (cols + 7) // 8
-    buf = b"".join(row.to_bytes(nbytes, "little") for row in rows)
-    bits = np.unpackbits(np.frombuffer(buf, dtype=np.uint8), bitorder="little")
-    return bits.reshape(len(rows), 8 * nbytes)[:, :cols].astype(np.int64)
 
 
 def _rank_gf2(matrix: np.ndarray) -> int:
@@ -100,28 +94,6 @@ def _rank_gf2(matrix: np.ndarray) -> int:
     return len(basis)
 
 
-def _gf2_reduce(aug: np.ndarray, cols: int) -> tuple[list[int], int]:
-    """Gauss-Jordan over F_2 on the first ``cols`` columns of ``aug``.
-
-    Returns the reduced rows (packed) and the pivot count.  The pivot
-    columns are eliminated from every other row, so the first ``cols``
-    columns come out in reduced row echelon form.
-    """
-    rows = _pack_rows(aug)
-    r = 0
-    for c in range(cols):
-        bit = 1 << c
-        pivot = next((i for i in range(r, len(rows)) if rows[i] & bit), None)
-        if pivot is None:
-            continue
-        pr = rows[pivot]
-        rows[pivot] = rows[r]
-        rows = [x ^ pr if x & bit else x for x in rows]
-        rows[r] = pr
-        r += 1
-    return rows, r
-
-
 @dataclass(frozen=True)
 class FpInverseResult:
     """Inverse of a square F_p matrix, or an echelon certificate of singularity."""
@@ -141,15 +113,10 @@ def fp_gauss_invert(matrix: np.ndarray, p: int) -> FpInverseResult:
     n, m = a.shape
     if n != m:
         raise BadShape(f"matrix is {n}x{m}, not square")
-    aug = np.concatenate([a, np.eye(n, dtype=np.int64)], axis=1)
-    if p == 2:
-        rows, r = _gf2_reduce(aug, n)
-        ech = _unpack_rows(rows, 2 * n)
-    else:
-        ech, pivots = row_echelon(aug, p)
-        r = sum(1 for c in pivots if c < n)
+    ech, pivots = row_echelon(np.concatenate([a, np.eye(n, dtype=np.int64)], axis=1), p)
+    r = sum(1 for c in pivots if c < n)
     # pivots past column n come from rows whose A part is already zero, so
-    # ech[:, :n] is the reduced echelon form of A either way
+    # ech[:, :n] is the reduced echelon form of A
     if r < n:
         return FpInverseResult(inverse=None, echelon=ech[:, :n], rank=r)
     return FpInverseResult(inverse=ech[:, n:].copy(), echelon=ech[:, :n], rank=n)

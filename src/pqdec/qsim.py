@@ -265,6 +265,10 @@ class DenseState:
 
     def dft_axis(self, axis: int, inverse: bool = False, width: int = 1) -> DenseState:
         """Fourier transform on the ``width`` digit axes from ``axis``: one matmul."""
+        if not (0 <= axis and width >= 1 and axis + width <= self.layout.total_axes):
+            raise BadRegister(
+                f"digit axes {axis}..{axis + width - 1} of {self.layout.total_axes}"
+            )
         p = self.layout.p
         pre = p**axis
         block = p**width
@@ -314,16 +318,22 @@ class DenseState:
             self.dft_axis(axis, inverse=inverse, width=width)
         return self
 
-    def permute_label(self, matrix_fp: np.ndarray) -> DenseState:
-        """Basis permutation |v> -> |M v> with M invertible over F_p.
+    def permute_label(self, matrix_fp: np.ndarray, inverse: bool = False) -> DenseState:
+        """Basis permutation |v> -> |M v>, or |v> -> |M^-1 v> with ``inverse``.
 
-        A singular M raises BadParams: its label map is not a bijection.
+        Both directions read M's own index map i -> M i: the forward one
+        scatters through it, the inverse one gathers through it, so M^-1
+        is never formed.  A singular M raises BadParams: its label map is
+        not a bijection.
         """
         perm = label_permutation(matrix_fp, self.layout.p)
         _require_bijection(perm, "label permutation")
         v = self.vec.reshape(self.layout.label_dim, -1)
-        out = np.empty_like(v)
-        out[perm] = v
+        if inverse:
+            out = v[perm]
+        else:
+            out = np.empty_like(v)
+            out[perm] = v
         self.vec = out.reshape(-1)
         return self
 

@@ -122,7 +122,11 @@ def test_decode_malformed_instance_exit_two(capsys, tmp_path, good_instance):
     write_json(no_t, {key: v for key, v in obj.items() if key != "t"})
     not_json = tmp_path / "not.json"
     not_json.write_text("{not json")
-    for bad in (short, no_t, str(not_json)):
+    infinite_w = str(tmp_path / "infinite_w.json")
+    write_json(infinite_w, dict(obj, w=float("inf")))  # json writes it as Infinity
+    wrong_k = str(tmp_path / "wrong_k.json")
+    write_json(wrong_k, dict(obj, k=obj["k"] + 4))
+    for bad in (short, no_t, str(not_json), infinite_w, wrong_k):
         for backend in ("dense", "structured"):
             code, out = run(capsys, "decode", "--instance", bad, "--backend", backend,
                             "--sigma-r", "0", "--seed", "1")

@@ -305,6 +305,14 @@ def test_instance_json_unbounded_and_unplanted(f9):
         (lambda obj: obj["field"].pop("poly"), BadShape),
         (lambda obj: obj.update(t="abc"), BadShape),
         (lambda obj: obj.update(d="abc"), BadShape),
+        (lambda obj: obj.update(w=float("inf")), BadShape),
+        (lambda obj: obj.update(d=float("inf")), BadShape),
+        (lambda obj: obj.update(t=obj["t"][:-1] + [float("inf")]), BadShape),
+        (lambda obj: obj.update(n=obj["n"] + 1), BadShape),
+        (lambda obj: obj.update(k=5), BadShape),
+        (lambda obj: obj.update(d=-3), BadShape),
+        (lambda obj: obj.update(d=0), BadShape),
+        (lambda obj: obj.update(d=3 * 8 + 1), BadShape),  # n*(q-1) + 1 on F_9, n = 3
     ],
     ids=[
         "short_t",
@@ -318,6 +326,14 @@ def test_instance_json_unbounded_and_unplanted(f9):
         "missing_poly",
         "text_t",
         "text_d",
+        "infinite_w",
+        "infinite_d",
+        "infinite_t",
+        "header_n_mismatch",
+        "header_k_mismatch",
+        "negative_d",
+        "zero_d",
+        "d_above_max",
     ],
 )
 def test_instance_from_json_rejects_malformed(f9, mutate, error):

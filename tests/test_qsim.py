@@ -10,7 +10,7 @@ from pqdec.codes import LinearCode
 from pqdec.errors import BadParams, BadRegister, OrthogonalityViolated, OutOfRange, ScaleExceeded
 from pqdec.gf import Field
 from pqdec.metrics import manhattan_norm
-from pqdec.modp import rank
+from pqdec.modp import fp_gauss_invert, rank
 from pqdec.qsim import (
     DFT_BLOCK_DIM,
     DenseState,
@@ -307,6 +307,14 @@ def test_dft_axis_matches_per_axis_einsum(p, t):
                 assert np.max(np.abs(got.vec - want)) < 1e-12
 
 
+@pytest.mark.parametrize("axis,width", [(2, 2), (3, 1), (-1, 1), (0, 0)])
+def test_dft_axis_rejects_axes_outside_layout(axis, width):
+    lay = RegisterLayout(p=2, m=1, n=1, label_digits=2, cube_count=1)  # 3 axes
+    st = DenseState(lay, _random_state(lay, 0))
+    with pytest.raises(BadRegister):
+        st.dft_axis(axis, width=width)
+
+
 def test_qft_label_over_several_runs_matches_per_axis_einsum():
     lay = RegisterLayout(p=2, m=1, n=1, label_digits=7, cube_count=1)
     assert lay.label_dim > DFT_BLOCK_DIM  # more label digits than one matmul takes
@@ -369,11 +377,32 @@ def test_permute_label_matches_per_label_loop(p, t):
         )
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
+def test_permute_label_inverse_is_permutation_by_inverse_matrix(p, t):
+    rng = np.random.default_rng(10 * p + t)
+    lay = RegisterLayout(p=p, m=2, n=1, label_digits=t, cube_count=1)
+    for trial in range(3):
+        matrix = rng.integers(0, p, size=(t, t))
+        while rank(matrix, p) < t:
+            matrix = rng.integers(0, p, size=(t, t))
+        vec = _random_state(lay, trial)
+        got = DenseState(lay, vec.copy()).permute_label(matrix, inverse=True)
+        want = DenseState(lay, vec.copy()).permute_label(fp_gauss_invert(matrix, p).inverse)
+        assert np.array_equal(got.vec, want.vec)
+        back = got.permute_label(matrix)
+        assert np.array_equal(back.vec, vec)
+        there_and_back = DenseState(lay, vec.copy()).permute_label(matrix)
+        assert np.array_equal(there_and_back.permute_label(matrix, inverse=True).vec, vec)
+
+
 def test_permute_label_singular_matrix_raises():
     lay = RegisterLayout(p=2, m=1, n=1, label_digits=2, cube_count=1)
     st = DenseState(lay, _random_state(lay, 0))
     with pytest.raises(BadParams):
         st.permute_label(np.array([[1, 1], [1, 1]]))
+    with pytest.raises(BadParams):
+        st.permute_label(np.array([[1, 1], [1, 1]]), inverse=True)
 
 
 def test_from_parts_checks_part_sizes():
