@@ -28,7 +28,7 @@ import numpy as np
 
 from .codes import DecodeInstance, plant_instance, random_code
 from .decoder import decode_structured
-from .errors import PqdecError, PreconditionUnmet
+from .errors import InvariantViolated, PqdecError, PreconditionUnmet
 from .gf import Field, stack_digits, top_digit_submatrix, unstack_digits
 from .metrics import manhattan_dist
 from .modp import fp_solve, invertibility_product, invertible_fraction
@@ -68,7 +68,8 @@ def direct_inversion_decode(inst: DecodeInstance, r: int) -> DirectInversionRepo
         return DirectInversionReport(r, (rows, m * k), "singular", None)
     s_hat = unstack_digits(f, solved.solution)
     residual = (top @ np.array(solved.solution, dtype=np.int64) - rhs) % f.p
-    assert not residual.any(), "solver returned a non-solution"
+    if residual.any():
+        raise InvariantViolated("solver returned a non-solution")
     if inst.w is not None and manhattan_dist(inst.t, code.encode(s_hat)) > inst.w:
         # only reachable when the precondition was violated
         return DirectInversionReport(r, (rows, m * k), "inconsistent", None)

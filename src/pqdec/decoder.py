@@ -36,6 +36,7 @@ import numpy as np
 from .codes import DecodeInstance, LinearCode
 from .errors import (
     BadParams,
+    InvariantViolated,
     NoSigmaSucceeded,
     OrthogonalityViolated,
     PromiseViolated,
@@ -239,7 +240,8 @@ def decode_dense(
     except ScaleExceeded:
         marginal = _dense_factorized_marginal(columns, pcs_vectors, t_rows, f, code.n)
     total = marginal.sum()
-    assert abs(total - 1.0) < 1e-9, "final marginal does not sum to 1"
+    if not abs(total - 1.0) < 1e-9:
+        raise InvariantViolated(f"final marginal sums to {total!r}, not 1")
     peak_idx = int(np.argmax(marginal))
     peak = float(marginal[peak_idx])
     if peak >= 1.0 - CONCENTRATION_TOL:

@@ -78,3 +78,13 @@ class BadParams(PqdecError):
 
 class GadgetGapError(PqdecError):
     """A gadget distance bound failed; indicates a construction bug."""
+
+
+class InvariantViolated(AssertionError):
+    """An internal correctness check failed: a state norm or marginal total
+    drifted past its tolerance, or a solver's answer does not solve its system.
+
+    Indicates a bug, never bad input, so it is an AssertionError (one that
+    ``python -O`` keeps) and deliberately not a :class:`PqdecError`: no
+    handler for library errors can swallow it.
+    """

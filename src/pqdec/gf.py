@@ -41,6 +41,7 @@ This module owns the field layer's two conventions, once each:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -178,12 +179,15 @@ def is_irreducible(poly_full: Sequence[int], p: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=128)
 def default_irreducible(p: int, m: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree m over F_p.
 
     Candidates are ordered by the integer encoding of their m low
     coefficients (constant term least significant), so the choice is
     deterministic and reproducible.  Returns the m low coefficients.
+    Memoised per (p, m): the scan runs once, and every default Field of
+    that size shares the one returned tuple.
     """
     for enc in range(p**m):
         coeffs = _int_digits(enc, p, m)

@@ -26,11 +26,19 @@ Conventions: omega_p = exp(2*pi*i/p); the forward single-digit Fourier
 transform is F[a, b] = omega_p^(a*b)/sqrt(p); measuring "in the Fourier
 basis" means applying the inverse transform and reading the standard
 basis.  The shift U_x adds digits mod p (no carries), i.e. F_q vector
-addition.  Each gate writes the state once, into a new buffer, and each
-is checked: a Fourier transform asserts the norm to 1e-10 after it
-runs, and a gate that only reorders amplitudes (a label permutation or
-a shift) first checks that its index map is a bijection, which is exact
-and costs one pass over the map instead of one over the state.
+addition.
+
+Buffers: a :class:`DenseState` owns two full-state arrays, the state (a
+copy of the array it was built from) and a spare.  Each gate writes its output once, into the spare, and then
+swaps the two, so a run of gates touches no fresh memory after the
+first.  For p = 2 the Fourier matrix is the real Hadamard power, and a
+transform multiplies the float64 view of the amplitudes (real and
+imaginary parts alike), half the flops of a complex product.  Each gate
+is checked: a Fourier transform checks the norm to 1e-10 after it runs
+(:class:`~pqdec.errors.InvariantViolated` otherwise), and a gate that
+only reorders amplitudes (a label permutation or a shift) first checks
+that its index map is a bijection, which is exact and costs one pass
+over the map instead of one over the state.
 """
 
 from __future__ import annotations
@@ -46,6 +54,7 @@ from .codes import LinearCode, message_images
 from .errors import (
     BadParams,
     BadRegister,
+    InvariantViolated,
     OrthogonalityViolated,
     OutOfRange,
     ScaleExceeded,
@@ -166,11 +175,20 @@ class RegisterLayout:
 
 @lru_cache(maxsize=64)
 def _dft_matrix(p: int, inverse: bool = False, width: int = 1) -> np.ndarray:
-    """Fourier transform on ``width`` digits: the Kronecker power of F (or F^-1)."""
-    sign = -1.0 if inverse else 1.0
-    a = np.arange(p)
-    f = np.exp(sign * 2j * np.pi * np.outer(a, a) / p) / np.sqrt(p)
-    out = reduce(np.kron, [f] * width)
+    """Fourier transform on ``width`` digits: the Kronecker power of F (or F^-1).
+
+    For p = 2 that is the Hadamard power, its own inverse, built exactly
+    real (float64, entries +-2^(-width/2)); ``exp`` would leave imaginary
+    parts of about 1e-16.
+    """
+    if p == 2:
+        out = reduce(np.kron, [np.array([[1.0, 1.0], [1.0, -1.0]])] * width)
+        out *= 2.0 ** (-width / 2)
+    else:
+        sign = -1.0 if inverse else 1.0
+        a = np.arange(p)
+        f = np.exp(sign * 2j * np.pi * np.outer(a, a) / p) / np.sqrt(p)
+        out = reduce(np.kron, [f] * width)
     out.setflags(write=False)
     return out
 
@@ -213,17 +231,31 @@ def _shift_cube(
 
 
 class DenseState:
-    """Complex amplitude vector over a :class:`RegisterLayout`."""
+    """Complex amplitude vector over a :class:`RegisterLayout`, with a spare buffer.
+
+    The constructor copies ``vec``, so a state owns its amplitudes and
+    never writes an array its caller still holds.  Every gate writes its
+    output into the spare, a second array of ``layout.dim`` amplitudes,
+    and then swaps it with ``vec``; the old state array becomes the next
+    gate's spare.  ``state.vec`` is therefore valid only until the next
+    gate: a caller that keeps it across one must copy it.  A state kept
+    after its last gate should call :meth:`release_spare` so that it
+    holds one state-sized array, not two.
+    """
 
     def __init__(self, layout: RegisterLayout, vec: np.ndarray):
         self.layout = layout
-        self.vec = vec
+        self.vec = np.array(vec, dtype=np.complex128, order="C")
+        if self.vec.shape != (layout.dim,):
+            raise BadRegister(f"state of shape {self.vec.shape}, layout needs ({layout.dim},)")
+        self._spare: np.ndarray | None = None
 
     @classmethod
     def zero_state(cls, layout: RegisterLayout) -> DenseState:
-        vec = np.zeros(layout.dim, dtype=np.complex128)
-        vec[0] = 1.0
-        return cls(layout, vec)
+        # the broadcast zero is copied straight into the state's own array
+        state = cls(layout, np.broadcast_to(np.complex128(0), (layout.dim,)))
+        state.vec[0] = 1.0
+        return state
 
     @classmethod
     def from_parts(
@@ -232,39 +264,68 @@ class DenseState:
         label_vec: np.ndarray,
         cube_vecs: Sequence[np.ndarray],
     ) -> DenseState:
-        """Tensor product of a label-register state and one state per cube register."""
+        """Tensor product of a label-register state and one state per cube register.
+
+        The parts before the last are Kronecker-multiplied into a prefix
+        (a cube_dim-th of the state), and one outer product with the last
+        part writes the state into its own array.
+        """
         if len(cube_vecs) != layout.cube_count:
             raise BadRegister(
                 f"expected {layout.cube_count} cube registers, got {len(cube_vecs)}"
             )
-        vec = np.asarray(label_vec, dtype=np.complex128).reshape(-1)
-        if len(vec) != layout.label_dim:
-            raise BadRegister(f"label part has {len(vec)} amplitudes, not {layout.label_dim}")
+        parts = [np.asarray(label_vec, dtype=np.complex128).reshape(-1)]
+        if len(parts[0]) != layout.label_dim:
+            raise BadRegister(f"label part has {len(parts[0])} amplitudes, not {layout.label_dim}")
         for j, cv in enumerate(cube_vecs):
-            part = np.asarray(cv, dtype=np.complex128).reshape(-1)
-            if len(part) != layout.cube_dim:
+            parts.append(np.asarray(cv, dtype=np.complex128).reshape(-1))
+            if len(parts[-1]) != layout.cube_dim:
                 raise BadRegister(
-                    f"cube part {j} has {len(part)} amplitudes, not {layout.cube_dim}"
+                    f"cube part {j} has {len(parts[-1])} amplitudes, not {layout.cube_dim}"
                 )
-            vec = np.kron(vec, part)
-        return cls(layout, vec)
+        prefix = reduce(np.kron, parts[:-1], np.ones(1, dtype=np.complex128))
+        state = cls.zero_state(layout)
+        np.multiply.outer(prefix, parts[-1], out=state.vec.reshape(len(prefix), -1))
+        return state
 
     # -- plumbing ---------------------------------------------------------
 
     def copy(self) -> DenseState:
-        return DenseState(self.layout, self.vec.copy())
+        return DenseState(self.layout, self.vec)
+
+    def release_spare(self) -> DenseState:
+        """Drop the spare buffer, so a finished state holds one array."""
+        self._spare = None
+        return self
+
+    def _out(self) -> np.ndarray:
+        """The spare, for a gate to write its whole output into before :meth:`_swap`."""
+        if self._spare is None:
+            self._spare = np.empty(self.layout.dim, dtype=np.complex128)
+        return self._spare
+
+    def _swap(self) -> None:
+        """Make the freshly written spare the state, and the old state the spare."""
+        self.vec, self._spare = self._spare, self.vec
 
     def norm(self) -> float:
         return float(np.sqrt(np.vdot(self.vec, self.vec).real))
 
     def _check_norm(self) -> DenseState:
-        assert abs(self.norm() - 1.0) < NORM_TOL, "statevector norm drifted"
+        drift = abs(self.norm() - 1.0)
+        if not drift < NORM_TOL:
+            raise InvariantViolated(f"statevector norm drifted by {drift:.3g}")
         return self
 
     # -- gates ------------------------------------------------------------
 
     def dft_axis(self, axis: int, inverse: bool = False, width: int = 1) -> DenseState:
-        """Fourier transform on the ``width`` digit axes from ``axis``: one matmul."""
+        """Fourier transform on the ``width`` digit axes from ``axis``: one matmul.
+
+        With a real matrix (p = 2) and post > 1 the product runs on the
+        float64 view, whose rows are twice as long: the matrix acts on
+        real and imaginary parts alike.
+        """
         if not (0 <= axis and width >= 1 and axis + width <= self.layout.total_axes):
             raise BadRegister(
                 f"digit axes {axis}..{axis + width - 1} of {self.layout.total_axes}"
@@ -274,10 +335,15 @@ class DenseState:
         block = p**width
         post = self.layout.dim // (pre * block)
         f = _dft_matrix(p, inverse, width)
+        src, dst = self.vec, self._out()
         if post == 1:
-            self.vec = (self.vec.reshape(pre, block) @ f.T).reshape(-1)
+            np.matmul(src.reshape(pre, block), f.T, out=dst.reshape(pre, block))
         else:
-            self.vec = np.matmul(f, self.vec.reshape(pre, block, post)).reshape(-1)
+            if f.dtype == np.float64:
+                src, dst, post = src.view(np.float64), dst.view(np.float64), 2 * post
+            shape = (block, post) if pre == 1 else (pre, block, post)
+            np.matmul(f, src.reshape(shape), out=dst.reshape(shape))
+        self._swap()
         return self._check_norm()
 
     def shift_register(
@@ -292,8 +358,9 @@ class DenseState:
         amounts = np.asarray(digit_rows, dtype=np.int64) * ell % lay.p
         if not amounts.any():
             return self
-        v = self.vec.reshape(-1, lay.cube_dim, tail)
-        self.vec = _shift_cube(v, amounts, lay.p, axis=1).reshape(-1)
+        shape = (-1, lay.cube_dim, tail)
+        _shift_cube(self.vec.reshape(shape), amounts, lay.p, axis=1, out=self._out().reshape(shape))
+        self._swap()
         return self
 
     def prep_cube(self, register: int, y_digit_rows: np.ndarray, sigma: SigmaParam) -> DenseState:
@@ -329,12 +396,12 @@ class DenseState:
         perm = label_permutation(matrix_fp, self.layout.p)
         _require_bijection(perm, "label permutation")
         v = self.vec.reshape(self.layout.label_dim, -1)
+        out = self._out().reshape(v.shape)
         if inverse:
-            out = v[perm]
+            np.take(v, perm, axis=0, out=out, mode="clip")
         else:
-            out = np.empty_like(v)
             out[perm] = v
-        self.vec = out.reshape(-1)
+        self._swap()
         return self
 
     def controlled_register_shifts(self, amounts: np.ndarray, register: int) -> DenseState:
@@ -345,8 +412,9 @@ class DenseState:
         to registers ``register`` .. ``register + R - 1``.  ``amounts[i]``
         applies on label basis value i, and a zero matrix is the identity.
         A pure basis permutation, made label by label: each register of a
-        label's slice is one gather, alternating with one slice-sized
-        scratch buffer so that the last lands in the one output buffer.
+        label's slice is one gather, and the gathers alternate between the
+        spare's slice and the input's own (dead once read), so an even
+        register count ends back in ``vec`` and needs no swap.
         """
         lay = self.layout
         amounts = np.asarray(amounts, dtype=np.int64)
@@ -357,14 +425,14 @@ class DenseState:
         count = amounts.shape[1]
         tail = lay.cube_tail(register, count)
         v = self.vec.reshape((lay.label_dim, -1) + (lay.cube_dim,) * count + (tail,))
-        out = np.empty_like(v)
-        scratch = np.empty_like(v[0]) if count > 1 else None
+        out = self._out().reshape(v.shape)
         for i, label_rows in enumerate(amounts):
             block = v[i]
             for j, digit_rows in enumerate(label_rows):
-                dest = out[i] if (count - j) % 2 else scratch
+                dest = v[i] if j % 2 else out[i]
                 block = _shift_cube(block, digit_rows, lay.p, axis=1 + j, out=dest)
-        self.vec = out.reshape(-1)
+        if count % 2:
+            self._swap()
         return self
 
     def controlled_shift_power(self, t_digit_rows: np.ndarray) -> DenseState:
@@ -386,8 +454,7 @@ class DenseState:
 
     def label_marginal(self) -> np.ndarray:
         """Exact outcome distribution of a standard-basis label measurement."""
-        amps = np.ascontiguousarray(self.vec, dtype=np.complex128)
-        w = amps.view(np.float64).reshape(self.layout.label_dim, -1)
+        w = self.vec.view(np.float64).reshape(self.layout.label_dim, -1)
         return np.einsum("ij,ij->i", w, w)
 
     def measure_label(self, rng: np.random.Generator) -> tuple[tuple[int, ...], DenseState]:
@@ -399,13 +466,13 @@ class DenseState:
 
     def collapse_label(self, label_index: int) -> DenseState:
         v = self.vec.reshape(self.layout.label_dim, -1)
-        keep = v[label_index].copy()
-        nrm = np.linalg.norm(keep)
+        nrm = np.linalg.norm(v[label_index])
         if nrm == 0:
             raise OutOfRange(f"label outcome {label_index} has zero probability")
-        out = np.zeros_like(v)
-        out[label_index] = keep / nrm
-        self.vec = out.reshape(-1)
+        out = self._out().reshape(v.shape)
+        out.fill(0)
+        np.divide(v[label_index], nrm, out=out[label_index])
+        self._swap()
         return self._check_norm()
 
 
@@ -540,7 +607,7 @@ class PcsSampler:
         state.controlled_register_shifts(amounts.reshape(-1, code.n, f.m), 0)
         # change of representation F_q^k -> F_p^{mk}: a no-op for digit slots
         state.qft_label()
-        self.state = state
+        self.state = state.release_spare()
         self.marginal = state.label_marginal()
         expected = 1.0 / self.layout.label_dim
         if np.max(np.abs(self.marginal - expected)) > UNIFORM_TOL:
@@ -619,7 +686,5 @@ def load_state(path: str) -> tuple[dict, DenseState]:
         raise OutOfRange(
             f"{path}: payload has {len(payload)} bytes, not 16 * {layout.dim} amplitudes"
         )
-    raw = np.frombuffer(payload, dtype="<f8")
-    vec = raw[0::2] + 1j * raw[1::2]
     header = {"p": p, "m": m, "n": n, "k": k, "T": t, "sigma_r": sigma_r}
-    return header, DenseState(layout, vec.astype(np.complex128))
+    return header, DenseState(layout, np.frombuffer(payload, dtype="<c16"))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pqdec import baselines
 from pqdec.baselines import (
     SeparationConfig,
     direct_inversion_decode,
@@ -11,7 +12,7 @@ from pqdec.baselines import (
 )
 from pqdec.codes import LinearCode, plant_instance, random_code
 from pqdec.decoder import decode_structured
-from pqdec.errors import PreconditionUnmet
+from pqdec.errors import InvariantViolated, PreconditionUnmet
 from pqdec.gf import Field
 from pqdec.qsim import SigmaParam
 
@@ -27,6 +28,21 @@ def test_direct_inversion_zero_error_square(f4):
         assert rep.status == "recovered"
         assert rep.s_hat == tuple(e.image for e in s)
         assert rep.system_shape == (4, 4)
+
+
+def test_direct_inversion_rejects_a_non_solution(f4, monkeypatch):
+    code = LinearCode(f4, [[f4.el(1), f4.el(2)], [f4.el(3), f4.el(0)]])
+    inst = plant_instance(code, (f4.el(1), f4.el(2)), (f4.zero, f4.zero))
+    solve = baselines.fp_solve
+
+    def off_by_one(matrix, rhs, p):
+        solved = solve(matrix, rhs, p)
+        solved.solution[0] = (solved.solution[0] + 1) % p
+        return solved
+
+    monkeypatch.setattr(baselines, "fp_solve", off_by_one)
+    with pytest.raises(InvariantViolated):
+        direct_inversion_decode(inst, 0)
 
 
 def test_direct_inversion_underdetermined_raises(f4):

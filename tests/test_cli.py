@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from pqdec import cli
 from pqdec.cli import main
+from pqdec.errors import InvariantViolated
 
 
 def run(capsys, *argv):
@@ -112,6 +114,17 @@ def test_decode_honest_failure_exit_one(capsys, tmp_path, good_instance):
     code, out = run(capsys, "decode", "--instance", bad, "--search", "--seed", "1")
     assert code == 1
     assert "error" in json.loads(out)
+
+
+def test_decode_failed_invariant_is_not_an_input_error(monkeypatch, good_instance):
+    path, _ = good_instance
+
+    def broken(*args, **kwargs):
+        raise InvariantViolated("statevector norm drifted by 1")
+
+    monkeypatch.setattr(cli, "backend_decoder", lambda name: broken)
+    with pytest.raises(InvariantViolated):  # not the bad-input exit 2
+        main(["decode", "--instance", path, "--sigma-r", "0", "--seed", "1"])
 
 
 def test_decode_malformed_instance_exit_two(capsys, tmp_path, good_instance):

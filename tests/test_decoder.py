@@ -3,6 +3,7 @@ import time
 import numpy as np
 import pytest
 
+from pqdec import decoder
 from pqdec.codes import LinearCode, gen_instance, nearest_codeword_oracle, plant_instance, random_code
 from pqdec.decoder import (
     CONCENTRATION_TOL,
@@ -18,6 +19,7 @@ from pqdec.decoder import (
 )
 from pqdec.errors import (
     BadParams,
+    InvariantViolated,
     NoSigmaSucceeded,
     OrthogonalityViolated,
     PromiseViolated,
@@ -233,6 +235,14 @@ def test_decode_dense_raises_on_unverifiable_answer(f4):
     inst = DecodeInstance(code=code, t=t, w=0, s_true=None)
     with pytest.raises(PromiseViolated):
         decode_dense(inst, SigmaParam.from_r(f4, 0), seed=0)
+
+
+def test_decode_dense_rejects_an_unnormalised_marginal(f4, monkeypatch):
+    full_marginal = decoder._dense_full_marginal
+    monkeypatch.setattr(decoder, "_dense_full_marginal", lambda *args: 2 * full_marginal(*args))
+    inst = gen_instance(code_123(f4), 0, seed=5)
+    with pytest.raises(InvariantViolated):
+        decode_dense(inst, SigmaParam.from_r(f4, 0), seed=5)
 
 
 # ---------------------------------------------------------------- structured decode

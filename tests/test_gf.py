@@ -16,6 +16,7 @@ from pqdec.errors import (
 from pqdec.gf import (
     Field,
     _poly_divmod,
+    default_irreducible,
     expand_operator,
     is_irreducible,
     mul_operator,
@@ -376,3 +377,12 @@ def test_large_degree_field_uses_exact_bigints():
     assert (e * e.inv()).image == 1
     a, b = f.el(2**62 + 7), f.el(2**61 + 9)
     assert ((a + b) - b) == a
+
+
+def test_default_modulus_is_memoised_per_size():
+    default_irreducible.cache_clear()
+    a = Field(2, 8)
+    b = Field(2, 8)
+    assert a.poly is b.poly
+    info = default_irreducible.cache_info()
+    assert (info.misses, info.hits) == (1, 1)

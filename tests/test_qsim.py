@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -7,7 +8,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pqdec.codes import LinearCode
-from pqdec.errors import BadParams, BadRegister, OrthogonalityViolated, OutOfRange, ScaleExceeded
+from pqdec.errors import (
+    BadParams,
+    BadRegister,
+    InvariantViolated,
+    OrthogonalityViolated,
+    OutOfRange,
+    ScaleExceeded,
+)
 from pqdec.gf import Field
 from pqdec.metrics import manhattan_norm
 from pqdec.modp import fp_gauss_invert, rank
@@ -17,6 +25,7 @@ from pqdec.qsim import (
     PcsSampler,
     RegisterLayout,
     SigmaParam,
+    _dft_matrix,
     cube_overlap,
     cube_vector,
     digits_to_label,
@@ -213,13 +222,19 @@ def test_shift_kernels_match_rolling_reference(p, m, n):
         assert np.array_equal(shift_cube_vector(cube, f, n, rows, ell), want.reshape(-1))
         # controlled powers: label digit j drives register j
         got = DenseState(lay, vec.copy()).controlled_shift_power(rows)
-        want = vec.reshape((lay.label_dim,) + tensor_shape[lay.label_digits :]).copy()
-        ells = label_to_digits(np.arange(lay.label_dim), lay.label_digits, p)
-        for i in range(lay.label_dim):
-            for register in range(lay.cube_count):
-                first = lay.cube_axis(register, 0, m - 1) - lay.label_digits
-                want[i] = _shift_cube_reference(want[i], rows * ells[i, register], first, p)
-        assert np.array_equal(got.vec, want.reshape(-1))
+        assert np.array_equal(got.vec, _controlled_shift_power_reference(vec, lay, rows))
+
+
+def _controlled_shift_power_reference(vec: np.ndarray, lay: RegisterLayout, rows: np.ndarray) -> np.ndarray:
+    """U_t^(label digit j) on cube register j, label by label with the rolling kernel."""
+    p = lay.p
+    want = vec.reshape((lay.label_dim,) + (p,) * (lay.total_axes - lay.label_digits)).copy()
+    ells = label_to_digits(np.arange(lay.label_dim), lay.label_digits, p)
+    for i in range(lay.label_dim):
+        for register in range(lay.cube_count):
+            first = lay.cube_axis(register, 0, lay.m - 1) - lay.label_digits
+            want[i] = _shift_cube_reference(want[i], rows * ells[i, register], first, p)
+    return want.reshape(-1)
 
 
 def test_shift_rejects_mismatched_register(f4):
@@ -403,6 +418,129 @@ def test_permute_label_singular_matrix_raises():
         st.permute_label(np.array([[1, 1], [1, 1]]))
     with pytest.raises(BadParams):
         st.permute_label(np.array([[1, 1], [1, 1]]), inverse=True)
+
+
+# ---------------------------------------------------------------- buffers
+
+def _dft_axes_reference(vec, p, first, width, inverse=False):
+    for axis in range(first, first + width):
+        vec = _dft_axis_reference(vec, p, axis, inverse)
+    return vec
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+@pytest.mark.parametrize("w", [1, 2, 3, 4, 5])
+def test_dft_matrix_p2_is_the_exact_hadamard_power(w, inverse):
+    f = _dft_matrix(2, inverse, w)
+    a, b = np.indices((2**w, 2**w))
+    parity = np.vectorize(lambda x: bin(x).count("1") % 2)(a & b)
+    assert f.dtype == np.float64
+    assert np.array_equal(f, np.where(parity, -1.0, 1.0) * 2.0 ** (-w / 2))
+
+
+def _gate_cases():
+    """(layout, gate) for every gate kind, with the case name as its id."""
+    f4, f9 = Field(2, 2), Field(3, 2)
+    lay2 = RegisterLayout(p=2, m=2, n=1, label_digits=3, cube_count=2)  # 7 axes
+    lay3 = RegisterLayout(p=3, m=2, n=1, label_digits=2, cube_count=2)  # 6 axes
+    rows2 = np.array([[1, 1]])
+    matrix = np.array([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+    return [
+        pytest.param(lay2, lambda st: st.dft_axis(0, width=2), id="dft_axis_p2_pre1"),
+        pytest.param(lay2, lambda st: st.dft_axis(2, inverse=True, width=3), id="dft_axis_p2_middle"),
+        pytest.param(lay2, lambda st: st.dft_axis(5, width=2), id="dft_axis_p2_post1"),
+        pytest.param(lay3, lambda st: st.dft_axis(0, width=2), id="dft_axis_p3_pre1"),
+        pytest.param(lay3, lambda st: st.dft_axis(2, inverse=True), id="dft_axis_p3_middle"),
+        pytest.param(lay3, lambda st: st.dft_axis(4, width=2), id="dft_axis_p3_post1"),
+        pytest.param(lay2, lambda st: st.shift_register(1, rows2), id="shift_register"),
+        pytest.param(lay2, lambda st: st.prep_cube(0, rows2, SigmaParam.from_r(f4, 1)), id="prep_cube"),
+        pytest.param(lay3, lambda st: st.prep_cube(1, np.array([[2, 1]]), SigmaParam.from_r(f9, 1)), id="prep_cube_p3"),
+        pytest.param(lay2, lambda st: st.permute_label(matrix), id="permute_label"),
+        pytest.param(lay2, lambda st: st.permute_label(matrix, inverse=True), id="permute_label_inverse"),
+        pytest.param(lay2, lambda st: st.controlled_shift_power(rows2), id="controlled_shift_power"),
+        pytest.param(lay3, lambda st: st.controlled_shift_power(np.array([[1, 2]])), id="controlled_shift_power_p3"),
+        pytest.param(lay2, lambda st: st.collapse_label(5), id="collapse_label"),
+    ]
+
+
+@pytest.mark.parametrize("lay,gate", _gate_cases())
+def test_gates_never_write_the_callers_array(lay, gate):
+    vec = _random_state(lay, 11)
+    kept = vec.copy()
+    st = DenseState(lay, vec)
+    once = gate(st).vec.copy()
+    gate(st)  # the second gate is the first to write a recycled buffer
+    gate(st)
+    assert np.array_equal(vec, kept)
+    assert np.array_equal(gate(DenseState(lay, kept.copy())).vec, once)
+
+
+@pytest.mark.parametrize("p,cube_count", [(2, 2), (2, 3), (3, 2)])
+def test_gate_chain_matches_reference_kernels(p, cube_count):
+    """Eight gates in a row, each writing into the buffer the one before it left."""
+    lay = RegisterLayout(p=p, m=2, n=1, label_digits=cube_count, cube_count=cube_count)
+    rng = np.random.default_rng(p + cube_count)
+    matrix = rng.integers(0, p, size=(cube_count, cube_count))
+    while rank(matrix, p) < cube_count:
+        matrix = rng.integers(0, p, size=(cube_count, cube_count))
+    rows = rng.integers(1, p, size=(1, 2))
+    shape = (p,) * lay.total_axes
+    vec = _random_state(lay, 3)
+    kept = vec.copy()
+
+    want = _dft_axes_reference(vec, p, 0, cube_count)
+    want = _permute_label_reference(want, fp_gauss_invert(matrix, p).inverse, p, cube_count)
+    want = _controlled_shift_power_reference(want, lay, rows)
+    want = _permute_label_reference(want, matrix, p, cube_count)
+    want = _shift_cube_reference(want.reshape(shape), rows, lay.cube_axis(1, 0, 1), p).reshape(-1)
+    want = _dft_axes_reference(want, p, lay.total_axes - 2, 2)  # post == 1
+    want = _dft_axes_reference(want, p, 0, cube_count, inverse=True)
+    label = int(np.argmax(np.linalg.norm(want.reshape(lay.label_dim, -1), axis=1)))
+    collapsed = np.zeros_like(want.reshape(lay.label_dim, -1))
+    collapsed[label] = want.reshape(lay.label_dim, -1)[label]
+    want = collapsed.reshape(-1) / np.linalg.norm(collapsed)
+
+    for st in (DenseState(lay, vec), DenseState(lay, vec).copy()):
+        (
+            st.qft_label()
+            .permute_label(matrix, inverse=True)
+            .controlled_shift_power(rows)
+            .permute_label(matrix)
+            .shift_register(1, rows)
+            .dft_axis(lay.total_axes - 2, width=2)
+            .qft_label(inverse=True)
+            .collapse_label(label)
+        )
+        assert np.max(np.abs(st.vec - want)) < 1e-12
+    assert np.array_equal(vec, kept)
+
+
+def test_state_rejects_a_vector_of_the_wrong_size():
+    lay = RegisterLayout(p=2, m=1, n=1, label_digits=1, cube_count=1)
+    with pytest.raises(BadRegister):
+        DenseState(lay, np.ones(8, dtype=np.complex128))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_norm_drift_raises_a_typed_error(p):
+    lay = RegisterLayout(p=p, m=1, n=1, label_digits=2, cube_count=1)
+    with pytest.raises(InvariantViolated):
+        DenseState(lay, 2 * _random_state(lay, 0)).dft_axis(0)
+
+
+def test_built_sampler_holds_one_state_sized_array(f16):
+    code = LinearCode(f16, [[f16.el(1)], [f16.el(2)], [f16.el(4)]], d=7)
+    sigma = SigmaParam.from_r(f16, 1)
+    PcsSampler(code, sigma)  # warm the caches the build fills
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sampler = PcsSampler(code, sigma)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    state_bytes = 16 * sampler.layout.dim  # 2^16 amplitudes
+    assert state_bytes <= held < 1.5 * state_bytes
 
 
 def test_from_parts_checks_part_sizes():
