@@ -1,8 +1,11 @@
 """The quantum decoder, end to end, on two backends.
 
 Dense backend: every circuit step of the decoder is executed on the
-composite register (label work register of T = m*k digit slots, plus T
-cube registers).  When the full tensor product exceeds the amplitude
+dense simulator.  The steps before the first controlled shift (the
+uniform superposition and L^-1 on the label work register of T = m*k
+digit slots) run on the work register alone; one tensor product then
+joins it to the T cube registers, and every later step runs on that
+composite register.  When the full tensor product exceeds the amplitude
 guard, the final label marginal is computed exactly without it: the
 state after the controlled shifts is a sum of label-basis terms whose
 cube part factorises register by register, so the measurement
@@ -28,7 +31,7 @@ agree run for run, including the number of resample rounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 
 import numpy as np
@@ -162,13 +165,15 @@ def _dense_full_marginal(
     t_digit_rows: np.ndarray,
     layout: RegisterLayout,
 ) -> np.ndarray:
-    """Steps 3-7 on the materialised composite register (L = ``columns``)."""
-    label_dim = layout.label_dim
-    label0 = np.zeros(label_dim, dtype=np.complex128)
-    label0[0] = 1.0
-    state = DenseState.from_parts(layout, label0, pcs_vectors)
-    state.qft_label()  # uniform superposition over the work register
-    state.permute_label(columns, inverse=True)
+    """Steps 3-7 on the materialised composite register (L = ``columns``).
+
+    The work register's gates before the controlled shifts run on a
+    label-only state, which then joins the PCS vectors.
+    """
+    label = DenseState.zero_state(replace(layout, cube_count=0))
+    label.qft_label()  # uniform superposition over the work register
+    label.permute_label(columns, inverse=True)
+    state = DenseState.from_parts(layout, label.vec, pcs_vectors)
     state.controlled_shift_power(t_digit_rows)
     state.permute_label(columns)
     state.qft_label(inverse=True)  # Fourier-basis measurement

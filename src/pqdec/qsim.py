@@ -28,23 +28,33 @@ basis" means applying the inverse transform and reading the standard
 basis.  The shift U_x adds digits mod p (no carries), i.e. F_q vector
 addition.
 
+Factor first: gates that act before the first entangling gate run on
+the factor register they touch, as a state on a one-sided layout
+(label-only, ``cube_count=0``, or cube-only, ``label_digits=0``), and
+one outer product then joins the factors.  A product state needs no
+joint tensor until a gate couples its parts, so the PCS sampler and the
+decoder's full-tensor path pass over the joined state only from the
+first controlled shift on.
+
 Buffers: a :class:`DenseState` owns two full-state arrays, the state (a
-copy of the array it was built from) and a spare.  Each gate writes its output once, into the spare, and then
-swaps the two, so a run of gates touches no fresh memory after the
-first.  For p = 2 the Fourier matrix is the real Hadamard power, and a
-transform multiplies the float64 view of the amplitudes (real and
-imaginary parts alike), half the flops of a complex product.  Each gate
-is checked: a Fourier transform checks the norm to 1e-10 after it runs
-(:class:`~pqdec.errors.InvariantViolated` otherwise), and a gate that
-only reorders amplitudes (a label permutation or a shift) first checks
-that its index map is a bijection, which is exact and costs one pass
-over the map instead of one over the state.
+copy of the array it was built from, or the product a join writes
+straight into it) and a spare.  Each gate writes its output once, into
+the spare, and then swaps the two, so a run of gates touches no fresh
+memory after the first.  For p = 2 the Fourier matrix is the real
+Hadamard power, and a transform multiplies the float64 view of the
+amplitudes (real and imaginary parts alike), half the flops of a
+complex product.  Each gate is checked: a Fourier transform checks the
+norm to 1e-10 after it runs (:class:`~pqdec.errors.InvariantViolated`
+otherwise), on whichever register it runs on, and a gate that only
+reorders amplitudes (a label permutation or a shift) first checks that
+its index map is a bijection, which is exact and costs one pass over
+the map instead of one over the state.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
 from typing import Sequence
 
@@ -234,7 +244,9 @@ class DenseState:
     """Complex amplitude vector over a :class:`RegisterLayout`, with a spare buffer.
 
     The constructor copies ``vec``, so a state owns its amplitudes and
-    never writes an array its caller still holds.  Every gate writes its
+    never writes an array its caller still holds; :meth:`from_parts`
+    instead writes its tensor product once, into the state's own array.
+    Every gate writes its
     output into the spare, a second array of ``layout.dim`` amplitudes,
     and then swaps it with ``vec``; the old state array becomes the next
     gate's spare.  ``state.vec`` is therefore valid only until the next
@@ -264,12 +276,7 @@ class DenseState:
         label_vec: np.ndarray,
         cube_vecs: Sequence[np.ndarray],
     ) -> DenseState:
-        """Tensor product of a label-register state and one state per cube register.
-
-        The parts before the last are Kronecker-multiplied into a prefix
-        (a cube_dim-th of the state), and one outer product with the last
-        part writes the state into its own array.
-        """
+        """Tensor product of a label-register state and one state per cube register."""
         if len(cube_vecs) != layout.cube_count:
             raise BadRegister(
                 f"expected {layout.cube_count} cube registers, got {len(cube_vecs)}"
@@ -283,8 +290,20 @@ class DenseState:
                 raise BadRegister(
                     f"cube part {j} has {len(parts[-1])} amplitudes, not {layout.cube_dim}"
                 )
+        return cls._joined(layout, parts)
+
+    @classmethod
+    def _joined(cls, layout: RegisterLayout, parts: Sequence[np.ndarray]) -> DenseState:
+        """Tensor product of flat ``parts`` in register order, written once.
+
+        The parts before the last are Kronecker-multiplied into a prefix,
+        and one outer product with the last part writes the state straight
+        into the array it owns: no zero fill and no copy.
+        """
         prefix = reduce(np.kron, parts[:-1], np.ones(1, dtype=np.complex128))
-        state = cls.zero_state(layout)
+        state = cls.__new__(cls)
+        state.layout, state._spare = layout, None
+        state.vec = np.empty(layout.dim, dtype=np.complex128)
         np.multiply.outer(prefix, parts[-1], out=state.vec.reshape(len(prefix), -1))
         return state
 
@@ -574,8 +593,11 @@ class PcsSampler:
     """Five-step sampler producing a uniformly labelled phased cube state.
 
     Runs on a message register (m*k digit slots) tensored with ONE cube
-    register: cube preparation at 0, digit-wise Fourier transform of the
-    message register, the controlled shift by A c, the (no-op under this
+    register.  The first two steps act on one register each, so they run
+    on that register alone: cube preparation at 0 on a cube-only state of
+    q^n amplitudes, and the digit-wise Fourier transform on a label-only
+    state of p^(mk) amplitudes.  One outer product joins the two, and the
+    joined state takes the controlled shift by A c, the (no-op under this
     encoding) change of representation, and a second digit-wise Fourier
     transform.  Measuring the message register then yields a uniform
     label and collapses the cube register to the matching phased cube
@@ -597,9 +619,14 @@ class PcsSampler:
         self.layout = RegisterLayout(
             p=f.p, m=f.m, n=code.n, label_digits=self.t_digits, cube_count=1
         )
-        state = DenseState.zero_state(self.layout)
-        state.prep_cube(0, np.zeros((code.n, f.m), dtype=np.int64), sigma)
-        state.qft_label()
+        # the registers are not entangled before the controlled shift, so
+        # each runs its gates on its own one-sided state, and one outer
+        # product joins them
+        label = DenseState.zero_state(replace(self.layout, cube_count=0)).qft_label()
+        cube = DenseState.zero_state(replace(self.layout, label_digits=0))
+        cube.prep_cube(0, np.zeros((code.n, f.m), dtype=np.int64), sigma)
+        state = DenseState._joined(self.layout, [label.vec, cube.vec])
+        del label, cube  # not held while the controlled shift takes its spare
         # label digits j*m .. j*m+m-1 are the LSB-first digits of message
         # coordinate j, i.e. the label is the stacked digit vector of c
         labels = label_to_digits(np.arange(self.layout.label_dim), self.t_digits, f.p)
@@ -625,7 +652,7 @@ class PcsSampler:
             raise OrthogonalityViolated(
                 f"label {tuple(np.asarray(label_digits).tolist())} has zero amplitude"
             )
-        return (slice_ / nrm).copy()
+        return slice_ / nrm
 
     def sample(self, rng: np.random.Generator) -> tuple[tuple[int, ...], np.ndarray]:
         """Draw a label from the exact marginal and return (label, PCS vector)."""

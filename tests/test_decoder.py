@@ -27,7 +27,15 @@ from pqdec.errors import (
 )
 from pqdec.gf import Field
 from pqdec.modp import fp_gauss_invert, invertibility_product
-from pqdec.qsim import MAX_AMPLITUDES, PcsSampler, RegisterLayout, SigmaParam, vector_digit_rows
+from pqdec.qsim import (
+    MAX_AMPLITUDES,
+    DenseState,
+    PcsSampler,
+    RegisterLayout,
+    SigmaParam,
+    pcs_state_direct,
+    vector_digit_rows,
+)
 
 
 def code_123(f4):
@@ -224,6 +232,37 @@ def test_factorized_marginal_equals_full_tensor(f4, f8, f9):
         assert np.allclose(full, fact, atol=1e-12)
 
 
+def _full_marginal_reference(columns, pcs_vectors, t_digit_rows, layout):
+    """Steps 3-7 with every gate on the joined composite register, the work register at |0>."""
+    label0 = np.zeros(layout.label_dim, dtype=np.complex128)
+    label0[0] = 1.0
+    state = DenseState.from_parts(layout, label0, pcs_vectors)
+    state.qft_label()
+    state.permute_label(columns, inverse=True)
+    state.controlled_shift_power(t_digit_rows)
+    state.permute_label(columns)
+    state.qft_label(inverse=True)
+    return state.label_marginal()
+
+
+@pytest.mark.parametrize("p,n,r", [(2, 2, 0), (2, 2, 1), (3, 2, 0), (3, 2, 1), (5, 1, 0), (5, 1, 1)])
+def test_full_marginal_matches_composite_reference(p, n, r):
+    # at n = 1 the side-5 cubes collide, so the phased cube states are
+    # built from their definition and normalised; the circuit takes any
+    # product state
+    f = Field(p, 2)
+    code = LinearCode(f, [[f.el(1)], [f.el(p)]][:n])
+    sigma = SigmaParam.from_r(f, r)
+    rng = np.random.default_rng(10 * p + r)
+    columns, _ = sample_label_matrix(p, f.m, rng)
+    pcs = [pcs_state_direct(code, sigma, label) for label in columns.T]
+    pcs = [v / np.linalg.norm(v) for v in pcs]
+    t_rows = rng.integers(0, p, size=(n, f.m))
+    layout = RegisterLayout(p=p, m=f.m, n=n, label_digits=f.m, cube_count=f.m)
+    got = _dense_full_marginal(columns, pcs, t_rows, layout)
+    assert np.max(np.abs(got - _full_marginal_reference(columns, pcs, t_rows, layout))) < 1e-12
+
+
 def test_decode_dense_raises_on_unverifiable_answer(f4):
     code = code_123(f4)
     # a far target with a zero budget cannot verify at sigma = 1
@@ -323,6 +362,16 @@ RECORDED_DENSE = [
     ("factorised", (2, 4), (1, 2, 4), 11, (0, 0, 0), 0, 0, (1, 1, 0, 1), 5, 1.0000000000000018),
     ("factorised", (2, 4), (1, 2, 4), 11, (1, 0, 1), 1, 1, (1, 1, 0, 1), 3, 0.9999999999999933),
     ("factorised", (2, 4), (1, 2, 4), 11, (1, 0, 1), 0, 3, (1, 1, 0, 1), 5, 0.06250000000000011),
+    # F_27 at sigma = 3: the sampler's cube preparation runs a radix-3
+    # transform on one digit per coordinate.  These rows were recorded while
+    # the sampler still ran every gate on its joined composite register, so
+    # they pin the factor-first build to the old one.  The last two errors
+    # reach sigma, so their marginals are spread and the draw decides.
+    ("factorised", (3, 3), (1, 3, 9), 5, (0, 0, 0), 1, 0, (2, 1, 0), 2, 1.0000000000000027),
+    ("factorised", (3, 3), (1, 3, 9), 13, (1, 2, 0), 1, 1, (1, 1, 1), 1, 1.0000000000000013),
+    ("factorised", (3, 3), (1, 3, 9), 22, (2, 1, 1), 1, 4, (1, 1, 2), 1, 1.0000000000000022),
+    ("factorised", (3, 3), (1, 3, 11), 19, (0, 4, 1), 1, 2, (1, 0, 2), 1, 0.03703703703703704),
+    ("factorised", (3, 3), (1, 3, 11), 7, (3, 0, 0), 1, 27, (1, 2, 0), 4, 0.037037037037037056),
 ]
 
 

@@ -552,6 +552,82 @@ def test_from_parts_checks_part_sizes():
     assert len(DenseState.from_parts(lay, np.ones(2), [np.ones(16)]).vec) == lay.dim
 
 
+def test_from_parts_is_the_kronecker_product():
+    lay = RegisterLayout(p=3, m=1, n=2, label_digits=2, cube_count=2)
+    rng = np.random.default_rng(8)
+    parts = [rng.normal(size=9) + 1j * rng.normal(size=9) for _ in range(3)]
+    label, *cubes = parts
+    want = np.kron(np.kron(label, cubes[0]), cubes[1])
+    assert np.array_equal(DenseState.from_parts(lay, label, cubes).vec, want)
+
+
+# ---------------------------------------------------------------- factor-first builds
+
+def _sampler_state_reference(code: LinearCode, sigma: SigmaParam) -> np.ndarray:
+    """The sampler's five steps with every gate on the joined composite register."""
+    f = code.field
+    t = f.m * code.k
+    lay = RegisterLayout(p=f.p, m=f.m, n=code.n, label_digits=t, cube_count=1)
+    state = DenseState.zero_state(lay)
+    state.prep_cube(0, np.zeros((code.n, f.m), dtype=np.int64), sigma)
+    state.qft_label()
+    labels = label_to_digits(np.arange(lay.label_dim), t, f.p)
+    amounts = labels @ code.operator.entries.T % f.p
+    state.controlled_register_shifts(amounts.reshape(-1, code.n, f.m), 0)
+    state.qft_label()
+    return state.vec
+
+
+@pytest.mark.parametrize("r", [0, 1])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_sampler_state_matches_composite_reference(p, r):
+    f = Field(p, 2)
+    code = LinearCode(f, [[f.el(1)], [f.el(p)]])  # top digits (0, 1): orthogonal at r = 1
+    sigma = SigmaParam.from_r(f, r)
+    got = PcsSampler(code, sigma).state.vec
+    assert np.max(np.abs(got - _sampler_state_reference(code, sigma))) < 1e-12
+
+
+def test_sampler_joins_its_registers_without_from_parts(f4, monkeypatch):
+    # bench/tracer.py counts a from_parts call inside a decode as the full-tensor path
+    def refuse(cls, *args):
+        raise AssertionError("the sampler built its state through from_parts")
+
+    monkeypatch.setattr(DenseState, "from_parts", classmethod(refuse))
+    sampler = PcsSampler(code_123(f4), SigmaParam.from_r(f4, 0))
+    assert len(sampler.state.vec) == sampler.layout.dim
+
+
+@pytest.mark.parametrize("p,label_digits", [(2, 3), (3, 2), (5, 2)])
+def test_one_sided_gates_then_from_parts_match_gates_on_the_joined_state(p, label_digits):
+    lay = RegisterLayout(p=p, m=2, n=1, label_digits=label_digits, cube_count=2)
+    label_lay = RegisterLayout(p=p, m=2, n=1, label_digits=label_digits, cube_count=0)
+    cube_lay = RegisterLayout(p=p, m=2, n=1, label_digits=0, cube_count=1)
+    label = _random_state(label_lay, 1)
+    cubes = [_random_state(cube_lay, 2 + j) for j in range(lay.cube_count)]
+    rng = np.random.default_rng(p)
+    matrix = rng.integers(0, p, size=(label_digits, label_digits))
+    while rank(matrix, p) < label_digits:
+        matrix = rng.integers(0, p, size=(label_digits, label_digits))
+    label_gates = [
+        lambda st: st.qft_label(),
+        lambda st: st.qft_label(inverse=True),
+        lambda st: st.permute_label(matrix),
+        lambda st: st.permute_label(matrix, inverse=True),
+    ]
+    for gate in label_gates:
+        alone = gate(DenseState(label_lay, label)).vec
+        joined = gate(DenseState.from_parts(lay, label, cubes)).vec
+        assert np.max(np.abs(DenseState.from_parts(lay, alone, cubes).vec - joined)) < 1e-12
+    sigma = SigmaParam.from_r(Field(p, 2), 1)
+    y = rng.integers(0, p, size=(1, 2))
+    for register in range(lay.cube_count):
+        parts = list(cubes)
+        parts[register] = DenseState(cube_lay, cubes[register]).prep_cube(0, y, sigma).vec
+        joined = DenseState.from_parts(lay, label, cubes).prep_cube(register, y, sigma).vec
+        assert np.max(np.abs(DenseState.from_parts(lay, label, parts).vec - joined)) < 1e-12
+
+
 # ---------------------------------------------------------------- controlled shifts
 
 def test_controlled_shift_zero_control_is_identity(f4):
