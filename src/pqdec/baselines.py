@@ -121,6 +121,8 @@ def separation_experiment(config: SeparationConfig) -> list[dict]:
     cutoff can cover them and neither side should survive.  Success
     means exact recovery of the planted message.
     """
+    if config.trials < 1:
+        raise PreconditionUnmet("trials must be >= 1")
     f = Field(config.p, config.m)
     rng = np.random.default_rng(config.seed)
     rows = []

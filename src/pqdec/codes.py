@@ -17,7 +17,6 @@ view at the interface.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -136,8 +135,6 @@ def codeword_images(code: LinearCode, budget: int = DEFAULT_ENUM_BUDGET) -> np.n
     f = code.field
     p, m, n, k = f.p, f.m, code.n, code.k
     total = _message_count(f, k, budget)
-    if k == 0:
-        return np.zeros((1, n), dtype=np.int64)  # the zero codeword alone
     blocks = code.operator.entries.reshape(n, m, k, m)
     operator_t = blocks[:, ::-1, :, ::-1].reshape(m * n, m * k).T
     out = np.empty((total, n), dtype=np.int64)
@@ -149,25 +146,17 @@ def codeword_images(code: LinearCode, budget: int = DEFAULT_ENUM_BUDGET) -> np.n
     return out
 
 
-def min_distance_bruteforce(
-    code: LinearCode, budget: int = DEFAULT_ENUM_BUDGET
-) -> int | float:
+def min_distance_bruteforce(code: LinearCode, budget: int = DEFAULT_ENUM_BUDGET) -> int:
     """Exact minimum pairwise Manhattan distance over all codeword pairs.
 
-    All pairs are compared (cost O(q^2k)); with fewer than two codewords
-    the minimum over an empty pair set is +inf.  The result is cached on
-    the code.
+    All pairs are compared (cost O(q^2k)); a code has k >= 1, so there
+    are q^k >= 2 codewords and at least one pair.  The result is cached
+    on the code.
     """
     imgs = codeword_images(code, budget)
-    count = imgs.shape[0]
-    if count < 2:
-        return math.inf
-    best = None
-    for i in range(count - 1):
-        dists = np.abs(imgs[i + 1 :] - imgs[i]).sum(axis=1)
-        cand = int(dists.min())
-        if best is None or cand < best:
-            best = cand
+    best = min(
+        int(np.abs(imgs[i + 1 :] - imgs[i]).sum(axis=1).min()) for i in range(len(imgs) - 1)
+    )
     code.d = best
     return best
 

@@ -31,8 +31,9 @@ This module owns the field layer's two conventions, once each:
 * The numeral codec: :func:`label_to_digits` and :func:`digits_to_label`
   map an index to its digits in a radix (p for labels and digit vectors,
   q for message images), most significant first, and back, on numpy
-  scalars and arrays.  The simulator's label register and the message
-  and codeword enumeration of :mod:`pqdec.codes` both go through it.
+  scalars and arrays.  The simulator's label register and cube indices,
+  the message and codeword enumeration of :mod:`pqdec.codes` and the
+  gadget's assignment enumeration all go through it.
   It is int64, so it serves only indices below 2^63; :func:`_int_digits`
   and ``FieldElement.image`` stay on Python ints because one element's
   image may pass 2^63 (F_{2^64}).

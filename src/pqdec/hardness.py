@@ -27,7 +27,7 @@ from typing import Sequence
 
 from .codes import LinearCode
 from .errors import BadParams, BudgetExceeded, GadgetGapError
-from .gf import Field, FieldElement
+from .gf import Field, FieldElement, label_to_digits
 from .metrics import manhattan_dist
 
 DEFAULT_GADGET_BUDGET = 2**20
@@ -132,8 +132,9 @@ def gadget_distance_bruteforce(
     """Exact OPT = min over assignments alpha of dist(b0, sum alpha_i b_i).
 
     Enumerates all q^m' assignments directly (independent of the
-    codeword oracle, which cross-checks it).  Returns (OPT, the first
-    minimising alpha as integer images).
+    codeword oracle, which cross-checks it), assignment ``idx`` being the
+    base-q digits of ``idx`` read through the numeral codec one index at
+    a time.  Returns (OPT, the first minimising alpha as integer images).
     """
     f = g.field
     m_sets = g.sc.num_sets
@@ -142,16 +143,12 @@ def gadget_distance_bruteforce(
         raise BudgetExceeded(f"q^m' = {total} exceeds the gadget budget {budget}")
     best: int | None = None
     best_alpha: tuple[int, ...] = ()
-    alpha_imgs = [0] * m_sets
     for idx in range(total):
-        rest = idx
-        for pos in range(m_sets - 1, -1, -1):
-            alpha_imgs[pos] = rest % f.q
-            rest //= f.q
+        alpha_imgs = tuple(label_to_digits(idx, m_sets, f.q).tolist())
         alpha = tuple(f.el(v) for v in alpha_imgs)
         dist = manhattan_dist(g.b0, _span_combination(g, alpha))
         if best is None or dist < best:
-            best, best_alpha = dist, tuple(alpha_imgs)
+            best, best_alpha = dist, alpha_imgs
     return int(best), best_alpha
 
 

@@ -17,7 +17,12 @@ in ``gf`` so that ``codes`` enumerates messages with it too).
 Within a coordinate the LEAST significant digit sits at the last
 (fastest-varying) axis, so the m axes of a coordinate, read as a C-order
 number, equal the coordinate's integer image, and a cube register's
-block index is the mixed-radix-q number of its coordinate images.
+block index is the base-q number of its coordinate images.  Every radix
+conversion in the package goes through that one codec; the only
+exceptions are the two on Python ints for images past 2^63,
+``gf._int_digits`` and ``FieldElement.image``.  The one read-out of a
+label register is :meth:`PcsSampler.collapse`, which also checks the
+label it is given.
 Every cube-register shift, controlled or not, goes through the one
 shift kernel :func:`_shift_cube`, a gather through a source-index map
 with one entry per basis value of the cube register.
@@ -69,7 +74,7 @@ from .errors import (
     OutOfRange,
     ScaleExceeded,
 )
-from .gf import Field, FieldElement, digits_to_label, label_to_digits
+from .gf import Field, FieldElement, digits_to_label, label_to_digits, stack_digits
 
 MAX_AMPLITUDES = 2**24
 NORM_TOL = 1e-10
@@ -175,12 +180,6 @@ class RegisterLayout:
                 f"cube registers {register}..{register + count - 1} of {self.cube_count}"
             )
         return self.cube_dim ** (self.cube_count - register - count)
-
-    def encode_label(self, digits: Sequence[int]) -> int:
-        return int(digits_to_label(digits, self.p))
-
-    def decode_label(self, index: int) -> tuple[int, ...]:
-        return tuple(label_to_digits(index, self.label_digits, self.p).tolist())
 
 
 @lru_cache(maxsize=64)
@@ -476,24 +475,6 @@ class DenseState:
         w = self.vec.view(np.float64).reshape(self.layout.label_dim, -1)
         return np.einsum("ij,ij->i", w, w)
 
-    def measure_label(self, rng: np.random.Generator) -> tuple[tuple[int, ...], DenseState]:
-        """Sample the label register and collapse; returns (digits, self)."""
-        probs = self.label_marginal()
-        outcome = int(rng.choice(len(probs), p=probs / probs.sum()))
-        self.collapse_label(outcome)
-        return self.layout.decode_label(outcome), self
-
-    def collapse_label(self, label_index: int) -> DenseState:
-        v = self.vec.reshape(self.layout.label_dim, -1)
-        nrm = np.linalg.norm(v[label_index])
-        if nrm == 0:
-            raise OutOfRange(f"label outcome {label_index} has zero probability")
-        out = self._out().reshape(v.shape)
-        out.fill(0)
-        np.divide(v[label_index], nrm, out=out[label_index])
-        self._swap()
-        return self._check_norm()
-
 
 # ----------------------------------------------------------------------
 # Small-vector helpers on a single F_q^n register (no label part)
@@ -504,33 +485,21 @@ def vector_digit_rows(vec: Sequence[FieldElement]) -> np.ndarray:
     return np.array([e.digits for e in vec], dtype=np.int64)
 
 
-def cube_index(field: Field, images: Sequence[int]) -> int:
-    """Basis index of |v> in a cube register: mixed-radix-q of the images."""
-    acc = 0
-    for img in images:
-        acc = acc * field.q + int(img)
-    return acc
-
-
 def cube_vector(field: Field, n: int, anchor: Sequence[FieldElement], sigma: SigmaParam) -> np.ndarray:
-    """The side-sigma cube state at ``anchor`` as a bare q^n amplitude vector."""
-    vec = np.zeros(field.q**n, dtype=np.complex128)
-    amp = sigma.sigma ** (-n / 2)
-    offsets = [0]
-    for _ in range(n):
-        offsets = [o * field.q + z for o in offsets for z in range(sigma.sigma)]
-    base_images = [a.image for a in anchor]
-    for off in offsets:
-        imgs = []
-        rest = off
-        for _ in range(n):
-            imgs.append(rest % field.q)
-            rest //= field.q
-        imgs.reverse()
-        shifted = [
-            (field.el(b) + field.el(z)).image for b, z in zip(base_images, imgs)
-        ]
-        vec[cube_index(field, shifted)] += amp
+    """The side-sigma cube state at ``anchor`` as a bare q^n amplitude vector.
+
+    Straight from the definition, as the oracle of :meth:`DenseState.prep_cube`:
+    each offset z in [sigma]^n (coordinate images below sigma) is added to
+    the anchor digit by digit, and each point's basis index is its
+    coordinate images read in base q, all through the numeral codec.
+    """
+    p, m, q = field.p, field.m, field.q
+    offsets = label_to_digits(np.arange(sigma.sigma**n), n, sigma.sigma)
+    anchor_digits = label_to_digits([a.image for a in anchor], m, p)
+    # digits_to_label reduces mod p, so the sum is F_q addition
+    points = digits_to_label(label_to_digits(offsets, m, p) + anchor_digits, p)
+    vec = np.zeros(q**n, dtype=np.complex128)
+    vec[digits_to_label(points, q)] = sigma.sigma ** (-n / 2)
     return vec
 
 
@@ -563,7 +532,7 @@ def pcs_state_direct(
     label = np.array(label_digits, dtype=np.int64)
     for row in msgs:
         c = tuple(f.el(int(v)) for v in row)
-        c_digits = np.array([d for e in c for d in e.digits], dtype=np.int64)
+        c_digits = stack_digits(c)
         phase = omega ** int((label * c_digits).sum() % f.p)
         out += phase * cube_vector(f, code.n, code.encode(c), sigma)
     return out * q ** (-k / 2)
@@ -601,7 +570,8 @@ class PcsSampler:
     encoding) change of representation, and a second digit-wise Fourier
     transform.  Measuring the message register then yields a uniform
     label and collapses the cube register to the matching phased cube
-    state.
+    state; :meth:`collapse` is that read-out, the only one in the
+    package, and it checks its label (``t_digits`` digits in [0, p)).
 
     Orthogonality of the anchored cubes is what makes the label marginal
     exactly uniform; it is checked both through the cached code distance
@@ -632,7 +602,9 @@ class PcsSampler:
         labels = label_to_digits(np.arange(self.layout.label_dim), self.t_digits, f.p)
         amounts = labels @ code.operator.entries.T % f.p
         state.controlled_register_shifts(amounts.reshape(-1, code.n, f.m), 0)
-        # change of representation F_q^k -> F_p^{mk}: a no-op for digit slots
+        # step 4, the change of representation F_q^k -> F_p^{mk}, is a
+        # no-op: the label slots already hold digits.  Step 5 is the
+        # second digit-wise Fourier transform
         state.qft_label()
         self.state = state.release_spare()
         self.marginal = state.label_marginal()
@@ -643,32 +615,24 @@ class PcsSampler:
             )
 
     def collapse(self, label_digits: Sequence[int]) -> np.ndarray:
-        """Post-measurement cube register state for a given label (q^n vector)."""
-        idx = self.layout.encode_label(label_digits)
-        v = self.state.vec.reshape(self.layout.label_dim, -1)
-        slice_ = v[idx]
+        """Post-measurement cube register state for a label (q^n vector).
+
+        The label must be exactly ``t_digits`` integer digits, each in
+        [0, p); any other raises BadParams rather than reading another label.
+        """
+        p = self.field.p
+        digits = np.asarray(label_digits)
+        if (
+            digits.shape != (self.t_digits,)
+            or digits.dtype.kind not in "iu"
+            or ((digits < 0) | (digits >= p)).any()
+        ):
+            raise BadParams(f"label {digits.tolist()} is not {self.t_digits} digits in [0, {p})")
+        slice_ = self.state.vec.reshape(self.layout.label_dim, -1)[digits_to_label(digits, p)]
         nrm = np.linalg.norm(slice_)
         if nrm == 0:
-            raise OrthogonalityViolated(
-                f"label {tuple(np.asarray(label_digits).tolist())} has zero amplitude"
-            )
+            raise OrthogonalityViolated(f"label {tuple(digits.tolist())} has zero amplitude")
         return slice_ / nrm
-
-    def sample(self, rng: np.random.Generator) -> tuple[tuple[int, ...], np.ndarray]:
-        """Draw a label from the exact marginal and return (label, PCS vector)."""
-        probs = self.marginal / self.marginal.sum()
-        idx = int(rng.choice(len(probs), p=probs))
-        label = self.layout.decode_label(idx)
-        return label, self.collapse(label)
-
-
-def sample_pcs(
-    code: LinearCode, sigma: SigmaParam, rng: np.random.Generator
-) -> tuple[tuple[int, ...], np.ndarray, PcsSampler]:
-    """One-shot PCS sample; returns (label digits, cube vector, sampler)."""
-    sampler = PcsSampler(code, sigma)
-    label, vec = sampler.sample(rng)
-    return label, vec, sampler
 
 
 # ----------------------------------------------------------------------

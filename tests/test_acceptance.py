@@ -26,7 +26,7 @@ from pqdec.codes import (
     random_code,
 )
 from pqdec.decoder import decode_dense, decode_structured
-from pqdec.gf import Field, expand_operator, top_digit_submatrix
+from pqdec.gf import Field, expand_operator, label_to_digits, top_digit_submatrix
 from pqdec.hardness import (
     SetCoverInstance,
     build_gadget,
@@ -172,7 +172,7 @@ def test_criterion_04_sampler_uniformity():
         expected = code.field.q ** (-code.k)
         ok &= np.max(np.abs(sampler.marginal - expected)) < 1e-12
         for idx in range(sampler.layout.label_dim):
-            label = sampler.layout.decode_label(idx)
+            label = tuple(label_to_digits(idx, sampler.t_digits, code.field.p).tolist())
             ok &= np.allclose(
                 sampler.collapse(label),
                 pcs_state_direct(code, sigma, label),

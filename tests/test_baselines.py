@@ -120,6 +120,15 @@ def test_separation_experiment_shape_and_gap():
     assert len(csv_text.splitlines()) == 4
 
 
+@pytest.mark.parametrize("trials", [0, -2])
+def test_separation_rejects_fewer_than_one_trial(trials):
+    with pytest.raises(PreconditionUnmet, match="trials must be >= 1"):
+        separation_experiment(SeparationConfig(p=2, m=4, n=4, k=1, trials=trials, seed=1))
+    # checked before the field is built: p = 4 would raise NotPrime there
+    with pytest.raises(PreconditionUnmet):
+        separation_experiment(SeparationConfig(p=4, m=4, n=4, k=1, trials=trials, seed=1))
+
+
 def test_separation_reproducible():
     config = SeparationConfig(p=2, m=6, n=6, k=2, trials=25, seed=9)
     assert separation_experiment(config) == separation_experiment(config)

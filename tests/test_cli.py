@@ -230,6 +230,15 @@ def test_malformed_number_exit_two_in_a_process():
     assert proc.stderr.startswith("error: ")
 
 
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_separation_with_fewer_than_one_trial_exits_two(capsys, trials):
+    argv = ["separation", "--m", "4", "--n", "4", "--k", "1", "--trials", trials]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: trials must be >= 1\n"
+
+
 def test_separation_subcommand(capsys):
     code, out = run(capsys, "separation", "--p", "2", "--m", "6", "--n", "6",
                     "--k", "2", "--trials", "10", "--seed", "2")

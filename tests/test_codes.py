@@ -1,6 +1,4 @@
 import json
-import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -140,11 +138,6 @@ def test_random_code_bad_shape(f4):
 
 
 # ---------------------------------------------------------------- min distance
-
-def test_min_distance_sentinel_for_no_pairs(f4):
-    fake = SimpleNamespace(field=f4, n=2, k=0, matrix=())
-    assert min_distance_bruteforce(fake) == math.inf
-
 
 def test_min_distance_f4_column_code(f4):
     code = code_123(f4)

@@ -34,7 +34,6 @@ from pqdec.qsim import (
     label_to_digits,
     load_state,
     pcs_state_direct,
-    sample_pcs,
     shift_cube_vector,
     vector_digit_rows,
 )
@@ -66,7 +65,7 @@ def test_layout_counts_and_codec():
     lay = RegisterLayout(p=3, m=2, n=2, label_digits=2, cube_count=2)
     assert lay.dim == 3 ** (2 + 2 * 2 * 2)
     for idx in range(lay.label_dim):
-        assert lay.encode_label(lay.decode_label(idx)) == idx
+        assert digits_to_label(label_to_digits(idx, lay.label_digits, lay.p), lay.p) == idx
 
 
 @given(
@@ -80,14 +79,15 @@ def test_label_codec_round_trip(p, width, data):
     index = data.draw(labels)
     digits = label_to_digits(index, width, p)
     assert digits.shape == (width,)
-    assert tuple(digits.tolist()) == lay.decode_label(index)
     # most significant first: the digits read as a base-p numeral
     assert int("".join(map(str, digits.tolist())) or "0", p) == index
-    assert int(digits_to_label(digits, p)) == lay.encode_label(digits) == index
+    assert int(digits_to_label(digits, p)) == int(digits_to_label(digits.tolist(), p)) == index
     batch = data.draw(st.lists(labels, max_size=12))
     table = label_to_digits(np.array(batch, dtype=np.int64), width, p)
     assert table.shape == (len(batch), width)
-    assert [tuple(row) for row in table.tolist()] == [lay.decode_label(i) for i in batch]
+    assert [tuple(row) for row in table.tolist()] == [
+        tuple(label_to_digits(i, width, p).tolist()) for i in batch
+    ]
     assert digits_to_label(table, p).tolist() == batch
 
 
@@ -117,6 +117,21 @@ def test_prep_cube_f4_side2(f4):
     st2 = DenseState.zero_state(lay)
     st2.prep_cube(0, vector_digit_rows((f4.el(2),)), sig)
     assert np.allclose(st2.vec, [0, 0, 2**-0.5, 2**-0.5], atol=1e-12)
+
+
+@pytest.mark.parametrize("p,m,n", [(2, 3, 2), (3, 2, 2), (5, 2, 1)])
+def test_cube_vector_matches_the_elementwise_definition(p, m, n):
+    """The cube at y is the sum of |y + z> over z in [sigma]^n, added as field elements."""
+    f = Field(p, m)
+    rng = np.random.default_rng(p + m + n)
+    for r in range(m):
+        sig = SigmaParam.from_r(f, r)
+        y = tuple(f.random_element(rng) for _ in range(n))
+        want = np.zeros(f.q**n, dtype=np.complex128)
+        for z in product(range(sig.sigma), repeat=n):
+            images = [(a + f.el(b)).image for a, b in zip(y, z)]
+            want[sum(v * f.q ** (n - 1 - j) for j, v in enumerate(images))] += sig.sigma ** (-n / 2)
+        assert np.array_equal(cube_vector(f, n, y, sig), want)
 
 
 def test_shift_moves_cubes(f4):
@@ -459,7 +474,6 @@ def _gate_cases():
         pytest.param(lay2, lambda st: st.permute_label(matrix, inverse=True), id="permute_label_inverse"),
         pytest.param(lay2, lambda st: st.controlled_shift_power(rows2), id="controlled_shift_power"),
         pytest.param(lay3, lambda st: st.controlled_shift_power(np.array([[1, 2]])), id="controlled_shift_power_p3"),
-        pytest.param(lay2, lambda st: st.collapse_label(5), id="collapse_label"),
     ]
 
 
@@ -477,7 +491,7 @@ def test_gates_never_write_the_callers_array(lay, gate):
 
 @pytest.mark.parametrize("p,cube_count", [(2, 2), (2, 3), (3, 2)])
 def test_gate_chain_matches_reference_kernels(p, cube_count):
-    """Eight gates in a row, each writing into the buffer the one before it left."""
+    """Seven gates in a row, each writing into the buffer the one before it left."""
     lay = RegisterLayout(p=p, m=2, n=1, label_digits=cube_count, cube_count=cube_count)
     rng = np.random.default_rng(p + cube_count)
     matrix = rng.integers(0, p, size=(cube_count, cube_count))
@@ -495,10 +509,6 @@ def test_gate_chain_matches_reference_kernels(p, cube_count):
     want = _shift_cube_reference(want.reshape(shape), rows, lay.cube_axis(1, 0, 1), p).reshape(-1)
     want = _dft_axes_reference(want, p, lay.total_axes - 2, 2)  # post == 1
     want = _dft_axes_reference(want, p, 0, cube_count, inverse=True)
-    label = int(np.argmax(np.linalg.norm(want.reshape(lay.label_dim, -1), axis=1)))
-    collapsed = np.zeros_like(want.reshape(lay.label_dim, -1))
-    collapsed[label] = want.reshape(lay.label_dim, -1)[label]
-    want = collapsed.reshape(-1) / np.linalg.norm(collapsed)
 
     for st in (DenseState(lay, vec), DenseState(lay, vec).copy()):
         (
@@ -509,7 +519,6 @@ def test_gate_chain_matches_reference_kernels(p, cube_count):
             .shift_register(1, rows)
             .dft_axis(lay.total_axes - 2, width=2)
             .qft_label(inverse=True)
-            .collapse_label(label)
         )
         assert np.max(np.abs(st.vec - want)) < 1e-12
     assert np.array_equal(vec, kept)
@@ -762,13 +771,25 @@ def test_sampler_detects_collisions_numerically(f4):
         PcsSampler(code, SigmaParam.from_r(f4, 1))
 
 
-def test_sample_pcs_stream(f4):
-    code = code_123(f4)
-    rng = np.random.default_rng(5)
-    label, vec, sampler = sample_pcs(code, SigmaParam.from_r(f4, 0), rng)
-    assert len(label) == 2
-    assert abs(np.linalg.norm(vec) - 1.0) < 1e-10
-    assert np.allclose(vec, sampler.collapse(label), atol=1e-12)
+@pytest.mark.parametrize(
+    "label",
+    [(1,), (0, 1, 0), (2, 0), (0, -1), (0.7, 1)],
+    ids=["too_short", "too_long", "digit_equal_to_p", "digit_minus_one", "not_an_integer"],
+)
+def test_collapse_rejects_a_malformed_label(f4, label):
+    sampler = PcsSampler(code_123(f4), SigmaParam.from_r(f4, 0))
+    with pytest.raises(BadParams):
+        sampler.collapse(label)
+
+
+def test_collapse_of_a_valid_label_is_unchanged(f4):
+    # label (0, 1) is basis row 1: the vector is that row of the sampler
+    # state, normalised, read both from a tuple and from a numpy column
+    sampler = PcsSampler(code_123(f4), SigmaParam.from_r(f4, 0))
+    row = sampler.state.vec.reshape(sampler.layout.label_dim, -1)[1]
+    want = row / np.linalg.norm(row)
+    assert np.array_equal(sampler.collapse((0, 1)), want)
+    assert np.array_equal(sampler.collapse(np.array([0, 1])), want)
 
 
 # ---------------------------------------------------------------- measurement
@@ -780,13 +801,6 @@ def test_prep_cube_bad_register(f4):
     st = DenseState.zero_state(lay)
     with pytest.raises(BadRegister):
         st.prep_cube(1, vector_digit_rows((f4.zero,)), SigmaParam.from_r(f4, 1))
-
-
-def test_measure_label_deterministic_state(f4):
-    lay = RegisterLayout(p=2, m=2, n=1, label_digits=2, cube_count=1)
-    st = DenseState.zero_state(lay)
-    digits, _ = st.measure_label(np.random.default_rng(0))
-    assert digits == (0, 0)
 
 
 def test_measure_label_uniform_probabilities():
