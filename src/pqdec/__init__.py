@@ -2,7 +2,7 @@
 
 Library layout:
   gf        - exact F_{p^m} arithmetic, digit expansions, expanded operators
-  metrics   - Manhattan and Lee distances via the p-ary integer images
+  metrics   - Manhattan distances via the p-ary integer images
   codes     - linear codes, instance generation, brute-force oracles
   qsim      - dense statevector simulation of the cube-state circuits
   decoder   - the decoder end to end (dense and structured backends)
@@ -26,14 +26,13 @@ from .codes import (
 )
 from .decoder import (
     DecodeResult,
-    choose_sigma,
     decode_dense,
     decode_structured,
     sigma_search,
     verify_candidate,
 )
 from .gf import Field, FieldElement, expand_operator, top_digit_submatrix
-from .metrics import digit_prefix_equal, lee_dist, manhattan_dist, manhattan_norm
+from .metrics import manhattan_dist, manhattan_norm
 from .qsim import SigmaParam, cube_overlap
 
 __all__ = [
@@ -43,16 +42,13 @@ __all__ = [
     "FieldElement",
     "LinearCode",
     "SigmaParam",
-    "choose_sigma",
     "cube_overlap",
     "decode_dense",
     "decode_structured",
-    "digit_prefix_equal",
     "expand_operator",
     "gen_instance",
     "instance_from_json",
     "instance_to_json",
-    "lee_dist",
     "manhattan_dist",
     "manhattan_norm",
     "min_distance_bruteforce",

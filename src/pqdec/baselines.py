@@ -27,10 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import DecodeInstance, plant_instance, random_code
-from .decoder import decode_structured
+from .decoder import decode_structured, verify_candidate
 from .errors import InvariantViolated, PqdecError, PreconditionUnmet
 from .gf import Field, stack_digits, top_digit_submatrix, unstack_digits
-from .metrics import manhattan_dist
+# not called here: the benchmark self-tests find the tracer's wrapper on this module
+from .metrics import manhattan_dist  # noqa: F401
 from .modp import fp_solve, invertibility_product, invertible_fraction
 from .qsim import SigmaParam
 
@@ -70,7 +71,7 @@ def direct_inversion_decode(inst: DecodeInstance, r: int) -> DirectInversionRepo
     residual = (top @ np.array(solved.solution, dtype=np.int64) - rhs) % f.p
     if residual.any():
         raise InvariantViolated("solver returned a non-solution")
-    if inst.w is not None and manhattan_dist(inst.t, code.encode(s_hat)) > inst.w:
+    if not verify_candidate(inst, s_hat):
         # only reachable when the precondition was violated
         return DirectInversionReport(r, (rows, m * k), "inconsistent", None)
     return DirectInversionReport(

@@ -49,15 +49,19 @@ from .qsim import SigmaParam
 
 
 def _seed_from(args: argparse.Namespace) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get("PQDEC_SEED")
-    if env is not None:
+    seed, source = getattr(args, "seed", None), "--seed"
+    if seed is None:
+        env = os.environ.get("PQDEC_SEED")
+        if env is None:
+            return 0
+        source = "PQDEC_SEED"
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise BadParams(f"PQDEC_SEED must be an integer, got {env!r}") from None
-    return 0
+    if seed < 0:
+        raise BadParams(f"{source} must be >= 0, got {seed}")
+    return seed
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:

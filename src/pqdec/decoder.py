@@ -36,7 +36,7 @@ from functools import reduce
 
 import numpy as np
 
-from .codes import DecodeInstance, LinearCode
+from .codes import DecodeInstance
 from .errors import (
     BadParams,
     InvariantViolated,
@@ -101,26 +101,11 @@ def sample_label_matrix(
 
 def verify_candidate(inst: DecodeInstance, s_hat: tuple[FieldElement, ...]) -> bool:
     """True iff the candidate's codeword is within the instance's bound."""
-    return inst.w is None or _within_bound(inst, inst.code.encode(s_hat))
+    return _within_bound(inst, inst.code.encode(s_hat))
 
 
 def _within_bound(inst: DecodeInstance, codeword: tuple[FieldElement, ...]) -> bool:
     return inst.w is None or manhattan_dist(inst.t, codeword) <= inst.w
-
-
-def choose_sigma(code: LinearCode) -> SigmaParam | None:
-    """Largest sigma = p^r strictly below d/n (None if even sigma=1 is too big)."""
-    if code.d is None:
-        raise OrthogonalityViolated("code distance unknown; run min_distance_bruteforce")
-    best = None
-    for r in range(code.field.m):
-        sigma = SigmaParam.from_r(code.field, r)
-        try:
-            require_cube_orthogonality(code, sigma)
-        except OrthogonalityViolated:
-            break  # sigma only grows with r
-        best = sigma
-    return best
 
 
 def decode_structured(
@@ -306,7 +291,6 @@ __all__ = [
     "BACKENDS",
     "DecodeResult",
     "backend_decoder",
-    "choose_sigma",
     "decode_dense",
     "decode_structured",
     "sample_label_matrix",

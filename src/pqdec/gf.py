@@ -365,11 +365,6 @@ class FieldElement:
             e >>= 1
         return out
 
-    def scalar_mul(self, ell: int) -> FieldElement:
-        """ell-fold field addition: digit-wise multiplication by ell mod p."""
-        p = self.field.p
-        return FieldElement(self.field, tuple((a * ell) % p for a in self.digits))
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, FieldElement)
@@ -403,11 +398,6 @@ class ExpandedMatrix:
     k: int
     m: int
     p: int
-
-
-def mul_operator(a: FieldElement) -> np.ndarray:
-    """m x m matrix over F_p of multiplication by ``a``, basis (1, x, ...)."""
-    return expand_operator([[a]], a.field).entries
 
 
 def _x_power_operators(field: Field) -> np.ndarray:

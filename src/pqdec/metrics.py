@@ -1,4 +1,4 @@
-"""Manhattan and Lee distances on F_q^n via the p-ary integer images.
+"""Manhattan distances on F_q^n via the p-ary integer images.
 
 Distances are computed between the integer images of coordinates and
 returned as exact Python ints.  The Manhattan distance is NOT shift
@@ -11,46 +11,19 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import FieldMismatch, LengthMismatch, OutOfRange
+from .errors import FieldMismatch, LengthMismatch
 from .gf import FieldElement
-
-
-def _check_pair(x: Sequence[FieldElement], y: Sequence[FieldElement]) -> None:
-    if len(x) != len(y):
-        raise LengthMismatch(f"vector lengths {len(x)} vs {len(y)}")
-    if x and y and x[0].field != y[0].field:
-        raise FieldMismatch("vectors over different fields")
 
 
 def manhattan_dist(x: Sequence[FieldElement], y: Sequence[FieldElement]) -> int:
     """Sum over coordinates of |image(x_i) - image(y_i)|."""
-    _check_pair(x, y)
+    if len(x) != len(y):
+        raise LengthMismatch(f"vector lengths {len(x)} vs {len(y)}")
+    if x and y and x[0].field != y[0].field:
+        raise FieldMismatch("vectors over different fields")
     return sum(abs(a.image - b.image) for a, b in zip(x, y))
 
 
 def manhattan_norm(x: Sequence[FieldElement]) -> int:
     """Manhattan distance to the zero vector, i.e. the sum of images."""
     return sum(a.image for a in x)
-
-
-def lee_dist(x: Sequence[FieldElement], y: Sequence[FieldElement]) -> int:
-    """Per-coordinate min(|d|, q - |d|) of the integer images, summed."""
-    _check_pair(x, y)
-    total = 0
-    for a, b in zip(x, y):
-        d = abs(a.image - b.image)
-        total += min(d, a.field.q - d)
-    return total
-
-
-def digit_prefix_equal(x: FieldElement, y: FieldElement, r: int) -> bool:
-    """True iff the top m-r digits of x and y coincide.
-
-    Equivalently: the field difference x - y has integer image < p^r.
-    """
-    if x.field != y.field:
-        raise FieldMismatch("elements from different fields")
-    m = x.field.m
-    if not 0 <= r <= m:
-        raise OutOfRange(f"r = {r} outside [0, {m}]")
-    return x.digits[r:] == y.digits[r:]

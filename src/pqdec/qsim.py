@@ -70,6 +70,7 @@ from .errors import (
     BadParams,
     BadRegister,
     InvariantViolated,
+    LengthMismatch,
     OrthogonalityViolated,
     OutOfRange,
     ScaleExceeded,
@@ -308,9 +309,6 @@ class DenseState:
 
     # -- plumbing ---------------------------------------------------------
 
-    def copy(self) -> DenseState:
-        return DenseState(self.layout, self.vec)
-
     def release_spare(self) -> DenseState:
         """Drop the spare buffer, so a finished state holds one array."""
         self._spare = None
@@ -493,6 +491,8 @@ def cube_vector(field: Field, n: int, anchor: Sequence[FieldElement], sigma: Sig
     the anchor digit by digit, and each point's basis index is its
     coordinate images read in base q, all through the numeral codec.
     """
+    if len(anchor) != n:
+        raise LengthMismatch(f"anchor length {len(anchor)} != n = {n}")
     p, m, q = field.p, field.m, field.q
     offsets = label_to_digits(np.arange(sigma.sigma**n), n, sigma.sigma)
     anchor_digits = label_to_digits([a.image for a in anchor], m, p)

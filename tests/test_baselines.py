@@ -45,6 +45,16 @@ def test_direct_inversion_rejects_a_non_solution(f4, monkeypatch):
         direct_inversion_decode(inst, 0)
 
 
+def test_direct_inversion_checks_the_bound(f16):
+    # the top digits pin s, but the low-digit error of image 1 exceeds w = 0
+    code = LinearCode(f16, [[f16.el(1)], [f16.el(2)], [f16.el(4)]])
+    s, e = (f16.el(9),), (f16.el(1), f16.zero, f16.zero)
+    rep = direct_inversion_decode(plant_instance(code, s, e), 1)
+    assert (rep.status, rep.s_hat) == ("recovered", (9,))
+    rep = direct_inversion_decode(plant_instance(code, s, e, w=0), 1)
+    assert (rep.status, rep.s_hat) == ("inconsistent", None)
+
+
 def test_direct_inversion_underdetermined_raises(f4):
     code = LinearCode(f4, [[f4.el(1), f4.el(2)], [f4.el(3), f4.el(0)]])
     inst = plant_instance(code, (f4.el(1), f4.el(2)), (f4.zero, f4.zero))

@@ -248,6 +248,27 @@ def test_separation_subcommand(capsys):
     assert len(lines) == 4
 
 
+@pytest.mark.parametrize(
+    "env,argv,message",
+    [
+        ({}, ["stats", "--p", "2", "--T", "3", "--trials", "5", "--seed", "-1"], "--seed"),
+        ({"PQDEC_SEED": "-1"}, ["stats", "--p", "2", "--T", "3", "--trials", "5"], "PQDEC_SEED"),
+        ({}, ["separation", "--trials", "1", "--seed", "-3"], "--seed"),
+        ({"PQDEC_SEED": "-3"}, ["separation", "--trials", "1"], "PQDEC_SEED"),
+    ],
+    ids=["stats-flag", "stats-env", "separation-flag", "separation-env"],
+)
+def test_negative_seed_exits_two(capsys, monkeypatch, env, argv, message):
+    monkeypatch.delenv("PQDEC_SEED", raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message} must be >= 0")
+    assert captured.err.count("\n") == 1
+
+
 def test_seed_env_fallback(capsys, monkeypatch, good_instance):
     path, _ = good_instance
     monkeypatch.setenv("PQDEC_SEED", "7")

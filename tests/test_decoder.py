@@ -3,6 +3,7 @@ import time
 import numpy as np
 import pytest
 
+import pqdec
 from pqdec import decoder
 from pqdec.codes import LinearCode, gen_instance, nearest_codeword_oracle, plant_instance, random_code
 from pqdec.decoder import (
@@ -10,7 +11,6 @@ from pqdec.decoder import (
     _dense_factorized_marginal,
     _dense_full_marginal,
     backend_decoder,
-    choose_sigma,
     decode_dense,
     decode_structured,
     sample_label_matrix,
@@ -478,10 +478,8 @@ def test_verify_candidate(f4):
     assert verify_candidate(unbounded, other)
 
 
-def test_choose_sigma(f4, f16):
-    assert choose_sigma(code_123(f4)).r == 0  # largest 2^r with 3 * 2^r < 4
-    assert choose_sigma(code_q16_d7(f16)).r == 1
-    short = LinearCode(f4, [[f4.el(1)], [f4.el(1)]], d=2)
-    assert choose_sigma(short) is None
-    with pytest.raises(OrthogonalityViolated):
-        choose_sigma(LinearCode(f4, [[f4.el(1)], [f4.el(1)]]))
+@pytest.mark.parametrize("module", [pqdec, decoder], ids=["pqdec", "pqdec.decoder"])
+def test_every_exported_name_resolves(module):
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert missing == []
+    assert len(set(module.__all__)) == len(module.__all__)

@@ -19,7 +19,6 @@ from pqdec.gf import (
     default_irreducible,
     expand_operator,
     is_irreducible,
-    mul_operator,
     stack_digits,
     top_digit_submatrix,
     unstack_digits,
@@ -330,10 +329,6 @@ def test_top_digit_extraction_is_singular(f4):
     assert rank(attack_rows, 2) < 4
 
 
-def test_mul_operator_of_one_is_identity(f16):
-    assert np.array_equal(mul_operator(f16.one), np.eye(4, dtype=np.int64))
-
-
 def scalar_mul_operator(a):
     """Reference: column j holds the digits of a * x^j, by FieldElement products."""
     f = a.field
@@ -355,7 +350,6 @@ def test_expand_operator_equals_scalar_mul_blocks(p, m):
         for j in range(2):
             ref = scalar_mul_operator(a[i][j])
             assert np.array_equal(entries[i * m : (i + 1) * m, j * m : (j + 1) * m], ref)
-            assert np.array_equal(mul_operator(a[i][j]), ref)
 
 
 def test_expand_operator_rejects_foreign_entry(f4, f9):

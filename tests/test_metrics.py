@@ -3,9 +3,9 @@ from itertools import product
 import numpy as np
 import pytest
 
-from pqdec.errors import FieldMismatch, LengthMismatch, OutOfRange
+from pqdec.errors import FieldMismatch, LengthMismatch
 from pqdec.gf import Field
-from pqdec.metrics import digit_prefix_equal, lee_dist, manhattan_dist, manhattan_norm
+from pqdec.metrics import manhattan_dist, manhattan_norm
 
 
 def test_manhattan_not_shift_invariant_prime_field():
@@ -46,39 +46,14 @@ def test_norm_examples(f4):
         assert manhattan_norm(v) == manhattan_dist(v, zero)
 
 
-def test_lee_examples(f16):
-    assert lee_dist([f16.el(1)], [f16.el(15)]) == 2  # min(14, 2)
-    rng = np.random.default_rng(2)
-    for _ in range(100):
-        x = [f16.random_element(rng) for _ in range(3)]
-        y = [f16.random_element(rng) for _ in range(3)]
-        assert lee_dist(x, x) == 0
-        assert lee_dist(x, y) <= manhattan_dist(x, y)
-
-
-def test_lee_triangle_inequality_exhaustive(f9):
-    els = [f9.el(v) for v in range(9)]
-    for a, b, c in product(els, els, els):
-        assert lee_dist([a], [c]) <= lee_dist([a], [b]) + lee_dist([b], [c])
-
-
-def test_digit_prefix_equal_examples(f4):
-    assert digit_prefix_equal(f4.el(1), f4.el(3), 2)  # empty prefix
-    assert digit_prefix_equal(f4.el(2), f4.el(3), 1)  # top digit 1 both
-    assert not digit_prefix_equal(f4.el(0), f4.el(2), 1)
-    with pytest.raises(OutOfRange):
-        digit_prefix_equal(f4.el(0), f4.el(1), 3)
-
-
 def test_prefix_equal_iff_difference_image_below_block(f16):
     # the field difference has image < p^r exactly when prefixes agree
     for a in range(16):
         for b in range(16):
             for r in range(5):
                 diff = f16.el(a) - f16.el(b)
-                assert digit_prefix_equal(f16.el(a), f16.el(b), r) == (
-                    diff.image < 2**r
-                )
+                prefix_equal = f16.el(a).digits[r:] == f16.el(b).digits[r:]
+                assert prefix_equal == (diff.image < 2**r)
 
 
 @pytest.mark.parametrize("p,m,n", [(2, 2, 1), (2, 2, 2), (2, 3, 1), (3, 2, 1)])
@@ -96,7 +71,7 @@ def test_gap_preservation_under_prefix_agreement(p, m, n):
             x = [f.el(v) for v in xs]
             for es in product(range(block), repeat=n):
                 y = [a + f.el(e) for a, e in zip(x, es)]
-                assert all(digit_prefix_equal(a, b, r) for a, b in zip(x, y))
+                assert all(a.digits[r:] == b.digits[r:] for a, b in zip(x, y))
                 diff = [a - b for a, b in zip(x, y)]
                 assert manhattan_norm(diff) <= n * (block - 1)
                 assert manhattan_dist(x, y) <= n * (block - 1)
@@ -115,4 +90,4 @@ def test_gap_preservation_fails_across_block_boundaries(f4):
     assert manhattan_dist(x, y) == 1
     assert manhattan_norm([x[0] - y[0]]) == 3
     assert manhattan_norm([x[0] - y[0]]) > 1 * 2
-    assert not digit_prefix_equal(x[0], y[0], 1)
+    assert x[0].digits[1:] != y[0].digits[1:]

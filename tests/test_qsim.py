@@ -12,6 +12,7 @@ from pqdec.errors import (
     BadParams,
     BadRegister,
     InvariantViolated,
+    LengthMismatch,
     OrthogonalityViolated,
     OutOfRange,
     ScaleExceeded,
@@ -132,6 +133,12 @@ def test_cube_vector_matches_the_elementwise_definition(p, m, n):
             images = [(a + f.el(b)).image for a, b in zip(y, z)]
             want[sum(v * f.q ** (n - 1 - j) for j, v in enumerate(images))] += sig.sigma ** (-n / 2)
         assert np.array_equal(cube_vector(f, n, y, sig), want)
+
+
+@pytest.mark.parametrize("anchor", [(1,), (1, 2, 3)])
+def test_cube_vector_rejects_an_anchor_of_the_wrong_length(f4, anchor):
+    with pytest.raises(LengthMismatch):
+        cube_vector(f4, 2, tuple(f4.el(v) for v in anchor), SigmaParam.from_r(f4, 1))
 
 
 def test_shift_moves_cubes(f4):
@@ -510,17 +517,17 @@ def test_gate_chain_matches_reference_kernels(p, cube_count):
     want = _dft_axes_reference(want, p, lay.total_axes - 2, 2)  # post == 1
     want = _dft_axes_reference(want, p, 0, cube_count, inverse=True)
 
-    for st in (DenseState(lay, vec), DenseState(lay, vec).copy()):
-        (
-            st.qft_label()
-            .permute_label(matrix, inverse=True)
-            .controlled_shift_power(rows)
-            .permute_label(matrix)
-            .shift_register(1, rows)
-            .dft_axis(lay.total_axes - 2, width=2)
-            .qft_label(inverse=True)
-        )
-        assert np.max(np.abs(st.vec - want)) < 1e-12
+    st = DenseState(lay, vec)
+    (
+        st.qft_label()
+        .permute_label(matrix, inverse=True)
+        .controlled_shift_power(rows)
+        .permute_label(matrix)
+        .shift_register(1, rows)
+        .dft_axis(lay.total_axes - 2, width=2)
+        .qft_label(inverse=True)
+    )
+    assert np.max(np.abs(st.vec - want)) < 1e-12
     assert np.array_equal(vec, kept)
 
 
