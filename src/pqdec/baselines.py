@@ -32,7 +32,7 @@ from .errors import InvariantViolated, PqdecError, PreconditionUnmet
 from .gf import Field, stack_digits, top_digit_submatrix, unstack_digits
 # not called here: the benchmark self-tests find the tracer's wrapper on this module
 from .metrics import manhattan_dist  # noqa: F401
-from .modp import fp_solve, invertibility_product, invertible_fraction
+from .modp import fp_solve, invertibility_product, rank
 from .qsim import SigmaParam
 
 
@@ -40,8 +40,10 @@ from .qsim import SigmaParam
 class DirectInversionReport:
     r_used: int
     system_shape: tuple[int, int]
-    status: str  # "recovered" | "singular" | "inconsistent"
-    s_hat: tuple[int, ...] | None  # integer images when recovered
+    # "recovered" (solved and within the bound w), "unverified" (solved, but
+    # the instance has no w to check), "singular" or "inconsistent"
+    status: str
+    s_hat: tuple[int, ...] | None  # integer images when recovered or unverified
 
 
 def direct_inversion_decode(inst: DecodeInstance, r: int) -> DirectInversionReport:
@@ -74,9 +76,8 @@ def direct_inversion_decode(inst: DecodeInstance, r: int) -> DirectInversionRepo
     if not verify_candidate(inst, s_hat):
         # only reachable when the precondition was violated
         return DirectInversionReport(r, (rows, m * k), "inconsistent", None)
-    return DirectInversionReport(
-        r, (rows, m * k), "recovered", tuple(e.image for e in s_hat)
-    )
+    status = "unverified" if inst.w is None else "recovered"
+    return DirectInversionReport(r, (rows, m * k), status, tuple(e.image for e in s_hat))
 
 
 def invertibility_stats(
@@ -86,7 +87,8 @@ def invertibility_stats(
     if trials < 1:
         raise PreconditionUnmet("trials must be >= 1")
     rng = np.random.default_rng(seed)
-    return invertible_fraction(p, t, trials, rng)
+    hits = sum(rank(rng.integers(0, p, size=(t, t)), p) == t for _ in range(trials))
+    return hits / trials
 
 
 # ----------------------------------------------------------------------

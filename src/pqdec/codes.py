@@ -177,8 +177,7 @@ def nearest_codeword_oracle(
     t_imgs = np.array([e.image for e in t], dtype=np.int64)
     dists = np.abs(imgs - t_imgs).sum(axis=1)
     best = int(np.argmin(dists))  # first minimum = lex-smallest message
-    msgs = message_images(code.field, code.k, budget)
-    s_star = tuple(code.field.el(int(v)) for v in msgs[best])
+    s_star = tuple(code.field.el(int(v)) for v in label_to_digits(best, code.k, code.field.q))
     return s_star, int(dists[best])
 
 

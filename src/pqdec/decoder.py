@@ -73,16 +73,11 @@ class DecodeResult:
     sigma_r: int
     backend: str
     resample_rounds: int
-    verified: bool
+    verified: bool  # a bound was checked and held; False when the instance has no w
     peak_probability: float | None = None
 
 
-def sample_label_matrix(
-    p: int,
-    t: int,
-    rng: np.random.Generator,
-    retry_budget: int = DEFAULT_RETRY_BUDGET,
-) -> tuple[np.ndarray, int]:
+def sample_label_matrix(p: int, t: int, rng: np.random.Generator) -> tuple[np.ndarray, int]:
     """Redraw whole batches of T uniform labels until they have rank T over F_p.
 
     Returns the surviving (T, T) batch, column j = label j, and the number
@@ -90,17 +85,17 @@ def sample_label_matrix(
     inverts the batch, since the full-tensor dense path applies L^-1 as a
     gather through L's own index map.
     """
-    for rounds in range(1, retry_budget + 1):
+    for rounds in range(1, DEFAULT_RETRY_BUDGET + 1):
         columns = rng.integers(0, p, size=(t, t)).astype(np.int64)
         if rank(columns, p) == t:
             return columns, rounds
     raise RetryBudgetExhausted(
-        f"no invertible label matrix in {retry_budget} rounds (p={p}, T={t})"
+        f"no invertible label matrix in {DEFAULT_RETRY_BUDGET} rounds (p={p}, T={t})"
     )
 
 
 def verify_candidate(inst: DecodeInstance, s_hat: tuple[FieldElement, ...]) -> bool:
-    """True iff the candidate's codeword is within the instance's bound."""
+    """True iff the candidate's codeword is within the instance's bound (always, without one)."""
     return _within_bound(inst, inst.code.encode(s_hat))
 
 
@@ -140,7 +135,7 @@ def decode_structured(
         sigma_r=sigma.r,
         backend="structured",
         resample_rounds=rounds,
-        verified=True,
+        verified=inst.w is not None,
     )
 
 
@@ -248,7 +243,7 @@ def decode_dense(
         sigma_r=sigma.r,
         backend="dense",
         resample_rounds=rounds,
-        verified=True,
+        verified=inst.w is not None,
         peak_probability=peak,
     )
 

@@ -204,7 +204,6 @@ def verify_gap(
     g: Gadget,
     exact_cover: Sequence[int] | None = None,
     min_cover_size: int | None = None,
-    budget: int = DEFAULT_GADGET_BUDGET,
 ) -> GapReport:
     """Check the YES or NO distance bound against the brute-forced OPT.
 
@@ -215,7 +214,7 @@ def verify_gap(
         raise BadParams("provide exactly one of exact_cover / min_cover_size")
     sc = g.sc
     p = g.field.p
-    opt, _ = gadget_distance_bruteforce(g, budget)
+    opt, _ = gadget_distance_bruteforce(g)
     if exact_cover is not None:
         _validate_exact_cover(sc, exact_cover)
         bound = (p - 1) * sc.K

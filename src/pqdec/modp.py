@@ -153,16 +153,6 @@ def fp_solve(matrix: np.ndarray, rhs: np.ndarray, p: int) -> FpSolveResult:
     return FpSolveResult(status="unique", solution=x, rank=cols)
 
 
-def invertible_fraction(p: int, t: int, trials: int, rng: np.random.Generator) -> float:
-    """Empirical invertibility frequency of uniform t x t matrices over F_p."""
-    hits = 0
-    for _ in range(trials):
-        mat = rng.integers(0, p, size=(t, t))
-        if rank(mat, p) == t:
-            hits += 1
-    return hits / trials
-
-
 def invertibility_product(p: int, terms: int = 64) -> float:
     """Partial product prod_{k<=terms} (1 - p^-k), the infinite-limit oracle."""
     out = 1.0

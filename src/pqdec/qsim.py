@@ -23,9 +23,16 @@ exceptions are the two on Python ints for images past 2^63,
 ``gf._int_digits`` and ``FieldElement.image``.  The one read-out of a
 label register is :meth:`PcsSampler.collapse`, which also checks the
 label it is given.
-Every cube-register shift, controlled or not, goes through the one
-shift kernel :func:`_shift_cube`, a gather through a source-index map
-with one entry per basis value of the cube register.
+
+Cube gates act on every cube register at once: no gate addresses one
+register.  As in the decoder of the paper, a cube is prepared at 0
+(:meth:`DenseState.prep_cube`) and moved only by controlled shifts
+(:meth:`DenseState.controlled_register_shifts`, one digit matrix per
+label and register), which all go through the one shift kernel
+:func:`_shift_cube`, a gather through a source-index map with one entry
+per basis value of the cube register.  A cube anchored elsewhere
+exists only as the bare vector :func:`cube_vector`, and
+:func:`shift_cube_vector` moves a bare vector through the same kernel.
 
 Conventions: omega_p = exp(2*pi*i/p); the forward single-digit Fourier
 transform is F[a, b] = omega_p^(a*b)/sqrt(p); measuring "in the Fourier
@@ -166,21 +173,6 @@ class RegisterLayout:
     @property
     def cube_dim(self) -> int:
         return self.p ** (self.n * self.m)
-
-    def cube_axis(self, register: int, coord: int, digit: int) -> int:
-        """Axis holding digit index ``digit`` (0 = LSB) of a cube coordinate."""
-        if not 0 <= register < self.cube_count:
-            raise BadRegister(f"cube register {register} of {self.cube_count}")
-        base = self.label_digits + register * self.n * self.m
-        return base + coord * self.m + (self.m - 1 - digit)
-
-    def cube_tail(self, register: int, count: int = 1) -> int:
-        """Number of basis values of the cube registers after ``register`` .. ``register + count - 1``."""
-        if not (0 <= register and count >= 1 and register + count <= self.cube_count):
-            raise BadRegister(
-                f"cube registers {register}..{register + count - 1} of {self.cube_count}"
-            )
-        return self.cube_dim ** (self.cube_count - register - count)
 
 
 @lru_cache(maxsize=64)
@@ -362,38 +354,20 @@ class DenseState:
         self._swap()
         return self._check_norm()
 
-    def shift_register(
-        self, register: int, digit_rows: np.ndarray, ell: int = 1
-    ) -> DenseState:
-        """Shift a cube register by ell-fold addition of an F_q^n vector.
-
-        ``digit_rows`` is the (n, m) digit matrix of the vector, LSB first.
-        """
-        lay = self.layout
-        tail = lay.cube_tail(register)
-        amounts = np.asarray(digit_rows, dtype=np.int64) * ell % lay.p
-        if not amounts.any():
-            return self
-        shape = (-1, lay.cube_dim, tail)
-        _shift_cube(self.vec.reshape(shape), amounts, lay.p, axis=1, out=self._out().reshape(shape))
-        self._swap()
-        return self
-
-    def prep_cube(self, register: int, y_digit_rows: np.ndarray, sigma: SigmaParam) -> DenseState:
-        """Turn |0> of a cube register into the side-sigma cube anchored at y.
+    def prep_cube(self, sigma: SigmaParam) -> DenseState:
+        """Turn |0> of every cube register into the side-sigma cube at 0.
 
         Realised as the p-ary Fourier transform on the r low digit slots
-        of every coordinate (uniformising [sigma]^n), then the shift by y.
-        Those r slots are adjacent axes, so each coordinate takes one
-        transform.  Unitary, so callers starting elsewhere get the
-        rotated state.
+        of every coordinate (uniformising [sigma]^n).  Those r slots are
+        adjacent axes, so each coordinate takes one transform.  Unitary,
+        so callers starting elsewhere get the rotated state.
         """
         lay = self.layout
-        for coord in range(lay.n):
-            first = lay.cube_axis(register, coord, lay.m - 1) + lay.m - sigma.r
+        for coord in range(lay.cube_count * lay.n):
+            first = lay.label_digits + (coord + 1) * lay.m - sigma.r
             for axis, width in _dft_runs(first, sigma.r, lay.p):
                 self.dft_axis(axis, width=width)
-        return self.shift_register(register, y_digit_rows)
+        return self
 
     def qft_label(self, inverse: bool = False) -> DenseState:
         """Tensor-product Fourier transform over Z_p on every label slot."""
@@ -420,34 +394,30 @@ class DenseState:
         self._swap()
         return self
 
-    def controlled_register_shifts(self, amounts: np.ndarray, register: int) -> DenseState:
-        """Shift cube registers by label-dependent F_q^n vectors.
+    def controlled_register_shifts(self, amounts: np.ndarray) -> DenseState:
+        """Shift every cube register by label-dependent F_q^n vectors.
 
-        ``amounts`` has shape (label_dim, n, m), the digit matrices added
-        to cube register ``register``, or (label_dim, R, n, m), those added
-        to registers ``register`` .. ``register + R - 1``.  ``amounts[i]``
-        applies on label basis value i, and a zero matrix is the identity.
-        A pure basis permutation, made label by label: each register of a
-        label's slice is one gather, and the gathers alternate between the
-        spare's slice and the input's own (dead once read), so an even
-        register count ends back in ``vec`` and needs no swap.
+        ``amounts`` has shape (label_dim, cube_count, n, m): ``amounts[i, j]``
+        is the digit matrix added to cube register j on label basis value
+        i, and a zero matrix is the identity.  A pure basis permutation,
+        made label by label: each register of a label's slice is one
+        gather, and the gathers alternate between the spare's slice and
+        the input's own (dead once read), so an even register count ends
+        back in ``vec`` and needs no swap.
         """
         lay = self.layout
         amounts = np.asarray(amounts, dtype=np.int64)
-        if amounts.ndim == 3:
-            amounts = amounts[:, None]
-        if len(amounts) != lay.label_dim:
-            raise BadRegister(f"{len(amounts)} shift rows for {lay.label_dim} labels")
-        count = amounts.shape[1]
-        tail = lay.cube_tail(register, count)
-        v = self.vec.reshape((lay.label_dim, -1) + (lay.cube_dim,) * count + (tail,))
+        want = (lay.label_dim, lay.cube_count, lay.n, lay.m)
+        if amounts.shape != want:
+            raise BadRegister(f"shift amounts of shape {amounts.shape}, layout needs {want}")
+        v = self.vec.reshape((lay.label_dim,) + (lay.cube_dim,) * lay.cube_count)
         out = self._out().reshape(v.shape)
         for i, label_rows in enumerate(amounts):
             block = v[i]
             for j, digit_rows in enumerate(label_rows):
                 dest = v[i] if j % 2 else out[i]
-                block = _shift_cube(block, digit_rows, lay.p, axis=1 + j, out=dest)
-        if count % 2:
+                block = _shift_cube(block, digit_rows, lay.p, axis=j, out=dest)
+        if lay.cube_count % 2:
             self._swap()
         return self
 
@@ -464,7 +434,7 @@ class DenseState:
             )
         ells = label_to_digits(np.arange(lay.label_dim), lay.label_digits, lay.p)
         amounts = ells[:, : lay.cube_count, None, None] * np.asarray(t_digit_rows, dtype=np.int64)
-        return self.controlled_register_shifts(amounts, 0)
+        return self.controlled_register_shifts(amounts)
 
     # -- measurement --------------------------------------------------------
 
@@ -486,8 +456,8 @@ def vector_digit_rows(vec: Sequence[FieldElement]) -> np.ndarray:
 def cube_vector(field: Field, n: int, anchor: Sequence[FieldElement], sigma: SigmaParam) -> np.ndarray:
     """The side-sigma cube state at ``anchor`` as a bare q^n amplitude vector.
 
-    Straight from the definition, as the oracle of :meth:`DenseState.prep_cube`:
-    each offset z in [sigma]^n (coordinate images below sigma) is added to
+    Straight from the definition, as the oracle of :meth:`DenseState.prep_cube`
+    and of the shifts that move its cube: each offset z in [sigma]^n (coordinate images below sigma) is added to
     the anchor digit by digit, and each point's basis index is its
     coordinate images read in base q, all through the numeral codec.
     """
@@ -581,8 +551,6 @@ class PcsSampler:
 
     def __init__(self, code: LinearCode, sigma: SigmaParam):
         f = code.field
-        self.code = code
-        self.sigma = sigma
         self.field = f
         self.t_digits = f.m * code.k
         require_cube_orthogonality(code, sigma)
@@ -594,14 +562,14 @@ class PcsSampler:
         # product joins them
         label = DenseState.zero_state(replace(self.layout, cube_count=0)).qft_label()
         cube = DenseState.zero_state(replace(self.layout, label_digits=0))
-        cube.prep_cube(0, np.zeros((code.n, f.m), dtype=np.int64), sigma)
+        cube.prep_cube(sigma)
         state = DenseState._joined(self.layout, [label.vec, cube.vec])
         del label, cube  # not held while the controlled shift takes its spare
         # label digits j*m .. j*m+m-1 are the LSB-first digits of message
         # coordinate j, i.e. the label is the stacked digit vector of c
         labels = label_to_digits(np.arange(self.layout.label_dim), self.t_digits, f.p)
         amounts = labels @ code.operator.entries.T % f.p
-        state.controlled_register_shifts(amounts.reshape(-1, code.n, f.m), 0)
+        state.controlled_register_shifts(amounts.reshape(-1, 1, code.n, f.m))
         # step 4, the change of representation F_q^k -> F_p^{mk}, is a
         # no-op: the label slots already hold digits.  Step 5 is the
         # second digit-wise Fourier transform

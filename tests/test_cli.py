@@ -169,6 +169,26 @@ def test_baseline_subcommand(capsys, good_instance):
         assert result["s_hat"] == obj["s_true"]
 
 
+def test_an_instance_without_w_is_never_verified(capsys, tmp_path):
+    # decoding still answers, but no bound was there to check
+    path = str(tmp_path / "inst.json")
+    assert main(["gen", "--p", "2", "--m", "4", "--n", "3", "--k", "1",
+                 "--w", "3", "--seed", "5", "--out", path]) == 0
+    obj = read_json(path)
+    del obj["w"]
+    write_json(path, obj)
+    for backend in ("dense", "structured"):
+        code, out = run(capsys, "decode", "--instance", path, "--backend", backend,
+                        "--search", "--seed", "2")
+        assert code == 0
+        result = json.loads(out)
+        assert result["s_hat"] == obj["s_true"]
+        assert result["verified"] is False
+    code, out = run(capsys, "baseline", "--instance", path, "--r", "1")
+    assert code == 0
+    assert json.loads(out)["status"] == "unverified"
+
+
 def test_stats_subcommand(capsys):
     code, out = run(capsys, "stats", "--p", "2", "--T", "10", "--trials", "400",
                     "--seed", "0")

@@ -8,6 +8,7 @@ from pqdec import decoder
 from pqdec.codes import LinearCode, gen_instance, nearest_codeword_oracle, plant_instance, random_code
 from pqdec.decoder import (
     CONCENTRATION_TOL,
+    DEFAULT_RETRY_BUDGET,
     _dense_factorized_marginal,
     _dense_full_marginal,
     backend_decoder,
@@ -117,11 +118,16 @@ def test_label_matrix_is_first_full_rank_batch():
 
 def test_label_matrix_retry_budget():
     class ZeroRng:
+        draws = 0
+
         def integers(self, low, high, size):
+            self.draws += 1
             return np.zeros(size, dtype=np.int64)
 
+    rng = ZeroRng()
     with pytest.raises(RetryBudgetExhausted):
-        sample_label_matrix(2, 3, ZeroRng(), retry_budget=5)
+        sample_label_matrix(2, 3, rng)
+    assert rng.draws == DEFAULT_RETRY_BUDGET
 
 
 # ---------------------------------------------------------------- dense decode

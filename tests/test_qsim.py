@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -101,23 +102,23 @@ def test_layout_scale_guard():
 
 def test_prep_cube_sigma1_is_point(f4):
     lay = RegisterLayout(p=2, m=2, n=2, label_digits=0, cube_count=1)
-    st = DenseState.zero_state(lay)
+    sig = SigmaParam.from_r(f4, 0)
+    st = DenseState.zero_state(lay).prep_cube(sig)
+    assert np.allclose(st.vec, cube_vector(f4, 2, (f4.zero, f4.zero), sig), atol=1e-12)
     y = (f4.el(3), f4.el(1))
-    st.prep_cube(0, vector_digit_rows(y), SigmaParam.from_r(f4, 0))
-    direct = cube_vector(f4, 2, y, SigmaParam.from_r(f4, 0))
-    assert np.allclose(st.vec, direct, atol=1e-12)
+    direct = cube_vector(f4, 2, y, sig)
+    assert np.allclose(shift_cube_vector(st.vec, f4, 2, vector_digit_rows(y)), direct, atol=1e-12)
     assert abs(direct[3 * 4 + 1] - 1.0) < 1e-12
 
 
 def test_prep_cube_f4_side2(f4):
     sig = SigmaParam.from_r(f4, 1)
     lay = RegisterLayout(p=2, m=2, n=1, label_digits=0, cube_count=1)
-    st = DenseState.zero_state(lay)
-    st.prep_cube(0, vector_digit_rows((f4.zero,)), sig)
+    st = DenseState.zero_state(lay).prep_cube(sig)
     assert np.allclose(st.vec, [2**-0.5, 2**-0.5, 0, 0], atol=1e-12)
-    st2 = DenseState.zero_state(lay)
-    st2.prep_cube(0, vector_digit_rows((f4.el(2),)), sig)
-    assert np.allclose(st2.vec, [0, 0, 2**-0.5, 2**-0.5], atol=1e-12)
+    moved = shift_cube_vector(st.vec, f4, 1, vector_digit_rows((f4.el(2),)))
+    assert np.allclose(moved, [0, 0, 2**-0.5, 2**-0.5], atol=1e-12)
+    assert np.allclose(moved, cube_vector(f4, 1, (f4.el(2),), sig), atol=1e-12)
 
 
 @pytest.mark.parametrize("p,m,n", [(2, 3, 2), (3, 2, 2), (5, 2, 1)])
@@ -170,17 +171,19 @@ def test_shift_order_p_is_identity(f9):
 
 
 def test_dense_shift_register_matches_small_vector(f4):
+    """Prep at 0, then a controlled shift by x (label 0) or y (label 1)."""
     lay = RegisterLayout(p=2, m=2, n=2, label_digits=1, cube_count=1)
-    st = DenseState.zero_state(lay)
     sig = SigmaParam.from_r(f4, 1)
-    y = (f4.el(1), f4.el(2))
-    st.prep_cube(0, vector_digit_rows(y), sig)
+    st = DenseState.zero_state(lay).prep_cube(sig).qft_label()
     x = (f4.el(2), f4.el(3))
-    st.shift_register(0, vector_digit_rows(x))
-    expect = np.kron(
-        [1, 0], cube_vector(f4, 2, tuple(a + b for a, b in zip(x, y)), sig)
-    )
-    assert np.allclose(st.vec, expect, atol=1e-12)
+    y = (f4.el(1), f4.el(2))
+    st.controlled_register_shifts(np.stack([vector_digit_rows(x), vector_digit_rows(y)])[:, None])
+    at_zero = DenseState.zero_state(replace(lay, label_digits=0)).prep_cube(sig).vec
+    for label, anchor in enumerate([x, y]):
+        slice_ = st.vec.reshape(2, -1)[label] * 2**0.5
+        assert np.allclose(slice_, cube_vector(f4, 2, anchor, sig), atol=1e-12)
+        moved = shift_cube_vector(at_zero, f4, 2, vector_digit_rows(anchor))
+        assert np.allclose(slice_, moved, atol=1e-12)
 
 
 def _random_state(lay: RegisterLayout, seed: int) -> np.ndarray:
@@ -189,28 +192,50 @@ def _random_state(lay: RegisterLayout, seed: int) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
+def _cube_axis(lay: RegisterLayout, register: int, coord: int, digit: int) -> int:
+    """Axis holding digit ``digit`` (0 = LSB) of a coordinate of a cube register."""
+    return lay.label_digits + (register * lay.n + coord) * lay.m + (lay.m - 1 - digit)
+
+
+def _one_register_amounts(lay: RegisterLayout, register: int, rows: np.ndarray) -> np.ndarray:
+    """Shift amounts adding ``rows`` to one cube register on every label."""
+    amounts = np.zeros((lay.label_dim, lay.cube_count, lay.n, lay.m), dtype=np.int64)
+    amounts[:, register] = rows
+    return amounts
+
+
 def test_controlled_register_shifts_single_row_is_shift_register():
+    """One label's row shifts that label's slice of one register, and nothing else."""
     lay = RegisterLayout(p=3, m=2, n=2, label_digits=2, cube_count=2)
     vec = _random_state(lay, 4)
     v = vec.reshape(lay.label_dim, -1)
     rows = np.array([[1, 2], [0, 1]])
     label = 5
     others = np.arange(lay.label_dim) != label
+    cube_shape = (lay.p,) * (lay.total_axes - lay.label_digits)
     for register in range(lay.cube_count):
-        amounts = np.zeros((lay.label_dim, lay.n, lay.m), dtype=np.int64)
-        amounts[label] = rows
-        got = DenseState(lay, vec.copy()).controlled_register_shifts(amounts, register)
+        amounts = np.zeros((lay.label_dim, lay.cube_count, lay.n, lay.m), dtype=np.int64)
+        amounts[label, register] = rows
+        got = DenseState(lay, vec.copy()).controlled_register_shifts(amounts)
         got_v = got.vec.reshape(lay.label_dim, -1)
-        weight = np.linalg.norm(v[label])
-        alone = np.zeros_like(v)
-        alone[label] = v[label] / weight
-        want = DenseState(lay, alone.reshape(-1)).shift_register(register, rows)
-        want_v = want.vec.reshape(lay.label_dim, -1)
-        assert np.allclose(got_v[label], weight * want_v[label], atol=1e-12)
+        first = _cube_axis(lay, register, 0, lay.m - 1) - lay.label_digits
+        want = _shift_cube_reference(v[label].reshape(cube_shape), rows, first, lay.p)
+        assert np.array_equal(got_v[label], want.reshape(-1))
         assert not np.allclose(got_v[label], v[label], atol=1e-6)
         assert np.array_equal(got_v[others], v[others])
     with pytest.raises(BadRegister):  # every label needs its row, or its slice is never written
-        DenseState(lay, vec.copy()).controlled_register_shifts(amounts[1:], 0)
+        DenseState(lay, vec.copy()).controlled_register_shifts(amounts[1:])
+
+
+def test_controlled_register_shifts_bad_register():
+    """Amounts must name every cube register, with the layout's n and m."""
+    lay = RegisterLayout(p=2, m=2, n=2, label_digits=1, cube_count=2)
+    st = DenseState(lay, _random_state(lay, 0))
+    good = (lay.label_dim, lay.cube_count, lay.n, lay.m)
+    st.controlled_register_shifts(np.zeros(good, dtype=np.int64))
+    for shape in [(2, 1, 2, 2), (2, 3, 2, 2), (2, 2, 1, 2), (2, 2, 2, 3), (2, 2, 2)]:
+        with pytest.raises(BadRegister):
+            st.controlled_register_shifts(np.zeros(shape, dtype=np.int64))
 
 
 def _shift_cube_reference(t: np.ndarray, digit_rows: np.ndarray, first_axis: int, p: int) -> np.ndarray:
@@ -235,8 +260,9 @@ def test_shift_kernels_match_rolling_reference(p, m, n):
         ell = int(rng.integers(0, p))
         vec = _random_state(lay, trial)
         for register in range(lay.cube_count):
-            first = lay.cube_axis(register, 0, m - 1)
-            got = DenseState(lay, vec.copy()).shift_register(register, rows, ell)
+            first = _cube_axis(lay, register, 0, m - 1)
+            amounts = _one_register_amounts(lay, register, rows * ell)
+            got = DenseState(lay, vec.copy()).controlled_register_shifts(amounts)
             want = _shift_cube_reference(vec.reshape(tensor_shape), rows * ell, first, p)
             assert np.array_equal(got.vec, want.reshape(-1))
         cube = _random_state(RegisterLayout(p=p, m=m, n=n, label_digits=0, cube_count=1), trial)
@@ -254,7 +280,7 @@ def _controlled_shift_power_reference(vec: np.ndarray, lay: RegisterLayout, rows
     ells = label_to_digits(np.arange(lay.label_dim), lay.label_digits, p)
     for i in range(lay.label_dim):
         for register in range(lay.cube_count):
-            first = lay.cube_axis(register, 0, lay.m - 1) - lay.label_digits
+            first = _cube_axis(lay, register, 0, lay.m - 1) - lay.label_digits
             want[i] = _shift_cube_reference(want[i], rows * ells[i, register], first, p)
     return want.reshape(-1)
 
@@ -366,22 +392,18 @@ def test_qft_label_over_several_runs_matches_per_axis_einsum():
 
 @pytest.mark.parametrize("p,m,r", [(2, 3, 2), (3, 3, 2), (2, 4, 3)])
 def test_prep_cube_matches_per_axis_reference(p, m, r):
+    """prep_cube transforms the r low digits of every coordinate of every cube register."""
     f = Field(p, m)
     sigma = SigmaParam.from_r(f, r)
     lay = RegisterLayout(p=p, m=m, n=2, label_digits=1, cube_count=2)
-    rng = np.random.default_rng(r)
-    rows = rng.integers(0, p, size=(lay.n, m))
     vec = _random_state(lay, m)
+    got = DenseState(lay, vec.copy()).prep_cube(sigma)
+    want = vec
     for register in range(lay.cube_count):
-        got = DenseState(lay, vec.copy()).prep_cube(register, rows, sigma)
-        want = vec
         for coord in range(lay.n):
             for digit in range(r):
-                want = _dft_axis_reference(want, p, lay.cube_axis(register, coord, digit))
-        want = _shift_cube_reference(
-            want.reshape((p,) * lay.total_axes), rows, lay.cube_axis(register, 0, m - 1), p
-        )
-        assert np.max(np.abs(got.vec - want.reshape(-1))) < 1e-12
+                want = _dft_axis_reference(want, p, _cube_axis(lay, register, coord, digit))
+    assert np.max(np.abs(got.vec - want)) < 1e-12
 
 
 # ---------------------------------------------------------------- label permutation
@@ -466,6 +488,7 @@ def _gate_cases():
     lay2 = RegisterLayout(p=2, m=2, n=1, label_digits=3, cube_count=2)  # 7 axes
     lay3 = RegisterLayout(p=3, m=2, n=1, label_digits=2, cube_count=2)  # 6 axes
     rows2 = np.array([[1, 1]])
+    amounts2 = np.random.default_rng(5).integers(0, 2, size=(lay2.label_dim, 2, 1, 2))
     matrix = np.array([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
     return [
         pytest.param(lay2, lambda st: st.dft_axis(0, width=2), id="dft_axis_p2_pre1"),
@@ -474,9 +497,9 @@ def _gate_cases():
         pytest.param(lay3, lambda st: st.dft_axis(0, width=2), id="dft_axis_p3_pre1"),
         pytest.param(lay3, lambda st: st.dft_axis(2, inverse=True), id="dft_axis_p3_middle"),
         pytest.param(lay3, lambda st: st.dft_axis(4, width=2), id="dft_axis_p3_post1"),
-        pytest.param(lay2, lambda st: st.shift_register(1, rows2), id="shift_register"),
-        pytest.param(lay2, lambda st: st.prep_cube(0, rows2, SigmaParam.from_r(f4, 1)), id="prep_cube"),
-        pytest.param(lay3, lambda st: st.prep_cube(1, np.array([[2, 1]]), SigmaParam.from_r(f9, 1)), id="prep_cube_p3"),
+        pytest.param(lay2, lambda st: st.controlled_register_shifts(amounts2), id="controlled_register_shifts"),
+        pytest.param(lay2, lambda st: st.prep_cube(SigmaParam.from_r(f4, 1)), id="prep_cube"),
+        pytest.param(lay3, lambda st: st.prep_cube(SigmaParam.from_r(f9, 1)), id="prep_cube_p3"),
         pytest.param(lay2, lambda st: st.permute_label(matrix), id="permute_label"),
         pytest.param(lay2, lambda st: st.permute_label(matrix, inverse=True), id="permute_label_inverse"),
         pytest.param(lay2, lambda st: st.controlled_shift_power(rows2), id="controlled_shift_power"),
@@ -513,7 +536,7 @@ def test_gate_chain_matches_reference_kernels(p, cube_count):
     want = _permute_label_reference(want, fp_gauss_invert(matrix, p).inverse, p, cube_count)
     want = _controlled_shift_power_reference(want, lay, rows)
     want = _permute_label_reference(want, matrix, p, cube_count)
-    want = _shift_cube_reference(want.reshape(shape), rows, lay.cube_axis(1, 0, 1), p).reshape(-1)
+    want = _shift_cube_reference(want.reshape(shape), rows, _cube_axis(lay, 1, 0, 1), p).reshape(-1)
     want = _dft_axes_reference(want, p, lay.total_axes - 2, 2)  # post == 1
     want = _dft_axes_reference(want, p, 0, cube_count, inverse=True)
 
@@ -523,7 +546,7 @@ def test_gate_chain_matches_reference_kernels(p, cube_count):
         .permute_label(matrix, inverse=True)
         .controlled_shift_power(rows)
         .permute_label(matrix)
-        .shift_register(1, rows)
+        .controlled_register_shifts(_one_register_amounts(lay, 1, rows))
         .dft_axis(lay.total_axes - 2, width=2)
         .qft_label(inverse=True)
     )
@@ -585,11 +608,11 @@ def _sampler_state_reference(code: LinearCode, sigma: SigmaParam) -> np.ndarray:
     t = f.m * code.k
     lay = RegisterLayout(p=f.p, m=f.m, n=code.n, label_digits=t, cube_count=1)
     state = DenseState.zero_state(lay)
-    state.prep_cube(0, np.zeros((code.n, f.m), dtype=np.int64), sigma)
+    state.prep_cube(sigma)
     state.qft_label()
     labels = label_to_digits(np.arange(lay.label_dim), t, f.p)
     amounts = labels @ code.operator.entries.T % f.p
-    state.controlled_register_shifts(amounts.reshape(-1, code.n, f.m), 0)
+    state.controlled_register_shifts(amounts.reshape(-1, 1, code.n, f.m))
     state.qft_label()
     return state.vec
 
@@ -635,13 +658,17 @@ def test_one_sided_gates_then_from_parts_match_gates_on_the_joined_state(p, labe
         alone = gate(DenseState(label_lay, label)).vec
         joined = gate(DenseState.from_parts(lay, label, cubes)).vec
         assert np.max(np.abs(DenseState.from_parts(lay, alone, cubes).vec - joined)) < 1e-12
-    sigma = SigmaParam.from_r(Field(p, 2), 1)
-    y = rng.integers(0, p, size=(1, 2))
-    for register in range(lay.cube_count):
-        parts = list(cubes)
-        parts[register] = DenseState(cube_lay, cubes[register]).prep_cube(0, y, sigma).vec
-        joined = DenseState.from_parts(lay, label, cubes).prep_cube(register, y, sigma).vec
-        assert np.max(np.abs(DenseState.from_parts(lay, label, parts).vec - joined)) < 1e-12
+    f = Field(p, 2)
+    sigma = SigmaParam.from_r(f, 1)
+    parts = [DenseState(cube_lay, c).prep_cube(sigma).vec for c in cubes]
+    joined = DenseState.from_parts(lay, label, cubes).prep_cube(sigma).vec
+    assert np.max(np.abs(DenseState.from_parts(lay, label, parts).vec - joined)) < 1e-12
+    # the same shift on every label acts on each cube register alone
+    ys = rng.integers(0, p, size=(lay.cube_count, 1, 2))
+    parts = [shift_cube_vector(c, f, 1, y) for c, y in zip(cubes, ys)]
+    amounts = np.broadcast_to(ys, (lay.label_dim,) + ys.shape)
+    joined = DenseState.from_parts(lay, label, cubes).controlled_register_shifts(amounts).vec
+    assert np.array_equal(DenseState.from_parts(lay, label, parts).vec, joined)
 
 
 # ---------------------------------------------------------------- controlled shifts
@@ -801,15 +828,6 @@ def test_collapse_of_a_valid_label_is_unchanged(f4):
 
 # ---------------------------------------------------------------- measurement
 
-def test_prep_cube_bad_register(f4):
-    from pqdec.errors import BadRegister
-
-    lay = RegisterLayout(p=2, m=2, n=1, label_digits=0, cube_count=1)
-    st = DenseState.zero_state(lay)
-    with pytest.raises(BadRegister):
-        st.prep_cube(1, vector_digit_rows((f4.zero,)), SigmaParam.from_r(f4, 1))
-
-
 def test_measure_label_uniform_probabilities():
     lay = RegisterLayout(p=2, m=1, n=1, label_digits=3, cube_count=0)
     st = DenseState.zero_state(lay)
@@ -848,9 +866,11 @@ def test_load_state_rejects_malformed_dumps(tmp_path, f4):
 
 def test_dump_golden_bytes(tmp_path, f4):
     # exact 0/1 amplitudes make the dump bit-stable across platforms
+    # the basis state |label 0>|cube (3, 1)>: block index 3*4 + 1 of the cube
     lay = RegisterLayout(p=2, m=2, n=2, label_digits=1, cube_count=1)
-    st = DenseState.zero_state(lay)
-    st.shift_register(0, vector_digit_rows((f4.el(3), f4.el(1))))
+    vec = np.zeros(lay.dim, dtype=np.complex128)
+    vec[3 * 4 + 1] = 1.0
+    st = DenseState(lay, vec)
     path = str(tmp_path / "golden.pqds")
     dump_state(st, path, k=1)
     with open(path, "rb") as fh:
