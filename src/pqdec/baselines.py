@@ -41,7 +41,8 @@ class DirectInversionReport:
     r_used: int
     system_shape: tuple[int, int]
     # "recovered" (solved and within the bound w), "unverified" (solved, but
-    # the instance has no w to check), "singular" or "inconsistent"
+    # the instance has no w to check), "out_of_bound" (solved uniquely, but
+    # the codeword breaks w), "singular" or "inconsistent" (no solution)
     status: str
     s_hat: tuple[int, ...] | None  # integer images when recovered or unverified
 
@@ -75,7 +76,7 @@ def direct_inversion_decode(inst: DecodeInstance, r: int) -> DirectInversionRepo
         raise InvariantViolated("solver returned a non-solution")
     if not verify_candidate(inst, s_hat):
         # only reachable when the precondition was violated
-        return DirectInversionReport(r, (rows, m * k), "inconsistent", None)
+        return DirectInversionReport(r, (rows, m * k), "out_of_bound", None)
     status = "unverified" if inst.w is None else "recovered"
     return DirectInversionReport(r, (rows, m * k), status, tuple(e.image for e in s_hat))
 

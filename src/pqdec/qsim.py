@@ -48,19 +48,23 @@ joint tensor until a gate couples its parts, so the PCS sampler and the
 decoder's full-tensor path pass over the joined state only from the
 first controlled shift on.
 
-Buffers: a :class:`DenseState` owns two full-state arrays, the state (a
-copy of the array it was built from, or the product a join writes
-straight into it) and a spare.  Each gate writes its output once, into
-the spare, and then swaps the two, so a run of gates touches no fresh
-memory after the first.  For p = 2 the Fourier matrix is the real
-Hadamard power, and a transform multiplies the float64 view of the
-amplitudes (real and imaginary parts alike), half the flops of a
-complex product.  Each gate is checked: a Fourier transform checks the
-norm to 1e-10 after it runs (:class:`~pqdec.errors.InvariantViolated`
-otherwise), on whichever register it runs on, and a gate that only
-reorders amplitudes (a label permutation or a shift) first checks that
-its index map is a bijection, which is exact and costs one pass over
-the map instead of one over the state.
+Buffers: a :class:`DenseState` owns one full-state array (a copy of the
+array it was built from, or the product a join writes straight into
+it), and every gate works in place on it, so no gate allocates a
+state-sized array.  A Fourier transform multiplies the state tile by
+tile (about ``DFT_TILE`` floats each) into a small scratch tile and
+copies each tile back.  A controlled shift and a label permutation move
+one label slice at a time, through one slice of scratch.  For p = 2
+the Fourier matrix is the real Hadamard power, and a transform
+multiplies the float64 view of the amplitudes (real and imaginary parts
+alike), half the flops of a complex product.  Each gate is checked: a
+Fourier transform checks the norm to 1e-10
+(:class:`~pqdec.errors.InvariantViolated` otherwise), on whichever
+register it runs on, summing each tile's squared magnitudes while the
+tile is still in cache; a gate that only reorders amplitudes (a label
+permutation or a shift) first checks that its index map is a bijection,
+which is exact and costs one pass over the map instead of one over the
+state.
 """
 
 from __future__ import annotations
@@ -93,6 +97,12 @@ UNIFORM_TOL = 1e-12
 # BLAS thread on about 2^21 amplitudes, ten F_2 label digits took 49 ms
 # at 32 against 121 ms at 256, and four F_5 digits 38 ms against 56 ms.
 DFT_BLOCK_DIM = 32
+# Floats (a complex amplitude counts as two) in one tile of an in-place
+# Fourier transform.  With one BLAS thread on 2^21 amplitudes (median of
+# 15), three F_2 label digits took 6.9 ms in tiles of 2^15 floats,
+# against 15.1 ms at 2^12, 7.7 ms at 2^14, 7.1 ms at 2^16 and 10.4 ms at
+# 2^17, and 16.7 ms as one out-of-place product followed by a norm pass.
+DFT_TILE = 2**15
 
 
 @dataclass(frozen=True)
@@ -233,18 +243,15 @@ def _shift_cube(
 
 
 class DenseState:
-    """Complex amplitude vector over a :class:`RegisterLayout`, with a spare buffer.
+    """Complex amplitude vector over a :class:`RegisterLayout`, in one array.
 
     The constructor copies ``vec``, so a state owns its amplitudes and
     never writes an array its caller still holds; :meth:`from_parts`
     instead writes its tensor product once, into the state's own array.
-    Every gate writes its
-    output into the spare, a second array of ``layout.dim`` amplitudes,
-    and then swaps it with ``vec``; the old state array becomes the next
-    gate's spare.  ``state.vec`` is therefore valid only until the next
-    gate: a caller that keeps it across one must copy it.  A state kept
-    after its last gate should call :meth:`release_spare` so that it
-    holds one state-sized array, not two.
+    Every gate then works in place on that array, with at most one tile
+    or one label slice of scratch, so ``state.vec`` is the same array
+    for the state's whole life and each gate overwrites it: a caller
+    that keeps the amplitudes across a gate must copy them.
     """
 
     def __init__(self, layout: RegisterLayout, vec: np.ndarray):
@@ -252,7 +259,6 @@ class DenseState:
         self.vec = np.array(vec, dtype=np.complex128, order="C")
         if self.vec.shape != (layout.dim,):
             raise BadRegister(f"state of shape {self.vec.shape}, layout needs ({layout.dim},)")
-        self._spare: np.ndarray | None = None
 
     @classmethod
     def zero_state(cls, layout: RegisterLayout) -> DenseState:
@@ -294,45 +300,28 @@ class DenseState:
         """
         prefix = reduce(np.kron, parts[:-1], np.ones(1, dtype=np.complex128))
         state = cls.__new__(cls)
-        state.layout, state._spare = layout, None
+        state.layout = layout
         state.vec = np.empty(layout.dim, dtype=np.complex128)
         np.multiply.outer(prefix, parts[-1], out=state.vec.reshape(len(prefix), -1))
         return state
 
-    # -- plumbing ---------------------------------------------------------
-
-    def release_spare(self) -> DenseState:
-        """Drop the spare buffer, so a finished state holds one array."""
-        self._spare = None
-        return self
-
-    def _out(self) -> np.ndarray:
-        """The spare, for a gate to write its whole output into before :meth:`_swap`."""
-        if self._spare is None:
-            self._spare = np.empty(self.layout.dim, dtype=np.complex128)
-        return self._spare
-
-    def _swap(self) -> None:
-        """Make the freshly written spare the state, and the old state the spare."""
-        self.vec, self._spare = self._spare, self.vec
-
     def norm(self) -> float:
         return float(np.sqrt(np.vdot(self.vec, self.vec).real))
-
-    def _check_norm(self) -> DenseState:
-        drift = abs(self.norm() - 1.0)
-        if not drift < NORM_TOL:
-            raise InvariantViolated(f"statevector norm drifted by {drift:.3g}")
-        return self
 
     # -- gates ------------------------------------------------------------
 
     def dft_axis(self, axis: int, inverse: bool = False, width: int = 1) -> DenseState:
-        """Fourier transform on the ``width`` digit axes from ``axis``: one matmul.
+        """Fourier transform on the ``width`` digit axes from ``axis``, in place.
 
-        With a real matrix (p = 2) and post > 1 the product runs on the
-        float64 view, whose rows are twice as long: the matrix acts on
-        real and imaginary parts alike.
+        The state, viewed as (pre, block, post), is multiplied by the
+        Fourier matrix one tile of about ``DFT_TILE`` floats at a time:
+        a run of ``pre`` rows when a row fits in a tile, else a slice of
+        ``post`` columns of one row.  Each product goes into a scratch
+        tile, whose squared magnitudes are summed for the norm check
+        before it is copied back.  With a real matrix (p = 2) and
+        post > 1 the product runs on the float64 view, whose rows are
+        twice as long: the matrix acts on real and imaginary parts
+        alike.  With post == 1 each tile of rows is multiplied by F^T.
         """
         if not (0 <= axis and width >= 1 and axis + width <= self.layout.total_axes):
             raise BadRegister(
@@ -343,16 +332,33 @@ class DenseState:
         block = p**width
         post = self.layout.dim // (pre * block)
         f = _dft_matrix(p, inverse, width)
-        src, dst = self.vec, self._out()
-        if post == 1:
-            np.matmul(src.reshape(pre, block), f.T, out=dst.reshape(pre, block))
+        v = self.vec
+        if post > 1 and f.dtype == np.float64:
+            v, post = v.view(np.float64), 2 * post
+        f = f.astype(v.dtype, copy=False)
+        x = v.reshape((pre, block) if post == 1 else (pre, block, post))
+        size = DFT_TILE * 8 // v.itemsize  # elements of v in one tile
+        if block * post <= size:
+            step = size // (block * post)
+            tiles = [np.s_[i : i + step] for i in range(0, pre, step)]
         else:
-            if f.dtype == np.float64:
-                src, dst, post = src.view(np.float64), dst.view(np.float64), 2 * post
-            shape = (block, post) if pre == 1 else (pre, block, post)
-            np.matmul(f, src.reshape(shape), out=dst.reshape(shape))
-        self._swap()
-        return self._check_norm()
+            step = max(size // block, 1)
+            tiles = [np.s_[i, :, j : j + step] for i in range(pre) for j in range(0, post, step)]
+        scratch = np.empty(x[tiles[0]].size, dtype=v.dtype)
+        total = 0.0
+        for tile in tiles:
+            src = x[tile]
+            out = scratch[: src.size].reshape(src.shape)
+            if post == 1:
+                np.matmul(src, f.T, out=out)
+            else:
+                np.matmul(f, src, out=out)
+            total += np.vdot(out, out).real
+            x[tile] = out
+        drift = abs(np.sqrt(total) - 1.0)
+        if not drift < NORM_TOL:
+            raise InvariantViolated(f"statevector norm drifted by {drift:.3g}")
+        return self
 
     def prep_cube(self, sigma: SigmaParam) -> DenseState:
         """Turn |0> of every cube register into the side-sigma cube at 0.
@@ -378,20 +384,33 @@ class DenseState:
     def permute_label(self, matrix_fp: np.ndarray, inverse: bool = False) -> DenseState:
         """Basis permutation |v> -> |M v>, or |v> -> |M^-1 v> with ``inverse``.
 
-        Both directions read M's own index map i -> M i: the forward one
-        scatters through it, the inverse one gathers through it, so M^-1
-        is never formed.  A singular M raises BadParams: its label map is
-        not a bijection.
+        Both directions read M's own index map i -> M i: the inverse one
+        gathers slice i from slice M i, the forward one from the inverted
+        index map, so M^-1 is never formed.  A singular M raises
+        BadParams: its label map is not a bijection.  Label slices move
+        in place, one cycle of the map at a time: the cycle's first slice
+        waits in one slice of scratch while the others move up.
         """
-        perm = label_permutation(matrix_fp, self.layout.p)
-        _require_bijection(perm, "label permutation")
-        v = self.vec.reshape(self.layout.label_dim, -1)
-        out = self._out().reshape(v.shape)
+        perm = _require_bijection(label_permutation(matrix_fp, self.layout.p), "label permutation")
         if inverse:
-            np.take(v, perm, axis=0, out=out, mode="clip")
+            source = perm
         else:
-            out[perm] = v
-        self._swap()
+            source = np.empty_like(perm)
+            source[perm] = np.arange(len(perm))
+        source = source.tolist()
+        v = self.vec.reshape(self.layout.label_dim, -1)
+        scratch = np.empty_like(v[0])
+        moved = [i == s for i, s in enumerate(source)]  # fixed points stay
+        for start in range(len(source)):
+            if moved[start]:
+                continue
+            scratch[:] = v[start]
+            i = start
+            while source[i] != start:
+                v[i] = v[source[i]]
+                moved[i], i = True, source[i]
+            v[i] = scratch
+            moved[i] = True
         return self
 
     def controlled_register_shifts(self, amounts: np.ndarray) -> DenseState:
@@ -399,11 +418,11 @@ class DenseState:
 
         ``amounts`` has shape (label_dim, cube_count, n, m): ``amounts[i, j]``
         is the digit matrix added to cube register j on label basis value
-        i, and a zero matrix is the identity.  A pure basis permutation,
-        made label by label: each register of a label's slice is one
-        gather, and the gathers alternate between the spare's slice and
-        the input's own (dead once read), so an even register count ends
-        back in ``vec`` and needs no swap.
+        i, and a zero matrix is the identity, so it makes no pass.  A pure
+        basis permutation, made in place one label slice at a time: each
+        register's shift is one gather along its axis, and the gathers
+        alternate between the slice and one slice of scratch, which is
+        copied back when the last gather ends there.
         """
         lay = self.layout
         amounts = np.asarray(amounts, dtype=np.int64)
@@ -411,14 +430,15 @@ class DenseState:
         if amounts.shape != want:
             raise BadRegister(f"shift amounts of shape {amounts.shape}, layout needs {want}")
         v = self.vec.reshape((lay.label_dim,) + (lay.cube_dim,) * lay.cube_count)
-        out = self._out().reshape(v.shape)
-        for i, label_rows in enumerate(amounts):
-            block = v[i]
+        scratch = np.empty_like(v[0])
+        for label_slice, label_rows in zip(v, amounts):
+            block, other = label_slice, scratch
             for j, digit_rows in enumerate(label_rows):
-                dest = v[i] if j % 2 else out[i]
-                block = _shift_cube(block, digit_rows, lay.p, axis=j, out=dest)
-        if lay.cube_count % 2:
-            self._swap()
+                if digit_rows.any():
+                    _shift_cube(block, digit_rows, lay.p, axis=j, out=other)
+                    block, other = other, block
+            if block is scratch:
+                label_slice[...] = scratch
         return self
 
     def controlled_shift_power(self, t_digit_rows: np.ndarray) -> DenseState:
@@ -564,7 +584,6 @@ class PcsSampler:
         cube = DenseState.zero_state(replace(self.layout, label_digits=0))
         cube.prep_cube(sigma)
         state = DenseState._joined(self.layout, [label.vec, cube.vec])
-        del label, cube  # not held while the controlled shift takes its spare
         # label digits j*m .. j*m+m-1 are the LSB-first digits of message
         # coordinate j, i.e. the label is the stacked digit vector of c
         labels = label_to_digits(np.arange(self.layout.label_dim), self.t_digits, f.p)
@@ -574,7 +593,7 @@ class PcsSampler:
         # no-op: the label slots already hold digits.  Step 5 is the
         # second digit-wise Fourier transform
         state.qft_label()
-        self.state = state.release_spare()
+        self.state = state
         self.marginal = state.label_marginal()
         expected = 1.0 / self.layout.label_dim
         if np.max(np.abs(self.marginal - expected)) > UNIFORM_TOL:

@@ -52,7 +52,7 @@ def test_direct_inversion_checks_the_bound(f16):
     rep = direct_inversion_decode(plant_instance(code, s, e), 1)
     assert (rep.status, rep.s_hat) == ("recovered", (9,))
     rep = direct_inversion_decode(plant_instance(code, s, e, w=0), 1)
-    assert (rep.status, rep.s_hat) == ("inconsistent", None)
+    assert (rep.status, rep.s_hat) == ("out_of_bound", None)
 
 
 def test_direct_inversion_underdetermined_raises(f4):

@@ -23,11 +23,13 @@ from pqdec.metrics import manhattan_norm
 from pqdec.modp import fp_gauss_invert, rank
 from pqdec.qsim import (
     DFT_BLOCK_DIM,
+    DFT_TILE,
     DenseState,
     PcsSampler,
     RegisterLayout,
     SigmaParam,
     _dft_matrix,
+    _shift_source,
     cube_overlap,
     cube_vector,
     digits_to_label,
@@ -482,46 +484,136 @@ def test_dft_matrix_p2_is_the_exact_hadamard_power(w, inverse):
     assert np.array_equal(f, np.where(parity, -1.0, 1.0) * 2.0 ** (-w / 2))
 
 
-def _gate_cases():
-    """(layout, gate) for every gate kind, with the case name as its id."""
+def _gate_cases(lay2: RegisterLayout, lay3: RegisterLayout):
+    """(layout, gate) for every gate kind, with the case name as its id.
+
+    ``lay2`` is over F_4 and ``lay3`` over F_9; each needs two cube
+    registers and at least two label digits.
+    """
     f4, f9 = Field(2, 2), Field(3, 2)
-    lay2 = RegisterLayout(p=2, m=2, n=1, label_digits=3, cube_count=2)  # 7 axes
-    lay3 = RegisterLayout(p=3, m=2, n=1, label_digits=2, cube_count=2)  # 6 axes
-    rows2 = np.array([[1, 1]])
-    amounts2 = np.random.default_rng(5).integers(0, 2, size=(lay2.label_dim, 2, 1, 2))
-    matrix = np.array([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+    rows2 = np.ones((lay2.n, lay2.m), dtype=np.int64)
+    rows3 = np.arange(1, lay3.n * lay3.m + 1).reshape(lay3.n, lay3.m) % 3
+    amounts2 = np.random.default_rng(5).integers(
+        0, 2, size=(lay2.label_dim, lay2.cube_count, lay2.n, lay2.m)
+    )
+    t = lay2.label_digits
+    matrix = np.eye(t, dtype=np.int64) + np.eye(t, k=1, dtype=np.int64)
+    post1_2, post1_3 = lay2.total_axes - 2, lay3.total_axes - 2
     return [
         pytest.param(lay2, lambda st: st.dft_axis(0, width=2), id="dft_axis_p2_pre1"),
         pytest.param(lay2, lambda st: st.dft_axis(2, inverse=True, width=3), id="dft_axis_p2_middle"),
-        pytest.param(lay2, lambda st: st.dft_axis(5, width=2), id="dft_axis_p2_post1"),
+        pytest.param(lay2, lambda st: st.dft_axis(post1_2, width=2), id="dft_axis_p2_post1"),
         pytest.param(lay3, lambda st: st.dft_axis(0, width=2), id="dft_axis_p3_pre1"),
         pytest.param(lay3, lambda st: st.dft_axis(2, inverse=True), id="dft_axis_p3_middle"),
-        pytest.param(lay3, lambda st: st.dft_axis(4, width=2), id="dft_axis_p3_post1"),
+        pytest.param(lay3, lambda st: st.dft_axis(post1_3, width=2), id="dft_axis_p3_post1"),
         pytest.param(lay2, lambda st: st.controlled_register_shifts(amounts2), id="controlled_register_shifts"),
         pytest.param(lay2, lambda st: st.prep_cube(SigmaParam.from_r(f4, 1)), id="prep_cube"),
         pytest.param(lay3, lambda st: st.prep_cube(SigmaParam.from_r(f9, 1)), id="prep_cube_p3"),
         pytest.param(lay2, lambda st: st.permute_label(matrix), id="permute_label"),
         pytest.param(lay2, lambda st: st.permute_label(matrix, inverse=True), id="permute_label_inverse"),
         pytest.param(lay2, lambda st: st.controlled_shift_power(rows2), id="controlled_shift_power"),
-        pytest.param(lay3, lambda st: st.controlled_shift_power(np.array([[1, 2]])), id="controlled_shift_power_p3"),
+        pytest.param(lay3, lambda st: st.controlled_shift_power(rows3), id="controlled_shift_power_p3"),
     ]
 
 
-@pytest.mark.parametrize("lay,gate", _gate_cases())
+@pytest.mark.parametrize(
+    "lay,gate",
+    _gate_cases(
+        RegisterLayout(p=2, m=2, n=1, label_digits=3, cube_count=2),  # 7 axes
+        RegisterLayout(p=3, m=2, n=1, label_digits=2, cube_count=2),  # 6 axes
+    ),
+)
 def test_gates_never_write_the_callers_array(lay, gate):
     vec = _random_state(lay, 11)
     kept = vec.copy()
     st = DenseState(lay, vec)
     once = gate(st).vec.copy()
-    gate(st)  # the second gate is the first to write a recycled buffer
+    gate(st)  # later gates overwrite the state's own array, never the caller's
     gate(st)
     assert np.array_equal(vec, kept)
     assert np.array_equal(gate(DenseState(lay, kept.copy())).vec, once)
 
 
+@pytest.mark.parametrize(
+    "lay,gate",
+    _gate_cases(
+        RegisterLayout(p=2, m=2, n=3, label_digits=4, cube_count=2),  # 2^16 amplitudes
+        RegisterLayout(p=3, m=2, n=2, label_digits=2, cube_count=2),  # 3^10 amplitudes
+    ),
+)
+def test_gates_allocate_no_state_sized_array(lay, gate):
+    st = DenseState(lay, _random_state(lay, 12))
+    vec = st.vec
+    tracemalloc.start()
+    try:
+        gate(st)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert st.vec is vec
+    assert peak < 16 * lay.dim / 2
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_controlled_shift_skips_zero_rows_and_matches_reference(p, monkeypatch):
+    """Zero digit matrices make no map and no pass; the rest match the rolling kernel.
+
+    With three registers, labels shift an even and an odd number of them,
+    so the gathers end in the label slice and in the scratch alike.
+    """
+    lay = RegisterLayout(p=p, m=2, n=1, label_digits=3, cube_count=3)
+    rows = np.array([[1, p - 1]])
+    ells = label_to_digits(np.arange(lay.label_dim), lay.label_digits, p)
+    amounts = ells[:, :, None, None] * rows
+    nonzero = int(np.count_nonzero(amounts.any(axis=(2, 3))))
+    assert 0 < nonzero < lay.label_dim * lay.cube_count
+    maps = []
+    monkeypatch.setattr("pqdec.qsim._shift_source", lambda *a: maps.append(a) or _shift_source(*a))
+    vec = _random_state(lay, 6)
+    got = DenseState(lay, vec.copy()).controlled_register_shifts(amounts)
+    assert len(maps) == nonzero
+    assert np.array_equal(got.vec, _controlled_shift_power_reference(vec, lay, rows))
+
+
+def _tiled_dft_cases():
+    """(layout, axis, width) on states of several Fourier tiles: pre == 1, a
+    run of rows, post == 1, and column slices of more than one row."""
+    lay2 = RegisterLayout(p=2, m=2, n=4, label_digits=1, cube_count=2)  # 2^17 amplitudes
+    lay3 = RegisterLayout(p=3, m=2, n=2, label_digits=3, cube_count=2)  # 3^11 amplitudes
+    return [
+        pytest.param(lay, axis, width, id=f"p{lay.p}_{name}")
+        for lay in (lay2, lay3)
+        for name, axis, width in [
+            ("pre1", 0, 3 if lay.p == 2 else 2),
+            ("rows", lay.total_axes // 2, 2),
+            ("post1", lay.total_axes - 2, 2),
+            ("columns", 1, 1),
+        ]
+    ]
+
+
+@pytest.mark.parametrize("lay,axis,width", _tiled_dft_cases())
+def test_dft_axis_over_several_tiles_matches_per_axis_einsum(lay, axis, width):
+    assert 2 * lay.dim >= 4 * DFT_TILE
+    vec = _random_state(lay, axis)
+    for inverse in (False, True):
+        got = DenseState(lay, vec.copy()).dft_axis(axis, inverse, width)
+        want = _dft_axes_reference(vec, lay.p, axis, width, inverse)
+        assert np.max(np.abs(got.vec - want)) < 1e-12
+
+
+@pytest.mark.parametrize("lay,axis,width", _tiled_dft_cases())
+def test_norm_drift_in_a_later_tile_raises(lay, axis, width):
+    """The drift sits in the last amplitudes, which no tile but the last holds."""
+    vec = _random_state(lay, 1)
+    vec[-64:] *= 1 + 1e-4
+    with pytest.raises(InvariantViolated):
+        DenseState(lay, vec).dft_axis(axis, width=width)
+
+
 @pytest.mark.parametrize("p,cube_count", [(2, 2), (2, 3), (3, 2)])
 def test_gate_chain_matches_reference_kernels(p, cube_count):
-    """Seven gates in a row, each writing into the buffer the one before it left."""
+    """Seven gates in a row, each in place on the state's one array."""
     lay = RegisterLayout(p=p, m=2, n=1, label_digits=cube_count, cube_count=cube_count)
     rng = np.random.default_rng(p + cube_count)
     matrix = rng.integers(0, p, size=(cube_count, cube_count))
