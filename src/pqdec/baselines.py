@@ -28,8 +28,8 @@ import numpy as np
 
 from .codes import DecodeInstance, plant_instance, random_code
 from .decoder import decode_structured, verify_candidate
-from .errors import InvariantViolated, PqdecError, PreconditionUnmet
-from .gf import Field, stack_digits, top_digit_submatrix, unstack_digits
+from .errors import InvariantViolated, NotPrime, PqdecError, PreconditionUnmet
+from .gf import Field, is_prime, stack_digits, top_digit_submatrix, unstack_digits
 # not called here: the benchmark self-tests find the tracer's wrapper on this module
 from .metrics import manhattan_dist  # noqa: F401
 from .modp import fp_solve, invertibility_product, rank
@@ -84,7 +84,15 @@ def direct_inversion_decode(inst: DecodeInstance, r: int) -> DirectInversionRepo
 def invertibility_stats(
     p: int, t: int, trials: int, seed: int | np.random.Generator
 ) -> float:
-    """Empirical invertibility frequency of uniform T x T matrices over F_p."""
+    """Empirical invertibility frequency of uniform T x T matrices over F_p.
+
+    A non-prime p raises NotPrime, and T or trials below 1 raise
+    PreconditionUnmet, before anything is drawn.
+    """
+    if not is_prime(p):
+        raise NotPrime(f"p = {p} is not prime")
+    if t < 1:
+        raise PreconditionUnmet("T must be >= 1")
     if trials < 1:
         raise PreconditionUnmet("trials must be >= 1")
     rng = np.random.default_rng(seed)

@@ -10,8 +10,9 @@ guard, the final label marginal is computed exactly without it: the
 state after the controlled shifts is a sum of label-basis terms whose
 cube part factorises register by register, so the measurement
 distribution is a permuted product state, the Kronecker product of one
-row of p Gram-matrix quadratic forms per register, read at u = A^T o
-for outcome o.  Both paths produce identical marginals where both run.
+phase-estimation law per register, each from p overlaps, read at
+u = A^T o for outcome o.  Both paths produce identical marginals where
+both run.
 
 Structured backend: a classical shadow of the same algorithm, valid
 exactly where the eigenphase relation holds (every coordinate of
@@ -54,6 +55,7 @@ from .qsim import (
     PcsSampler,
     RegisterLayout,
     SigmaParam,
+    _dft_matrix,
     label_permutation,
     require_cube_orthogonality,
     shift_cube_vector,
@@ -63,7 +65,6 @@ from .qsim import (
 BACKENDS = ("dense", "structured")
 DEFAULT_RETRY_BUDGET = 64
 CONCENTRATION_TOL = 1e-9
-MAX_MARGINAL = 2**20
 
 
 @dataclass
@@ -165,33 +166,27 @@ def _dense_factorized_marginal(
     pcs_vectors: list[np.ndarray],
     t_digit_rows: np.ndarray,
     field,
-    n: int,
 ) -> np.ndarray:
-    """Exact label marginal as a permuted product state.
+    """Exact label marginal as a permuted product state, by phase estimation.
 
     After the controlled shifts the state is
     q^(-k/2) sum_z |z> (x)_j U_t^((A^-1 z)_j) Phi_j, so for outcome o the
-    probability is prod_j W_j(u_j) with u = A^T o and
-    W_j(c) = p^-2 sum_{a,b} omega^((a-b) c) <U^a Phi_j | U^b Phi_j>.
+    probability is prod_j W_j(u_j) with u = A^T o, where W_j is the law of
+    phase estimation of U_t on Phi_j, read from p overlaps per register.
+    U_t is a unitary with U_t^p = I, so <U^a Phi_j | U^b Phi_j> depends on
+    b - a alone, and W_j = F^-1 g_j / sqrt(p) for the overlap row
+    g_j(d) = <Phi_j | U_t^d Phi_j>, d = 0 .. p-1, through the simulator's
+    own inverse Fourier matrix F^-1 (real and nonnegative up to rounding).
     The Kronecker product of the T rows W_j is indexed by the label of u,
     and the label permutation of A^T moves it to outcome order.  No
     approximation is involved; the tensor product is just never
     materialised.
     """
     p = field.p
-    t = columns.shape[0]
-    if p**t > MAX_MARGINAL:
-        raise ScaleExceeded(f"label marginal of {p**t} outcomes is above the guard")
-    omega = np.exp(2j * np.pi / p)
-    weights = np.empty((t, p))
-    for j, phi in enumerate(pcs_vectors):
-        shifted = [shift_cube_vector(phi, field, n, t_digit_rows, ell) for ell in range(p)]
-        gram = np.array([[np.vdot(sa, sb) for sb in shifted] for sa in shifted])
-        for c in range(p):
-            f_c = omega ** ((np.arange(p) * c) % p)
-            # W(c) = p^-2 sum_{a',a} omega^((a'-a) c) G[a', a]
-            w = np.real(f_c @ gram @ np.conj(f_c)) / p**2
-            weights[j, c] = max(w, 0.0)
+    weights = []
+    for phi in pcs_vectors:
+        g = [np.vdot(phi, shift_cube_vector(phi, field, t_digit_rows, d)) for d in range(p)]
+        weights.append(np.maximum((_dft_matrix(p, inverse=True) @ g).real / np.sqrt(p), 0.0))
     return reduce(np.kron, weights)[label_permutation(columns.T, p)]
 
 
@@ -223,7 +218,7 @@ def decode_dense(
         )
         marginal = _dense_full_marginal(columns, pcs_vectors, t_rows, layout)
     except ScaleExceeded:
-        marginal = _dense_factorized_marginal(columns, pcs_vectors, t_rows, f, code.n)
+        marginal = _dense_factorized_marginal(columns, pcs_vectors, t_rows, f)
     total = marginal.sum()
     if not abs(total - 1.0) < 1e-9:
         raise InvariantViolated(f"final marginal sums to {total!r}, not 1")

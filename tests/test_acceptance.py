@@ -145,7 +145,7 @@ def test_criterion_03_eigenphase_exhaustive():
             ok &= manhattan_dist(t, code.encode(s)) <= 1
             for label in product(range(2), repeat=2):
                 phi = pcs_state_direct(code, sigma, label)
-                shifted = shift_cube_vector(phi, F4, 2, vector_digit_rows(t))
+                shifted = shift_cube_vector(phi, F4, vector_digit_rows(t))
                 phase = int(np.array(label) @ s_digits) % 2
                 ok &= np.allclose(shifted, (-1.0) ** phase * phi, atol=1e-10)
                 checked += 1
@@ -172,7 +172,7 @@ def test_criterion_04_sampler_uniformity():
         expected = code.field.q ** (-code.k)
         ok &= np.max(np.abs(sampler.marginal - expected)) < 1e-12
         for idx in range(sampler.layout.label_dim):
-            label = tuple(label_to_digits(idx, sampler.t_digits, code.field.p).tolist())
+            label = tuple(label_to_digits(idx, sampler.layout.label_digits, code.field.p).tolist())
             ok &= np.allclose(
                 sampler.collapse(label),
                 pcs_state_direct(code, sigma, label),

@@ -198,6 +198,32 @@ def test_stats_subcommand(capsys):
     assert abs(result["product_formula"] - 0.288788) < 1e-4
 
 
+BAD_STATS = [
+    (["--p", "4", "--T", "3"], "p = 4 is not prime"),
+    (["--p", "1", "--T", "3"], "p = 1 is not prime"),
+    (["--p", "2", "--T", "-1"], "T must be >= 1"),
+    (["--p", "2", "--T", "0"], "T must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("argv,message", BAD_STATS, ids=["p4", "p1", "T-1", "T0"])
+def test_stats_rejects_a_bad_field_or_size(capsys, argv, message):
+    assert main(["stats", *argv, "--trials", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv,message", BAD_STATS, ids=["p4", "p1", "T-1", "T0"])
+def test_stats_rejects_a_bad_field_or_size_in_a_process(argv, message):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pqdec.cli", "stats", *argv, "--trials", "5"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+
+
 def test_hardness_subcommand(capsys, tmp_path):
     sc = {"universe": 2, "sets": [[0], [1]], "K": 2, "c": 2}
     path = str(tmp_path / "sc.json")

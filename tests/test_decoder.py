@@ -26,7 +26,7 @@ from pqdec.errors import (
     PromiseViolated,
     RetryBudgetExhausted,
 )
-from pqdec.gf import Field
+from pqdec.gf import Field, label_to_digits
 from pqdec.modp import fp_gauss_invert, invertibility_product
 from pqdec.qsim import (
     MAX_AMPLITUDES,
@@ -201,6 +201,8 @@ def test_decode_dense_full_tensor_sigma2(f4):
 
 def test_factorized_marginal_equals_full_tensor(f4, f8, f9):
     code_f8 = LinearCode(f8, [[f8.el(1)], [f8.el(2)]], d=3)
+    f5 = Field(5, 1)
+    code_f5 = LinearCode(f5, [[f5.el(1)], [f5.el(2)]], d=3)
     cases = [
         (gen_instance(code_123(f4), 0, seed=5), SigmaParam.from_r(f4, 0), 5),
         (
@@ -214,6 +216,12 @@ def test_factorized_marginal_equals_full_tensor(f4, f8, f9):
             plant_instance(code_f8, (f8.el(5),), (f8.zero, f8.zero)),
             SigmaParam.from_r(f8, 0),
             1,
+        ),
+        # radix 5; the error reaches sigma, so the marginal is spread
+        (
+            plant_instance(code_f5, (f5.el(3),), (f5.el(1), f5.zero)),
+            SigmaParam.from_r(f5, 0),
+            2,
         ),
     ]
     for inst, sigma, seed in cases:
@@ -234,8 +242,32 @@ def test_factorized_marginal_equals_full_tensor(f4, f8, f9):
             p=f.p, m=f.m, n=code.n, label_digits=t_digits, cube_count=t_digits
         )
         full = _dense_full_marginal(columns, pcs, t_rows, layout)
-        fact = _dense_factorized_marginal(columns, pcs, t_rows, f, code.n)
+        fact = _dense_factorized_marginal(columns, pcs, t_rows, f)
         assert np.allclose(full, fact, atol=1e-12)
+
+
+@pytest.mark.parametrize("p,m,gens,d", [(2, 2, (1, 2, 3), 4), (3, 2, (1, 3), 3), (5, 1, (1, 2), 3)])
+def test_factorized_rows_are_phase_estimation(p, m, gens, d):
+    # with one register and the 1 x 1 label matrix, the factorised marginal
+    # is that register's row W_j, which must be the outcome law of phase
+    # estimation run on the gates: one label digit prepared uniform
+    # controls U_t on Phi_j, and the inverse Fourier transform reads it out
+    f = Field(p, m)
+    code = LinearCode(f, [[f.el(g)] for g in gens], d=d)
+    sampler = PcsSampler(code, SigmaParam.from_r(f, 0))
+    layout = RegisterLayout(p=p, m=m, n=code.n, label_digits=1, cube_count=1)
+    label_zero = np.eye(p)[0]
+    # an exact codeword keeps t inside the promise; error image 1 reaches sigma = 1
+    for error, inside in [(0, True), (1, False)]:
+        errors = (f.el(error),) + (f.zero,) * (code.n - 1)
+        t_rows = vector_digit_rows(plant_instance(code, (f.el(1),), errors).t)
+        for label in label_to_digits(np.arange(p**m), m, p):
+            phi = sampler.collapse(label)
+            row = _dense_factorized_marginal(np.eye(1, dtype=np.int64), [phi], t_rows, f)
+            state = DenseState(layout, np.kron(label_zero, phi)).qft_label()
+            state.controlled_shift_power(t_rows).qft_label(inverse=True)
+            assert np.max(np.abs(row - state.label_marginal())) < 1e-12
+            assert (row.max() > 1 - 1e-12) == inside
 
 
 def _full_marginal_reference(columns, pcs_vectors, t_digit_rows, layout):

@@ -1,4 +1,5 @@
 import hashlib
+import struct
 import tracemalloc
 from dataclasses import replace
 from itertools import product
@@ -100,6 +101,15 @@ def test_layout_scale_guard():
         RegisterLayout(p=2, m=4, n=2, label_digits=4, cube_count=4)  # 2^36
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [{"p": 4}, {"p": 1}, {"p": 0}, {"m": 0}, {"n": 0}, {"label_digits": -1}, {"cube_count": -1}],
+)
+def test_layout_rejects_impossible_shapes(bad):
+    with pytest.raises(OutOfRange):
+        RegisterLayout(**{"p": 2, "m": 1, "n": 1, "label_digits": 1, "cube_count": 1, **bad})
+
+
 # ---------------------------------------------------------------- cube states
 
 def test_prep_cube_sigma1_is_point(f4):
@@ -109,7 +119,7 @@ def test_prep_cube_sigma1_is_point(f4):
     assert np.allclose(st.vec, cube_vector(f4, 2, (f4.zero, f4.zero), sig), atol=1e-12)
     y = (f4.el(3), f4.el(1))
     direct = cube_vector(f4, 2, y, sig)
-    assert np.allclose(shift_cube_vector(st.vec, f4, 2, vector_digit_rows(y)), direct, atol=1e-12)
+    assert np.allclose(shift_cube_vector(st.vec, f4, vector_digit_rows(y)), direct, atol=1e-12)
     assert abs(direct[3 * 4 + 1] - 1.0) < 1e-12
 
 
@@ -118,7 +128,7 @@ def test_prep_cube_f4_side2(f4):
     lay = RegisterLayout(p=2, m=2, n=1, label_digits=0, cube_count=1)
     st = DenseState.zero_state(lay).prep_cube(sig)
     assert np.allclose(st.vec, [2**-0.5, 2**-0.5, 0, 0], atol=1e-12)
-    moved = shift_cube_vector(st.vec, f4, 1, vector_digit_rows((f4.el(2),)))
+    moved = shift_cube_vector(st.vec, f4, vector_digit_rows((f4.el(2),)))
     assert np.allclose(moved, [0, 0, 2**-0.5, 2**-0.5], atol=1e-12)
     assert np.allclose(moved, cube_vector(f4, 1, (f4.el(2),), sig), atol=1e-12)
 
@@ -151,7 +161,7 @@ def test_shift_moves_cubes(f4):
         x = tuple(f4.random_element(rng) for _ in range(2))
         y = tuple(f4.random_element(rng) for _ in range(2))
         moved = shift_cube_vector(
-            cube_vector(f4, 2, y, sig), f4, 2, vector_digit_rows(x)
+            cube_vector(f4, 2, y, sig), f4, vector_digit_rows(x)
         )
         target = cube_vector(f4, 2, tuple(a + b for a, b in zip(x, y)), sig)
         assert np.allclose(moved, target, atol=1e-12)
@@ -160,7 +170,7 @@ def test_shift_moves_cubes(f4):
 def test_shift_zero_power_is_identity(f9):
     sig = SigmaParam.from_r(f9, 1)
     vec = cube_vector(f9, 1, (f9.el(4),), sig)
-    assert np.array_equal(shift_cube_vector(vec, f9, 1, vector_digit_rows((f9.el(7),)), 0), vec)
+    assert np.array_equal(shift_cube_vector(vec, f9, vector_digit_rows((f9.el(7),)), 0), vec)
 
 
 def test_shift_order_p_is_identity(f9):
@@ -168,7 +178,7 @@ def test_shift_order_p_is_identity(f9):
     rows = vector_digit_rows((f9.el(5),))
     out = vec
     for _ in range(3):
-        out = shift_cube_vector(out, f9, 1, rows)
+        out = shift_cube_vector(out, f9, rows)
     assert np.allclose(out, vec, atol=1e-12)
 
 
@@ -184,7 +194,7 @@ def test_dense_shift_register_matches_small_vector(f4):
     for label, anchor in enumerate([x, y]):
         slice_ = st.vec.reshape(2, -1)[label] * 2**0.5
         assert np.allclose(slice_, cube_vector(f4, 2, anchor, sig), atol=1e-12)
-        moved = shift_cube_vector(at_zero, f4, 2, vector_digit_rows(anchor))
+        moved = shift_cube_vector(at_zero, f4, vector_digit_rows(anchor))
         assert np.allclose(slice_, moved, atol=1e-12)
 
 
@@ -269,7 +279,7 @@ def test_shift_kernels_match_rolling_reference(p, m, n):
             assert np.array_equal(got.vec, want.reshape(-1))
         cube = _random_state(RegisterLayout(p=p, m=m, n=n, label_digits=0, cube_count=1), trial)
         want = _shift_cube_reference(cube.reshape((p,) * (n * m)), rows * ell, 0, p)
-        assert np.array_equal(shift_cube_vector(cube, f, n, rows, ell), want.reshape(-1))
+        assert np.array_equal(shift_cube_vector(cube, f, rows, ell), want.reshape(-1))
         # controlled powers: label digit j drives register j
         got = DenseState(lay, vec.copy()).controlled_shift_power(rows)
         assert np.array_equal(got.vec, _controlled_shift_power_reference(vec, lay, rows))
@@ -289,7 +299,7 @@ def _controlled_shift_power_reference(vec: np.ndarray, lay: RegisterLayout, rows
 
 def test_shift_rejects_mismatched_register(f4):
     with pytest.raises(BadRegister):
-        shift_cube_vector(np.ones(8, dtype=np.complex128), f4, 2, np.ones((2, 2), dtype=np.int64))
+        shift_cube_vector(np.ones(8, dtype=np.complex128), f4, np.ones((2, 2), dtype=np.int64))
 
 
 # ---------------------------------------------------------------- overlaps
@@ -757,7 +767,7 @@ def test_one_sided_gates_then_from_parts_match_gates_on_the_joined_state(p, labe
     assert np.max(np.abs(DenseState.from_parts(lay, label, parts).vec - joined)) < 1e-12
     # the same shift on every label acts on each cube register alone
     ys = rng.integers(0, p, size=(lay.cube_count, 1, 2))
-    parts = [shift_cube_vector(c, f, 1, y) for c, y in zip(cubes, ys)]
+    parts = [shift_cube_vector(c, f, y) for c, y in zip(cubes, ys)]
     amounts = np.broadcast_to(ys, (lay.label_dim,) + ys.shape)
     joined = DenseState.from_parts(lay, label, cubes).controlled_register_shifts(amounts).vec
     assert np.array_equal(DenseState.from_parts(lay, label, parts).vec, joined)
@@ -811,7 +821,7 @@ def test_pcs_is_shift_eigenvector_exhaustive(f4):
             t = tuple(a + b for a, b in zip(code.encode(s), e))
             for label in product(range(2), repeat=2):
                 phi = pcs_state_direct(code, sig, label)
-                shifted = shift_cube_vector(phi, f4, 2, vector_digit_rows(t))
+                shifted = shift_cube_vector(phi, f4, vector_digit_rows(t))
                 phase = (
                     np.array(label) @ np.array([d for x in s for d in x.digits])
                 ) % 2
@@ -827,7 +837,7 @@ def test_pcs_is_shift_eigenvector_n1(f4):
         t = code.encode(s)
         for label in product(range(2), repeat=2):
             phi = pcs_state_direct(code, sig, label)
-            shifted = shift_cube_vector(phi, f4, 1, vector_digit_rows(t))
+            shifted = shift_cube_vector(phi, f4, vector_digit_rows(t))
             phase = (np.array(label) @ np.array(s[0].digits)) % 2
             assert np.allclose(shifted, (-1.0) ** phase * phi, atol=1e-10)
 
@@ -840,7 +850,7 @@ def test_pcs_eigenvector_fails_beyond_sigma(f4):
     e = (f4.el(1), f4.zero, f4.zero)  # image 1 >= sigma
     t = tuple(a + b for a, b in zip(code.encode(s), e))
     phi = pcs_state_direct(code, sig, (1, 0))
-    shifted = shift_cube_vector(phi, f4, 3, vector_digit_rows(t))
+    shifted = shift_cube_vector(phi, f4, vector_digit_rows(t))
     assert not np.allclose(np.abs(np.vdot(phi, shifted)), 1.0, atol=1e-6)
 
 
@@ -940,6 +950,11 @@ def test_dump_load_round_trip(tmp_path, f4):
     assert np.array_equal(loaded.vec, sampler.state.vec)
 
 
+def _dump_header(p, m, n, label_digits, cube_count):
+    """The bytes of a dump header {p, m, n, k = 1, T, sigma_r = -1, cube_count}."""
+    return b"PQDS" + struct.pack("<7i", p, m, n, 1, label_digits, -1, cube_count)
+
+
 def test_load_state_rejects_malformed_dumps(tmp_path, f4):
     lay = RegisterLayout(p=2, m=2, n=2, label_digits=1, cube_count=1)
     path = tmp_path / "state.pqds"
@@ -949,6 +964,11 @@ def test_load_state_rejects_malformed_dumps(tmp_path, f4):
         ("missing_last_amplitude", whole[:-16]),
         ("extra_bytes", whole + bytes(16)),
         ("short_header", whole[:10]),
+        # headers that are no layout: p = 1 would load as a one-amplitude
+        # state, and p = 0 or m = -1 give a fractional amplitude count
+        ("p_one", _dump_header(1, 2, 2, 1, 1) + bytes(16)),
+        ("p_zero", _dump_header(0, 2, 2, 1, 1) + bytes(16)),
+        ("m_negative", _dump_header(2, -1, 2, 1, 1) + bytes(16)),
     ]:
         bad = tmp_path / f"{name}.pqds"
         bad.write_bytes(data)
