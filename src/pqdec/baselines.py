@@ -28,7 +28,7 @@ import numpy as np
 
 from .codes import DecodeInstance, plant_instance, random_code
 from .decoder import decode_structured, verify_candidate
-from .errors import InvariantViolated, NotPrime, PqdecError, PreconditionUnmet
+from .errors import BadShape, InvariantViolated, NotPrime, PqdecError, PreconditionUnmet
 from .gf import Field, is_prime, stack_digits, top_digit_submatrix, unstack_digits
 # not called here: the benchmark self-tests find the tracer's wrapper on this module
 from .metrics import manhattan_dist  # noqa: F401
@@ -135,6 +135,8 @@ def separation_experiment(config: SeparationConfig) -> list[dict]:
     """
     if config.trials < 1:
         raise PreconditionUnmet("trials must be >= 1")
+    if not config.n >= config.k >= 1:  # resolved_levels divides by n
+        raise BadShape(f"need n >= k >= 1, got n={config.n}, k={config.k}")
     f = Field(config.p, config.m)
     rng = np.random.default_rng(config.seed)
     rows = []

@@ -5,7 +5,8 @@ Register model
 A layout is a label register of L digit slots over F_p followed by some
 number of cube registers, each an F_q^n vector register (n coordinates
 of m digit slots each).  Every slot has radix p, so a state is a flat
-complex array of p^(L + count*n*m) amplitudes in C order.
+array of p^(L + count*n*m) amplitudes in C order: float64 when p = 2
+and the input is real, complex128 otherwise (see :class:`DenseState`).
 
 Slot order is fixed so dumps are bit-reproducible: label slots first,
 then cube registers in order, each coordinate-major.  The label codec:
@@ -59,8 +60,11 @@ state-sized array.  A Fourier transform multiplies the state tile by
 tile (about ``DFT_TILE`` floats each) into a small scratch tile and
 copies each tile back.  A controlled shift and a label permutation move
 one label slice at a time, through one slice of scratch.  For p = 2
-the Fourier matrix is the real Hadamard power, and a transform
-multiplies the float64 view of the amplitudes (real and imaginary parts
+the Fourier matrix is the real Hadamard power, and every other gate
+only moves amplitudes, so a state built from real amplitudes stays
+real: it is stored as float64, half the bytes of a complex state, and
+a transform is a real product.  A complex p = 2 state (a dump read back,
+say) is transformed through its float64 view (real and imaginary parts
 alike), half the flops of a complex product.  Each gate is checked: a
 Fourier transform checks the norm to 1e-10
 (:class:`~pqdec.errors.InvariantViolated` otherwise), on whichever
@@ -101,11 +105,12 @@ UNIFORM_TOL = 1e-12
 # BLAS thread on about 2^21 amplitudes, ten F_2 label digits took 49 ms
 # at 32 against 121 ms at 256, and four F_5 digits 38 ms against 56 ms.
 DFT_BLOCK_DIM = 32
-# Floats (a complex amplitude counts as two) in one tile of an in-place
-# Fourier transform.  With one BLAS thread on 2^21 amplitudes (median of
-# 15), three F_2 label digits took 6.9 ms in tiles of 2^15 floats,
-# against 15.1 ms at 2^12, 7.7 ms at 2^14, 7.1 ms at 2^16 and 10.4 ms at
-# 2^17, and 16.7 ms as one out-of-place product followed by a norm pass.
+# Floats (a complex amplitude counts as two, a real one as one) in one
+# tile of an in-place Fourier transform, whatever the state's dtype.
+# With one BLAS thread on 2^21 complex amplitudes (median of 15), three
+# F_2 label digits took 6.9 ms in tiles of 2^15 floats, against 15.1 ms
+# at 2^12, 7.7 ms at 2^14, 7.1 ms at 2^16 and 10.4 ms at 2^17, and
+# 16.7 ms as one out-of-place product followed by a norm pass.
 DFT_TILE = 2**15
 
 
@@ -253,7 +258,13 @@ def _shift_cube(
 
 
 class DenseState:
-    """Complex amplitude vector over a :class:`RegisterLayout`, in one array.
+    """Amplitude vector over a :class:`RegisterLayout`, in one array.
+
+    Its dtype is that of the input and the layout's Fourier matrix
+    together, ``np.result_type(vec, _dft_matrix(p))``: float64 for a
+    real input at p = 2, whose gates are all real, and complex128 for
+    any other p or any complex input.  No gate changes it, and a complex
+    input is never cast to real.
 
     The constructor copies ``vec``, so a state owns its amplitudes and
     never writes an array its caller still holds; :meth:`from_parts`
@@ -266,14 +277,15 @@ class DenseState:
 
     def __init__(self, layout: RegisterLayout, vec: np.ndarray):
         self.layout = layout
-        self.vec = np.array(vec, dtype=np.complex128, order="C")
+        vec = np.asarray(vec)
+        self.vec = np.array(vec, dtype=np.result_type(vec, _dft_matrix(layout.p)), order="C")
         if self.vec.shape != (layout.dim,):
             raise BadRegister(f"state of shape {self.vec.shape}, layout needs ({layout.dim},)")
 
     @classmethod
     def zero_state(cls, layout: RegisterLayout) -> DenseState:
         # the broadcast zero is copied straight into the state's own array
-        state = cls(layout, np.broadcast_to(np.complex128(0), (layout.dim,)))
+        state = cls(layout, np.broadcast_to(np.float64(0), (layout.dim,)))
         state.vec[0] = 1.0
         return state
 
@@ -289,11 +301,11 @@ class DenseState:
             raise BadRegister(
                 f"expected {layout.cube_count} cube registers, got {len(cube_vecs)}"
             )
-        parts = [np.asarray(label_vec, dtype=np.complex128).reshape(-1)]
+        parts = [np.asarray(label_vec).reshape(-1)]
         if len(parts[0]) != layout.label_dim:
             raise BadRegister(f"label part has {len(parts[0])} amplitudes, not {layout.label_dim}")
         for j, cv in enumerate(cube_vecs):
-            parts.append(np.asarray(cv, dtype=np.complex128).reshape(-1))
+            parts.append(np.asarray(cv).reshape(-1))
             if len(parts[-1]) != layout.cube_dim:
                 raise BadRegister(
                     f"cube part {j} has {len(parts[-1])} amplitudes, not {layout.cube_dim}"
@@ -306,12 +318,14 @@ class DenseState:
 
         The parts before the last are Kronecker-multiplied into a prefix,
         and one outer product with the last part writes the state straight
-        into the array it owns: no zero fill and no copy.
+        into the array it owns: no zero fill and no copy.  The state is
+        real only when every part is and the layout has p = 2.
         """
-        prefix = reduce(np.kron, parts[:-1], np.ones(1, dtype=np.complex128))
+        dtype = np.result_type(*parts, _dft_matrix(layout.p))
+        prefix = reduce(np.kron, parts[:-1], np.ones(1, dtype=dtype))
         state = cls.__new__(cls)
         state.layout = layout
-        state.vec = np.empty(layout.dim, dtype=np.complex128)
+        state.vec = np.empty(layout.dim, dtype=dtype)
         np.multiply.outer(prefix, parts[-1], out=state.vec.reshape(len(prefix), -1))
         return state
 
@@ -328,9 +342,11 @@ class DenseState:
         a run of ``pre`` rows when a row fits in a tile, else a slice of
         ``post`` columns of one row.  Each product goes into a scratch
         tile, whose squared magnitudes are summed for the norm check
-        before it is copied back.  With a real matrix (p = 2) and
-        post > 1 the product runs on the float64 view, whose rows are
-        twice as long: the matrix acts on real and imaginary parts
+        before it is copied back.  A tile holds ``DFT_TILE`` floats for a
+        real and a complex state alike.  A real state (p = 2) takes a
+        real product.  When a real matrix (p = 2) meets a complex state
+        and post > 1, the product runs on the float64 view, whose rows
+        are twice as long: the matrix acts on real and imaginary parts
         alike.  With post == 1 each tile of rows is multiplied by F^T.
         """
         if not (0 <= axis and width >= 1 and axis + width <= self.layout.total_axes):
@@ -343,7 +359,7 @@ class DenseState:
         post = self.layout.dim // (pre * block)
         f = _dft_matrix(p, inverse, width)
         v = self.vec
-        if post > 1 and f.dtype == np.float64:
+        if post > 1 and f.dtype != v.dtype:  # a real matrix on a complex state
             v, post = v.view(np.float64), 2 * post
         f = f.astype(v.dtype, copy=False)
         x = v.reshape((pre, block) if post == 1 else (pre, block, post))
@@ -638,7 +654,10 @@ _DUMP_MAGIC = b"PQDS"
 def dump_state(
     state: DenseState, path: str, k: int, sigma: SigmaParam | None = None
 ) -> None:
-    """Binary dump: header {p, m, n, k, T, sigma_r} then little-endian f64 pairs."""
+    """Binary dump: header {p, m, n, k, T, sigma_r} then little-endian f64 pairs.
+
+    A real state is written as its complex copy would be, imaginary parts 0.0.
+    """
     lay = state.layout
     sigma_r = -1 if sigma is None else sigma.r
     with open(path, "wb") as fh:

@@ -12,7 +12,7 @@ from pqdec.baselines import (
 )
 from pqdec.codes import LinearCode, plant_instance, random_code
 from pqdec.decoder import decode_structured
-from pqdec.errors import InvariantViolated, PreconditionUnmet
+from pqdec.errors import BadShape, InvariantViolated, PreconditionUnmet
 from pqdec.gf import Field
 from pqdec.qsim import SigmaParam
 
@@ -137,6 +137,13 @@ def test_separation_rejects_fewer_than_one_trial(trials):
     # checked before the field is built: p = 4 would raise NotPrime there
     with pytest.raises(PreconditionUnmet):
         separation_experiment(SeparationConfig(p=4, m=4, n=4, k=1, trials=trials, seed=1))
+
+
+@pytest.mark.parametrize("n,k", [(0, 1), (1, 0), (2, 3)])
+def test_separation_rejects_a_bad_shape_before_the_field(n, k):
+    # p = 4 would raise NotPrime when the field is built
+    with pytest.raises(BadShape, match="need n >= k >= 1"):
+        separation_experiment(SeparationConfig(p=4, m=4, n=n, k=k, trials=1, seed=1))
 
 
 def test_separation_reproducible():

@@ -285,6 +285,15 @@ def test_separation_with_fewer_than_one_trial_exits_two(capsys, trials):
     assert captured.err == "error: trials must be >= 1\n"
 
 
+@pytest.mark.parametrize("n,k", [("0", "1"), ("1", "0"), ("2", "3")], ids=["n0", "k0", "k>n"])
+def test_separation_with_a_bad_shape_exits_two(capsys, n, k):
+    argv = ["separation", "--p", "2", "--m", "4", "--n", n, "--k", k, "--trials", "1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: need n >= k >= 1, got n={n}, k={k}\n"
+
+
 def test_separation_subcommand(capsys):
     code, out = run(capsys, "separation", "--p", "2", "--m", "6", "--n", "6",
                     "--k", "2", "--trials", "10", "--seed", "2")

@@ -1,4 +1,5 @@
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -299,6 +300,45 @@ def test_full_marginal_matches_composite_reference(p, n, r):
     layout = RegisterLayout(p=p, m=f.m, n=n, label_digits=f.m, cube_count=f.m)
     got = _dense_full_marginal(columns, pcs, t_rows, layout)
     assert np.max(np.abs(got - _full_marginal_reference(columns, pcs, t_rows, layout))) < 1e-12
+
+
+def test_full_marginal_of_real_parts_matches_complex_parts(f4):
+    code = code_123(f4)
+    sampler = PcsSampler(code, SigmaParam.from_r(f4, 0))
+    rng = np.random.default_rng(3)
+    columns, _ = sample_label_matrix(2, f4.m, rng)
+    pcs = [sampler.collapse(label) for label in columns.T]
+    assert all(v.dtype == np.float64 for v in pcs)  # p = 2: the sampler is real
+    t_rows = rng.integers(0, 2, size=(code.n, f4.m))
+    layout = RegisterLayout(p=2, m=f4.m, n=code.n, label_digits=f4.m, cube_count=f4.m)
+    real = _dense_full_marginal(columns, pcs, t_rows, layout)
+    cplx = _dense_full_marginal(columns, [v.astype(np.complex128) for v in pcs], t_rows, layout)
+    assert np.max(np.abs(real - cplx)) < 1e-12
+
+
+def _complex_zero_state(layout):
+    vec = np.zeros(layout.dim, dtype=np.complex128)
+    vec[0] = 1.0
+    return DenseState(layout, vec)
+
+
+def test_decode_dense_on_real_states_matches_complex_states(f8, monkeypatch):
+    # the benchmark's dense_full shape: F_8, n = 2, k = 1, sigma = 1, so
+    # the joined state has 2^21 amplitudes
+    code = LinearCode(f8, [[f8.el(1)], [f8.el(3)]])
+    sigma = SigmaParam.from_r(f8, 0)
+    cases = [(gen_instance(code, 0, seed=seed), seed) for seed in range(3)]
+    real = [decode_dense(inst, sigma, seed=seed) for inst, seed in cases]
+    # every circuit starts from zero_state, so complex starts keep it all complex
+    monkeypatch.setattr(DenseState, "zero_state", staticmethod(_complex_zero_state))
+    assert PcsSampler(code, sigma).state.vec.dtype == np.complex128
+    cplx = [decode_dense(inst, sigma, seed=seed) for inst, seed in cases]
+    # the marginal sums run in another order, so the peak may move by an ulp
+    assert [replace(r, peak_probability=None) for r in cplx] == [
+        replace(r, peak_probability=None) for r in real
+    ]
+    assert np.allclose([r.peak_probability for r in cplx], [r.peak_probability for r in real],
+                       rtol=0, atol=1e-12)
 
 
 def test_decode_dense_raises_on_unverifiable_answer(f4):

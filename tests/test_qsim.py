@@ -680,7 +680,7 @@ def test_built_sampler_holds_one_state_sized_array(f16):
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    state_bytes = 16 * sampler.layout.dim  # 2^16 amplitudes
+    state_bytes = sampler.state.vec.itemsize * sampler.layout.dim  # 2^16 amplitudes
     assert state_bytes <= held < 1.5 * state_bytes
 
 
@@ -700,6 +700,52 @@ def test_from_parts_is_the_kronecker_product():
     label, *cubes = parts
     want = np.kron(np.kron(label, cubes[0]), cubes[1])
     assert np.array_equal(DenseState.from_parts(lay, label, cubes).vec, want)
+
+
+# ---------------------------------------------------------------- amplitude dtype
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_state_dtype_is_that_of_the_fields_fourier_matrix(p):
+    # a real input stays real exactly when the Fourier matrix is (p = 2)
+    want = np.float64 if p == 2 else np.complex128
+    lay = RegisterLayout(p=p, m=1, n=1, label_digits=1, cube_count=1)
+    assert DenseState.zero_state(lay).vec.dtype == want
+    assert DenseState(lay, np.eye(lay.dim)[1]).vec.dtype == want
+    assert DenseState.from_parts(lay, np.eye(p)[0], [np.ones(p) / np.sqrt(p)]).vec.dtype == want
+    f = Field(p, 2)
+    code = LinearCode(f, [[f.el(1)], [f.el(p)]])
+    assert PcsSampler(code, SigmaParam.from_r(f, 0)).state.vec.dtype == want
+
+
+def test_a_complex_input_stays_complex_at_p2():
+    lay = RegisterLayout(p=2, m=1, n=1, label_digits=1, cube_count=1)
+    vec = np.array([0.5, 0.5j, 0.5, -0.5j])
+    st = DenseState(lay, vec).qft_label()
+    assert st.vec.dtype == np.complex128 and np.abs(st.vec.imag).max() > 0.1
+    assert np.array_equal(DenseState(lay, vec).vec, vec)
+    joined = DenseState.from_parts(lay, np.array([1.0, 0.0]), [np.array([0.6, 0.8j])])
+    assert np.array_equal(joined.vec, [0.6, 0.8j, 0.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "lay,gate",
+    [
+        case
+        for case in _gate_cases(
+            RegisterLayout(p=2, m=2, n=3, label_digits=4, cube_count=2),  # 2^16 amplitudes
+            RegisterLayout(p=3, m=1, n=1, label_digits=2, cube_count=2),
+        )
+        if case.values[0].p == 2
+    ],
+)
+def test_gates_on_a_real_state_match_its_complex_copy(lay, gate):
+    vec = _random_state(lay, 4).real
+    vec /= np.linalg.norm(vec)
+    real = gate(DenseState(lay, vec))
+    assert real.vec.dtype == np.float64
+    cplx = gate(DenseState(lay, vec.astype(np.complex128)))
+    assert cplx.vec.dtype == np.complex128
+    assert np.max(np.abs(real.vec - cplx.vec)) < 1e-12
 
 
 # ---------------------------------------------------------------- factor-first builds
@@ -988,6 +1034,32 @@ def test_dump_golden_bytes(tmp_path, f4):
     with open(path, "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()
     assert digest == GOLDEN_SHA256
+
+
+def test_dump_golden_bytes_of_a_real_state(tmp_path, f4):
+    # the real twin of the state above: 16 bytes per amplitude, imaginary parts 0.0
+    lay = RegisterLayout(p=2, m=2, n=2, label_digits=1, cube_count=1)
+    vec = np.zeros(lay.dim)
+    vec[3 * 4 + 1] = 1.0
+    st = DenseState(lay, vec)
+    assert st.vec.dtype == np.float64
+    path = str(tmp_path / "golden.pqds")
+    dump_state(st, path, k=1)
+    with open(path, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    assert digest == GOLDEN_SHA256
+
+
+def test_dump_of_a_real_state_equals_that_of_its_complex_copy(tmp_path):
+    lay = RegisterLayout(p=2, m=1, n=2, label_digits=2, cube_count=1)
+    vec = _random_state(lay, 9).real
+    real, cplx = tmp_path / "real.pqds", tmp_path / "complex.pqds"
+    dump_state(DenseState(lay, vec), str(real), k=1)
+    dump_state(DenseState(lay, vec.astype(np.complex128)), str(cplx), k=1)
+    assert real.read_bytes() == cplx.read_bytes()
+    _, loaded = load_state(str(real))
+    assert loaded.vec.dtype == np.complex128  # a dump holds complex amplitudes
+    assert np.array_equal(loaded.vec, vec)
 
 
 GOLDEN_SHA256 = "17611be24bc2092f60b988274df4dfa347ed5401e74d7ec9691f34e467059a90"
