@@ -13,9 +13,19 @@ The comparison experiment reports *success rates* under matched
 promises.  Asymptotic runtime separations cannot be reproduced at desk
 scale; the operationally checkable content is that at the tight
 promise level (classical system exactly square) the quantum decoder
-keeps succeeding while direct inversion fails at the random-matrix
-singularity rate.  The classical attack is handed the true
-per-coordinate digit cutoff, which is generous to it.
+keeps succeeding while direct inversion fails where its system is
+singular.  The classical attack is handed the true per-coordinate digit
+cutoff, which is generous to it.
+
+Two known open defects (ROADMAP items 1 and 3).  The quantum side runs
+the structured backend, which checks cube orthogonality only through
+d > sigma*n, and ``separation_experiment`` never knows d: where the
+cubes collide, exactly where direct inversion is singular, the dense
+backend raises OrthogonalityViolated but the structured one reports
+success, so the tight-level gap is an artifact.  And the classical
+failure rate matches the uniform-matrix law :func:`singularity_oracle`
+at criterion 8's shape only: a top-digit system of an expanded F_q
+operator is not uniform once m - r > 1.
 """
 
 from __future__ import annotations
@@ -196,6 +206,6 @@ def separation_csv(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
-def singularity_oracle(p: int, terms: int = 64) -> float:
+def singularity_oracle(p: int) -> float:
     """1 - prod(1 - p^-k): the square-system failure rate oracle."""
-    return 1.0 - invertibility_product(p, terms)
+    return 1.0 - invertibility_product(p)

@@ -28,6 +28,7 @@ from .gf import (
     FieldElement,
     digits_to_label,
     expand_operator,
+    json_int,
     label_to_digits,
     stack_digits,
     unstack_digits,
@@ -272,26 +273,28 @@ def instance_to_json(inst: DecodeInstance) -> dict:
 def instance_from_json(obj: dict) -> DecodeInstance:
     """Inverse of :func:`instance_to_json`.
 
-    BadShape on a missing key, a mistyped or infinite value, an ``n`` or
-    ``k`` header that disagrees with the shape of ``A``, or a cached ``d``
+    BadShape on a missing key, a mistyped value (any number that is not
+    a JSON integer among them, see :func:`~pqdec.gf.json_int`), an ``n``
+    or ``k`` header that disagrees with the shape of ``A``, or a cached ``d``
     outside [1, n*(q-1)], the range of Manhattan distances between
     distinct codewords.
     """
     try:
         f = Field.from_json(obj["field"])
-        matrix = [[f.el(int(v)) for v in row] for row in obj["A"]]
-        t = tuple(f.el(int(v)) for v in obj["t"])
+        matrix = [[f.el(json_int(v)) for v in row] for row in obj["A"]]
+        t = tuple(f.el(json_int(v)) for v in obj["t"])
         w, d, s_true = obj.get("w"), obj.get("d"), obj.get("s_true")
-        w = None if w is None else int(w)
-        d = None if d is None else int(d)
+        w = None if w is None else json_int(w)
+        d = None if d is None else json_int(d)
         if s_true is not None:
-            s_true = tuple(f.el(int(v)) for v in s_true)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            s_true = tuple(f.el(json_int(v)) for v in s_true)
+        headers = {key: json_int(obj[key]) for key in ("n", "k") if key in obj}
+    except (KeyError, TypeError) as exc:
         raise BadShape(f"malformed instance: {exc!r}") from exc
     code = LinearCode(f, matrix, d=d)
     for key, value in (("n", code.n), ("k", code.k)):
-        if key in obj and obj[key] != value:
-            raise BadShape(f"header {key} = {obj[key]!r} but A has {key} = {value}")
+        if headers.get(key, value) != value:
+            raise BadShape(f"header {key} = {headers[key]} but A has {key} = {value}")
     if d is not None and not 1 <= d <= code.n * (f.q - 1):
         raise BadShape(f"cached d = {d} outside [1, {code.n * (f.q - 1)}]")
     return DecodeInstance(code=code, t=t, w=w, s_true=s_true)

@@ -48,6 +48,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import (
+    BadShape,
     DegreeMismatch,
     DivisionByZero,
     FieldMismatch,
@@ -71,6 +72,17 @@ def is_prime(n: int) -> bool:
             return False
         f += 2
     return True
+
+
+def json_int(value) -> int:
+    """``value`` itself if it is a JSON integer (an int, not a bool); TypeError otherwise.
+
+    ``int()`` would truncate 1.9 to 1 and read ``true`` as 1 and ``"4"``
+    as 4, so a JSON loader reads every integer field through this.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
 
 
 # ----------------------------------------------------------------------
@@ -284,7 +296,13 @@ class Field:
 
     @classmethod
     def from_json(cls, obj: dict) -> Field:
-        return cls(int(obj["p"]), int(obj["m"]), [int(c) for c in obj["poly"]])
+        """Inverse of :meth:`to_json`; BadShape on a missing key or a mistyped value."""
+        try:
+            p, m = json_int(obj["p"]), json_int(obj["m"])
+            poly = [json_int(c) for c in obj["poly"]]
+        except (KeyError, TypeError) as exc:
+            raise BadShape(f"malformed field: {exc!r}") from exc
+        return cls(p, m, poly)
 
 
 class FieldElement:

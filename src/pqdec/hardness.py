@@ -27,7 +27,7 @@ from typing import Sequence
 
 from .codes import LinearCode
 from .errors import BadParams, BudgetExceeded, GadgetGapError
-from .gf import Field, FieldElement, label_to_digits
+from .gf import Field, FieldElement, json_int, label_to_digits
 from .metrics import manhattan_dist
 
 DEFAULT_GADGET_BUDGET = 2**20
@@ -74,12 +74,12 @@ class SetCoverInstance:
         """Inverse of :meth:`to_json`; BadParams on a missing key or a mistyped value."""
         try:
             return cls(
-                universe_size=int(obj["universe"]),
-                sets=tuple(frozenset(int(u) for u in s) for s in obj["sets"]),
-                K=int(obj["K"]),
-                c=int(obj["c"]),
+                universe_size=json_int(obj["universe"]),
+                sets=tuple(frozenset(json_int(u) for u in s) for s in obj["sets"]),
+                K=json_int(obj["K"]),
+                c=json_int(obj["c"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise BadParams(f"malformed set cover: {exc!r}") from exc
 
 

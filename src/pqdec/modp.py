@@ -14,6 +14,10 @@ import numpy as np
 
 from .errors import BadShape
 
+# Factors of the partial product prod_k (1 - p^-k); past k = 64 each
+# factor is within 2^-64 of 1, below float64 resolution.
+INVERTIBILITY_TERMS = 64
+
 
 def _as_modp(matrix: np.ndarray, p: int) -> np.ndarray:
     out = np.array(matrix, dtype=np.int64)
@@ -153,9 +157,9 @@ def fp_solve(matrix: np.ndarray, rhs: np.ndarray, p: int) -> FpSolveResult:
     return FpSolveResult(status="unique", solution=x, rank=cols)
 
 
-def invertibility_product(p: int, terms: int = 64) -> float:
-    """Partial product prod_{k<=terms} (1 - p^-k), the infinite-limit oracle."""
+def invertibility_product(p: int) -> float:
+    """Partial product prod_{k<=INVERTIBILITY_TERMS} (1 - p^-k), the infinite-limit oracle."""
     out = 1.0
-    for k in range(1, terms + 1):
+    for k in range(1, INVERTIBILITY_TERMS + 1):
         out *= 1.0 - float(p) ** (-k)
     return out

@@ -8,10 +8,10 @@ of m digit slots each).  Every slot has radix p, so a state is a flat
 array of p^(L + count*n*m) amplitudes in C order: float64 when p = 2
 and the input is real, complex128 otherwise (see :class:`DenseState`).
 
-Slot order is fixed so dumps are bit-reproducible: label slots first,
-then cube registers in order, each coordinate-major.  The label codec:
-label digit j sits at axis j, most significant first, so a label's
-basis index is its digit vector read in base p (the numeral codec
+Slot order is fixed: label slots first, then cube registers in order,
+each coordinate-major.  The label codec: label digit j sits at axis j,
+most significant first, so a label's basis index is its digit vector
+read in base p (the numeral codec
 :func:`pqdec.gf.label_to_digits` and its inverse
 :func:`pqdec.gf.digits_to_label`, on scalars and arrays alike; it lives
 in ``gf`` so that ``codes`` enumerates messages with it too).
@@ -63,10 +63,8 @@ one label slice at a time, through one slice of scratch.  For p = 2
 the Fourier matrix is the real Hadamard power, and every other gate
 only moves amplitudes, so a state built from real amplitudes stays
 real: it is stored as float64, half the bytes of a complex state, and
-a transform is a real product.  A complex p = 2 state (a dump read back,
-say) is transformed through its float64 view (real and imaginary parts
-alike), half the flops of a complex product.  Each gate is checked: a
-Fourier transform checks the norm to 1e-10
+a transform is a real product.  Each gate is checked: a Fourier
+transform checks the norm to 1e-10
 (:class:`~pqdec.errors.InvariantViolated` otherwise), on whichever
 register it runs on, summing each tile's squared magnitudes while the
 tile is still in cache; a gate that only reorders amplitudes (a label
@@ -77,7 +75,6 @@ state.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
 from typing import Sequence
@@ -343,11 +340,10 @@ class DenseState:
         ``post`` columns of one row.  Each product goes into a scratch
         tile, whose squared magnitudes are summed for the norm check
         before it is copied back.  A tile holds ``DFT_TILE`` floats for a
-        real and a complex state alike.  A real state (p = 2) takes a
-        real product.  When a real matrix (p = 2) meets a complex state
-        and post > 1, the product runs on the float64 view, whose rows
-        are twice as long: the matrix acts on real and imaginary parts
-        alike.  With post == 1 each tile of rows is multiplied by F^T.
+        real and a complex state alike.  The matrix takes the state's
+        dtype, so a real state (p = 2) takes a real product and a complex
+        one a complex product.  With post == 1 each tile of rows is
+        multiplied by F^T.
         """
         if not (0 <= axis and width >= 1 and axis + width <= self.layout.total_axes):
             raise BadRegister(
@@ -359,8 +355,6 @@ class DenseState:
         post = self.layout.dim // (pre * block)
         f = _dft_matrix(p, inverse, width)
         v = self.vec
-        if post > 1 and f.dtype != v.dtype:  # a real matrix on a complex state
-            v, post = v.view(np.float64), 2 * post
         f = f.astype(v.dtype, copy=False)
         x = v.reshape((pre, block) if post == 1 else (pre, block, post))
         size = DFT_TILE * 8 // v.itemsize  # elements of v in one tile
@@ -642,53 +636,3 @@ class PcsSampler:
         if nrm == 0:
             raise OrthogonalityViolated(f"label {tuple(digits.tolist())} has zero amplitude")
         return slice_ / nrm
-
-
-# ----------------------------------------------------------------------
-# State dumps (golden-file regression format)
-# ----------------------------------------------------------------------
-
-_DUMP_MAGIC = b"PQDS"
-
-
-def dump_state(
-    state: DenseState, path: str, k: int, sigma: SigmaParam | None = None
-) -> None:
-    """Binary dump: header {p, m, n, k, T, sigma_r} then little-endian f64 pairs.
-
-    A real state is written as its complex copy would be, imaginary parts 0.0.
-    """
-    lay = state.layout
-    sigma_r = -1 if sigma is None else sigma.r
-    with open(path, "wb") as fh:
-        fh.write(_DUMP_MAGIC)
-        fh.write(struct.pack("<6i", lay.p, lay.m, lay.n, k, lay.label_digits, sigma_r))
-        fh.write(struct.pack("<i", lay.cube_count))
-        arr = np.empty(2 * lay.dim, dtype="<f8")
-        arr[0::2] = state.vec.real
-        arr[1::2] = state.vec.imag
-        fh.write(arr.tobytes())
-
-
-def load_state(path: str) -> tuple[dict, DenseState]:
-    """Read a :func:`dump_state` file.
-
-    A file that is not a dump, has a short header or one that is not a
-    layout (see :class:`RegisterLayout`), or whose payload is not exactly
-    16 bytes per amplitude of its layout raises OutOfRange.
-    """
-    with open(path, "rb") as fh:
-        if fh.read(4) != _DUMP_MAGIC:
-            raise OutOfRange(f"{path} is not a state dump")
-        head = fh.read(28)
-        if len(head) != 28:
-            raise OutOfRange(f"{path}: header has {len(head)} of 28 bytes")
-        p, m, n, k, t, sigma_r, cube_count = struct.unpack("<7i", head)
-        layout = RegisterLayout(p=p, m=m, n=n, label_digits=t, cube_count=cube_count)
-        payload = fh.read()
-    if len(payload) != 16 * layout.dim:
-        raise OutOfRange(
-            f"{path}: payload has {len(payload)} bytes, not 16 * {layout.dim} amplitudes"
-        )
-    header = {"p": p, "m": m, "n": n, "k": k, "T": t, "sigma_r": sigma_r}
-    return header, DenseState(layout, np.frombuffer(payload, dtype="<c16"))

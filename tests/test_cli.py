@@ -139,7 +139,9 @@ def test_decode_malformed_instance_exit_two(capsys, tmp_path, good_instance):
     write_json(infinite_w, dict(obj, w=float("inf")))  # json writes it as Infinity
     wrong_k = str(tmp_path / "wrong_k.json")
     write_json(wrong_k, dict(obj, k=obj["k"] + 4))
-    for bad in (short, no_t, str(not_json), infinite_w, wrong_k):
+    fractional_t = str(tmp_path / "fractional_t.json")
+    write_json(fractional_t, dict(obj, t=[1.9] + obj["t"][1:]))  # int() would read image 1
+    for bad in (short, no_t, str(not_json), infinite_w, wrong_k, fractional_t):
         for backend in ("dense", "structured"):
             code, out = run(capsys, "decode", "--instance", bad, "--backend", backend,
                             "--sigma-r", "0", "--seed", "1")
@@ -243,6 +245,14 @@ def test_hardness_malformed_set_cover_exit_two(capsys, tmp_path):
     not_json.write_text("universe = 2")
     for bad in (no_k, str(not_json)):
         assert run(capsys, "hardness", "--sc", bad, "--p", "2", "--m", "1") == (2, "")
+    # int() would read universe 2.7 as 2, under which this cover passes
+    argv = ["hardness", "--p", "2", "--m", "1", "--exact-cover", "2"]
+    sc = {"universe": 2, "sets": [[0], [1], [0, 1]], "K": 1, "c": 2}
+    good, fractional = str(tmp_path / "good.json"), str(tmp_path / "fractional.json")
+    write_json(good, sc)
+    write_json(fractional, dict(sc, universe=2.7))
+    assert run(capsys, *argv, "--sc", good)[0] == 0
+    assert run(capsys, *argv, "--sc", fractional) == (2, "")
 
 
 @pytest.mark.parametrize(

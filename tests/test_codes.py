@@ -306,6 +306,14 @@ def test_instance_json_unbounded_and_unplanted(f9):
         (lambda obj: obj.update(d=-3), BadShape),
         (lambda obj: obj.update(d=0), BadShape),
         (lambda obj: obj.update(d=3 * 8 + 1), BadShape),  # n*(q-1) + 1 on F_9, n = 3
+        # numbers that int() would truncate or coerce
+        (lambda obj: obj.update(t=[1.9] + obj["t"][1:]), BadShape),
+        (lambda obj: obj.update(w=2.5), BadShape),
+        (lambda obj: obj.update(s_true=[0.5]), BadShape),
+        (lambda obj: obj.update(t=obj["t"][:-1] + [True]), BadShape),
+        (lambda obj: obj.update(w="4"), BadShape),
+        (lambda obj: obj.update(field={"p": 2.9, "m": "3", "poly": [1.5, 1, 0]}), BadShape),
+        (lambda obj: obj.update(k=True), BadShape),  # True == 1 == k
     ],
     ids=[
         "short_t",
@@ -327,6 +335,13 @@ def test_instance_json_unbounded_and_unplanted(f9):
         "negative_d",
         "zero_d",
         "d_above_max",
+        "fractional_t",
+        "fractional_w",
+        "fractional_s_true",
+        "bool_t",
+        "text_w",
+        "fractional_field",
+        "bool_header_k",
     ],
 )
 def test_instance_from_json_rejects_malformed(f9, mutate, error):

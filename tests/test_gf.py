@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pqdec.errors import (
+    BadShape,
     DegreeMismatch,
     DivisionByZero,
     FieldMismatch,
@@ -139,6 +140,21 @@ def test_field_json_round_trip(f16):
     obj = f16.to_json()
     assert obj == {"p": 2, "m": 4, "poly": [1, 1, 0, 0]}
     assert Field.from_json(obj) == f16
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"p": 2.9, "m": "3", "poly": [1.5, 1, 0]},
+        {"p": 2, "m": 4, "poly": [1, 1.0, 0, 0]},
+        {"p": True, "m": 4, "poly": [1, 1, 0, 0]},
+        {"p": 2, "poly": [1, 1, 0, 0]},
+    ],
+    ids=["fractional", "float_poly", "bool_p", "missing_m"],
+)
+def test_field_from_json_rejects_malformed(obj):
+    with pytest.raises(BadShape):
+        Field.from_json(obj)
 
 
 # ---------------------------------------------------------------- add / mul / inv

@@ -155,3 +155,19 @@ def test_set_cover_json_round_trip():
         universe_size=3, sets=(frozenset({0, 1}), frozenset({2})), K=2, c=3
     )
     assert SetCoverInstance.from_json(sc.to_json()) == sc
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        {"universe": 2.7},
+        {"sets": [[0.0], [1]]},
+        {"K": True},
+        {"c": "2"},
+    ],
+    ids=["fractional_universe", "float_element", "bool_K", "text_c"],
+)
+def test_set_cover_from_json_rejects_non_integers(mutate):
+    obj = {"universe": 2, "sets": [[0], [1]], "K": 2, "c": 2, **mutate}
+    with pytest.raises(BadParams):
+        SetCoverInstance.from_json(obj)

@@ -1,5 +1,4 @@
 import hashlib
-import struct
 import tracemalloc
 from dataclasses import replace
 from itertools import product
@@ -34,10 +33,8 @@ from pqdec.qsim import (
     cube_overlap,
     cube_vector,
     digits_to_label,
-    dump_state,
     label_permutation,
     label_to_digits,
-    load_state,
     pcs_state_direct,
     shift_cube_vector,
     vector_digit_rows,
@@ -103,7 +100,18 @@ def test_layout_scale_guard():
 
 @pytest.mark.parametrize(
     "bad",
-    [{"p": 4}, {"p": 1}, {"p": 0}, {"m": 0}, {"n": 0}, {"label_digits": -1}, {"cube_count": -1}],
+    [
+        {"p": 4},
+        {"p": 1},
+        {"p": 0},
+        {"m": 0},
+        {"n": 0},
+        {"label_digits": -1},
+        {"cube_count": -1},
+        # a negative m or n counts negative digit slots per coordinate
+        {"m": -1},
+        {"n": -1},
+    ],
 )
 def test_layout_rejects_impossible_shapes(bad):
     with pytest.raises(OutOfRange):
@@ -984,82 +992,29 @@ def test_measure_label_uniform_probabilities():
     assert np.allclose(marg, 1 / 8, atol=1e-12)
 
 
-# ---------------------------------------------------------------- dumps
+# ---------------------------------------------------------------- golden amplitudes
 
-def test_dump_load_round_trip(tmp_path, f4):
-    code = code_123(f4)
-    sampler = PcsSampler(code, SigmaParam.from_r(f4, 0))
-    path = str(tmp_path / "state.pqds")
-    dump_state(sampler.state, path, k=1, sigma=SigmaParam.from_r(f4, 0))
-    header, loaded = load_state(path)
-    assert header == {"p": 2, "m": 2, "n": 3, "k": 1, "T": 2, "sigma_r": 0}
-    assert np.array_equal(loaded.vec, sampler.state.vec)
-
-
-def _dump_header(p, m, n, label_digits, cube_count):
-    """The bytes of a dump header {p, m, n, k = 1, T, sigma_r = -1, cube_count}."""
-    return b"PQDS" + struct.pack("<7i", p, m, n, 1, label_digits, -1, cube_count)
-
-
-def test_load_state_rejects_malformed_dumps(tmp_path, f4):
-    lay = RegisterLayout(p=2, m=2, n=2, label_digits=1, cube_count=1)
-    path = tmp_path / "state.pqds"
-    dump_state(DenseState.zero_state(lay), str(path), k=1)
-    whole = path.read_bytes()
-    for name, data in [
-        ("missing_last_amplitude", whole[:-16]),
-        ("extra_bytes", whole + bytes(16)),
-        ("short_header", whole[:10]),
-        # headers that are no layout: p = 1 would load as a one-amplitude
-        # state, and p = 0 or m = -1 give a fractional amplitude count
-        ("p_one", _dump_header(1, 2, 2, 1, 1) + bytes(16)),
-        ("p_zero", _dump_header(0, 2, 2, 1, 1) + bytes(16)),
-        ("m_negative", _dump_header(2, -1, 2, 1, 1) + bytes(16)),
-    ]:
-        bad = tmp_path / f"{name}.pqds"
-        bad.write_bytes(data)
-        with pytest.raises(OutOfRange):
-            load_state(str(bad))
-
-
-def test_dump_golden_bytes(tmp_path, f4):
-    # exact 0/1 amplitudes make the dump bit-stable across platforms
+def test_state_golden_bytes():
+    # exact 0/1 amplitudes make the bytes bit-stable across platforms
     # the basis state |label 0>|cube (3, 1)>: block index 3*4 + 1 of the cube
     lay = RegisterLayout(p=2, m=2, n=2, label_digits=1, cube_count=1)
     vec = np.zeros(lay.dim, dtype=np.complex128)
     vec[3 * 4 + 1] = 1.0
     st = DenseState(lay, vec)
-    path = str(tmp_path / "golden.pqds")
-    dump_state(st, path, k=1)
-    with open(path, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
+    digest = hashlib.sha256(np.asarray(st.vec, dtype="<c16").tobytes()).hexdigest()
     assert digest == GOLDEN_SHA256
 
 
-def test_dump_golden_bytes_of_a_real_state(tmp_path, f4):
-    # the real twin of the state above: 16 bytes per amplitude, imaginary parts 0.0
+def test_state_golden_bytes_of_a_real_state():
+    # the real twin of the state above, read as complex: imaginary parts 0.0
     lay = RegisterLayout(p=2, m=2, n=2, label_digits=1, cube_count=1)
     vec = np.zeros(lay.dim)
     vec[3 * 4 + 1] = 1.0
     st = DenseState(lay, vec)
     assert st.vec.dtype == np.float64
-    path = str(tmp_path / "golden.pqds")
-    dump_state(st, path, k=1)
-    with open(path, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
+    digest = hashlib.sha256(np.asarray(st.vec, dtype="<c16").tobytes()).hexdigest()
     assert digest == GOLDEN_SHA256
 
 
-def test_dump_of_a_real_state_equals_that_of_its_complex_copy(tmp_path):
-    lay = RegisterLayout(p=2, m=1, n=2, label_digits=2, cube_count=1)
-    vec = _random_state(lay, 9).real
-    real, cplx = tmp_path / "real.pqds", tmp_path / "complex.pqds"
-    dump_state(DenseState(lay, vec), str(real), k=1)
-    dump_state(DenseState(lay, vec.astype(np.complex128)), str(cplx), k=1)
-    assert real.read_bytes() == cplx.read_bytes()
-    _, loaded = load_state(str(real))
-    assert loaded.vec.dtype == np.complex128  # a dump holds complex amplitudes
-    assert np.array_equal(loaded.vec, vec)
-
-
-GOLDEN_SHA256 = "17611be24bc2092f60b988274df4dfa347ed5401e74d7ec9691f34e467059a90"
+# little-endian complex128 amplitudes of the basis state above
+GOLDEN_SHA256 = "15b0a7c89176d98b7025ce00fa00cf53494c204481c031b0b6abb1f5ac900770"
