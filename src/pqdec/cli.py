@@ -185,6 +185,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_hardness(args: argparse.Namespace) -> int:
+    if (args.exact_cover is None) == (args.min_cover_size is None):
+        raise BadParams("give exactly one of --exact-cover and --min-cover-size")
     sc = SetCoverInstance.from_json(_load_json(args.sc, BadParams))
     f = Field(args.p, args.m, _parse_ints(args.poly, "--poly"))
     gadget = build_gadget(sc, f)

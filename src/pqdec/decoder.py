@@ -3,16 +3,18 @@
 Dense backend: every circuit step of the decoder is executed on the
 dense simulator.  The steps before the first controlled shift (the
 uniform superposition and L^-1 on the label work register of T = m*k
-digit slots) run on the work register alone; one tensor product then
-joins it to the T cube registers, and every later step runs on that
-composite register.  When the full tensor product exceeds the amplitude
-guard, the final label marginal is computed exactly without it: the
-state after the controlled shifts is a sum of label-basis terms whose
-cube part factorises register by register, so the measurement
-distribution is a permuted product state, the Kronecker product of one
-phase-estimation law per register, each from p overlaps, read at
-u = A^T o for outcome o.  Both paths produce identical marginals where
-both run.
+digit slots) run on the work register alone.  One controlled join
+(``DenseState.from_parts`` with the controlled-shift-power amounts)
+then writes the composite register of the work register and the T cube
+registers with the controlled shift powers already made, and every
+later step runs on that composite register.  When the full tensor
+product exceeds the amplitude guard, the final label marginal is
+computed exactly without it: the state after the controlled shifts is a
+sum of label-basis terms whose cube part factorises register by
+register, so the measurement distribution is a permuted product state,
+the Kronecker product of one phase-estimation law per register, each
+from p overlaps, read at u = A^T o for outcome o.  Both paths produce
+identical marginals where both run.
 
 Structured backend: a classical shadow of the same algorithm, valid
 exactly where the eigenphase relation holds (every coordinate of
@@ -56,6 +58,7 @@ from .qsim import (
     RegisterLayout,
     SigmaParam,
     _dft_matrix,
+    _shift_power_amounts,
     label_permutation,
     require_cube_orthogonality,
     shift_cube_vector,
@@ -149,13 +152,15 @@ def _dense_full_marginal(
     """Steps 3-7 on the materialised composite register (L = ``columns``).
 
     The work register's gates before the controlled shifts run on a
-    label-only state, which then joins the PCS vectors.
+    label-only state.  The controlled shift powers are the first gate that
+    couples it to the PCS vectors, so one join writes the composite state
+    with them already made: one ``from_parts`` call, no separate shift.
     """
     label = DenseState.zero_state(replace(layout, cube_count=0))
     label.qft_label()  # uniform superposition over the work register
     label.permute_label(columns, inverse=True)
-    state = DenseState.from_parts(layout, label.vec, pcs_vectors)
-    state.controlled_shift_power(t_digit_rows)
+    amounts = _shift_power_amounts(layout, t_digit_rows)
+    state = DenseState.from_parts(layout, label.vec, pcs_vectors, amounts)
     state.permute_label(columns)
     state.qft_label(inverse=True)  # Fourier-basis measurement
     return state.label_marginal()

@@ -256,6 +256,21 @@ def test_hardness_malformed_set_cover_exit_two(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "flags",
+    [[], ["--exact-cover", "2", "--min-cover-size", "1"]],
+    ids=["neither", "both"],
+)
+def test_hardness_needs_exactly_one_cover_flag(capsys, tmp_path, flags):
+    sc = str(tmp_path / "sc.json")
+    write_json(sc, {"universe": 2, "sets": [[0], [1], [0, 1]], "K": 1, "c": 2})
+    assert main(["hardness", "--sc", sc, "--p", "2", "--m", "1", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "--exact-cover" in captured.err and "--min-cover-size" in captured.err
+
+
+@pytest.mark.parametrize(
     "env,argv",
     [
         ({}, ["field", "--p", "2", "--m", "2", "--poly", "1,a"]),

@@ -316,6 +316,34 @@ def test_full_marginal_of_real_parts_matches_complex_parts(f4):
     assert np.max(np.abs(real - cplx)) < 1e-12
 
 
+def test_full_marginal_joins_once_and_shifts_in_the_join(f4, monkeypatch):
+    # bench/tracer.py counts a from_parts call inside a decode as the
+    # full-tensor path, and times the join under from_parts
+    joins = []
+    from_parts = DenseState.from_parts.__func__
+
+    def counted(cls, *args):
+        joins.append(args)
+        return from_parts(cls, *args)
+
+    def refuse(self, amounts):
+        raise AssertionError("the full-tensor path shifted outside the join")
+
+    code = code_123(f4)
+    sampler = PcsSampler(code, SigmaParam.from_r(f4, 0))
+    rng = np.random.default_rng(4)
+    columns, _ = sample_label_matrix(2, f4.m, rng)
+    pcs = [sampler.collapse(label) for label in columns.T]
+    t_rows = rng.integers(0, 2, size=(code.n, f4.m))
+    layout = RegisterLayout(p=2, m=f4.m, n=code.n, label_digits=f4.m, cube_count=f4.m)
+    want = _full_marginal_reference(columns, pcs, t_rows, layout)
+    monkeypatch.setattr(DenseState, "from_parts", classmethod(counted))
+    monkeypatch.setattr(DenseState, "controlled_register_shifts", refuse)
+    got = _dense_full_marginal(columns, pcs, t_rows, layout)
+    assert len(joins) == 1
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
 def _complex_zero_state(layout):
     vec = np.zeros(layout.dim, dtype=np.complex128)
     vec[0] = 1.0

@@ -29,6 +29,7 @@ from pqdec.qsim import (
     RegisterLayout,
     SigmaParam,
     _dft_matrix,
+    _shift_power_amounts,
     _shift_source,
     cube_overlap,
     cube_vector,
@@ -708,6 +709,123 @@ def test_from_parts_is_the_kronecker_product():
     label, *cubes = parts
     want = np.kron(np.kron(label, cubes[0]), cubes[1])
     assert np.array_equal(DenseState.from_parts(lay, label, cubes).vec, want)
+
+
+# ---------------------------------------------------------------- controlled join
+
+JOIN_LAYOUTS = [
+    # the two layouts of each _gate_cases call, then p = 5, more cube
+    # registers, and the sampler's one register
+    RegisterLayout(p=2, m=2, n=1, label_digits=3, cube_count=2),
+    RegisterLayout(p=3, m=2, n=1, label_digits=2, cube_count=2),
+    RegisterLayout(p=2, m=2, n=3, label_digits=4, cube_count=2),
+    RegisterLayout(p=3, m=2, n=2, label_digits=2, cube_count=2),
+    RegisterLayout(p=5, m=1, n=2, label_digits=2, cube_count=2),
+    RegisterLayout(p=2, m=2, n=1, label_digits=3, cube_count=3),
+    RegisterLayout(p=3, m=1, n=2, label_digits=3, cube_count=3),
+    RegisterLayout(p=5, m=1, n=1, label_digits=3, cube_count=3),
+    RegisterLayout(p=2, m=1, n=2, label_digits=4, cube_count=4),
+    RegisterLayout(p=3, m=2, n=2, label_digits=2, cube_count=1),
+]
+
+
+def _join_parts(lay: RegisterLayout, seed: int, real: bool):
+    rng = np.random.default_rng(seed)
+    parts = [rng.normal(size=lay.label_dim)]
+    parts += [rng.normal(size=lay.cube_dim) for _ in range(lay.cube_count)]
+    if not real:
+        parts = [v + 1j * rng.normal(size=len(v)) for v in parts]
+    return parts[0], parts[1:]
+
+
+def _join_amounts(lay: RegisterLayout, seed: int) -> np.ndarray:
+    """Random amounts, some at or past p, with all-zero rows and repeats."""
+    rng = np.random.default_rng(seed)
+    amounts = rng.integers(0, 2 * lay.p, size=(lay.label_dim, lay.cube_count, lay.n, lay.m))
+    amounts[0] = 0  # a label that shifts no register
+    amounts[1::3, 0] = 0  # registers left alone on some labels
+    amounts[2] = amounts[1]  # a repeated row
+    amounts[-1, -1] = amounts[1, -1] + lay.p  # the same shift, written otherwise
+    return amounts
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize(
+    "lay", JOIN_LAYOUTS, ids=[f"p{lay.p}_c{lay.cube_count}_d{lay.dim}" for lay in JOIN_LAYOUTS]
+)
+def test_join_is_the_product_then_the_controlled_shifts(lay, real):
+    label, cubes = _join_parts(lay, lay.dim, real)
+    amounts = _join_amounts(lay, lay.cube_count)
+    want = DenseState.from_parts(lay, label, cubes).controlled_register_shifts(amounts).vec
+    got = DenseState.from_parts(lay, label, cubes, amounts).vec
+    assert got.dtype == want.dtype == (np.float64 if real and lay.p == 2 else np.complex128)
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+@pytest.mark.parametrize("lay", JOIN_LAYOUTS[:2] + JOIN_LAYOUTS[5:8])
+def test_join_of_shift_powers_is_the_product_then_controlled_shift_power(lay):
+    label, cubes = _join_parts(lay, 7, real=False)
+    rows = np.arange(1, lay.n * lay.m + 1).reshape(lay.n, lay.m) % lay.p
+    want = DenseState.from_parts(lay, label, cubes).controlled_shift_power(rows).vec
+    got = DenseState.from_parts(lay, label, cubes, _shift_power_amounts(lay, rows)).vec
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+@pytest.mark.parametrize("lay", JOIN_LAYOUTS[5:7] + JOIN_LAYOUTS[-1:])
+def test_join_makes_one_map_per_distinct_nonzero_shift(lay, monkeypatch):
+    amounts = _join_amounts(lay, 3)
+    reduced = amounts % lay.p
+    distinct = {
+        (j, reduced[i, j].tobytes())
+        for i in range(lay.label_dim)
+        for j in range(lay.cube_count)
+        if reduced[i, j].any()
+    }
+    maps = []
+    monkeypatch.setattr("pqdec.qsim._shift_source", lambda *a: maps.append(a) or _shift_source(*a))
+    label, cubes = _join_parts(lay, 2, real=False)
+    DenseState.from_parts(lay, label, cubes, amounts)
+    assert len(maps) == len(distinct)
+    maps.clear()
+    DenseState.from_parts(lay, label, cubes)  # all-zero amounts make no map
+    assert maps == []
+
+
+@pytest.mark.parametrize(
+    "shape", [(7, 2, 1, 2), (8, 3, 1, 2), (8, 2, 2, 1), (8, 2, 2), (8, 2, 1, 2, 1), ()]
+)
+def test_join_rejects_amounts_of_the_wrong_shape(shape):
+    lay = JOIN_LAYOUTS[0]  # amounts of shape (8, 2, 1, 2)
+    label, cubes = _join_parts(lay, 1, real=True)
+    amounts = np.zeros(shape, dtype=np.int64)
+    with pytest.raises(BadRegister):
+        DenseState.from_parts(lay, label, cubes, amounts)
+    with pytest.raises(BadRegister):
+        DenseState._controlled_join(lay, label, cubes, amounts)
+
+
+@pytest.mark.parametrize(
+    "lay",
+    [
+        RegisterLayout(p=2, m=2, n=3, label_digits=4, cube_count=2),  # 2^16 amplitudes
+        RegisterLayout(p=3, m=2, n=2, label_digits=2, cube_count=2),  # 3^10 amplitudes
+        RegisterLayout(p=2, m=2, n=2, label_digits=4, cube_count=3),  # 2^16 amplitudes
+        RegisterLayout(p=3, m=3, n=3, label_digits=3, cube_count=1),  # the sampler's shape
+    ],
+    ids=["p2_c2", "p3_c2", "p2_c3", "p3_c1"],
+)
+def test_join_writes_no_second_state_sized_array(lay):
+    label, cubes = _join_parts(lay, 9, real=lay.p == 2)
+    amounts = _join_amounts(lay, 4)
+    DenseState.from_parts(lay, label, cubes, amounts)  # warm the caches a join fills
+    tracemalloc.start()
+    try:
+        state = DenseState.from_parts(lay, label, cubes, amounts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # at most one bounded ufunc buffer beside the state, never a second state
+    assert state.vec.nbytes <= peak < 1.5 * state.vec.nbytes
 
 
 # ---------------------------------------------------------------- amplitude dtype
