@@ -185,13 +185,19 @@ def _dense_factorized_marginal(
     The Kronecker product of the T rows W_j is indexed by the label of u,
     and the label permutation of A^T moves it to outcome order.  No
     approximation is involved; the tensor product is just never
-    materialised.
+    materialised.  g_j(0) is the squared norm of Phi_j, and each power
+    d >= 1 shifts the (T, q^n) stack of the Phi_j at once, through one
+    checked map shared by the T registers: p - 1 maps in all.
     """
     p = field.p
-    weights = []
-    for phi in pcs_vectors:
-        g = [np.vdot(phi, shift_cube_vector(phi, field, t_digit_rows, d)) for d in range(p)]
-        weights.append(np.maximum((_dft_matrix(p, inverse=True) @ g).real / np.sqrt(p), 0.0))
+    phis = np.stack(pcs_vectors)
+    g = np.empty((len(phis), p), dtype=phis.dtype)  # row j: register j's overlaps
+    g[:, 0] = [np.vdot(phi, phi) for phi in phis]  # d = 0: the squared norm
+    for d in range(1, p):
+        shifted = shift_cube_vector(phis, field, t_digit_rows, d)
+        g[:, d] = [np.vdot(phi, moved) for phi, moved in zip(phis, shifted)]
+    f_inv = _dft_matrix(p, inverse=True)
+    weights = [np.maximum((f_inv @ row).real / np.sqrt(p), 0.0) for row in g]
     return reduce(np.kron, weights)[label_permutation(columns.T, p)]
 
 
@@ -216,6 +222,7 @@ def decode_dense(
     t_digits = f.m * code.k
     columns, rounds = sample_label_matrix(f.p, t_digits, rng)
     pcs_vectors = [sampler.collapse(label) for label in columns.T]
+    del sampler  # its joined state is not read again; free it before the marginal
     t_rows = vector_digit_rows(inst.t)
     try:
         layout = RegisterLayout(

@@ -24,9 +24,12 @@ exceptions.  Two work on Python ints for images past 2^63,
 ``gf._int_digits`` and ``FieldElement.image``.  Two build index maps by
 Horner's rule: :func:`label_permutation`, so that no (p^T, T) digit
 table is held for labels (p^T may reach the amplitude guard), and
-:func:`_shift_source`, for speed (a 3^9-entry shift map takes about
-0.1 ms by Horner against about 6 ms through the codec, on one core of
-a 2-vCPU Xeon).  The one read-out of a label register is
+:func:`_shift_source`, for speed (a 3^9-entry shift map and its
+bijection check take about 0.13 ms by Horner against about 6 ms through
+the codec, on one core of a 2-vCPU Xeon).  A decode builds few of them,
+at most one per label digit in a join (see Factor first) and one per
+nonzero power of U_t in the factorised marginal: five over F_27 at
+k = 1.  The one read-out of a label register is
 :meth:`PcsSampler.collapse`, which also checks the label it is given.
 
 Cube gates act on every cube register at once: no gate addresses one
@@ -53,10 +56,15 @@ one controlled join (:meth:`DenseState.from_parts` with ``amounts``, or
 the sampler's direct call of ``DenseState._controlled_join``) writes the
 joined state with that shift already made: label slice i is the label
 amplitude times the Kronecker product of each register's factor shifted
-by its amount for label i.  A product state needs no joint tensor until
-a gate couples its parts, so the PCS sampler and the decoder's
-full-tensor path write the joined state once and pass over it only for
-the gates after the first controlled shift.
+by its amount for label i.  The join takes labels in index order, so
+each register's factor for label i is one gather of its factor for
+label i-1, by the step between their amounts.  Both circuits' amounts
+are linear in the label digits (the sampler's A c, the decoder's
+U_t^(ell_j)), so that step depends only on the carry from i-1 to i:
+at most one map per label digit and register.  A product state needs
+no joint tensor until a gate couples its parts, so the PCS sampler and
+the decoder's full-tensor path write the joined state once and pass
+over it only for the gates after the first controlled shift.
 
 Buffers: a :class:`DenseState` owns one full-state array (a copy of the
 array it was built from, or the state a join writes straight into it),
@@ -252,11 +260,10 @@ def _shift_source(digit_rows: np.ndarray, p: int) -> np.ndarray:
 
 
 def _shift_cube(
-    block: np.ndarray, digit_rows: np.ndarray, p: int, axis: int, out: np.ndarray | None = None
+    block: np.ndarray, src: np.ndarray, axis: int, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Add an (n, m) digit matrix, LSB first, to the cube register indexed by
-    ``axis`` of ``block``: one gather through its checked source-index map."""
-    src = _shift_source(digit_rows, p)
+    """Shift the cube register indexed by ``axis`` of ``block``: one gather
+    through ``src``, a checked source-index map from :func:`_shift_source`."""
     if block.shape[axis] != len(src):
         raise BadRegister(f"cube register of {block.shape[axis]} values, shift of {len(src)}")
     return np.take(block, src, axis=axis, out=out, mode="clip")
@@ -324,8 +331,11 @@ class DenseState:
 
         With ``amounts`` (the argument of :meth:`controlled_register_shifts`)
         the product is written with those controlled shifts already made;
-        without it, with all-zero amounts, which is the plain product.
-        Either way the state is written once, by :meth:`_controlled_join`.
+        without it, with all-zero amounts, which is the plain product (every
+        step zero, so no map).  Either way the state is written once, by
+        :meth:`_controlled_join`; any amounts join exactly, and amounts
+        linear in the label digits, such as the controlled shift powers,
+        build at most ``label_digits`` shift maps per register.
         """
         if len(cube_vecs) != layout.cube_count:
             raise BadRegister(
@@ -356,41 +366,49 @@ class DenseState:
         ``amounts`` is the argument of :meth:`controlled_register_shifts`.
         No register is entangled before the shift, so label slice i is
         label[i] times the Kronecker product over j of cube j shifted by
-        ``amounts[i, j]``.  A register has one shifted factor per distinct
-        amount: one gather through one checked source-index map, or the
-        part itself for a zero amount.  Each slice is one outer product,
+        ``amounts[i, j]``.  Labels are taken in index order and each
+        register holds one factor: label i's is one gather of label
+        i-1's through the checked source-index map of the step
+        ``amounts[i, j] - amounts[i-1, j]`` mod p (label -1's factor is
+        the part itself), and a zero step keeps it.  Maps are kept per
+        (carry level of i, register), the carry level being the number
+        of trailing zero base-p digits of i, and rebuilt only when the
+        step there changes.  Amounts linear in the label digits, as both
+        circuits' are (the sampler's A c and the decoder's powers
+        U_t^(ell_j)), take one step per carry level, so they build at
+        most ``label_digits`` maps per register; any other amounts join
+        just as exactly, at more maps.  Each slice is one outer product,
         (label[i] * first factor) (x) (Kronecker product of the others),
         so the long run is innermost; with one cube register it is
-        label[i] (x) that register's factor.  The factors of every register
-        but the last are kept for the call.  Labels are taken in order of
-        the last register's amount, which holds one factor at a time, so a
-        sampler's one register (a distinct amount per label) keeps none.
-        The state is real only when every part is and the layout has p = 2.
+        label[i] (x) that register's factor.  The state is real only when
+        every part is and the layout has p = 2.
         """
         lay = layout
         amounts = np.asarray(amounts, dtype=np.int64)
         want = (lay.label_dim, lay.cube_count, lay.n, lay.m)
         if amounts.shape != want:
             raise BadRegister(f"shift amounts of shape {amounts.shape}, layout needs {want}")
-        amounts = amounts % lay.p  # one map per distinct shift
-        keys = [[rows.tobytes() for rows in label_rows] for label_rows in amounts]
+        steps = np.diff(amounts, axis=0, prepend=0) % lay.p
         dtype = np.result_type(label, *cubes, _dft_matrix(lay.p))
         state = cls.__new__(cls)
         state.layout = lay
         state.vec = np.empty(lay.dim, dtype=dtype)
         out = state.vec.reshape(lay.label_dim, -1)
         split = 2 if lay.cube_count > 1 else 1  # parts in the outer product's head
-        factors: list[dict[bytes, np.ndarray]] = [{} for _ in cubes]
-        for i in sorted(range(lay.label_dim), key=lambda i: keys[i][-1:]):
-            parts = [label[i : i + 1]]
-            for j, (cube, held) in enumerate(zip(cubes, factors)):
-                key = keys[i][j]
-                if key not in held:
-                    if j == lay.cube_count - 1:
-                        held.clear()
-                    rows = amounts[i, j]
-                    held[key] = _shift_cube(cube, rows, lay.p, axis=0) if rows.any() else cube
-                parts.append(held[key])
+        factors = list(cubes)
+        maps: dict[tuple[int, int], tuple[bytes, np.ndarray]] = {}  # (level, j) -> step, map
+        for i in range(lay.label_dim):
+            level = 0  # trailing zero base-p digits of i
+            while level < lay.label_digits and i % lay.p ** (level + 1) == 0:
+                level += 1
+            for j, step in enumerate(steps[i]):
+                if step.any():
+                    key = step.tobytes()
+                    held = maps.get((level, j))
+                    if held is None or held[0] != key:
+                        held = maps[level, j] = (key, _shift_source(step, lay.p))
+                    factors[j] = _shift_cube(factors[j], held[1], axis=0)
+            parts = [label[i : i + 1], *factors]
             # Kronecker products, by outer products (np.kron costs ~3x more)
             head = reduce(np.multiply.outer, parts[:split]).reshape(-1)
             tail = reduce(np.multiply.outer, parts[split:] or [np.ones(1)]).reshape(-1)
@@ -526,7 +544,7 @@ class DenseState:
             block, other = label_slice, scratch
             for j, digit_rows in enumerate(label_rows):
                 if digit_rows.any():
-                    _shift_cube(block, digit_rows, lay.p, axis=j, out=other)
+                    _shift_cube(block, _shift_source(digit_rows, lay.p), axis=j, out=other)
                     block, other = other, block
             if block is scratch:
                 label_slice[...] = scratch
@@ -580,9 +598,20 @@ def cube_vector(field: Field, n: int, anchor: Sequence[FieldElement], sigma: Sig
 def shift_cube_vector(
     vec: np.ndarray, field: Field, t_digit_rows: np.ndarray, ell: int = 1
 ) -> np.ndarray:
-    """U_t^ell on a bare q^n register vector (a new array, also at ell = 0)."""
-    amounts = np.asarray(t_digit_rows, dtype=np.int64) * ell
-    return _shift_cube(np.asarray(vec).reshape(-1), amounts, field.p, axis=0)
+    """U_t^ell along the last axis of a (..., q^n) stack of bare register vectors.
+
+    Always a new array.  A zero power (ell * t = 0 mod p) is a copy and
+    builds no map, as a zero step of the join and a zero row of
+    :meth:`DenseState.controlled_register_shifts` build none; any other
+    power is one gather through one checked map, whatever the stack.
+    """
+    vec = np.asarray(vec)
+    amounts = np.asarray(t_digit_rows, dtype=np.int64) * ell % field.p
+    if amounts.any():
+        return _shift_cube(vec, _shift_source(amounts, field.p), axis=-1)
+    if vec.shape[-1:] != (field.p**amounts.size,):
+        raise BadRegister(f"register vectors of shape {vec.shape}, shift of {amounts.shape}")
+    return vec.copy()
 
 
 def pcs_state_direct(
@@ -641,9 +670,12 @@ class PcsSampler:
     :meth:`DenseState.from_parts`, whose calls the benchmark's trace
     counts as the decoder's full-tensor path) writes the joined state
     with it made: label slice c is the label amplitude times the cube
-    moved to A c.  The joined state then takes the (no-op under this
-    encoding) change of representation and a second digit-wise Fourier
-    transform.  Measuring the message register then yields a uniform
+    moved to A c.  A c is linear in the digits of c, so going from label
+    c-1 to c moves the cube by a step that depends only on the carry, and
+    the join builds at most one checked shift map per label digit (m*k
+    maps, not one per label).  The joined state then takes the (no-op
+    under this encoding) change of representation and a second digit-wise
+    Fourier transform.  Measuring the message register then yields a uniform
     label and collapses the cube register to the matching phased cube
     state; :meth:`collapse` is that read-out, the only one in the
     package, and it checks its label (``layout.label_digits`` digits in

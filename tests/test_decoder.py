@@ -1,5 +1,6 @@
 import time
 from dataclasses import replace
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -35,7 +36,11 @@ from pqdec.qsim import (
     PcsSampler,
     RegisterLayout,
     SigmaParam,
+    _dft_matrix,
+    _shift_source,
+    label_permutation,
     pcs_state_direct,
+    shift_cube_vector,
     vector_digit_rows,
 )
 
@@ -269,6 +274,45 @@ def test_factorized_rows_are_phase_estimation(p, m, gens, d):
             state.controlled_shift_power(t_rows).qft_label(inverse=True)
             assert np.max(np.abs(row - state.label_marginal())) < 1e-12
             assert (row.max() > 1 - 1e-12) == inside
+
+
+def _factorized_marginal_reference(columns, pcs_vectors, t_digit_rows, field):
+    """The factorised marginal register by register: p shifts of each register."""
+    p = field.p
+    weights = []
+    for phi in pcs_vectors:
+        g = [np.vdot(phi, shift_cube_vector(phi, field, t_digit_rows, d)) for d in range(p)]
+        weights.append(np.maximum((_dft_matrix(p, inverse=True) @ g).real / np.sqrt(p), 0.0))
+    return reduce(np.kron, weights)[label_permutation(columns.T, p)]
+
+
+@pytest.mark.parametrize("p,m,gens", [(2, 3, (1, 2)), (3, 2, (1, 3)), (5, 2, (1, 5))])
+def test_stacked_factorized_marginal_equals_the_per_register_loop(p, m, gens):
+    f = Field(p, m)
+    code = LinearCode(f, [[f.el(g)] for g in gens])
+    sampler = PcsSampler(code, SigmaParam.from_r(f, 0))
+    rng = np.random.default_rng(p)
+    for _ in range(3):
+        columns, _ = sample_label_matrix(p, m, rng)
+        pcs = [sampler.collapse(label) for label in columns.T]
+        t_rows = rng.integers(0, p, size=(code.n, m))  # anywhere, so the law is spread
+        got = _dense_factorized_marginal(columns, pcs, t_rows, f)
+        want = _factorized_marginal_reference(columns, pcs, t_rows, f)
+        assert np.max(np.abs(got - want)) < 1e-15
+
+
+def test_dense_factorised_decode_makes_label_digits_plus_p_minus_1_maps(monkeypatch):
+    # the dense_factorised workload's shape: F_27, n = 3, k = 1, sigma = 3;
+    # the sampler's join takes one map per label digit (3) and the
+    # marginal one per nonzero power of U_t (2), shared by the T registers
+    f = Field(3, 3)
+    code = LinearCode(f, [[f.el(1)], [f.el(3)], [f.el(9)]])
+    inst = plant_instance(code, (f.el(17),), (f.el(2), f.zero, f.el(1)))
+    maps = []
+    monkeypatch.setattr("pqdec.qsim._shift_source", lambda *a: maps.append(a) or _shift_source(*a))
+    res = decode_dense(inst, SigmaParam.from_r(f, 1), seed=4)
+    assert res.s_hat == (17,) and res.peak_probability > 1 - 1e-9
+    assert len(maps) == 3 + 2
 
 
 def _full_marginal_reference(columns, pcs_vectors, t_digit_rows, layout):

@@ -182,6 +182,31 @@ def test_shift_zero_power_is_identity(f9):
     assert np.array_equal(shift_cube_vector(vec, f9, vector_digit_rows((f9.el(7),)), 0), vec)
 
 
+def test_shift_zero_power_is_a_copy_and_makes_no_map(f9, monkeypatch):
+    maps = []
+    monkeypatch.setattr("pqdec.qsim._shift_source", lambda *a: maps.append(a) or _shift_source(*a))
+    vec = cube_vector(f9, 1, (f9.el(4),), SigmaParam.from_r(f9, 1))
+    rows = vector_digit_rows((f9.el(7),))
+    for ell in (0, 3, -6):  # every multiple of p is the zero power
+        moved = shift_cube_vector(vec, f9, rows, ell)
+        assert moved is not vec and np.array_equal(moved, vec)
+    assert maps == []
+    with pytest.raises(BadRegister):
+        shift_cube_vector(np.ones(8, dtype=np.complex128), f9, rows, 0)
+
+
+def test_shift_of_a_stack_shifts_each_row_through_one_map(f9, monkeypatch):
+    rng = np.random.default_rng(12)
+    stack = rng.normal(size=(3, 2, 81)) + 1j * rng.normal(size=(3, 2, 81))
+    rows = vector_digit_rows((f9.el(5), f9.el(7)))
+    maps = []
+    monkeypatch.setattr("pqdec.qsim._shift_source", lambda *a: maps.append(a) or _shift_source(*a))
+    got = shift_cube_vector(stack, f9, rows, 2)
+    assert len(maps) == 1 and got.shape == stack.shape
+    for idx in np.ndindex(stack.shape[:-1]):
+        assert np.array_equal(got[idx], shift_cube_vector(stack[idx], f9, rows, 2))
+
+
 def test_shift_order_p_is_identity(f9):
     vec = cube_vector(f9, 1, (f9.el(2),), SigmaParam.from_r(f9, 1))
     rows = vector_digit_rows((f9.el(5),))
@@ -771,24 +796,35 @@ def test_join_of_shift_powers_is_the_product_then_controlled_shift_power(lay):
     assert np.max(np.abs(got - want)) < 1e-12
 
 
+def _linear_amounts(lay: RegisterLayout, seed: int) -> np.ndarray:
+    """labels @ G mod p for a random digit matrix G: the form of the sampler's A c."""
+    rng = np.random.default_rng(seed)
+    gens = rng.integers(0, lay.p, size=(lay.label_digits, lay.cube_count * lay.n * lay.m))
+    labels = label_to_digits(np.arange(lay.label_dim), lay.label_digits, lay.p)
+    return (labels @ gens % lay.p).reshape(lay.label_dim, lay.cube_count, lay.n, lay.m)
+
+
 @pytest.mark.parametrize("lay", JOIN_LAYOUTS[5:7] + JOIN_LAYOUTS[-1:])
-def test_join_makes_one_map_per_distinct_nonzero_shift(lay, monkeypatch):
-    amounts = _join_amounts(lay, 3)
-    reduced = amounts % lay.p
-    distinct = {
-        (j, reduced[i, j].tobytes())
-        for i in range(lay.label_dim)
-        for j in range(lay.cube_count)
-        if reduced[i, j].any()
-    }
+def test_join_makes_at_most_label_digits_maps_per_register(lay, monkeypatch):
+    """Amounts linear in the label digits take one step per carry level."""
     maps = []
     monkeypatch.setattr("pqdec.qsim._shift_source", lambda *a: maps.append(a) or _shift_source(*a))
     label, cubes = _join_parts(lay, 2, real=False)
-    DenseState.from_parts(lay, label, cubes, amounts)
-    assert len(maps) == len(distinct)
-    maps.clear()
     DenseState.from_parts(lay, label, cubes)  # all-zero amounts make no map
     assert maps == []
+    rows = np.arange(1, lay.n * lay.m + 1).reshape(lay.n, lay.m) % lay.p
+    for amounts in [_linear_amounts(lay, 3), _shift_power_amounts(lay, rows)]:
+        want = DenseState.from_parts(lay, label, cubes).controlled_register_shifts(amounts).vec
+        for j in range(lay.cube_count):  # one register shifted at a time
+            alone = np.zeros_like(amounts)
+            alone[:, j] = amounts[:, j]
+            maps.clear()
+            DenseState.from_parts(lay, label, cubes, alone)
+            assert len(maps) <= lay.label_digits
+        maps.clear()
+        got = DenseState.from_parts(lay, label, cubes, amounts).vec
+        assert 0 < len(maps) <= lay.label_digits * lay.cube_count
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize(
@@ -804,19 +840,31 @@ def test_join_rejects_amounts_of_the_wrong_shape(shape):
         DenseState._controlled_join(lay, label, cubes, amounts)
 
 
+SAMPLER_LAYOUT = RegisterLayout(p=3, m=3, n=3, label_digits=3, cube_count=1)
+
+
+def _sampler_amounts() -> np.ndarray:
+    """The sampler's amounts, labels @ A^T, at its shape over F_27."""
+    f = Field(3, 3)
+    code = LinearCode(f, [[f.el(1)], [f.el(3)], [f.el(9)]])
+    labels = label_to_digits(np.arange(27), 3, 3)
+    return (labels @ code.operator.entries.T % 3).reshape(-1, 1, 3, 3)
+
+
 @pytest.mark.parametrize(
-    "lay",
+    "lay,sampler",
     [
-        RegisterLayout(p=2, m=2, n=3, label_digits=4, cube_count=2),  # 2^16 amplitudes
-        RegisterLayout(p=3, m=2, n=2, label_digits=2, cube_count=2),  # 3^10 amplitudes
-        RegisterLayout(p=2, m=2, n=2, label_digits=4, cube_count=3),  # 2^16 amplitudes
-        RegisterLayout(p=3, m=3, n=3, label_digits=3, cube_count=1),  # the sampler's shape
+        (RegisterLayout(p=2, m=2, n=3, label_digits=4, cube_count=2), False),  # 2^16 amplitudes
+        (RegisterLayout(p=3, m=2, n=2, label_digits=2, cube_count=2), False),  # 3^10 amplitudes
+        (RegisterLayout(p=2, m=2, n=2, label_digits=4, cube_count=3), False),  # 2^16 amplitudes
+        (SAMPLER_LAYOUT, False),  # the sampler's shape, random amounts
+        (SAMPLER_LAYOUT, True),  # the sampler's shape and amounts
     ],
-    ids=["p2_c2", "p3_c2", "p2_c3", "p3_c1"],
+    ids=["p2_c2", "p3_c2", "p2_c3", "p3_c1", "p3_c1_sampler"],
 )
-def test_join_writes_no_second_state_sized_array(lay):
+def test_join_writes_no_second_state_sized_array(lay, sampler):
     label, cubes = _join_parts(lay, 9, real=lay.p == 2)
-    amounts = _join_amounts(lay, 4)
+    amounts = _sampler_amounts() if sampler else _join_amounts(lay, 4)
     DenseState.from_parts(lay, label, cubes, amounts)  # warm the caches a join fills
     tracemalloc.start()
     try:
