@@ -3,17 +3,22 @@
 Dense backend: every circuit step of the decoder is executed on the
 dense simulator.  The steps before the first controlled shift (the
 uniform superposition and L^-1 on the label work register of T = m*k
-digit slots) run on the work register alone.  One controlled join
-(``DenseState.from_parts`` with the controlled-shift-power amounts)
-then writes the composite register of the work register and the T cube
-registers with the controlled shift powers already made, and every
-later step runs on that composite register.  When the full tensor
-product exceeds the amplitude guard, the final label marginal is
-computed exactly without it: the state after the controlled shifts is a
-sum of label-basis terms whose cube part factorises register by
-register, so the measurement distribution is a permuted product state,
-the Kronecker product of one phase-estimation law per register, each
-from p overlaps, read at u = A^T o for outcome o.  Both paths produce
+digit slots) run on the work register alone.  The controlled shift
+powers CU and the label permutation L after them are one gate on the
+composite register of the work register and the T cube registers: L
+only moves label slices, so L . CU is the shift controlled by L^-1 y
+on label y, and one controlled join (``DenseState.from_parts`` with
+the work register's amplitudes and the shift amounts read at L^-1 y)
+writes the composite state with both already made.  The Fourier-basis
+measurement then reads that state once
+(``DenseState.fourier_label_marginal``), without writing the transform
+back.  When the full tensor product exceeds the amplitude guard, the
+final label marginal is computed exactly without it: the state after
+the controlled shifts is a sum of label-basis terms whose cube part
+factorises register by register, so the measurement distribution is a
+permuted product state, the Kronecker product of one phase-estimation
+law per register, each from p overlaps, read at u = A^T o for outcome
+o.  Both paths produce
 identical marginals where both run.
 
 Structured backend: a classical shadow of the same algorithm, valid
@@ -60,6 +65,7 @@ from .qsim import (
     _dft_matrix,
     _shift_power_amounts,
     label_permutation,
+    label_source,
     require_cube_orthogonality,
     shift_cube_vector,
     vector_digit_rows,
@@ -152,18 +158,22 @@ def _dense_full_marginal(
     """Steps 3-7 on the materialised composite register (L = ``columns``).
 
     The work register's gates before the controlled shifts run on a
-    label-only state.  The controlled shift powers are the first gate that
-    couples it to the PCS vectors, so one join writes the composite state
-    with them already made: one ``from_parts`` call, no separate shift.
+    label-only state.  The controlled shift powers CU are the first gate
+    that couples it to the PCS vectors, and L after them only moves label
+    slices (slice y comes from slice L^-1 y), so L . CU is written by one
+    join: the work register's amplitudes and the shift amounts, both read
+    at source[y] = L^-1 y.  L^-1 is linear, so the amounts stay linear in
+    the label digits and the join builds at most ``label_digits`` maps
+    per register.  The Fourier-basis measurement then reads the joined
+    state once (:meth:`DenseState.fourier_label_marginal`).
     """
     label = DenseState.zero_state(replace(layout, cube_count=0))
     label.qft_label()  # uniform superposition over the work register
     label.permute_label(columns, inverse=True)
+    source = label_source(columns, layout.p)  # L^-1 y for every label y
     amounts = _shift_power_amounts(layout, t_digit_rows)
-    state = DenseState.from_parts(layout, label.vec, pcs_vectors, amounts)
-    state.permute_label(columns)
-    state.qft_label(inverse=True)  # Fourier-basis measurement
-    return state.label_marginal()
+    state = DenseState.from_parts(layout, label.vec[source], pcs_vectors, amounts[source])
+    return state.fourier_label_marginal()
 
 
 def _dense_factorized_marginal(

@@ -74,13 +74,19 @@ long run is innermost: on one core of a 2-vCPU Xeon, 16 MB of float64
 took 2.2 ms as eight 64 x 4096 outer products, against 5.2 ms as one
 32768 x 64 product and 1.8 ms for a fill.  A Fourier transform
 multiplies the state tile by tile (about ``DFT_TILE`` floats each) into
-a small scratch tile and copies each tile back.  A controlled shift and
-a label permutation move one label slice at a time, through one slice
-of scratch.  For p = 2 the Fourier matrix is the real Hadamard power,
-and every other gate only moves amplitudes, so a state built from real
-amplitudes stays real: it is stored as float64, half the bytes of a
-complex state, and a transform is a real product.  Each gate is checked:
-a Fourier transform checks the norm to 1e-10
+a small scratch tile and copies each tile back.  A Fourier-basis label
+measurement (:meth:`DenseState.fourier_label_marginal`) does the same
+for every run of label axes but the last, and reads the last run's
+tiles without copying them back: it sums each tile's squared
+magnitudes per label while the tile is in cache, so the measurement is
+one read of the state and leaves it part-way through the transform.  A
+controlled shift and a label permutation move one label slice at a
+time, through one slice of scratch.  For p = 2 the Fourier matrix is
+the real Hadamard power, and every other gate only moves amplitudes, so
+a state built from real amplitudes stays real: it is stored as float64,
+half the bytes of a complex state, and a transform is a real product.
+Each gate is checked: a Fourier transform, and a Fourier-basis
+measurement, checks the norm to 1e-10
 (:class:`~pqdec.errors.InvariantViolated` otherwise), on whichever
 register it runs on, summing each tile's squared magnitudes while the
 tile is still in cache; a gate that only reorders amplitudes (a label
@@ -166,12 +172,35 @@ def label_permutation(matrix: np.ndarray, p: int) -> np.ndarray:
     return perm
 
 
+def label_source(matrix: np.ndarray, p: int, inverse: bool = False) -> np.ndarray:
+    """Source-index map of the label permutation |v> -> |M v> (|M^-1 v> with ``inverse``).
+
+    After the permutation, label i holds what label ``source[i]`` held:
+    source[i] = M^-1 i, or M i with ``inverse``.  Both read M's own
+    index map i -> M i, checked to be a bijection (a singular M raises
+    BadParams), and the forward one inverts it, so M^-1 is never formed.
+    """
+    perm = _require_bijection(label_permutation(matrix, p), "label permutation")
+    if inverse:
+        return perm
+    source = np.empty_like(perm)
+    source[perm] = np.arange(len(perm))
+    return source
+
+
 def _require_bijection(index_map: np.ndarray, what: str) -> np.ndarray:
     """``index_map`` itself, once it is checked to permute range(len(index_map))."""
     counts = np.bincount(index_map, minlength=len(index_map))
     if len(counts) != len(index_map) or not np.all(counts == 1):
         raise BadParams(f"{what} is not a bijection")
     return index_map
+
+
+def _require_unit_norm(squared_norm: float) -> None:
+    """Raise InvariantViolated unless sqrt(``squared_norm``) is within NORM_TOL of 1."""
+    drift = abs(np.sqrt(squared_norm) - 1.0)
+    if not drift < NORM_TOL:
+        raise InvariantViolated(f"statevector norm drifted by {drift:.3g}")
 
 
 @dataclass(frozen=True)
@@ -306,11 +335,12 @@ class DenseState:
     """
 
     def __init__(self, layout: RegisterLayout, vec: np.ndarray):
+        # the shape is checked before the copy, so a wrong input allocates no state
+        if np.shape(vec) != (layout.dim,):
+            raise BadRegister(f"state of shape {np.shape(vec)}, layout needs ({layout.dim},)")
         self.layout = layout
         vec = np.asarray(vec)
         self.vec = np.array(vec, dtype=np.result_type(vec, _dft_matrix(layout.p)), order="C")
-        if self.vec.shape != (layout.dim,):
-            raise BadRegister(f"state of shape {self.vec.shape}, layout needs ({layout.dim},)")
 
     @classmethod
     def zero_state(cls, layout: RegisterLayout) -> DenseState:
@@ -420,19 +450,19 @@ class DenseState:
 
     # -- gates ------------------------------------------------------------
 
-    def dft_axis(self, axis: int, inverse: bool = False, width: int = 1) -> DenseState:
-        """Fourier transform on the ``width`` digit axes from ``axis``, in place.
+    def _dft_tiles(self, axis: int, inverse: bool, width: int):
+        """Yield (rows, tile, product) for the Fourier transform on ``width`` axes from ``axis``.
 
-        The state, viewed as (pre, block, post), is multiplied by the
-        Fourier matrix one tile of about ``DFT_TILE`` floats at a time:
-        a run of ``pre`` rows when a row fits in a tile, else a slice of
-        ``post`` columns of one row.  Each product goes into a scratch
-        tile, whose squared magnitudes are summed for the norm check
-        before it is copied back.  A tile holds ``DFT_TILE`` floats for a
-        real and a complex state alike.  The matrix takes the state's
-        dtype, so a real state (p = 2) takes a real product and a complex
-        one a complex product.  With post == 1 each tile of rows is
-        multiplied by F^T.
+        The state, viewed as (pre, block, post), is cut into tiles of about
+        ``DFT_TILE`` floats: a run of ``pre`` rows when a row fits in a
+        tile, else a slice of ``post`` columns of one row.  A tile holds
+        ``DFT_TILE`` floats for a real and a complex state alike.  Each
+        tile, a (rows, block, columns) view of the state, is yielded with
+        the slice of ``pre`` rows it spans and its product by the Fourier
+        matrix, written into one scratch tile that the next product
+        overwrites.  The matrix takes the state's dtype, so a real state
+        (p = 2) takes a real product and a complex one a complex product.
+        With post == 1 each tile of rows is multiplied by F^T.
         """
         if not (0 <= axis and width >= 1 and axis + width <= self.layout.total_axes):
             raise BadRegister(
@@ -445,28 +475,36 @@ class DenseState:
         f = _dft_matrix(p, inverse, width)
         v = self.vec
         f = f.astype(v.dtype, copy=False)
-        x = v.reshape((pre, block) if post == 1 else (pre, block, post))
+        x = v.reshape(pre, block, post)
         size = DFT_TILE * 8 // v.itemsize  # elements of v in one tile
         if block * post <= size:
             step = size // (block * post)
-            tiles = [np.s_[i : i + step] for i in range(0, pre, step)]
+            tiles = [np.s_[i : i + step, :, :] for i in range(0, pre, step)]
         else:
             step = max(size // block, 1)
-            tiles = [np.s_[i, :, j : j + step] for i in range(pre) for j in range(0, post, step)]
+            tiles = [np.s_[i : i + 1, :, j : j + step] for i in range(pre) for j in range(0, post, step)]
         scratch = np.empty(x[tiles[0]].size, dtype=v.dtype)
-        total = 0.0
         for tile in tiles:
             src = x[tile]
             out = scratch[: src.size].reshape(src.shape)
             if post == 1:
-                np.matmul(src, f.T, out=out)
+                np.matmul(src[..., 0], f.T, out=out[..., 0])
             else:
                 np.matmul(f, src, out=out)
+            yield tile[0], src, out
+
+    def dft_axis(self, axis: int, inverse: bool = False, width: int = 1) -> DenseState:
+        """Fourier transform on the ``width`` digit axes from ``axis``, in place.
+
+        Tile by tile (see :meth:`_dft_tiles`): each product's squared
+        magnitudes are summed for the norm check while it is still in
+        cache, and it is copied back over its tile.
+        """
+        total = 0.0
+        for _, src, out in self._dft_tiles(axis, inverse, width):
             total += np.vdot(out, out).real
-            x[tile] = out
-        drift = abs(np.sqrt(total) - 1.0)
-        if not drift < NORM_TOL:
-            raise InvariantViolated(f"statevector norm drifted by {drift:.3g}")
+            src[...] = out
+        _require_unit_norm(total)
         return self
 
     def prep_cube(self, sigma: SigmaParam) -> DenseState:
@@ -493,20 +531,12 @@ class DenseState:
     def permute_label(self, matrix_fp: np.ndarray, inverse: bool = False) -> DenseState:
         """Basis permutation |v> -> |M v>, or |v> -> |M^-1 v> with ``inverse``.
 
-        Both directions read M's own index map i -> M i: the inverse one
-        gathers slice i from slice M i, the forward one from the inverted
-        index map, so M^-1 is never formed.  A singular M raises
-        BadParams: its label map is not a bijection.  Label slices move
-        in place, one cycle of the map at a time: the cycle's first slice
-        waits in one slice of scratch while the others move up.
+        Slice i is gathered from slice ``label_source(M, p, inverse)[i]``,
+        so a singular M raises BadParams.  Label slices move in place,
+        one cycle of the map at a time: the cycle's first slice waits in
+        one slice of scratch while the others move up.
         """
-        perm = _require_bijection(label_permutation(matrix_fp, self.layout.p), "label permutation")
-        if inverse:
-            source = perm
-        else:
-            source = np.empty_like(perm)
-            source[perm] = np.arange(len(perm))
-        source = source.tolist()
+        source = label_source(matrix_fp, self.layout.p, inverse).tolist()
         v = self.vec.reshape(self.layout.label_dim, -1)
         scratch = np.empty_like(v[0])
         moved = [i == s for i, s in enumerate(source)]  # fixed points stay
@@ -564,6 +594,32 @@ class DenseState:
         """Exact outcome distribution of a standard-basis label measurement."""
         w = self.vec.view(np.float64).reshape(self.layout.label_dim, -1)
         return np.einsum("ij,ij->i", w, w)
+
+    def fourier_label_marginal(self) -> np.ndarray:
+        """Outcome distribution of measuring the label register in the Fourier basis.
+
+        Equal to ``qft_label(inverse=True)`` then :meth:`label_marginal`,
+        in one read of the state for the last run of label axes: every
+        run but the last is transformed in place by :meth:`dft_axis`,
+        and the last one's products (see :meth:`_dft_tiles`) are never
+        copied back; each tile's squared magnitudes are summed per label
+        while it is in cache.  The norm is checked on their total, as
+        :meth:`dft_axis` checks it.  This is a measurement: the state is
+        left part-way through the transform and is not to be read after.
+        """
+        lay = self.layout
+        runs = _dft_runs(0, lay.label_digits, lay.p)
+        if not runs:
+            raise BadRegister("the layout has no label register to measure")
+        for axis, width in runs[:-1]:
+            self.dft_axis(axis, inverse=True, width=width)
+        axis, width = runs[-1]
+        marginal = np.zeros((lay.p**axis, lay.p**width))  # label = (pre, block)
+        for rows, _, out in self._dft_tiles(axis, True, width):
+            w = out.view(np.float64)
+            marginal[rows] += np.einsum("ijk,ijk->ij", w, w)
+        _require_unit_norm(marginal.sum())
+        return marginal.reshape(-1)
 
 
 # ----------------------------------------------------------------------

@@ -388,6 +388,30 @@ def test_full_marginal_joins_once_and_shifts_in_the_join(f4, monkeypatch):
     assert np.max(np.abs(got - want)) < 1e-12
 
 
+def test_full_marginal_permutes_no_joined_state(f4, monkeypatch):
+    # L after the controlled shifts is folded into the join, so the only
+    # permutation left is L^-1 on the work register alone
+    permuted = []
+    permute_label = DenseState.permute_label
+
+    def counted(self, *args, **kwargs):
+        permuted.append(self.layout.cube_count)
+        return permute_label(self, *args, **kwargs)
+
+    code = code_123(f4)
+    sampler = PcsSampler(code, SigmaParam.from_r(f4, 0))
+    rng = np.random.default_rng(5)
+    columns, _ = sample_label_matrix(2, f4.m, rng)
+    pcs = [sampler.collapse(label) for label in columns.T]
+    t_rows = rng.integers(0, 2, size=(code.n, f4.m))
+    layout = RegisterLayout(p=2, m=f4.m, n=code.n, label_digits=f4.m, cube_count=f4.m)
+    want = _full_marginal_reference(columns, pcs, t_rows, layout)
+    monkeypatch.setattr(DenseState, "permute_label", counted)
+    got = _dense_full_marginal(columns, pcs, t_rows, layout)
+    assert permuted == [0]
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
 def _complex_zero_state(layout):
     vec = np.zeros(layout.dim, dtype=np.complex128)
     vec[0] = 1.0

@@ -29,12 +29,14 @@ from pqdec.qsim import (
     RegisterLayout,
     SigmaParam,
     _dft_matrix,
+    _dft_runs,
     _shift_power_amounts,
     _shift_source,
     cube_overlap,
     cube_vector,
     digits_to_label,
     label_permutation,
+    label_source,
     label_to_digits,
     pcs_state_direct,
     shift_cube_vector,
@@ -696,6 +698,20 @@ def test_state_rejects_a_vector_of_the_wrong_size():
         DenseState(lay, np.ones(8, dtype=np.complex128))
 
 
+@pytest.mark.parametrize("shape", [(2**16 + 1,), (2**15,), (2, 2**15), (2**16, 1)])
+def test_state_checks_the_shape_before_the_copy(shape):
+    lay = RegisterLayout(p=2, m=2, n=7, label_digits=2, cube_count=1)  # 2^16 amplitudes
+    vec = np.ones(shape, dtype=np.complex128)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BadRegister):
+            DenseState(lay, vec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * lay.dim / 64  # a copy would take 16 bytes per amplitude
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_norm_drift_raises_a_typed_error(p):
     lay = RegisterLayout(p=p, m=1, n=1, label_digits=2, cube_count=1)
@@ -825,6 +841,38 @@ def test_join_makes_at_most_label_digits_maps_per_register(lay, monkeypatch):
         got = DenseState.from_parts(lay, label, cubes, amounts).vec
         assert 0 < len(maps) <= lay.label_digits * lay.cube_count
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("lay", JOIN_LAYOUTS[:5])
+def test_join_read_at_the_label_source_is_the_join_then_the_permutation(lay, monkeypatch):
+    """L . CU . L^-1 is the shift controlled by L^-1 y: one join, no permutation pass.
+
+    The label part and the shift powers, read at source[y] = L^-1 y, join
+    to the same bits as the plain join followed by ``permute_label(L)``,
+    and the amounts stay linear in the label digits, so each register
+    still takes at most ``label_digits`` maps.
+    """
+    rng = np.random.default_rng(lay.dim)
+    t = lay.label_digits
+    matrix = rng.integers(0, lay.p, size=(t, t))
+    while rank(matrix, lay.p) < t:
+        matrix = rng.integers(0, lay.p, size=(t, t))
+    label, cubes = _join_parts(lay, 7, real=lay.p == 2)
+    rows = np.arange(1, lay.n * lay.m + 1).reshape(lay.n, lay.m) % lay.p
+    amounts = _shift_power_amounts(lay, rows)
+    want = DenseState.from_parts(lay, label, cubes, amounts).permute_label(matrix).vec
+    source = label_source(matrix, lay.p)
+    assert np.array_equal(label_source(matrix, lay.p, inverse=True)[source], np.arange(lay.label_dim))
+    maps = []
+    monkeypatch.setattr("pqdec.qsim._shift_source", lambda *a: maps.append(a) or _shift_source(*a))
+    for j in range(lay.cube_count):  # one register shifted at a time
+        alone = np.zeros_like(amounts)
+        alone[:, j] = amounts[:, j]
+        maps.clear()
+        DenseState.from_parts(lay, label[source], cubes, alone[source])
+        assert len(maps) <= t
+    got = DenseState.from_parts(lay, label[source], cubes, amounts[source]).vec
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize(
@@ -1156,6 +1204,80 @@ def test_measure_label_uniform_probabilities():
     st.qft_label()
     marg = st.label_marginal()
     assert np.allclose(marg, 1 / 8, atol=1e-12)
+
+
+# (p, n, label digits, real input, label runs, last run tiled by rows):
+# one label run or several (p = 2 and T = 7: widths 5 and 2; p = 3 and
+# T = 4: widths 3 and 1), and both tilings of the last run, rows of pre or
+# column slices of one row; a real input stays real only at p = 2
+FOURIER_READOUT_CASES = [
+    (2, 2, 3, True, 1, True),
+    (2, 2, 3, False, 1, True),
+    (2, 13, 3, True, 1, False),
+    (2, 13, 3, False, 1, False),
+    (2, 2, 7, True, 2, True),
+    (2, 2, 7, False, 2, True),
+    (2, 13, 7, True, 2, True),  # one row of pre per tile
+    (2, 13, 7, False, 2, False),
+    (3, 2, 4, True, 2, True),
+    (3, 2, 4, False, 2, True),
+    (3, 8, 4, False, 2, False),
+    (5, 2, 2, True, 1, True),
+    (5, 1, 3, False, 2, True),
+    (5, 5, 2, True, 1, False),
+    (5, 5, 2, False, 1, False),
+]
+
+
+def _readout_state(p: int, n: int, t: int, real: bool, seed: int) -> DenseState:
+    lay = RegisterLayout(p=p, m=1, n=n, label_digits=t, cube_count=1)
+    rng = np.random.default_rng(seed)
+    vec = rng.normal(size=lay.dim if real else 2 * lay.dim)
+    vec = vec if real else vec.view(np.complex128)
+    return DenseState(lay, vec / np.linalg.norm(vec))
+
+
+@pytest.mark.parametrize("p,n,t,real,run_count,by_rows", FOURIER_READOUT_CASES)
+def test_fourier_label_marginal_is_the_inverse_transform_then_the_marginal(
+    p, n, t, real, run_count, by_rows
+):
+    st = _readout_state(p, n, t, real, seed=p * t + n)
+    lay = st.layout
+    runs = _dft_runs(0, t, p)
+    width = runs[-1][1]
+    post = lay.dim // lay.label_dim
+    assert len(runs) == run_count
+    assert (p**width * post <= DFT_TILE * 8 // st.vec.itemsize) == by_rows
+    want = DenseState(lay, st.vec).qft_label(inverse=True).label_marginal()
+    got = st.fourier_label_marginal()
+    assert got.shape == (lay.label_dim,)
+    assert np.max(np.abs(got - want)) < 1e-15
+
+
+@pytest.mark.parametrize("p,n,t", [(2, 2, 3), (2, 13, 3), (3, 2, 2), (5, 5, 2), (2, 2, 7)])
+def test_fourier_label_marginal_checks_the_norm(p, n, t):
+    st = _readout_state(p, n, t, real=False, seed=1)
+    st.vec *= 1 + 1e-8
+    with pytest.raises(InvariantViolated):
+        st.fourier_label_marginal()
+
+
+def test_fourier_label_marginal_needs_a_label_register():
+    st = DenseState.zero_state(RegisterLayout(p=2, m=1, n=2, label_digits=0, cube_count=1))
+    with pytest.raises(BadRegister):
+        st.fourier_label_marginal()
+
+
+@pytest.mark.parametrize("p,n,t,real", [(3, 8, 4, False), (2, 13, 7, True)])
+def test_fourier_label_marginal_allocates_no_state_sized_array(p, n, t, real):
+    st = _readout_state(p, n, t, real, seed=3)
+    tracemalloc.start()
+    try:
+        st.fourier_label_marginal()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < st.vec.nbytes / 8
 
 
 # ---------------------------------------------------------------- golden amplitudes
