@@ -96,17 +96,19 @@ def _load_instance(path: str):
     return instance_from_json(_load_json(path, BadShape))
 
 
+def _field(args: argparse.Namespace) -> Field:
+    return Field(args.p, args.m, _parse_ints(args.poly, "--poly"))
+
+
 def _cmd_field(args: argparse.Namespace) -> int:
-    f = Field(args.p, args.m, _parse_ints(args.poly, "--poly"))
-    _emit(args, json.dumps(f.to_json(), sort_keys=True))
+    _emit(args, json.dumps(_field(args).to_json(), sort_keys=True))
     return 0
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     seed = _seed_from(args)
-    f = Field(args.p, args.m, _parse_ints(args.poly, "--poly"))
     rng = np.random.default_rng(seed)
-    code = random_code(f, args.n, args.k, rng)
+    code = random_code(_field(args), args.n, args.k, rng)
     if args.with_distance:
         min_distance_bruteforce(code, budget=args.budget)
     inst = gen_instance(code, args.w, rng)
@@ -188,8 +190,7 @@ def _cmd_hardness(args: argparse.Namespace) -> int:
     if (args.exact_cover is None) == (args.min_cover_size is None):
         raise BadParams("give exactly one of --exact-cover and --min-cover-size")
     sc = SetCoverInstance.from_json(_load_json(args.sc, BadParams))
-    f = Field(args.p, args.m, _parse_ints(args.poly, "--poly"))
-    gadget = build_gadget(sc, f)
+    gadget = build_gadget(sc, _field(args))
     cover = _parse_ints(args.exact_cover, "--exact-cover")
     report = verify_gap(
         gadget, exact_cover=cover, min_cover_size=args.min_cover_size
@@ -225,17 +226,18 @@ def build_parser() -> argparse.ArgumentParser:
         if seed:
             p.add_argument("--seed", type=int, default=None)
 
+    def add_field(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--p", type=int, required=True)
+        p.add_argument("--m", type=int, required=True)
+        p.add_argument("--poly", help="comma-separated low coefficients, constant first")
+
     p = sub.add_parser("field", help="validate and print a field description")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--poly", help="comma-separated low coefficients, constant first")
+    add_field(p)
     add_common(p, seed=False)
     p.set_defaults(func=_cmd_field)
 
     p = sub.add_parser("gen", help="generate a planted decoding instance")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--poly")
+    add_field(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--w", type=int, required=True, help="error budget (Manhattan)")
@@ -274,9 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hardness", help="build a set-cover gadget and verify its gap")
     p.add_argument("--sc", required=True, help="set-cover instance JSON")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--poly")
+    add_field(p)
     p.add_argument("--exact-cover", help="comma-separated set indices (YES witness)")
     p.add_argument("--min-cover-size", type=int, help="certified minimum cover (NO case)")
     add_common(p, seed=False)

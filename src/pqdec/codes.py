@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BadShape, BudgetExceeded, FieldMismatch, LengthMismatch
+from .errors import BadShape, BudgetExceeded, LengthMismatch
 from .gf import (
     Field,
     FieldElement,
@@ -30,6 +30,7 @@ from .gf import (
     expand_operator,
     json_int,
     label_to_digits,
+    require_field,
     stack_digits,
     unstack_digits,
 )
@@ -74,8 +75,7 @@ class LinearCode:
         """Codeword A @ s."""
         if len(s) != self.k:
             raise LengthMismatch(f"message length {len(s)} != k = {self.k}")
-        if any(x.field != self.field for x in s):
-            raise FieldMismatch("message entry from a different field")
+        require_field(self.field, s, "message entry")
         digits = self.operator.entries @ stack_digits(s) % self.field.p
         return unstack_digits(self.field, digits)
 
@@ -188,7 +188,12 @@ def nearest_codeword_oracle(
 
 @dataclass
 class DecodeInstance:
-    """A target vector with a promised error budget, optionally planted; shapes checked."""
+    """A target vector with a promised error budget, optionally planted.
+
+    Shapes are checked, and every entry of ``t`` and ``s_true`` must be
+    over the code's field (FieldMismatch), so no decoder reads a foreign
+    element.
+    """
 
     code: LinearCode
     t: tuple[FieldElement, ...]
@@ -200,6 +205,7 @@ class DecodeInstance:
             raise LengthMismatch(f"target length {len(self.t)} != n = {self.code.n}")
         if self.s_true is not None and len(self.s_true) != self.code.k:
             raise LengthMismatch(f"message length {len(self.s_true)} != k = {self.code.k}")
+        require_field(self.code.field, (*self.t, *(self.s_true or ())), "instance entry")
         if self.w is not None and self.w < 0:
             raise BadShape(f"error budget w = {self.w} must be >= 0")
 

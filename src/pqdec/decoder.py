@@ -1,31 +1,30 @@
 """The quantum decoder, end to end, on two backends.
 
 Dense backend: every circuit step of the decoder is executed on the
-dense simulator.  The steps before the first controlled shift (the
-uniform superposition and L^-1 on the label work register of T = m*k
-digit slots) run on the work register alone.  The controlled shift
-powers CU and the label permutation L after them are one gate on the
-composite register of the work register and the T cube registers: L
-only moves label slices, so L . CU is the shift controlled by L^-1 y
-on label y, and one controlled join (``DenseState.from_parts`` with
-the work register's amplitudes and the shift amounts read at L^-1 y)
-writes the composite state with both already made.  The Fourier-basis
-measurement then reads that state once
-(``DenseState.fourier_label_marginal``), without writing the transform
-back.  When the full tensor product exceeds the amplitude guard, the
-final label marginal is computed exactly without it: the state after
-the controlled shifts is a sum of label-basis terms whose cube part
-factorises register by register, so the measurement distribution is a
-permuted product state, the Kronecker product of one phase-estimation
-law per register, each from p overlaps, read at u = A^T o for outcome
-o.  Both paths produce
+dense simulator, as three gates.  The uniform superposition runs on the
+label work register of T = m*k digit slots alone.  L^-1, the controlled
+shift powers CU and L are one gate on the composite register of the
+work register and the T cube registers: L only moves label slices, so
+L . CU . L^-1 is the shift controlled by L^-1 y on label y, and it
+leaves the work register's amplitudes where they were.  One controlled
+join (``DenseState.from_parts`` with the work register's amplitudes
+and the shift amounts read through L's one index map) writes the
+composite state with it made.  The Fourier-basis measurement then
+reads that state once (``DenseState.fourier_label_marginal``), without
+writing the transform back.  When the full tensor product exceeds the
+amplitude guard, the final label marginal is computed exactly without
+it: the state after the controlled shifts is a sum of label-basis
+terms whose cube part factorises register by register, so the
+measurement distribution is a permuted product state, the Kronecker
+product of one phase-estimation law per register, each from p
+overlaps, read at u = A^T o for outcome o.  Both paths produce
 identical marginals where both run.
 
 Structured backend: a classical shadow of the same algorithm, valid
 exactly where the eigenphase relation holds (every coordinate of
 t - A s_true has integer image below sigma, i.e. zero top m - r
 digits).  It redraws the label batch until the label matrix has full
-rank over F_p (no path inverts it; the full-tensor dense path undoes it
+rank over F_p (no path inverts it; the full-tensor dense path reads
 through its own index map), and returns
 s_true, the negation of the outcome -s_true that the circuit measures.
 It refuses (PromiseViolated) rather than extrapolate: without a planted
@@ -92,8 +91,8 @@ def sample_label_matrix(p: int, t: int, rng: np.random.Generator) -> tuple[np.nd
 
     Returns the surviving (T, T) batch, column j = label j, and the number
     of batches drawn (expected O(1)).  The draw checks rank only; no path
-    inverts the batch, since the full-tensor dense path applies L^-1 as a
-    gather through L's own index map.
+    inverts the batch, since the full-tensor dense path reads its shift
+    amounts at L^-1 y through L's own index map.
     """
     for rounds in range(1, DEFAULT_RETRY_BUDGET + 1):
         columns = rng.integers(0, p, size=(t, t)).astype(np.int64)
@@ -157,22 +156,23 @@ def _dense_full_marginal(
 ) -> np.ndarray:
     """Steps 3-7 on the materialised composite register (L = ``columns``).
 
-    The work register's gates before the controlled shifts run on a
-    label-only state.  The controlled shift powers CU are the first gate
-    that couples it to the PCS vectors, and L after them only moves label
-    slices (slice y comes from slice L^-1 y), so L . CU is written by one
-    join: the work register's amplitudes and the shift amounts, both read
-    at source[y] = L^-1 y.  L^-1 is linear, so the amounts stay linear in
-    the label digits and the join builds at most ``label_digits`` maps
-    per register.  The Fourier-basis measurement then reads the joined
-    state once (:meth:`DenseState.fourier_label_marginal`).
+    Three gates.  The uniform superposition runs on a label-only state.
+    L . CU . L^-1 is one join read through L's one index map: L only
+    moves label slices (slice y comes from slice L^-1 y), so the
+    composite state after it is the shift controlled by L^-1 y on label
+    y, and the work register's amplitude there is its amplitude before
+    L^-1, since L^-1 then L returns slice y to itself.  So the join takes
+    the work register as it is and the shift amounts read at
+    source[y] = L^-1 y; L^-1 is linear, so the amounts stay linear in the
+    label digits and the join builds at most ``label_digits`` maps per
+    register.  The Fourier-basis measurement then reads the joined state
+    once (:meth:`DenseState.fourier_label_marginal`).
     """
     label = DenseState.zero_state(replace(layout, cube_count=0))
     label.qft_label()  # uniform superposition over the work register
-    label.permute_label(columns, inverse=True)
     source = label_source(columns, layout.p)  # L^-1 y for every label y
     amounts = _shift_power_amounts(layout, t_digit_rows)
-    state = DenseState.from_parts(layout, label.vec[source], pcs_vectors, amounts[source])
+    state = DenseState.from_parts(layout, label.vec, pcs_vectors, amounts[source])
     return state.fourier_label_marginal()
 
 

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -397,6 +397,16 @@ class FieldElement:
         return f"GF({self.field.q})[{self.image}]"
 
 
+def require_field(field: Field, elements: Iterable[FieldElement], what: str) -> None:
+    """Raise FieldMismatch unless every element is over ``field``.
+
+    Each element is checked, by identity first, so elements that
+    ``field`` itself made cost no equality test.
+    """
+    if any(e.field is not field and e.field != field for e in elements):
+        raise FieldMismatch(f"{what} from a different field")
+
+
 # ----------------------------------------------------------------------
 # Digit-expanded linear operators
 # ----------------------------------------------------------------------
@@ -450,8 +460,7 @@ def expand_operator(matrix: Sequence[Sequence[FieldElement]], field: Field) -> E
     n = len(matrix)
     k = len(matrix[0]) if n else 0
     m, p = field.m, field.p
-    if any(a.field != field for row in matrix for a in row):
-        raise FieldMismatch("matrix entry from a different field")
+    require_field(field, (a for row in matrix for a in row), "matrix entry")
     digits = np.array(
         [[a.digits for a in row] for row in matrix], dtype=np.int64
     ).reshape(n, k, m)

@@ -11,16 +11,16 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import FieldMismatch, LengthMismatch
-from .gf import FieldElement
+from .errors import LengthMismatch
+from .gf import FieldElement, require_field
 
 
 def manhattan_dist(x: Sequence[FieldElement], y: Sequence[FieldElement]) -> int:
-    """Sum over coordinates of |image(x_i) - image(y_i)|."""
+    """Sum over coordinates of |image(x_i) - image(y_i)|, every coordinate over one field."""
     if len(x) != len(y):
         raise LengthMismatch(f"vector lengths {len(x)} vs {len(y)}")
-    if x and y and x[0].field != y[0].field:
-        raise FieldMismatch("vectors over different fields")
+    if x:
+        require_field(x[0].field, (*x, *y), "vector entry")
     return sum(abs(a.image - b.image) for a, b in zip(x, y))
 
 

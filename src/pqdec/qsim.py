@@ -60,11 +60,15 @@ by its amount for label i.  The join takes labels in index order, so
 each register's factor for label i is one gather of its factor for
 label i-1, by the step between their amounts.  Both circuits' amounts
 are linear in the label digits (the sampler's A c, the decoder's
-U_t^(ell_j)), so that step depends only on the carry from i-1 to i:
-at most one map per label digit and register.  A product state needs
-no joint tensor until a gate couples its parts, so the PCS sampler and
-the decoder's full-tensor path write the joined state once and pass
-over it only for the gates after the first controlled shift.
+U_t^(ell_j), read at L^-1 y when the label permutations L^-1 and L
+around the shift are folded in), so that step depends only on the
+carry from i-1 to i: at most one map per label digit and register.  A
+product state needs no joint tensor until a gate couples its parts, so
+the PCS sampler and the decoder's full-tensor path write the joined
+state once and pass over it only for the gates after the first
+controlled shift.  No decode runs :meth:`DenseState.permute_label` or
+:meth:`DenseState.controlled_register_shifts` as a pass of its own:
+they are the reference gates a join is checked against.
 
 Buffers: a :class:`DenseState` owns one full-state array (a copy of the
 array it was built from, or the state a join writes straight into it),
@@ -579,14 +583,6 @@ class DenseState:
             if block is scratch:
                 label_slice[...] = scratch
         return self
-
-    def controlled_shift_power(self, t_digit_rows: np.ndarray) -> DenseState:
-        """Apply U_t^(digit j of the label) to cube register j, for every j.
-
-        The label register's current basis value supplies the control
-        digits; powers are ell-fold F_q additions of t.
-        """
-        return self.controlled_register_shifts(_shift_power_amounts(self.layout, t_digit_rows))
 
     # -- measurement --------------------------------------------------------
 

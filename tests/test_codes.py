@@ -262,6 +262,26 @@ def test_plant_instance_rejects_error_of_wrong_length(f4):
         plant_instance(code, s, (f4.zero,) * 2)
 
 
+@pytest.mark.parametrize(
+    "where,foreign",
+    [
+        ("t", Field(2, 4, [1, 0, 0, 1]).el(1)),  # F_16 under another modulus
+        ("t", Field(3, 2).el(1)),
+        ("s_true", Field(3, 2).el(1)),
+        ("s_true", Field(2, 4, [1, 0, 0, 1]).el(1)),
+    ],
+    ids=["t_other_modulus", "t_f9", "s_true_f9", "s_true_other_modulus"],
+)
+def test_instance_rejects_an_entry_from_another_field(f16, where, foreign):
+    # the check is made when the instance is built, so no decoder reads it;
+    # the foreign entry is the last one, past what a first-entry check sees
+    code = LinearCode(f16, [[f16.el(1)], [f16.el(2)], [f16.el(4)]])
+    parts = {"t": list(code.encode((f16.el(5),))), "s_true": [f16.el(5)]}
+    parts[where][-1] = foreign
+    with pytest.raises(FieldMismatch):
+        DecodeInstance(code=code, t=tuple(parts["t"]), w=0, s_true=tuple(parts["s_true"]))
+
+
 def test_instance_json_round_trip(f9):
     code = random_code(f9, 3, 1, 4)
     min_distance_bruteforce(code)

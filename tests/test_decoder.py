@@ -37,6 +37,7 @@ from pqdec.qsim import (
     RegisterLayout,
     SigmaParam,
     _dft_matrix,
+    _shift_power_amounts,
     _shift_source,
     label_permutation,
     pcs_state_direct,
@@ -271,7 +272,8 @@ def test_factorized_rows_are_phase_estimation(p, m, gens, d):
             phi = sampler.collapse(label)
             row = _dense_factorized_marginal(np.eye(1, dtype=np.int64), [phi], t_rows, f)
             state = DenseState(layout, np.kron(label_zero, phi)).qft_label()
-            state.controlled_shift_power(t_rows).qft_label(inverse=True)
+            state.controlled_register_shifts(_shift_power_amounts(layout, t_rows))
+            state.qft_label(inverse=True)
             assert np.max(np.abs(row - state.label_marginal())) < 1e-12
             assert (row.max() > 1 - 1e-12) == inside
 
@@ -322,7 +324,7 @@ def _full_marginal_reference(columns, pcs_vectors, t_digit_rows, layout):
     state = DenseState.from_parts(layout, label0, pcs_vectors)
     state.qft_label()
     state.permute_label(columns, inverse=True)
-    state.controlled_shift_power(t_digit_rows)
+    state.controlled_register_shifts(_shift_power_amounts(layout, t_digit_rows))
     state.permute_label(columns)
     state.qft_label(inverse=True)
     return state.label_marginal()
@@ -389,8 +391,9 @@ def test_full_marginal_joins_once_and_shifts_in_the_join(f4, monkeypatch):
 
 
 def test_full_marginal_permutes_no_joined_state(f4, monkeypatch):
-    # L after the controlled shifts is folded into the join, so the only
-    # permutation left is L^-1 on the work register alone
+    # L^-1 before the controlled shifts and L after them are both folded
+    # into the join's read, so no state is permuted, not even the work
+    # register alone
     permuted = []
     permute_label = DenseState.permute_label
 
@@ -408,8 +411,28 @@ def test_full_marginal_permutes_no_joined_state(f4, monkeypatch):
     want = _full_marginal_reference(columns, pcs, t_rows, layout)
     monkeypatch.setattr(DenseState, "permute_label", counted)
     got = _dense_full_marginal(columns, pcs, t_rows, layout)
-    assert permuted == [0]
+    assert permuted == []
     assert np.max(np.abs(got - want)) < 1e-12
+
+
+@pytest.mark.parametrize("p,m", [(2, 2), (3, 2)])
+def test_full_marginal_builds_one_label_map(p, m, monkeypatch):
+    # L's index map, with its bijection check, is built once: the join
+    # reads the shift amounts through it and nothing else permutes
+    maps = []
+    monkeypatch.setattr(
+        "pqdec.qsim.label_permutation", lambda *a: maps.append(a) or label_permutation(*a)
+    )
+    f = Field(p, m)
+    code = LinearCode(f, [[f.el(1)], [f.el(p)]])
+    sampler = PcsSampler(code, SigmaParam.from_r(f, 0))
+    rng = np.random.default_rng(p)
+    layout = RegisterLayout(p=p, m=m, n=code.n, label_digits=m, cube_count=m)
+    for calls in (1, 2):
+        columns, _ = sample_label_matrix(p, m, rng)
+        pcs = [sampler.collapse(label) for label in columns.T]
+        _dense_full_marginal(columns, pcs, rng.integers(0, p, size=(code.n, m)), layout)
+        assert len(maps) == calls
 
 
 def _complex_zero_state(layout):

@@ -34,6 +34,10 @@ def test_manhattan_errors(f4, f9):
         manhattan_dist([f4.el(1)], [f4.el(1), f4.el(0)])
     with pytest.raises(FieldMismatch):
         manhattan_dist([f4.el(1)], [f9.el(1)])
+    # the same p and m under another modulus, past the first coordinate
+    f8, other = Field(2, 3), Field(2, 3, [1, 0, 1])
+    with pytest.raises(FieldMismatch):
+        manhattan_dist((f8.el(1), other.el(1)), (f8.el(1), f8.el(1)))
 
 
 def test_norm_examples(f4):

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pqdec.codes import LinearCode
+from pqdec.decoder import _dense_full_marginal
 from pqdec.errors import (
     BadParams,
     BadRegister,
@@ -317,7 +318,8 @@ def test_shift_kernels_match_rolling_reference(p, m, n):
         want = _shift_cube_reference(cube.reshape((p,) * (n * m)), rows * ell, 0, p)
         assert np.array_equal(shift_cube_vector(cube, f, rows, ell), want.reshape(-1))
         # controlled powers: label digit j drives register j
-        got = DenseState(lay, vec.copy()).controlled_shift_power(rows)
+        got = DenseState(lay, vec.copy())
+        got.controlled_register_shifts(_shift_power_amounts(lay, rows))
         assert np.array_equal(got.vec, _controlled_shift_power_reference(vec, lay, rows))
 
 
@@ -539,6 +541,10 @@ def _gate_cases(lay2: RegisterLayout, lay3: RegisterLayout):
     f4, f9 = Field(2, 2), Field(3, 2)
     rows2 = np.ones((lay2.n, lay2.m), dtype=np.int64)
     rows3 = np.arange(1, lay3.n * lay3.m + 1).reshape(lay3.n, lay3.m) % 3
+
+    def shift_powers(rows):  # U_t^(label digit j) on cube register j
+        return lambda st: st.controlled_register_shifts(_shift_power_amounts(st.layout, rows))
+
     amounts2 = np.random.default_rng(5).integers(
         0, 2, size=(lay2.label_dim, lay2.cube_count, lay2.n, lay2.m)
     )
@@ -557,8 +563,8 @@ def _gate_cases(lay2: RegisterLayout, lay3: RegisterLayout):
         pytest.param(lay3, lambda st: st.prep_cube(SigmaParam.from_r(f9, 1)), id="prep_cube_p3"),
         pytest.param(lay2, lambda st: st.permute_label(matrix), id="permute_label"),
         pytest.param(lay2, lambda st: st.permute_label(matrix, inverse=True), id="permute_label_inverse"),
-        pytest.param(lay2, lambda st: st.controlled_shift_power(rows2), id="controlled_shift_power"),
-        pytest.param(lay3, lambda st: st.controlled_shift_power(rows3), id="controlled_shift_power_p3"),
+        pytest.param(lay2, shift_powers(rows2), id="controlled_shift_power"),
+        pytest.param(lay3, shift_powers(rows3), id="controlled_shift_power_p3"),
     ]
 
 
@@ -682,7 +688,7 @@ def test_gate_chain_matches_reference_kernels(p, cube_count):
     (
         st.qft_label()
         .permute_label(matrix, inverse=True)
-        .controlled_shift_power(rows)
+        .controlled_register_shifts(_shift_power_amounts(lay, rows))
         .permute_label(matrix)
         .controlled_register_shifts(_one_register_amounts(lay, 1, rows))
         .dft_axis(lay.total_axes - 2, width=2)
@@ -807,7 +813,8 @@ def test_join_is_the_product_then_the_controlled_shifts(lay, real):
 def test_join_of_shift_powers_is_the_product_then_controlled_shift_power(lay):
     label, cubes = _join_parts(lay, 7, real=False)
     rows = np.arange(1, lay.n * lay.m + 1).reshape(lay.n, lay.m) % lay.p
-    want = DenseState.from_parts(lay, label, cubes).controlled_shift_power(rows).vec
+    want = DenseState.from_parts(lay, label, cubes)
+    want = want.controlled_register_shifts(_shift_power_amounts(lay, rows)).vec
     got = DenseState.from_parts(lay, label, cubes, _shift_power_amounts(lay, rows)).vec
     assert np.max(np.abs(got - want)) < 1e-12
 
@@ -873,6 +880,34 @@ def test_join_read_at_the_label_source_is_the_join_then_the_permutation(lay, mon
         assert len(maps) <= t
     got = DenseState.from_parts(lay, label[source], cubes, amounts[source]).vec
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("lay", JOIN_LAYOUTS[:5])
+def test_full_path_join_is_bitwise_the_permute_then_gather_join(lay, monkeypatch):
+    """The full-tensor path joins the uniform work register as it is.
+
+    Permuting it by L^-1 and then reading it at L^-1 y gives back the
+    same array, so the joined state equals, bit for bit, the join of
+    the permuted work register gathered at the label source.
+    """
+    rng = np.random.default_rng(lay.dim)
+    t = lay.label_digits
+    matrix = rng.integers(0, lay.p, size=(t, t))
+    while rank(matrix, lay.p) < t:
+        matrix = rng.integers(0, lay.p, size=(t, t))
+    _, cubes = _join_parts(lay, 7, real=lay.p == 2)
+    rows = np.arange(1, lay.n * lay.m + 1).reshape(lay.n, lay.m) % lay.p
+    label = DenseState.zero_state(replace(lay, cube_count=0)).qft_label()
+    label.permute_label(matrix, inverse=True)
+    source = label_source(matrix, lay.p)
+    amounts = _shift_power_amounts(lay, rows)[source]
+    want = DenseState.from_parts(lay, label.vec[source], cubes, amounts).vec
+    joined = []
+    monkeypatch.setattr(DenseState, "fourier_label_marginal", lambda st: joined.append(st.vec))
+    _dense_full_marginal(matrix, cubes, rows, lay)
+    assert len(joined) == 1
+    assert joined[0].dtype == want.dtype
+    assert np.array_equal(joined[0], want)
 
 
 @pytest.mark.parametrize(
@@ -1052,7 +1087,8 @@ def test_controlled_shift_zero_control_is_identity(f4):
     label[0] = 1.0  # control digits (0, 0)
     st = DenseState.from_parts(lay, label, [phi])
     before = st.vec.copy()
-    st.controlled_shift_power(vector_digit_rows(code.encode((f4.el(1),))))
+    rows = vector_digit_rows(code.encode((f4.el(1),)))
+    st.controlled_register_shifts(_shift_power_amounts(lay, rows))
     assert np.allclose(st.vec, before, atol=1e-12)
 
 
@@ -1067,7 +1103,7 @@ def test_controlled_shift_kickback_matches_eigenphase(f4):
         lay = RegisterLayout(p=2, m=2, n=2, label_digits=1, cube_count=1)
         label_vec = np.array([2**-0.5, 2**-0.5], dtype=np.complex128)
         st = DenseState.from_parts(lay, label_vec, [phi])
-        st.controlled_shift_power(vector_digit_rows(t))
+        st.controlled_register_shifts(_shift_power_amounts(lay, vector_digit_rows(t)))
         phase = (np.array(label) @ np.array([d for e in s for d in e.digits])) % 2
         expect = np.concatenate(
             [2**-0.5 * phi, 2**-0.5 * (-1.0) ** phase * phi]
