@@ -170,10 +170,12 @@ def nearest_codeword_oracle(
     """argmin over all messages of the Manhattan distance to t.
 
     Ties break to the message that comes first in lexicographic image
-    order, so repeated calls agree.
+    order, so repeated calls agree.  Every entry of t must be over the
+    code's field (FieldMismatch), since t is read by its images.
     """
     if len(t) != code.n:
         raise LengthMismatch(f"target length {len(t)} != n = {code.n}")
+    require_field(code.field, t, "target entry")
     imgs = codeword_images(code, budget)
     t_imgs = np.array([e.image for e in t], dtype=np.int64)
     dists = np.abs(imgs - t_imgs).sum(axis=1)

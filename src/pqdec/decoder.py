@@ -8,10 +8,11 @@ work register and the T cube registers: L only moves label slices, so
 L . CU . L^-1 is the shift controlled by L^-1 y on label y, and it
 leaves the work register's amplitudes where they were.  One controlled
 join (``DenseState.from_parts`` with the work register's amplitudes
-and the shift amounts read through L's one index map) writes the
-composite state with it made.  The Fourier-basis measurement then
-reads that state once (``DenseState.fourier_label_marginal``), without
-writing the transform back.  When the full tensor product exceeds the
+and the shift's generators, the columns of L^-1 read off L's one index
+map times t) writes the composite state with it made.  The
+Fourier-basis measurement then reads that state once
+(``DenseState.fourier_label_marginal``), without writing the transform
+back.  When the full tensor product exceeds the
 amplitude guard, the final label marginal is computed exactly without
 it: the state after the controlled shifts is a sum of label-basis
 terms whose cube part factorises register by register, so the
@@ -62,7 +63,6 @@ from .qsim import (
     RegisterLayout,
     SigmaParam,
     _dft_matrix,
-    _shift_power_amounts,
     label_permutation,
     label_source,
     require_cube_orthogonality,
@@ -91,8 +91,8 @@ def sample_label_matrix(p: int, t: int, rng: np.random.Generator) -> tuple[np.nd
 
     Returns the surviving (T, T) batch, column j = label j, and the number
     of batches drawn (expected O(1)).  The draw checks rank only; no path
-    inverts the batch, since the full-tensor dense path reads its shift
-    amounts at L^-1 y through L's own index map.
+    inverts the batch, since the full-tensor dense path reads the columns
+    of L^-1 off L's own index map.
     """
     for rounds in range(1, DEFAULT_RETRY_BUDGET + 1):
         columns = rng.integers(0, p, size=(t, t)).astype(np.int64)
@@ -162,17 +162,20 @@ def _dense_full_marginal(
     composite state after it is the shift controlled by L^-1 y on label
     y, and the work register's amplitude there is its amplitude before
     L^-1, since L^-1 then L returns slice y to itself.  So the join takes
-    the work register as it is and the shift amounts read at
-    source[y] = L^-1 y; L^-1 is linear, so the amounts stay linear in the
-    label digits and the join builds at most ``label_digits`` maps per
+    the work register as it is and the shift U_t^((L^-1 y)_j) on register
+    j, which is linear in y: its generators are (L^-1 e_d)_j * t, and the
+    column L^-1 e_d is read off L's index map at the label e_d, T entries
+    of ``source``.  The join builds at most ``label_digits`` maps per
     register.  The Fourier-basis measurement then reads the joined state
     once (:meth:`DenseState.fourier_label_marginal`).
     """
+    p, t = layout.p, layout.label_digits
     label = DenseState.zero_state(replace(layout, cube_count=0))
     label.qft_label()  # uniform superposition over the work register
-    source = label_source(columns, layout.p)  # L^-1 y for every label y
-    amounts = _shift_power_amounts(layout, t_digit_rows)
-    state = DenseState.from_parts(layout, label.vec, pcs_vectors, amounts[source])
+    source = label_source(columns, p)  # L^-1 y for every label y
+    inv_cols = label_to_digits(source[p ** np.arange(t - 1, -1, -1)], t, p)  # row d: L^-1 e_d
+    generators = inv_cols[:, : layout.cube_count, None, None] * t_digit_rows
+    state = DenseState.from_parts(layout, label.vec, pcs_vectors, generators)
     return state.fourier_label_marginal()
 
 

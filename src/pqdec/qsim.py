@@ -27,9 +27,9 @@ table is held for labels (p^T may reach the amplitude guard), and
 :func:`_shift_source`, for speed (a 3^9-entry shift map and its
 bijection check take about 0.13 ms by Horner against about 6 ms through
 the codec, on one core of a 2-vCPU Xeon).  A decode builds few of them,
-at most one per label digit in a join (see Factor first) and one per
-nonzero power of U_t in the factorised marginal: five over F_27 at
-k = 1.  The one read-out of a label register is
+at most one per label digit and register in a join (see Factor first)
+and one per nonzero power of U_t in the factorised marginal: five over
+F_27 at k = 1.  The one read-out of a label register is
 :meth:`PcsSampler.collapse`, which also checks the label it is given.
 
 Cube gates act on every cube register at once: no gate addresses one
@@ -52,21 +52,23 @@ Factor first: gates that act before the first entangling gate run on
 the factor register they touch, as a state on a one-sided layout
 (label-only, ``cube_count=0``, or cube-only, ``label_digits=0``).  The
 first entangling gate of both circuits is a label-controlled shift, and
-one controlled join (:meth:`DenseState.from_parts` with ``amounts``, or
-the sampler's direct call of ``DenseState._controlled_join``) writes the
-joined state with that shift already made: label slice i is the label
-amplitude times the Kronecker product of each register's factor shifted
-by its amount for label i.  The join takes labels in index order, so
-each register's factor for label i is one gather of its factor for
-label i-1, by the step between their amounts.  Both circuits' amounts
-are linear in the label digits (the sampler's A c, the decoder's
+both shifts are F_p-linear in the label digits, qudit Clifford gates
+given by an F_p matrix: the sampler's A c, and the decoder's
 U_t^(ell_j), read at L^-1 y when the label permutations L^-1 and L
-around the shift are folded in), so that step depends only on the
-carry from i-1 to i: at most one map per label digit and register.  A
-product state needs no joint tensor until a gate couples its parts, so
-the PCS sampler and the decoder's full-tensor path write the joined
-state once and pass over it only for the gates after the first
-controlled shift.  No decode runs :meth:`DenseState.permute_label` or
+around the shift are folded in.  One controlled join
+(:meth:`DenseState.from_parts` with ``generators``, or the sampler's
+direct call of ``DenseState._controlled_join``) takes that map, one
+digit matrix per label digit and register, and writes the joined state
+with the shift already made: label slice i is the label amplitude times
+the Kronecker product of each register's factor shifted by its amount
+for label i.  The join takes labels in index order, so each register's
+factor for label i is one gather of its factor for label i-1, by a step
+that depends only on the carry from i-1 to i, a suffix sum of the
+generators: at most one map per label digit and register, built before
+the loop, and no per-label table.  A product state needs no joint
+tensor until a gate couples its parts, so the PCS sampler and the
+decoder's full-tensor path write the joined state once and pass over it
+only for the gates after the first controlled shift.  No decode runs :meth:`DenseState.permute_label` or
 :meth:`DenseState.controlled_register_shifts` as a pass of its own:
 they are the reference gates a join is checked against.
 
@@ -302,22 +304,6 @@ def _shift_cube(
     return np.take(block, src, axis=axis, out=out, mode="clip")
 
 
-def _shift_power_amounts(layout: RegisterLayout, t_digit_rows: np.ndarray) -> np.ndarray:
-    """Amounts of U_t^(digit j of the label) on cube register j, for every label.
-
-    Shaped (label_dim, cube_count, n, m), as
-    :meth:`DenseState.controlled_register_shifts` takes them: label digit
-    j times the (n, m) digit matrix of t (not reduced mod p; a shift
-    reduces its own amounts).
-    """
-    if layout.cube_count > layout.label_digits:
-        raise BadRegister(
-            f"{layout.cube_count} cube registers but {layout.label_digits} control digits"
-        )
-    ells = label_to_digits(np.arange(layout.label_dim), layout.label_digits, layout.p)
-    return ells[:, : layout.cube_count, None, None] * np.asarray(t_digit_rows, dtype=np.int64)
-
-
 class DenseState:
     """Amplitude vector over a :class:`RegisterLayout`, in one array.
 
@@ -331,7 +317,7 @@ class DenseState:
     never writes an array its caller still holds; :meth:`from_parts`
     instead writes its tensor product once, into the state's own array,
     with the first label-controlled shifts already made when it is given
-    their ``amounts`` (one controlled join, no separate shift pass).
+    their ``generators`` (one controlled join, no separate shift pass).
     Every gate then works in place on that array, with at most one tile
     or one label slice of scratch, so ``state.vec`` is the same array
     for the state's whole life and each gate overwrites it: a caller
@@ -359,17 +345,16 @@ class DenseState:
         layout: RegisterLayout,
         label_vec: np.ndarray,
         cube_vecs: Sequence[np.ndarray],
-        amounts: np.ndarray | None = None,
+        generators: np.ndarray | None = None,
     ) -> DenseState:
         """Tensor product of a label-register state and one state per cube register.
 
-        With ``amounts`` (the argument of :meth:`controlled_register_shifts`)
-        the product is written with those controlled shifts already made;
-        without it, with all-zero amounts, which is the plain product (every
-        step zero, so no map).  Either way the state is written once, by
-        :meth:`_controlled_join`; any amounts join exactly, and amounts
-        linear in the label digits, such as the controlled shift powers,
-        build at most ``label_digits`` shift maps per register.
+        With ``generators``, shaped (label_digits, cube_count, n, m), the
+        product is written with the label-controlled shifts they define
+        already made: label i shifts cube register j by
+        sum_d digit_d(i) * generators[d, j] mod p.  Without them it is the
+        plain product, all-zero generators, which build no map.  Either
+        way the state is written once, by :meth:`_controlled_join`.
         """
         if len(cube_vecs) != layout.cube_count:
             raise BadRegister(
@@ -382,9 +367,11 @@ class DenseState:
         for j, cv in enumerate(cubes):
             if len(cv) != layout.cube_dim:
                 raise BadRegister(f"cube part {j} has {len(cv)} amplitudes, not {layout.cube_dim}")
-        if amounts is None:
-            amounts = np.zeros((layout.label_dim, layout.cube_count, layout.n, layout.m), np.int64)
-        return cls._controlled_join(layout, label, cubes, amounts)
+        if generators is None:
+            generators = np.zeros(
+                (layout.label_digits, layout.cube_count, layout.n, layout.m), np.int64
+            )
+        return cls._controlled_join(layout, label, cubes, generators)
 
     @classmethod
     def _controlled_join(
@@ -392,37 +379,35 @@ class DenseState:
         layout: RegisterLayout,
         label: np.ndarray,
         cubes: Sequence[np.ndarray],
-        amounts: np.ndarray,
+        generators: np.ndarray,
     ) -> DenseState:
-        """label (x) cubes, then ``controlled_register_shifts(amounts)``, written once.
+        """label (x) cubes, then the label-controlled shifts of ``generators``, written once.
 
         ``label`` and ``cubes`` are flat parts of the layout's sizes, and
-        ``amounts`` is the argument of :meth:`controlled_register_shifts`.
+        ``generators`` (G) has shape (label_digits, cube_count, n, m):
+        label i shifts cube register j by sum_d digit_d(i) * G[d, j] mod p.
         No register is entangled before the shift, so label slice i is
-        label[i] times the Kronecker product over j of cube j shifted by
-        ``amounts[i, j]``.  Labels are taken in index order and each
-        register holds one factor: label i's is one gather of label
-        i-1's through the checked source-index map of the step
-        ``amounts[i, j] - amounts[i-1, j]`` mod p (label -1's factor is
-        the part itself), and a zero step keeps it.  Maps are kept per
-        (carry level of i, register), the carry level being the number
-        of trailing zero base-p digits of i, and rebuilt only when the
-        step there changes.  Amounts linear in the label digits, as both
-        circuits' are (the sampler's A c and the decoder's powers
-        U_t^(ell_j)), take one step per carry level, so they build at
-        most ``label_digits`` maps per register; any other amounts join
-        just as exactly, at more maps.  Each slice is one outer product,
-        (label[i] * first factor) (x) (Kronecker product of the others),
-        so the long run is innermost; with one cube register it is
-        label[i] (x) that register's factor.  The state is real only when
-        every part is and the layout has p = 2.
+        label[i] times the Kronecker product over j of cube j so shifted.
+        Labels are taken in index order and each register holds one
+        factor: label i's is one gather of label i-1's (label 0 shifts
+        nothing, so its factor is the part itself).  When i has l
+        trailing zero base-p digits, digit T-1-l goes up by one and the l
+        digits below it wrap from p-1 to 0, also +1 mod p, so the step is
+        the suffix sum G[T-1-l] + ... + G[T-1].  One checked source-index
+        map is built per nonzero step and register, before the label
+        loop.  Each slice is one outer product, (label[i] * first factor)
+        (x) (Kronecker product of the others), so the long run is
+        innermost; with one cube register it is label[i] (x) that
+        register's factor.  The state is real only when every part is and
+        the layout has p = 2.
         """
         lay = layout
-        amounts = np.asarray(amounts, dtype=np.int64)
-        want = (lay.label_dim, lay.cube_count, lay.n, lay.m)
-        if amounts.shape != want:
-            raise BadRegister(f"shift amounts of shape {amounts.shape}, layout needs {want}")
-        steps = np.diff(amounts, axis=0, prepend=0) % lay.p
+        generators = np.asarray(generators, dtype=np.int64)
+        want = (lay.label_digits, lay.cube_count, lay.n, lay.m)
+        if generators.shape != want:
+            raise BadRegister(f"shift generators of shape {generators.shape}, layout needs {want}")
+        steps = np.cumsum(generators[::-1], axis=0) % lay.p  # row l: the step at carry level l
+        maps = [[_shift_source(s, lay.p) if s.any() else None for s in level] for level in steps]
         dtype = np.result_type(label, *cubes, _dft_matrix(lay.p))
         state = cls.__new__(cls)
         state.layout = lay
@@ -430,18 +415,14 @@ class DenseState:
         out = state.vec.reshape(lay.label_dim, -1)
         split = 2 if lay.cube_count > 1 else 1  # parts in the outer product's head
         factors = list(cubes)
-        maps: dict[tuple[int, int], tuple[bytes, np.ndarray]] = {}  # (level, j) -> step, map
         for i in range(lay.label_dim):
-            level = 0  # trailing zero base-p digits of i
-            while level < lay.label_digits and i % lay.p ** (level + 1) == 0:
-                level += 1
-            for j, step in enumerate(steps[i]):
-                if step.any():
-                    key = step.tobytes()
-                    held = maps.get((level, j))
-                    if held is None or held[0] != key:
-                        held = maps[level, j] = (key, _shift_source(step, lay.p))
-                    factors[j] = _shift_cube(factors[j], held[1], axis=0)
+            if i:
+                level = 0  # trailing zero base-p digits of i
+                while i % lay.p ** (level + 1) == 0:
+                    level += 1
+                for j, src in enumerate(maps[level]):
+                    if src is not None:
+                        factors[j] = _shift_cube(factors[j], src, axis=0)
             parts = [label[i : i + 1], *factors]
             # Kronecker products, by outer products (np.kron costs ~3x more)
             head = reduce(np.multiply.outer, parts[:split]).reshape(-1)
@@ -722,12 +703,13 @@ class PcsSampler:
     :meth:`DenseState.from_parts`, whose calls the benchmark's trace
     counts as the decoder's full-tensor path) writes the joined state
     with it made: label slice c is the label amplitude times the cube
-    moved to A c.  A c is linear in the digits of c, so going from label
-    c-1 to c moves the cube by a step that depends only on the carry, and
-    the join builds at most one checked shift map per label digit (m*k
-    maps, not one per label).  The joined state then takes the (no-op
-    under this encoding) change of representation and a second digit-wise
-    Fourier transform.  Measuring the message register then yields a uniform
+    moved to A c.  A c is linear in the digits of c, so the join takes the
+    columns of the expanded A as its generators, and going from label c-1
+    to c moves the cube by a step that depends only on the carry: at most
+    one checked shift map per label digit (m*k maps, not one per label),
+    and no table of labels or amounts.  The joined state then takes the
+    (no-op under this encoding) change of representation and a second
+    digit-wise Fourier transform.  Measuring the message register then yields a uniform
     label and collapses the cube register to the matching phased cube
     state; :meth:`collapse` is that read-out, the only one in the
     package, and it checks its label (``layout.label_digits`` digits in
@@ -752,12 +734,10 @@ class PcsSampler:
         cube = DenseState.zero_state(replace(self.layout, label_digits=0))
         cube.prep_cube(sigma)
         # label digits j*m .. j*m+m-1 are the LSB-first digits of message
-        # coordinate j, i.e. the label is the stacked digit vector of c
-        labels = label_to_digits(np.arange(self.layout.label_dim), self.layout.label_digits, f.p)
-        amounts = labels @ code.operator.entries.T % f.p
-        state = DenseState._controlled_join(
-            self.layout, label.vec, [cube.vec], amounts.reshape(-1, 1, code.n, f.m)
-        )
+        # coordinate j, i.e. the label is the stacked digit vector of c, so
+        # label digit d shifts the cube by column d of the expanded A
+        generators = code.operator.entries.T.reshape(-1, 1, code.n, f.m)
+        state = DenseState._controlled_join(self.layout, label.vec, [cube.vec], generators)
         # step 4, the change of representation F_q^k -> F_p^{mk}, is a
         # no-op: the label slots already hold digits.  Step 5 is the
         # second digit-wise Fourier transform

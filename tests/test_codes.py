@@ -269,17 +269,22 @@ def test_plant_instance_rejects_error_of_wrong_length(f4):
         ("t", Field(3, 2).el(1)),
         ("s_true", Field(3, 2).el(1)),
         ("s_true", Field(2, 4, [1, 0, 0, 1]).el(1)),
+        ("oracle", Field(3, 2).el(8)),  # a bare target, read by its image once
     ],
-    ids=["t_other_modulus", "t_f9", "s_true_f9", "s_true_other_modulus"],
+    ids=["t_other_modulus", "t_f9", "s_true_f9", "s_true_other_modulus", "oracle_t_f9"],
 )
 def test_instance_rejects_an_entry_from_another_field(f16, where, foreign):
-    # the check is made when the instance is built, so no decoder reads it;
-    # the foreign entry is the last one, past what a first-entry check sees
+    # the check is made when the instance is built, so no decoder reads it,
+    # and the oracle, which takes a bare target, makes it itself; the
+    # foreign entry is the last one, past what a first-entry check sees
     code = LinearCode(f16, [[f16.el(1)], [f16.el(2)], [f16.el(4)]])
     parts = {"t": list(code.encode((f16.el(5),))), "s_true": [f16.el(5)]}
-    parts[where][-1] = foreign
+    parts["t" if where == "oracle" else where][-1] = foreign
     with pytest.raises(FieldMismatch):
-        DecodeInstance(code=code, t=tuple(parts["t"]), w=0, s_true=tuple(parts["s_true"]))
+        if where == "oracle":
+            nearest_codeword_oracle(code, tuple(parts["t"]))
+        else:
+            DecodeInstance(code=code, t=tuple(parts["t"]), w=0, s_true=tuple(parts["s_true"]))
 
 
 def test_instance_json_round_trip(f9):

@@ -37,13 +37,13 @@ from pqdec.qsim import (
     RegisterLayout,
     SigmaParam,
     _dft_matrix,
-    _shift_power_amounts,
-    _shift_source,
     label_permutation,
     pcs_state_direct,
     shift_cube_vector,
     vector_digit_rows,
 )
+
+from conftest import generator_table, power_generators
 
 
 def code_123(f4):
@@ -272,7 +272,9 @@ def test_factorized_rows_are_phase_estimation(p, m, gens, d):
             phi = sampler.collapse(label)
             row = _dense_factorized_marginal(np.eye(1, dtype=np.int64), [phi], t_rows, f)
             state = DenseState(layout, np.kron(label_zero, phi)).qft_label()
-            state.controlled_register_shifts(_shift_power_amounts(layout, t_rows))
+            state.controlled_register_shifts(
+                generator_table(layout, power_generators(layout, t_rows))
+            )
             state.qft_label(inverse=True)
             assert np.max(np.abs(row - state.label_marginal())) < 1e-12
             assert (row.max() > 1 - 1e-12) == inside
@@ -303,18 +305,16 @@ def test_stacked_factorized_marginal_equals_the_per_register_loop(p, m, gens):
         assert np.max(np.abs(got - want)) < 1e-15
 
 
-def test_dense_factorised_decode_makes_label_digits_plus_p_minus_1_maps(monkeypatch):
+def test_dense_factorised_decode_makes_label_digits_plus_p_minus_1_maps(shift_maps):
     # the dense_factorised workload's shape: F_27, n = 3, k = 1, sigma = 3;
     # the sampler's join takes one map per label digit (3) and the
     # marginal one per nonzero power of U_t (2), shared by the T registers
     f = Field(3, 3)
     code = LinearCode(f, [[f.el(1)], [f.el(3)], [f.el(9)]])
     inst = plant_instance(code, (f.el(17),), (f.el(2), f.zero, f.el(1)))
-    maps = []
-    monkeypatch.setattr("pqdec.qsim._shift_source", lambda *a: maps.append(a) or _shift_source(*a))
     res = decode_dense(inst, SigmaParam.from_r(f, 1), seed=4)
     assert res.s_hat == (17,) and res.peak_probability > 1 - 1e-9
-    assert len(maps) == 3 + 2
+    assert len(shift_maps) == 3 + 2
 
 
 def _full_marginal_reference(columns, pcs_vectors, t_digit_rows, layout):
@@ -324,7 +324,9 @@ def _full_marginal_reference(columns, pcs_vectors, t_digit_rows, layout):
     state = DenseState.from_parts(layout, label0, pcs_vectors)
     state.qft_label()
     state.permute_label(columns, inverse=True)
-    state.controlled_register_shifts(_shift_power_amounts(layout, t_digit_rows))
+    state.controlled_register_shifts(
+        generator_table(layout, power_generators(layout, t_digit_rows))
+    )
     state.permute_label(columns)
     state.qft_label(inverse=True)
     return state.label_marginal()

@@ -31,8 +31,6 @@ from pqdec.qsim import (
     SigmaParam,
     _dft_matrix,
     _dft_runs,
-    _shift_power_amounts,
-    _shift_source,
     cube_overlap,
     cube_vector,
     digits_to_label,
@@ -43,6 +41,8 @@ from pqdec.qsim import (
     shift_cube_vector,
     vector_digit_rows,
 )
+
+from conftest import generator_table, power_generators
 
 OMEGA = {p: np.exp(2j * np.pi / p) for p in (2, 3)}
 
@@ -185,27 +185,23 @@ def test_shift_zero_power_is_identity(f9):
     assert np.array_equal(shift_cube_vector(vec, f9, vector_digit_rows((f9.el(7),)), 0), vec)
 
 
-def test_shift_zero_power_is_a_copy_and_makes_no_map(f9, monkeypatch):
-    maps = []
-    monkeypatch.setattr("pqdec.qsim._shift_source", lambda *a: maps.append(a) or _shift_source(*a))
+def test_shift_zero_power_is_a_copy_and_makes_no_map(f9, shift_maps):
     vec = cube_vector(f9, 1, (f9.el(4),), SigmaParam.from_r(f9, 1))
     rows = vector_digit_rows((f9.el(7),))
     for ell in (0, 3, -6):  # every multiple of p is the zero power
         moved = shift_cube_vector(vec, f9, rows, ell)
         assert moved is not vec and np.array_equal(moved, vec)
-    assert maps == []
+    assert shift_maps == []
     with pytest.raises(BadRegister):
         shift_cube_vector(np.ones(8, dtype=np.complex128), f9, rows, 0)
 
 
-def test_shift_of_a_stack_shifts_each_row_through_one_map(f9, monkeypatch):
+def test_shift_of_a_stack_shifts_each_row_through_one_map(f9, shift_maps):
     rng = np.random.default_rng(12)
     stack = rng.normal(size=(3, 2, 81)) + 1j * rng.normal(size=(3, 2, 81))
     rows = vector_digit_rows((f9.el(5), f9.el(7)))
-    maps = []
-    monkeypatch.setattr("pqdec.qsim._shift_source", lambda *a: maps.append(a) or _shift_source(*a))
     got = shift_cube_vector(stack, f9, rows, 2)
-    assert len(maps) == 1 and got.shape == stack.shape
+    assert len(shift_maps) == 1 and got.shape == stack.shape
     for idx in np.ndindex(stack.shape[:-1]):
         assert np.array_equal(got[idx], shift_cube_vector(stack[idx], f9, rows, 2))
 
@@ -319,7 +315,7 @@ def test_shift_kernels_match_rolling_reference(p, m, n):
         assert np.array_equal(shift_cube_vector(cube, f, rows, ell), want.reshape(-1))
         # controlled powers: label digit j drives register j
         got = DenseState(lay, vec.copy())
-        got.controlled_register_shifts(_shift_power_amounts(lay, rows))
+        got.controlled_register_shifts(generator_table(lay, power_generators(lay, rows)))
         assert np.array_equal(got.vec, _controlled_shift_power_reference(vec, lay, rows))
 
 
@@ -543,7 +539,9 @@ def _gate_cases(lay2: RegisterLayout, lay3: RegisterLayout):
     rows3 = np.arange(1, lay3.n * lay3.m + 1).reshape(lay3.n, lay3.m) % 3
 
     def shift_powers(rows):  # U_t^(label digit j) on cube register j
-        return lambda st: st.controlled_register_shifts(_shift_power_amounts(st.layout, rows))
+        return lambda st: st.controlled_register_shifts(
+            generator_table(st.layout, power_generators(st.layout, rows))
+        )
 
     amounts2 = np.random.default_rng(5).integers(
         0, 2, size=(lay2.label_dim, lay2.cube_count, lay2.n, lay2.m)
@@ -607,7 +605,7 @@ def test_gates_allocate_no_state_sized_array(lay, gate):
 
 
 @pytest.mark.parametrize("p", [2, 3])
-def test_controlled_shift_skips_zero_rows_and_matches_reference(p, monkeypatch):
+def test_controlled_shift_skips_zero_rows_and_matches_reference(p, shift_maps):
     """Zero digit matrices make no map and no pass; the rest match the rolling kernel.
 
     With three registers, labels shift an even and an odd number of them,
@@ -619,11 +617,9 @@ def test_controlled_shift_skips_zero_rows_and_matches_reference(p, monkeypatch):
     amounts = ells[:, :, None, None] * rows
     nonzero = int(np.count_nonzero(amounts.any(axis=(2, 3))))
     assert 0 < nonzero < lay.label_dim * lay.cube_count
-    maps = []
-    monkeypatch.setattr("pqdec.qsim._shift_source", lambda *a: maps.append(a) or _shift_source(*a))
     vec = _random_state(lay, 6)
     got = DenseState(lay, vec.copy()).controlled_register_shifts(amounts)
-    assert len(maps) == nonzero
+    assert len(shift_maps) == nonzero
     assert np.array_equal(got.vec, _controlled_shift_power_reference(vec, lay, rows))
 
 
@@ -688,7 +684,7 @@ def test_gate_chain_matches_reference_kernels(p, cube_count):
     (
         st.qft_label()
         .permute_label(matrix, inverse=True)
-        .controlled_register_shifts(_shift_power_amounts(lay, rows))
+        .controlled_register_shifts(generator_table(lay, power_generators(lay, rows)))
         .permute_label(matrix)
         .controlled_register_shifts(_one_register_amounts(lay, 1, rows))
         .dft_axis(lay.total_axes - 2, width=2)
@@ -785,15 +781,35 @@ def _join_parts(lay: RegisterLayout, seed: int, real: bool):
     return parts[0], parts[1:]
 
 
-def _join_amounts(lay: RegisterLayout, seed: int) -> np.ndarray:
-    """Random amounts, some at or past p, with all-zero rows and repeats."""
+def _join_generators(lay: RegisterLayout, seed: int) -> np.ndarray:
+    """Random generators, some entries at or past p, with a zero row.
+
+    With more than one register, register 0's generators also sum to zero
+    mod p but not as integers, so its top carry level takes no step.
+    """
     rng = np.random.default_rng(seed)
-    amounts = rng.integers(0, 2 * lay.p, size=(lay.label_dim, lay.cube_count, lay.n, lay.m))
-    amounts[0] = 0  # a label that shifts no register
-    amounts[1::3, 0] = 0  # registers left alone on some labels
-    amounts[2] = amounts[1]  # a repeated row
-    amounts[-1, -1] = amounts[1, -1] + lay.p  # the same shift, written otherwise
-    return amounts
+    gens = rng.integers(0, 2 * lay.p, size=(lay.label_digits, lay.cube_count, lay.n, lay.m))
+    gens[-1] = 0  # a label digit that shifts no register
+    if lay.cube_count > 1:
+        gens[0, 0] += lay.p - gens[:, 0].sum(axis=0) % lay.p
+    return gens
+
+
+def _carry_steps(lay: RegisterLayout, generators: np.ndarray) -> np.ndarray:
+    """Each register's step into label p^l (carry level l), read off the table.
+
+    Also checks that every label i takes the step of its carry level, the
+    number of trailing zero base-p digits of i.
+    """
+    table = generator_table(lay, generators)
+    steps = (table[1:] - table[:-1]) % lay.p  # row i-1: the step into label i
+    firsts = lay.p ** np.arange(lay.label_digits)
+    for i in range(1, lay.label_dim):
+        level = 0
+        while i % lay.p ** (level + 1) == 0:
+            level += 1
+        assert np.array_equal(steps[i - 1], steps[firsts[level] - 1])
+    return steps[firsts - 1]
 
 
 @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
@@ -802,9 +818,10 @@ def _join_amounts(lay: RegisterLayout, seed: int) -> np.ndarray:
 )
 def test_join_is_the_product_then_the_controlled_shifts(lay, real):
     label, cubes = _join_parts(lay, lay.dim, real)
-    amounts = _join_amounts(lay, lay.cube_count)
-    want = DenseState.from_parts(lay, label, cubes).controlled_register_shifts(amounts).vec
-    got = DenseState.from_parts(lay, label, cubes, amounts).vec
+    gens = _join_generators(lay, lay.cube_count)
+    want = DenseState.from_parts(lay, label, cubes)
+    want = want.controlled_register_shifts(generator_table(lay, gens)).vec
+    got = DenseState.from_parts(lay, label, cubes, gens).vec
     assert got.dtype == want.dtype == (np.float64 if real and lay.p == 2 else np.complex128)
     assert np.max(np.abs(got - want)) < 1e-12
 
@@ -813,51 +830,45 @@ def test_join_is_the_product_then_the_controlled_shifts(lay, real):
 def test_join_of_shift_powers_is_the_product_then_controlled_shift_power(lay):
     label, cubes = _join_parts(lay, 7, real=False)
     rows = np.arange(1, lay.n * lay.m + 1).reshape(lay.n, lay.m) % lay.p
+    gens = power_generators(lay, rows)
     want = DenseState.from_parts(lay, label, cubes)
-    want = want.controlled_register_shifts(_shift_power_amounts(lay, rows)).vec
-    got = DenseState.from_parts(lay, label, cubes, _shift_power_amounts(lay, rows)).vec
+    want = want.controlled_register_shifts(generator_table(lay, gens)).vec
+    got = DenseState.from_parts(lay, label, cubes, gens).vec
     assert np.max(np.abs(got - want)) < 1e-12
 
 
-def _linear_amounts(lay: RegisterLayout, seed: int) -> np.ndarray:
-    """labels @ G mod p for a random digit matrix G: the form of the sampler's A c."""
-    rng = np.random.default_rng(seed)
-    gens = rng.integers(0, lay.p, size=(lay.label_digits, lay.cube_count * lay.n * lay.m))
-    labels = label_to_digits(np.arange(lay.label_dim), lay.label_digits, lay.p)
-    return (labels @ gens % lay.p).reshape(lay.label_dim, lay.cube_count, lay.n, lay.m)
-
-
 @pytest.mark.parametrize("lay", JOIN_LAYOUTS[5:7] + JOIN_LAYOUTS[-1:])
-def test_join_makes_at_most_label_digits_maps_per_register(lay, monkeypatch):
-    """Amounts linear in the label digits take one step per carry level."""
-    maps = []
-    monkeypatch.setattr("pqdec.qsim._shift_source", lambda *a: maps.append(a) or _shift_source(*a))
+def test_join_makes_at_most_label_digits_maps_per_register(lay, shift_maps):
+    """One map per register and carry level whose step is nonzero, and no other."""
     label, cubes = _join_parts(lay, 2, real=False)
-    DenseState.from_parts(lay, label, cubes)  # all-zero amounts make no map
-    assert maps == []
+    DenseState.from_parts(lay, label, cubes)  # no generators make no map
+    assert shift_maps == []
     rows = np.arange(1, lay.n * lay.m + 1).reshape(lay.n, lay.m) % lay.p
-    for amounts in [_linear_amounts(lay, 3), _shift_power_amounts(lay, rows)]:
-        want = DenseState.from_parts(lay, label, cubes).controlled_register_shifts(amounts).vec
+    for gens in [_join_generators(lay, 3), power_generators(lay, rows)]:
+        want = DenseState.from_parts(lay, label, cubes)
+        want = want.controlled_register_shifts(generator_table(lay, gens)).vec
+        moving = _carry_steps(lay, gens).any(axis=(2, 3))  # (level, register)
         for j in range(lay.cube_count):  # one register shifted at a time
-            alone = np.zeros_like(amounts)
-            alone[:, j] = amounts[:, j]
-            maps.clear()
+            alone = np.zeros_like(gens)
+            alone[:, j] = gens[:, j]
+            shift_maps.clear()
             DenseState.from_parts(lay, label, cubes, alone)
-            assert len(maps) <= lay.label_digits
-        maps.clear()
-        got = DenseState.from_parts(lay, label, cubes, amounts).vec
-        assert 0 < len(maps) <= lay.label_digits * lay.cube_count
+            assert len(shift_maps) == np.count_nonzero(moving[:, j]) <= lay.label_digits
+        shift_maps.clear()
+        got = DenseState.from_parts(lay, label, cubes, gens).vec
+        assert 0 < len(shift_maps) == np.count_nonzero(moving)
         assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("lay", JOIN_LAYOUTS[:5])
-def test_join_read_at_the_label_source_is_the_join_then_the_permutation(lay, monkeypatch):
+def test_join_read_at_the_label_source_is_the_join_then_the_permutation(lay, shift_maps):
     """L . CU . L^-1 is the shift controlled by L^-1 y: one join, no permutation pass.
 
-    The label part and the shift powers, read at source[y] = L^-1 y, join
-    to the same bits as the plain join followed by ``permute_label(L)``,
-    and the amounts stay linear in the label digits, so each register
-    still takes at most ``label_digits`` maps.
+    The shift powers read at source[y] = L^-1 y are linear in y's digits,
+    with generators sum_e (L^-1 e_d)_e G[e]; joined with the label part
+    read there, they give the same bits as the plain join followed by
+    ``permute_label(L)``, and each register takes one map per nonzero
+    carry step.
     """
     rng = np.random.default_rng(lay.dim)
     t = lay.label_digits
@@ -866,19 +877,22 @@ def test_join_read_at_the_label_source_is_the_join_then_the_permutation(lay, mon
         matrix = rng.integers(0, lay.p, size=(t, t))
     label, cubes = _join_parts(lay, 7, real=lay.p == 2)
     rows = np.arange(1, lay.n * lay.m + 1).reshape(lay.n, lay.m) % lay.p
-    amounts = _shift_power_amounts(lay, rows)
-    want = DenseState.from_parts(lay, label, cubes, amounts).permute_label(matrix).vec
+    gens = power_generators(lay, rows)
+    want = DenseState.from_parts(lay, label, cubes, gens).permute_label(matrix).vec
     source = label_source(matrix, lay.p)
     assert np.array_equal(label_source(matrix, lay.p, inverse=True)[source], np.arange(lay.label_dim))
-    maps = []
-    monkeypatch.setattr("pqdec.qsim._shift_source", lambda *a: maps.append(a) or _shift_source(*a))
+    inverse = fp_gauss_invert(matrix, lay.p).inverse  # column d: L^-1 e_d
+    read = np.tensordot(inverse.T, gens, axes=1)
+    table = generator_table(lay, gens)[source]
+    assert np.array_equal(generator_table(lay, read) % lay.p, table % lay.p)
+    moving = _carry_steps(lay, read).any(axis=(2, 3))
     for j in range(lay.cube_count):  # one register shifted at a time
-        alone = np.zeros_like(amounts)
-        alone[:, j] = amounts[:, j]
-        maps.clear()
-        DenseState.from_parts(lay, label[source], cubes, alone[source])
-        assert len(maps) <= t
-    got = DenseState.from_parts(lay, label[source], cubes, amounts[source]).vec
+        alone = np.zeros_like(read)
+        alone[:, j] = read[:, j]
+        shift_maps.clear()
+        DenseState.from_parts(lay, label[source], cubes, alone)
+        assert len(shift_maps) == np.count_nonzero(moving[:, j]) <= t
+    got = DenseState.from_parts(lay, label[source], cubes, read).vec
     assert np.array_equal(got, want)
 
 
@@ -887,8 +901,9 @@ def test_full_path_join_is_bitwise_the_permute_then_gather_join(lay, monkeypatch
     """The full-tensor path joins the uniform work register as it is.
 
     Permuting it by L^-1 and then reading it at L^-1 y gives back the
-    same array, so the joined state equals, bit for bit, the join of
-    the permuted work register gathered at the label source.
+    same array, so the joined state equals, bit for bit, the plain join
+    of the permuted work register gathered at the label source, followed
+    by the shift powers' table gathered there.
     """
     rng = np.random.default_rng(lay.dim)
     t = lay.label_digits
@@ -900,8 +915,9 @@ def test_full_path_join_is_bitwise_the_permute_then_gather_join(lay, monkeypatch
     label = DenseState.zero_state(replace(lay, cube_count=0)).qft_label()
     label.permute_label(matrix, inverse=True)
     source = label_source(matrix, lay.p)
-    amounts = _shift_power_amounts(lay, rows)[source]
-    want = DenseState.from_parts(lay, label.vec[source], cubes, amounts).vec
+    amounts = generator_table(lay, power_generators(lay, rows))[source]
+    want = DenseState.from_parts(lay, label.vec[source], cubes)
+    want = want.controlled_register_shifts(amounts).vec
     joined = []
     monkeypatch.setattr(DenseState, "fourier_label_marginal", lambda st: joined.append(st.vec))
     _dense_full_marginal(matrix, cubes, rows, lay)
@@ -911,27 +927,28 @@ def test_full_path_join_is_bitwise_the_permute_then_gather_join(lay, monkeypatch
 
 
 @pytest.mark.parametrize(
-    "shape", [(7, 2, 1, 2), (8, 3, 1, 2), (8, 2, 2, 1), (8, 2, 2), (8, 2, 1, 2, 1), ()]
+    "shape",
+    [(2, 2, 1, 2), (3, 3, 1, 2), (3, 2, 2, 1), (3, 2, 2), (3, 2, 1, 2, 1), (), (8, 2, 1, 2)],
 )
 def test_join_rejects_amounts_of_the_wrong_shape(shape):
-    lay = JOIN_LAYOUTS[0]  # amounts of shape (8, 2, 1, 2)
+    # generators of shape (3, 2, 1, 2); the last shape is a per-label table
+    lay = JOIN_LAYOUTS[0]
     label, cubes = _join_parts(lay, 1, real=True)
-    amounts = np.zeros(shape, dtype=np.int64)
+    generators = np.zeros(shape, dtype=np.int64)
     with pytest.raises(BadRegister):
-        DenseState.from_parts(lay, label, cubes, amounts)
+        DenseState.from_parts(lay, label, cubes, generators)
     with pytest.raises(BadRegister):
-        DenseState._controlled_join(lay, label, cubes, amounts)
+        DenseState._controlled_join(lay, label, cubes, generators)
 
 
 SAMPLER_LAYOUT = RegisterLayout(p=3, m=3, n=3, label_digits=3, cube_count=1)
 
 
-def _sampler_amounts() -> np.ndarray:
-    """The sampler's amounts, labels @ A^T, at its shape over F_27."""
+def _sampler_generators() -> np.ndarray:
+    """The sampler's generators, the columns of A, at its shape over F_27."""
     f = Field(3, 3)
     code = LinearCode(f, [[f.el(1)], [f.el(3)], [f.el(9)]])
-    labels = label_to_digits(np.arange(27), 3, 3)
-    return (labels @ code.operator.entries.T % 3).reshape(-1, 1, 3, 3)
+    return code.operator.entries.T.reshape(-1, 1, 3, 3)
 
 
 @pytest.mark.parametrize(
@@ -940,18 +957,18 @@ def _sampler_amounts() -> np.ndarray:
         (RegisterLayout(p=2, m=2, n=3, label_digits=4, cube_count=2), False),  # 2^16 amplitudes
         (RegisterLayout(p=3, m=2, n=2, label_digits=2, cube_count=2), False),  # 3^10 amplitudes
         (RegisterLayout(p=2, m=2, n=2, label_digits=4, cube_count=3), False),  # 2^16 amplitudes
-        (SAMPLER_LAYOUT, False),  # the sampler's shape, random amounts
-        (SAMPLER_LAYOUT, True),  # the sampler's shape and amounts
+        (SAMPLER_LAYOUT, False),  # the sampler's shape, random generators
+        (SAMPLER_LAYOUT, True),  # the sampler's shape and generators
     ],
     ids=["p2_c2", "p3_c2", "p2_c3", "p3_c1", "p3_c1_sampler"],
 )
 def test_join_writes_no_second_state_sized_array(lay, sampler):
     label, cubes = _join_parts(lay, 9, real=lay.p == 2)
-    amounts = _sampler_amounts() if sampler else _join_amounts(lay, 4)
-    DenseState.from_parts(lay, label, cubes, amounts)  # warm the caches a join fills
+    gens = _sampler_generators() if sampler else _join_generators(lay, 4)
+    DenseState.from_parts(lay, label, cubes, gens)  # warm the caches a join fills
     tracemalloc.start()
     try:
-        state = DenseState.from_parts(lay, label, cubes, amounts)
+        state = DenseState.from_parts(lay, label, cubes, gens)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1088,7 +1105,7 @@ def test_controlled_shift_zero_control_is_identity(f4):
     st = DenseState.from_parts(lay, label, [phi])
     before = st.vec.copy()
     rows = vector_digit_rows(code.encode((f4.el(1),)))
-    st.controlled_register_shifts(_shift_power_amounts(lay, rows))
+    st.controlled_register_shifts(generator_table(lay, power_generators(lay, rows)))
     assert np.allclose(st.vec, before, atol=1e-12)
 
 
@@ -1103,7 +1120,8 @@ def test_controlled_shift_kickback_matches_eigenphase(f4):
         lay = RegisterLayout(p=2, m=2, n=2, label_digits=1, cube_count=1)
         label_vec = np.array([2**-0.5, 2**-0.5], dtype=np.complex128)
         st = DenseState.from_parts(lay, label_vec, [phi])
-        st.controlled_register_shifts(_shift_power_amounts(lay, vector_digit_rows(t)))
+        rows = vector_digit_rows(t)
+        st.controlled_register_shifts(generator_table(lay, power_generators(lay, rows)))
         phase = (np.array(label) @ np.array([d for e in s for d in e.digits])) % 2
         expect = np.concatenate(
             [2**-0.5 * phi, 2**-0.5 * (-1.0) ** phase * phi]
