@@ -141,13 +141,16 @@ def separation_experiment(config: SeparationConfig) -> list[dict]:
     classically with the cutoff r_e.  "beyond" plants errors whose top
     digit is nonzero in every coordinate, so no sigma and no digit
     cutoff can cover them and neither side should survive.  Success
-    means exact recovery of the planted message.
+    means exact recovery of the planted message.  The error images are
+    drawn as int64, so q > 2^63 raises PreconditionUnmet before any draw.
     """
     if config.trials < 1:
         raise PreconditionUnmet("trials must be >= 1")
     if not config.n >= config.k >= 1:  # resolved_levels divides by n
         raise BadShape(f"need n >= k >= 1, got n={config.n}, k={config.k}")
     f = Field(config.p, config.m)
+    if f.q > 2**63:  # the beyond level draws int64 images below q
+        raise PreconditionUnmet(f"q = {config.p}^{config.m} is past 2^63, the error draw's range")
     rng = np.random.default_rng(config.seed)
     rows = []
     for name, r_e in config.resolved_levels():

@@ -234,10 +234,12 @@ def plant_instance(
 def gen_instance(
     code: LinearCode, w: int, seed: int | np.random.Generator
 ) -> DecodeInstance:
-    """Planted instance with per-coordinate error images uniform on [0, floor(w/n)].
+    """Planted instance with per-coordinate error images uniform on [0, min(floor(w/n), q-1)].
 
-    Bounding each coordinate separately keeps the high digit prefixes of
-    t aligned with the planted codeword, which is the property every
+    An image above q - 1 is not in F_q, so a budget w >= n*q caps each
+    coordinate at q - 1 and the declared bound w is loose.  Bounding
+    each coordinate separately keeps the high digit prefixes of t
+    aligned with the planted codeword, which is the property every
     decoder correctness argument uses.  Digit-wise addition can wrap a
     digit and inflate the *image* distance past w for awkward (p, w)
     combinations; the error is then redrawn so the declared bound is
@@ -249,7 +251,7 @@ def gen_instance(
     f = code.field
     s = tuple(f.random_element(rng) for _ in range(code.k))
     cw = code.encode(s)
-    bound = w // code.n
+    bound = min(w // code.n, f.q - 1)
     for _ in range(1000):
         e = tuple(f.el(int(v)) for v in rng.integers(0, bound + 1, size=code.n))
         t = tuple(c + err for c, err in zip(cw, e))

@@ -63,7 +63,6 @@ from .qsim import (
     RegisterLayout,
     SigmaParam,
     _dft_matrix,
-    label_permutation,
     label_source,
     require_cube_orthogonality,
     shift_cube_vector,
@@ -196,7 +195,9 @@ def _dense_factorized_marginal(
     g_j(d) = <Phi_j | U_t^d Phi_j>, d = 0 .. p-1, through the simulator's
     own inverse Fourier matrix F^-1 (real and nonnegative up to rounding).
     The Kronecker product of the T rows W_j is indexed by the label of u,
-    and the label permutation of A^T moves it to outcome order.  No
+    and A^T's one index map o -> A^T o (``label_source`` with
+    ``inverse``, checked to be a bijection, so a singular A raises
+    BadParams) moves it to outcome order.  No
     approximation is involved; the tensor product is just never
     materialised.  g_j(0) is the squared norm of Phi_j, and each power
     d >= 1 shifts the (T, q^n) stack of the Phi_j at once, through one
@@ -211,7 +212,7 @@ def _dense_factorized_marginal(
         g[:, d] = [np.vdot(phi, moved) for phi, moved in zip(phis, shifted)]
     f_inv = _dft_matrix(p, inverse=True)
     weights = [np.maximum((f_inv @ row).real / np.sqrt(p), 0.0) for row in g]
-    return reduce(np.kron, weights)[label_permutation(columns.T, p)]
+    return reduce(np.kron, weights)[label_source(columns.T, p, inverse=True)]
 
 
 def decode_dense(

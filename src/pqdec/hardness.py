@@ -28,7 +28,7 @@ from typing import Sequence
 from .codes import LinearCode
 from .errors import BadParams, BudgetExceeded, GadgetGapError
 from .gf import Field, FieldElement, json_int, label_to_digits
-from .metrics import manhattan_dist
+from .metrics import manhattan_dist, manhattan_norm
 
 DEFAULT_GADGET_BUDGET = 2**20
 
@@ -223,14 +223,11 @@ def verify_gap(
         alpha = [g.field.zero] * sc.num_sets
         for i in exact_cover:
             alpha[i] = g.field.one
-        witness_distance = manhattan_dist(g.b0, _span_combination(g, alpha))
+        span = _span_combination(g, alpha)
+        witness_distance = manhattan_dist(g.b0, span)
         # scaling the cover by p-1 (= -1) cancels the universe block, so the
-        # weight of b0 + (p-1) * sum is carried entirely by the K tail marks
-        alpha_pm1 = [g.field.zero] * sc.num_sets
-        for i in exact_cover:
-            alpha_pm1[i] = g.field.el(p - 1)
-        summed = _span_combination(g, alpha_pm1)
-        residual_weight = sum((a + b).image for a, b in zip(g.b0, summed))
+        # weight of b0 + (p-1) * span = b0 - span is carried by the K tail marks
+        residual_weight = manhattan_norm([a - b for a, b in zip(g.b0, span)])
         passed = (
             opt <= bound
             and witness_distance == sc.K

@@ -19,18 +19,20 @@ Within a coordinate the LEAST significant digit sits at the last
 (fastest-varying) axis, so the m axes of a coordinate, read as a C-order
 number, equal the coordinate's integer image, and a cube register's
 block index is the base-q number of its coordinate images.  Every radix
-conversion in the package goes through that one codec, with four
+conversion in the package goes through that one codec, with three
 exceptions.  Two work on Python ints for images past 2^63,
-``gf._int_digits`` and ``FieldElement.image``.  Two build index maps by
-Horner's rule: :func:`label_permutation`, so that no (p^T, T) digit
-table is held for labels (p^T may reach the amplitude guard), and
-:func:`_shift_source`, for speed (a 3^9-entry shift map and its
-bijection check take about 0.13 ms by Horner against about 6 ms through
-the codec, on one core of a 2-vCPU Xeon).  A decode builds few of them,
-at most one per label digit and register in a join (see Factor first)
-and one per nonzero power of U_t in the factorised marginal: five over
-F_27 at k = 1.  The one read-out of a label register is
-:meth:`PcsSampler.collapse`, which also checks the label it is given.
+``gf._int_digits`` and ``FieldElement.image``.  One builds an index map
+by Horner's rule: :func:`_shift_source`, for speed (a 3^9-entry shift
+map and its bijection check take about 0.13 ms by Horner against about
+6 ms through the codec, on one core of a 2-vCPU Xeon).  A decode builds
+few shift maps, at most one per label digit and register in a join (see
+Factor first) and one per nonzero power of U_t in the factorised
+marginal: five over F_27 at k = 1.  Label index maps go through the
+codec, in :func:`label_source`, with a bijection check: a decode has at
+most 2^12 labels, where the codec is about as fast as Horner's rule, and
+each dense decode builds exactly one, on either marginal path.  The one
+read-out of a label register is :meth:`PcsSampler.collapse`, which also
+checks the label it is given.
 
 Cube gates act on every cube register at once: no gate addresses one
 register.  As in the decoder of the paper, a cube is prepared at 0
@@ -161,32 +163,25 @@ def require_cube_orthogonality(code: LinearCode, sigma: SigmaParam) -> None:
         )
 
 
-def label_permutation(matrix: np.ndarray, p: int) -> np.ndarray:
-    """perm[i] = digits_to_label(M @ label_to_digits(i) mod p) for all p^T labels i.
-
-    Built by Horner's rule, one output digit at a time, so no (p^T, T)
-    digit table is held: over all labels in index order, output digit r
-    is the outer sum of M[r, c] * (0, ..., p-1) across the columns c.
-    """
-    mat = np.asarray(matrix, dtype=np.int64) % p
-    perm = np.zeros(p ** mat.shape[1], dtype=np.int64)
-    for row in mat:
-        digit = np.zeros(1, dtype=np.int64)
-        for coeff in row:
-            digit = np.add.outer(digit, coeff * np.arange(p)).reshape(-1)
-        perm = perm * p + digit % p
-    return perm
-
-
 def label_source(matrix: np.ndarray, p: int, inverse: bool = False) -> np.ndarray:
     """Source-index map of the label permutation |v> -> |M v> (|M^-1 v> with ``inverse``).
 
     After the permutation, label i holds what label ``source[i]`` held:
     source[i] = M^-1 i, or M i with ``inverse``.  Both read M's own
-    index map i -> M i, checked to be a bijection (a singular M raises
-    BadParams), and the forward one inverts it, so M^-1 is never formed.
+    index map i -> M i, built through the numeral codec and checked to
+    be a bijection (a singular M raises BadParams); the forward one
+    inverts it, so M^-1 is never formed.  The codec holds a (p^T, T)
+    int64 digit table while it builds the map.  A decode has p^T <= 2^12
+    (the sampler fits p^(m*k) * q^n in the amplitude guard with n >= k),
+    where the map takes about as long as a digit-at-a-time Horner build,
+    at most about 2 ms, and a third of that at 8 or 27 labels.  Past about
+    2^16 labels the codec is 1.5 to 2 times slower, and at 2^24 labels the
+    table is 3.2 GB; only :meth:`DenseState.permute_label` on a large
+    label-only layout gets there, and no decode runs that gate.
     """
-    perm = _require_bijection(label_permutation(matrix, p), "label permutation")
+    mat = np.asarray(matrix, dtype=np.int64) % p
+    labels = label_to_digits(np.arange(p ** mat.shape[1]), mat.shape[1], p)
+    perm = _require_bijection(digits_to_label(labels @ mat.T, p), "label permutation")
     if inverse:
         return perm
     source = np.empty_like(perm)
@@ -200,6 +195,12 @@ def _require_bijection(index_map: np.ndarray, what: str) -> np.ndarray:
     if len(counts) != len(index_map) or not np.all(counts == 1):
         raise BadParams(f"{what} is not a bijection")
     return index_map
+
+
+def _require_amplitudes(dim: int, what: str) -> None:
+    """Raise ScaleExceeded before anything is allocated if ``dim`` passes the guard."""
+    if dim > MAX_AMPLITUDES:
+        raise ScaleExceeded(f"{what} needs {dim} amplitudes, above the {MAX_AMPLITUDES} guard")
 
 
 def _require_unit_norm(squared_norm: float) -> None:
@@ -226,10 +227,7 @@ class RegisterLayout:
             and min(self.label_digits, self.cube_count) >= 0
         ):
             raise OutOfRange(f"{self}: p must be prime, m and n >= 1, and no count negative")
-        if self.dim > MAX_AMPLITUDES:
-            raise ScaleExceeded(
-                f"layout needs {self.dim} amplitudes, above the {MAX_AMPLITUDES} guard"
-            )
+        _require_amplitudes(self.dim, "layout")
 
     @property
     def total_axes(self) -> int:
@@ -281,8 +279,8 @@ def _shift_source(digit_rows: np.ndarray, p: int) -> np.ndarray:
     """Source-index map of adding an (n, m) digit matrix v, LSB first, to a cube register.
 
     Adding v sends basis value y to y + v, so output x reads input x - v.
-    Built one digit at a time, as :func:`label_permutation` is, from the
-    least significant place up (last coordinate first, LSB first within
+    Built one digit at a time by Horner's rule, from the least
+    significant place up (last coordinate first, LSB first within
     it), so each outer sum puts the long, already built part innermost.
     The map has one entry per basis value of the register.
     """
@@ -615,10 +613,13 @@ def cube_vector(field: Field, n: int, anchor: Sequence[FieldElement], sigma: Sig
     and of the shifts that move its cube: each offset z in [sigma]^n (coordinate images below sigma) is added to
     the anchor digit by digit, and each point's basis index is its
     coordinate images read in base q, all through the numeral codec.
+    More than ``MAX_AMPLITUDES`` amplitudes raise ScaleExceeded before
+    anything is allocated.
     """
     if len(anchor) != n:
         raise LengthMismatch(f"anchor length {len(anchor)} != n = {n}")
     p, m, q = field.p, field.m, field.q
+    _require_amplitudes(q**n, "cube vector")
     offsets = label_to_digits(np.arange(sigma.sigma**n), n, sigma.sigma)
     anchor_digits = label_to_digits([a.image for a in anchor], m, p)
     # digits_to_label reduces mod p, so the sum is F_q addition
@@ -654,10 +655,12 @@ def pcs_state_direct(
 
     Sum over all messages c of omega_p^(label . digits(c)) times the cube
     at A c, scaled by q^(-k/2).  Independent of the sampler circuit; used
-    as its oracle.
+    as its oracle.  More than ``MAX_AMPLITUDES`` amplitudes raise
+    ScaleExceeded before anything is allocated.
     """
     f = code.field
     q, k = f.q, code.k
+    _require_amplitudes(q**code.n, "phased cube state")
     omega = np.exp(2j * np.pi / f.p)
     out = np.zeros(q**code.n, dtype=np.complex128)
     msgs = message_images(f, k)

@@ -146,6 +146,21 @@ def test_separation_rejects_a_bad_shape_before_the_field(n, k):
         separation_experiment(SeparationConfig(p=4, m=4, n=n, k=k, trials=1, seed=1))
 
 
+def test_separation_past_int64_images_raises_before_any_draw(monkeypatch):
+    # the beyond level draws int64 error images in [q/p, q), out of range
+    # for q = 2^64; the run raises before its first level, so no code is drawn
+    drawn = []
+    monkeypatch.setattr(baselines, "random_code", lambda *a: drawn.append(a))
+    with pytest.raises(PreconditionUnmet, match="past 2\\^63"):
+        separation_experiment(SeparationConfig(p=2, m=64, n=64, k=1, trials=1, seed=1))
+    assert drawn == []
+
+
+def test_separation_runs_up_to_q_2_63():
+    rows = separation_experiment(SeparationConfig(p=2, m=63, n=63, k=1, trials=1, seed=1))
+    assert [row["promise"] for row in rows] == ["tight", "loose", "beyond"]
+
+
 def test_separation_reproducible():
     config = SeparationConfig(p=2, m=6, n=6, k=2, trials=25, seed=9)
     assert separation_experiment(config) == separation_experiment(config)

@@ -53,6 +53,17 @@ def test_gen_is_byte_identical(tmp_path):
     assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
+def test_gen_with_a_budget_past_q_per_coordinate_exits_zero(tmp_path, capsys):
+    # w // n = 50 is past q - 1 = 3, so each error image is capped at 3
+    path = str(tmp_path / "wide.json")
+    argv = ["gen", "--p", "2", "--m", "2", "--n", "2", "--k", "1", "--w", "100"]
+    for seed in "12345":
+        assert main(argv + ["--seed", seed, "--out", path]) == 0
+        assert read_json(path)["w"] == 100
+        assert main(["oracle", "--instance", path]) == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.fixture()
 def good_instance(tmp_path):
     # seed 29 draws a q=4, n=3, k=1 code with d = 4 (sigma = 1 window holds)
@@ -317,6 +328,14 @@ def test_separation_with_a_bad_shape_exits_two(capsys, n, k):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: need n >= k >= 1, got n={n}, k={k}\n"
+
+
+def test_separation_past_int64_images_exits_two(capsys):
+    argv = ["separation", "--p", "2", "--m", "64", "--n", "64", "--k", "1", "--trials", "1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: q = 2^64 is past 2^63, the error draw's range\n"
 
 
 def test_separation_subcommand(capsys):

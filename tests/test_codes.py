@@ -244,6 +244,16 @@ def test_gen_instance_error_images_uniform(f16):
     assert np.all(np.abs(freqs - 0.25) < 0.02)
 
 
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_gen_instance_caps_each_error_image_at_q_minus_1(f4, seed):
+    # w // n = 50 is past q - 1 = 3: each error image is drawn from all of
+    # F_4 instead of reaching an image F_4 does not have
+    code = LinearCode(f4, [[f4.el(2)], [f4.el(3)]])
+    inst = gen_instance(code, 100, seed=seed)
+    assert inst.w == 100
+    assert manhattan_dist(inst.t, code.encode(inst.s_true)) <= 2 * (f4.q - 1)
+
+
 def test_plant_instance_records_actual_distance(f9):
     code = random_code(f9, 3, 1, 2)
     s = (f9.el(5),)

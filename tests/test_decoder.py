@@ -28,7 +28,7 @@ from pqdec.errors import (
     PromiseViolated,
     RetryBudgetExhausted,
 )
-from pqdec.gf import Field, label_to_digits
+from pqdec.gf import Field, digits_to_label, label_to_digits
 from pqdec.modp import fp_gauss_invert, invertibility_product
 from pqdec.qsim import (
     MAX_AMPLITUDES,
@@ -37,7 +37,7 @@ from pqdec.qsim import (
     RegisterLayout,
     SigmaParam,
     _dft_matrix,
-    label_permutation,
+    label_source,
     pcs_state_direct,
     shift_cube_vector,
     vector_digit_rows,
@@ -287,7 +287,9 @@ def _factorized_marginal_reference(columns, pcs_vectors, t_digit_rows, field):
     for phi in pcs_vectors:
         g = [np.vdot(phi, shift_cube_vector(phi, field, t_digit_rows, d)) for d in range(p)]
         weights.append(np.maximum((_dft_matrix(p, inverse=True) @ g).real / np.sqrt(p), 0.0))
-    return reduce(np.kron, weights)[label_permutation(columns.T, p)]
+    t = len(columns)
+    order = [digits_to_label(columns.T @ label_to_digits(o, t, p), p) for o in range(p**t)]
+    return reduce(np.kron, weights)[order]  # outcome o reads label A^T o
 
 
 @pytest.mark.parametrize("p,m,gens", [(2, 3, (1, 2)), (3, 2, (1, 3)), (5, 2, (1, 5))])
@@ -419,11 +421,12 @@ def test_full_marginal_permutes_no_joined_state(f4, monkeypatch):
 
 @pytest.mark.parametrize("p,m", [(2, 2), (3, 2)])
 def test_full_marginal_builds_one_label_map(p, m, monkeypatch):
-    # L's index map, with its bijection check, is built once: the join
-    # reads the shift amounts through it and nothing else permutes
+    # each marginal builds L's (or A^T's) index map, with its bijection
+    # check, once: the full-tensor join reads the shift amounts through
+    # it and nothing else permutes, and the factorised law is read at it
     maps = []
     monkeypatch.setattr(
-        "pqdec.qsim.label_permutation", lambda *a: maps.append(a) or label_permutation(*a)
+        "pqdec.decoder.label_source", lambda *a, **kw: maps.append(a) or label_source(*a, **kw)
     )
     f = Field(p, m)
     code = LinearCode(f, [[f.el(1)], [f.el(p)]])
@@ -433,8 +436,23 @@ def test_full_marginal_builds_one_label_map(p, m, monkeypatch):
     for calls in (1, 2):
         columns, _ = sample_label_matrix(p, m, rng)
         pcs = [sampler.collapse(label) for label in columns.T]
-        _dense_full_marginal(columns, pcs, rng.integers(0, p, size=(code.n, m)), layout)
-        assert len(maps) == calls
+        t_rows = rng.integers(0, p, size=(code.n, m))
+        _dense_full_marginal(columns, pcs, t_rows, layout)
+        assert len(maps) == 2 * calls - 1
+        _dense_factorized_marginal(columns, pcs, t_rows, f)
+        assert len(maps) == 2 * calls
+
+
+def test_factorized_marginal_rejects_a_singular_label_matrix(f9):
+    # A^T's index map is checked like L's: a singular label matrix has no
+    # outcome order, so it raises rather than returning a law read at a
+    # map that is not a permutation
+    code = LinearCode(f9, [[f9.el(1)], [f9.el(3)]])
+    sampler = PcsSampler(code, SigmaParam.from_r(f9, 0))
+    columns = np.array([[1, 2], [2, 1]], dtype=np.int64)  # column 2 = 2 * column 1 mod 3
+    pcs = [sampler.collapse(label) for label in columns.T]
+    with pytest.raises(BadParams, match="not a bijection"):
+        _dense_factorized_marginal(columns, pcs, np.zeros((code.n, 2), dtype=np.int64), f9)
 
 
 def _complex_zero_state(layout):

@@ -105,6 +105,23 @@ def test_verify_gap_p3_yes_case(f9):
     assert report.residual_weight == (3 - 1) * 2  # tail weight of b0 - cover sum
 
 
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2)])
+def test_verify_gap_residual_weight_is_b0_plus_p_minus_1_times_the_cover(p, m):
+    # the residual is b0 + (p-1) * sum over the cover, scaled term by term;
+    # its weight is the K tail marks, each carrying p - 1
+    f = Field(p, m)
+    sc = SetCoverInstance(
+        universe_size=3, sets=(frozenset({0}), frozenset({1, 2}), frozenset({0, 1})), K=2, c=2
+    )
+    g = build_gadget(sc, f)
+    summed = [f.zero] * g.dimension
+    for i in (0, 1):
+        summed = [a + f.el(p - 1) * b for a, b in zip(summed, g.columns[i])]
+    report = verify_gap(g, exact_cover=[0, 1])
+    assert report.residual_weight == sum((a + b).image for a, b in zip(g.b0, summed))
+    assert report.residual_weight == (p - 1) * sc.K
+
+
 def test_verify_gap_rejects_bad_witness():
     f2 = Field(2, 1)
     sc = SetCoverInstance(

@@ -34,7 +34,6 @@ from pqdec.qsim import (
     cube_overlap,
     cube_vector,
     digits_to_label,
-    label_permutation,
     label_source,
     label_to_digits,
     pcs_state_direct,
@@ -164,6 +163,22 @@ def test_cube_vector_matches_the_elementwise_definition(p, m, n):
 def test_cube_vector_rejects_an_anchor_of_the_wrong_length(f4, anchor):
     with pytest.raises(LengthMismatch):
         cube_vector(f4, 2, tuple(f4.el(v) for v in anchor), SigmaParam.from_r(f4, 1))
+
+
+@pytest.mark.parametrize("p,m,n", [(2, 16, 4), (2, 5, 5)], ids=["past_int64", "past_guard"])
+def test_cube_vector_guards_its_amplitudes(p, m, n):
+    # q^n past the amplitude guard raises before the vector is allocated
+    f = Field(p, m)
+    with pytest.raises(ScaleExceeded, match="cube vector needs"):
+        cube_vector(f, n, (f.zero,) * n, SigmaParam.from_r(f, 0))
+
+
+@pytest.mark.parametrize("p,m,n", [(2, 16, 4), (2, 5, 5)], ids=["past_int64", "past_guard"])
+def test_pcs_state_direct_guards_its_amplitudes(p, m, n):
+    f = Field(p, m)
+    code = LinearCode(f, [[f.one]] * n)
+    with pytest.raises(ScaleExceeded, match="phased cube state needs"):
+        pcs_state_direct(code, SigmaParam.from_r(f, 0), (0,) * m)
 
 
 def test_shift_moves_cubes(f4):
@@ -476,10 +491,8 @@ def test_permute_label_matches_per_label_loop(p, t):
         vec = _random_state(lay, trial)
         got = DenseState(lay, vec.copy()).permute_label(matrix)
         assert np.array_equal(got.vec, _permute_label_reference(vec, matrix, p, t))
-        table = label_to_digits(np.arange(lay.label_dim), t, p)
-        assert np.array_equal(
-            label_permutation(matrix, p), digits_to_label(table @ matrix.T % p, p)
-        )
+        per_label = [digits_to_label(matrix @ label_to_digits(i, t, p), p) for i in range(p**t)]
+        assert np.array_equal(label_source(matrix, p, inverse=True), per_label)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
