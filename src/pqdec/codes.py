@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BadShape, BudgetExceeded, LengthMismatch
+from .errors import BadShape, BudgetExceeded, LengthMismatch, PreconditionUnmet
 from .gf import (
     Field,
     FieldElement,
@@ -243,15 +243,21 @@ def gen_instance(
     decoder correctness argument uses.  Digit-wise addition can wrap a
     digit and inflate the *image* distance past w for awkward (p, w)
     combinations; the error is then redrawn so the declared bound is
-    honest (never triggers for p = 2).
+    honest (never triggers for p = 2).  Error images are drawn as int64,
+    so a per-coordinate bound of 2^63 or more (q > 2^63 with a budget to
+    match) raises PreconditionUnmet before anything is drawn.
     """
     if w < 0:
         raise BadShape(f"error budget w = {w} must be >= 0")
-    rng = np.random.default_rng(seed)
     f = code.field
+    bound = min(w // code.n, f.q - 1)
+    if bound >= 2**63:
+        raise PreconditionUnmet(
+            f"per-coordinate error bound {bound} is past 2^63 - 1, the error draw's range"
+        )
+    rng = np.random.default_rng(seed)
     s = tuple(f.random_element(rng) for _ in range(code.k))
     cw = code.encode(s)
-    bound = min(w // code.n, f.q - 1)
     for _ in range(1000):
         e = tuple(f.el(int(v)) for v in rng.integers(0, bound + 1, size=code.n))
         t = tuple(c + err for c, err in zip(cw, e))

@@ -26,8 +26,9 @@ This module owns the field layer's two conventions, once each:
 
 * The polynomial core: dense coefficient lists over F_p, constant term
   first, with one long division, :func:`_poly_divmod`, behind field
-  multiplication, the extended Euclid of ``FieldElement.inv`` and the
-  gcd of the irreducibility test (Ben-Or's, at every degree).
+  multiplication, the extended Euclid of ``FieldElement.inv``, the gcd
+  of the irreducibility test (Ben-Or's, at every degree) and the
+  reduced powers of x that every expanded operator is built from.
 * The numeral codec: :func:`label_to_digits` and :func:`digits_to_label`
   map an index to its digits in a radix (p for labels and digit vectors,
   q for message images), most significant first, and back, on numpy
@@ -432,18 +433,16 @@ def _x_power_operators(field: Field) -> np.ndarray:
     """(m, m, m) stack whose slice l is the operator of multiplication by x^l.
 
     Column j of slice l holds the digits of x^(l+j) reduced by the modulus,
-    so all m slices are read off the 2m-1 reduced powers x^0 .. x^(2m-2);
-    slice 1 is the companion matrix of ``field.poly`` and slice l its l-th
-    power.
+    so all m slices are read off the 2m-1 reduced powers x^0 .. x^(2m-2),
+    each the remainder of one :func:`_poly_divmod`; slice 1 is the
+    companion matrix of ``field.poly`` and slice l its l-th power.
     """
     p, m = field.p, field.m
-    low = np.array(field.poly, dtype=np.int64)
+    modulus = field.poly + (1,)
     powers = np.zeros((2 * m - 1, m), dtype=np.int64)
-    powers[0, 0] = 1
-    for e in range(1, 2 * m - 1):
-        top = powers[e - 1, m - 1]
-        powers[e, 1:] = powers[e - 1, :-1]
-        powers[e] = (powers[e] - top * low) % p  # x^m == -poly
+    for e in range(2 * m - 1):
+        rem = _poly_divmod([0] * e + [1], modulus, p)[1]
+        powers[e, : len(rem)] = rem
     hankel = np.add.outer(np.arange(m), np.arange(m))  # [l, j] -> l + j
     return powers[hankel].transpose(0, 2, 1)  # [l, row, j]
 
@@ -477,8 +476,7 @@ def top_digit_submatrix(expanded: ExpandedMatrix, r: int) -> np.ndarray:
     m = expanded.m
     if not 0 <= r < m:
         raise OutOfRange(f"low-digit cutoff r = {r} outside [0, {m - 1}]")
-    rows = [i * m + ell for i in range(expanded.n) for ell in range(r, m)]
-    return expanded.entries[rows, :]
+    return expanded.entries.reshape(expanded.n, m, -1)[:, r:].reshape(-1, m * expanded.k)
 
 
 def stack_digits(vec: Sequence[FieldElement]) -> np.ndarray:

@@ -15,6 +15,12 @@ some tuple stays at value zero (costing L = c*K on that tuple) or the
 support of the assignment covers U and the tail alone costs at least
 the support size.
 
+The gadget is a linear code: :func:`build_gadget` builds one
+:class:`~pqdec.codes.LinearCode` whose generators are b_1..b_m', so
+every span sum alpha_i b_i, in the brute force and in the YES witness
+alike, is ``code.encode(alpha)`` through the code's expanded F_p
+operator, and no field product is formed here.
+
 The set count is written m' throughout so it never collides with the
 field degree m.
 """
@@ -85,45 +91,38 @@ class SetCoverInstance:
 
 @dataclass(frozen=True)
 class Gadget:
-    field: Field
+    """Target b0 and the linear code whose generator column i is b_(i+1)."""
+
     sc: SetCoverInstance
-    L: int
     b0: tuple[FieldElement, ...]
-    columns: tuple[tuple[FieldElement, ...], ...]  # column i is vector b_i
+    code: LinearCode
+
+    @property
+    def field(self) -> Field:
+        return self.code.field
+
+    @property
+    def L(self) -> int:
+        return self.sc.c * self.sc.K
 
     @property
     def dimension(self) -> int:
-        return len(self.b0)
+        return self.code.n
 
 
 def build_gadget(sc: SetCoverInstance, field: Field) -> Gadget:
-    """Materialise b0 and b_1..b_m' for a set-cover instance."""
+    """b0 and the (L*|U| + m') x m' generator matrix of b_1..b_m', from set membership.
+
+    The tail block is the identity, so the generators are independent
+    and the code's rank check always passes.
+    """
     L = sc.c * sc.K
-    dim = L * sc.universe_size + sc.num_sets
+    block = L * sc.universe_size
     zero, one = field.zero, field.one
-    b0 = tuple(
-        one if pos < L * sc.universe_size else zero for pos in range(dim)
-    )
-    cols = []
-    for i, s in enumerate(sc.sets):
-        vec = [zero] * dim
-        for u in s:
-            for slot in range(L):
-                vec[u * L + slot] = one
-        vec[L * sc.universe_size + i] = one
-        cols.append(tuple(vec))
-    return Gadget(field=field, sc=sc, L=L, b0=b0, columns=tuple(cols))
-
-
-def _span_combination(g: Gadget, alpha: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
-    acc = [g.field.zero] * g.dimension
-    for coef, col in zip(alpha, g.columns):
-        if coef.image == 0:
-            continue
-        for pos, entry in enumerate(col):
-            if entry.image:
-                acc[pos] = acc[pos] + coef * entry
-    return tuple(acc)
+    b0 = (one,) * block + (zero,) * sc.num_sets
+    rows = [[one if pos // L in s else zero for s in sc.sets] for pos in range(block)]
+    rows += [[one if j == i else zero for j in range(sc.num_sets)] for i in range(sc.num_sets)]
+    return Gadget(sc=sc, b0=b0, code=LinearCode(field, rows))
 
 
 def gadget_distance_bruteforce(
@@ -131,10 +130,12 @@ def gadget_distance_bruteforce(
 ) -> tuple[int, tuple[int, ...]]:
     """Exact OPT = min over assignments alpha of dist(b0, sum alpha_i b_i).
 
-    Enumerates all q^m' assignments directly (independent of the
-    codeword oracle, which cross-checks it), assignment ``idx`` being the
-    base-q digits of ``idx`` read through the numeral codec one index at
-    a time.  Returns (OPT, the first minimising alpha as integer images).
+    Enumerates all q^m' assignments directly, assignment ``idx`` being
+    the base-q digits of ``idx`` read through the numeral codec one index
+    at a time, and takes each span as ``g.code.encode(alpha)``.  It keeps
+    its own enumeration, distances and tie-break, so the codeword oracle
+    still cross-checks it; the two share only the expanded operator.
+    Returns (OPT, the first minimising alpha as integer images).
     """
     f = g.field
     m_sets = g.sc.num_sets
@@ -146,16 +147,10 @@ def gadget_distance_bruteforce(
     for idx in range(total):
         alpha_imgs = tuple(label_to_digits(idx, m_sets, f.q).tolist())
         alpha = tuple(f.el(v) for v in alpha_imgs)
-        dist = manhattan_dist(g.b0, _span_combination(g, alpha))
+        dist = manhattan_dist(g.b0, g.code.encode(alpha))
         if best is None or dist < best:
             best, best_alpha = dist, alpha_imgs
     return int(best), best_alpha
-
-
-def gadget_code(g: Gadget) -> LinearCode:
-    """The gadget span as a linear code (columns are the generators)."""
-    matrix = [[g.columns[j][pos] for j in range(g.sc.num_sets)] for pos in range(g.dimension)]
-    return LinearCode(g.field, matrix)
 
 
 @dataclass(frozen=True)
@@ -223,7 +218,7 @@ def verify_gap(
         alpha = [g.field.zero] * sc.num_sets
         for i in exact_cover:
             alpha[i] = g.field.one
-        span = _span_combination(g, alpha)
+        span = g.code.encode(alpha)
         witness_distance = manhattan_dist(g.b0, span)
         # scaling the cover by p-1 (= -1) cancels the universe block, so the
         # weight of b0 + (p-1) * span = b0 - span is carried by the K tail marks

@@ -30,7 +30,6 @@ from pqdec.gf import Field, expand_operator, label_to_digits, top_digit_submatri
 from pqdec.hardness import (
     SetCoverInstance,
     build_gadget,
-    gadget_code,
     gadget_distance_bruteforce,
     min_cover_size_bruteforce,
     verify_gap,
@@ -383,7 +382,7 @@ def test_criterion_09_hardness_gadget():
         sc = SetCoverInstance(universe_size=u, sets=tuple(sets), K=k_cover, c=c)
         gadget = build_gadget(sc, f2)
         opt, _ = gadget_distance_bruteforce(gadget)
-        _, oracle_dist = nearest_codeword_oracle(gadget_code(gadget), gadget.b0)
+        _, oracle_dist = nearest_codeword_oracle(gadget.code, gadget.b0)
         ok &= opt == oracle_dist
     elapsed = time.perf_counter() - started
     ok &= elapsed < 300.0

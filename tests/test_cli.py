@@ -64,6 +64,21 @@ def test_gen_with_a_budget_past_q_per_coordinate_exits_zero(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_gen_with_an_error_bound_past_int64_exits_two(tmp_path, capsys):
+    # F_{2^64} at n = 2: w // n = 2^63 is past the int64 error draw, a
+    # usage error; one less per coordinate (w = 2^64 - 2) still generates
+    argv = ["gen", "--p", "2", "--m", "64", "--n", "2", "--k", "1", "--seed", "1"]
+    assert main(argv + ["--w", str(2**64)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: per-coordinate error bound {2**63} is past 2^63 - 1, the error draw's range\n"
+    )
+    path = str(tmp_path / "edge.json")
+    assert main(argv + ["--w", str(2**64 - 2), "--out", path]) == 0
+    assert read_json(path)["w"] == 2**64 - 2
+
+
 @pytest.fixture()
 def good_instance(tmp_path):
     # seed 29 draws a q=4, n=3, k=1 code with d = 4 (sigma = 1 window holds)

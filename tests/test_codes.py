@@ -16,7 +16,13 @@ from pqdec.codes import (
     plant_instance,
     random_code,
 )
-from pqdec.errors import BadShape, BudgetExceeded, FieldMismatch, LengthMismatch
+from pqdec.errors import (
+    BadShape,
+    BudgetExceeded,
+    FieldMismatch,
+    LengthMismatch,
+    PreconditionUnmet,
+)
 from pqdec.gf import Field
 from pqdec.metrics import manhattan_dist
 
@@ -252,6 +258,21 @@ def test_gen_instance_caps_each_error_image_at_q_minus_1(f4, seed):
     inst = gen_instance(code, 100, seed=seed)
     assert inst.w == 100
     assert manhattan_dist(inst.t, code.encode(inst.s_true)) <= 2 * (f4.q - 1)
+
+
+def test_gen_instance_refuses_an_error_bound_past_int64():
+    # F_{2^64} at n = 2: w = 2^64 puts w // n = 2^63 past the int64 draw,
+    # while w = 2^64 - 2 (bound 2^63 - 1) is still drawn
+    f = Field(2, 64)
+    code = random_code(f, 2, 1, 1)
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    with pytest.raises(PreconditionUnmet):
+        gen_instance(code, 2**64, rng)
+    assert rng.bit_generator.state == state  # refused before any draw
+    inst = gen_instance(code, 2**64 - 2, rng)
+    assert inst.w == 2**64 - 2
+    assert manhattan_dist(inst.t, code.encode(inst.s_true)) <= inst.w
 
 
 def test_plant_instance_records_actual_distance(f9):

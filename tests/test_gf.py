@@ -17,6 +17,7 @@ from pqdec.errors import (
 from pqdec.gf import (
     Field,
     _poly_divmod,
+    _x_power_operators,
     default_irreducible,
     expand_operator,
     is_irreducible,
@@ -366,6 +367,17 @@ def test_expand_operator_equals_scalar_mul_blocks(p, m):
         for j in range(2):
             ref = scalar_mul_operator(a[i][j])
             assert np.array_equal(entries[i * m : (i + 1) * m, j * m : (j + 1) * m], ref)
+
+
+@pytest.mark.parametrize("p,m", [(2, 2), (2, 8), (3, 2), (3, 5), (5, 2), (7, 3)])
+def test_x_power_operator_columns_are_reduced_powers_of_x(p, m):
+    # slice l, column j: the digits of x^(l+j) in FieldElement arithmetic
+    f = Field(p, m)
+    x = f.el(f.p)
+    ops = _x_power_operators(f)
+    for ell in range(m):
+        for j in range(m):
+            assert ops[ell][:, j].tolist() == list((x ** (ell + j)).digits)
 
 
 def test_expand_operator_rejects_foreign_entry(f4, f9):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from pqdec.codes import nearest_codeword_oracle
@@ -6,12 +7,16 @@ from pqdec.gf import Field
 from pqdec.hardness import (
     SetCoverInstance,
     build_gadget,
-    gadget_code,
     gadget_distance_bruteforce,
     min_cover_size_bruteforce,
     verify_gap,
 )
 from pqdec.metrics import manhattan_dist
+
+
+def _column(g, i):
+    """Vector b_(i+1): generator column i of the gadget's code."""
+    return [row[i] for row in g.code.matrix]
 
 
 def test_build_gadget_single_set(f4):
@@ -20,7 +25,7 @@ def test_build_gadget_single_set(f4):
     sc = SetCoverInstance(universe_size=1, sets=(frozenset({0}),), K=1, c=1)
     g = build_gadget(sc, f2)
     assert [e.image for e in g.b0] == [1, 0]
-    assert [e.image for e in g.columns[0]] == [1, 1]
+    assert [e.image for e in _column(g, 0)] == [1, 1]
 
 
 def test_build_gadget_tail_of_b0_is_zero():
@@ -38,7 +43,7 @@ def test_build_gadget_tail_of_b0_is_zero():
     assert all(e.image == 1 for e in g.b0[: L * 3])
     assert all(e.image == 0 for e in g.b0[L * 3 :])
     # b_1 covers elements 0 and 1: ones on their tuples, tail mark at 0
-    col = g.columns[0]
+    col = _column(g, 0)
     assert all(col[u * L + j].image == 1 for u in (0, 1) for j in range(L))
     assert all(col[2 * L + j].image == 0 for j in range(L))
     assert [e.image for e in col[3 * L :]] == [1, 0, 0, 0]
@@ -49,9 +54,7 @@ def test_gadget_distance_zero_assignment(f4):
     sc = SetCoverInstance(universe_size=2, sets=(frozenset({0}), frozenset({1})), K=2, c=2)
     g = build_gadget(sc, f2)
     zeros = tuple(f2.zero for _ in range(2))
-    from pqdec.hardness import _span_combination
-
-    assert manhattan_dist(g.b0, _span_combination(g, zeros)) == g.L * 2
+    assert manhattan_dist(g.b0, g.code.encode(zeros)) == g.L * 2
 
 
 def test_gadget_distance_exact_cover_yes_case():
@@ -116,7 +119,7 @@ def test_verify_gap_residual_weight_is_b0_plus_p_minus_1_times_the_cover(p, m):
     g = build_gadget(sc, f)
     summed = [f.zero] * g.dimension
     for i in (0, 1):
-        summed = [a + f.el(p - 1) * b for a, b in zip(summed, g.columns[i])]
+        summed = [a + f.el(p - 1) * b for a, b in zip(summed, _column(g, i))]
     report = verify_gap(g, exact_cover=[0, 1])
     assert report.residual_weight == sum((a + b).image for a, b in zip(g.b0, summed))
     assert report.residual_weight == (p - 1) * sc.K
@@ -144,18 +147,50 @@ def test_degenerate_k_rejected():
 
 
 def test_gadget_agrees_with_codeword_oracle():
-    f2 = Field(2, 1)
     sc = SetCoverInstance(
         universe_size=3,
         sets=(frozenset({0, 1}), frozenset({2}), frozenset({1, 2})),
         K=2,
         c=2,
     )
-    g = build_gadget(sc, f2)
-    opt, _ = gadget_distance_bruteforce(g)
-    code = gadget_code(g)
-    _, oracle_dist = nearest_codeword_oracle(code, g.b0)
-    assert opt == oracle_dist
+    for field in (Field(2, 1), Field(2, 2)):  # F_4 spans go through 2x2 operator blocks
+        g = build_gadget(sc, field)
+        opt, _ = gadget_distance_bruteforce(g)
+        _, oracle_dist = nearest_codeword_oracle(g.code, g.b0)
+        assert opt == oracle_dist
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (2, 2), (3, 2), (5, 1)])
+def test_gadget_span_is_the_scalar_column_sum(p, m):
+    # the reference: sum_i alpha_i * b_i in FieldElement arithmetic,
+    # column by column, against the code's expanded-operator encode
+    f = Field(p, m)
+    sc = SetCoverInstance(
+        universe_size=3, sets=(frozenset({0}), frozenset({1, 2}), frozenset({0, 1})), K=1, c=2
+    )
+    g = build_gadget(sc, f)
+    rng = np.random.default_rng(23)
+    for _ in range(10):
+        alpha = [f.random_element(rng) for _ in range(sc.num_sets)]
+        summed = [f.zero] * g.dimension
+        for i, coef in enumerate(alpha):
+            summed = [a + coef * b for a, b in zip(summed, _column(g, i))]
+        assert g.code.encode(alpha) == tuple(summed)
+
+
+def test_verify_gap_yes_and_no_over_f9(f9):
+    yes = SetCoverInstance(
+        universe_size=3, sets=(frozenset({0, 1}), frozenset({2}), frozenset({1, 2})), K=2, c=2
+    )
+    report = verify_gap(build_gadget(yes, f9), exact_cover=[0, 1])
+    assert report.passed and report.opt <= (3 - 1) * 2
+    assert report.witness_distance == 2
+    assert report.residual_weight == (3 - 1) * 2
+    no = SetCoverInstance(
+        universe_size=3, sets=tuple(frozenset({u}) for u in range(3)), K=1, c=3
+    )
+    report = verify_gap(build_gadget(no, f9), min_cover_size=min_cover_size_bruteforce(no))
+    assert report.passed and report.opt >= 3
 
 
 def test_gadget_budget():
