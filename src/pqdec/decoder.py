@@ -6,19 +6,23 @@ label work register of T = m*k digit slots alone.  L^-1, the controlled
 shift powers CU and L are one gate on the composite register of the
 work register and the T cube registers: L only moves label slices, so
 L . CU . L^-1 is the shift controlled by L^-1 y on label y, and it
-leaves the work register's amplitudes where they were.  One controlled
-join (``DenseState.from_parts`` with the work register's amplitudes
-and the shift's generators, the columns of L^-1 read off L's one index
-map times t) writes the composite state with it made.  The
-Fourier-basis measurement then reads that state once
-(``DenseState.fourier_label_marginal``), without writing the transform
-back.  When the full tensor product exceeds the
-amplitude guard, the final label marginal is computed exactly without
-it: the state after the controlled shifts is a sum of label-basis
-terms whose cube part factorises register by register, so the
-measurement distribution is a permuted product state, the Kronecker
-product of one phase-estimation law per register, each from p
-overlaps, read at u = A^T o for outcome o.  Both paths produce
+leaves the work register's amplitudes where they were.  Its generators
+are the columns of L^-1, read off L's one index map, times t.  Label
+slice y of the composite state is then (work amplitude times register
+0's shifted factor) (x) (the other registers' shifted factors), so two
+controlled joins over those generators write its two parts: a head,
+the work register with register 0 (``DenseState._controlled_join``),
+and a tail, one ``DenseState.from_parts`` of a unit label with the
+other registers.  The Fourier-basis measurement
+(``qsim.fourier_label_marginal``) streams their label-wise product
+through the inverse transform tile by tile, so every amplitude of the
+composite is computed but the state is never held.  When the full
+tensor product exceeds the amplitude guard, the final label marginal
+is computed exactly without it: the state after the controlled shifts
+is a sum of label-basis terms whose cube part factorises register by
+register, so the measurement distribution is a permuted product state,
+the Kronecker product of one phase-estimation law per register, each
+from p overlaps, read at u = A^T o for outcome o.  Both paths produce
 identical marginals where both run.
 
 Structured backend: a classical shadow of the same algorithm, valid
@@ -63,6 +67,7 @@ from .qsim import (
     RegisterLayout,
     SigmaParam,
     _dft_matrix,
+    fourier_label_marginal,
     label_source,
     require_cube_orthogonality,
     shift_cube_vector,
@@ -153,20 +158,32 @@ def _dense_full_marginal(
     t_digit_rows: np.ndarray,
     layout: RegisterLayout,
 ) -> np.ndarray:
-    """Steps 3-7 on the materialised composite register (L = ``columns``).
+    """Steps 3-7 on every amplitude of the composite register (L = ``columns``).
 
     Three gates.  The uniform superposition runs on a label-only state.
-    L . CU . L^-1 is one join read through L's one index map: L only
-    moves label slices (slice y comes from slice L^-1 y), so the
-    composite state after it is the shift controlled by L^-1 y on label
-    y, and the work register's amplitude there is its amplitude before
-    L^-1, since L^-1 then L returns slice y to itself.  So the join takes
-    the work register as it is and the shift U_t^((L^-1 y)_j) on register
-    j, which is linear in y: its generators are (L^-1 e_d)_j * t, and the
-    column L^-1 e_d is read off L's index map at the label e_d, T entries
-    of ``source``.  The join builds at most ``label_digits`` maps per
-    register.  The Fourier-basis measurement then reads the joined state
-    once (:meth:`DenseState.fourier_label_marginal`).
+    L . CU . L^-1 is a join read through L's one index map: L only moves
+    label slices (slice y comes from slice L^-1 y), so the composite state
+    after it is the shift controlled by L^-1 y on label y, and the work
+    register's amplitude there is its amplitude before L^-1, since L^-1
+    then L returns slice y to itself.  So the join takes the work register
+    as it is and the shift U_t^((L^-1 y)_j) on register j, which is linear
+    in y: its generators are (L^-1 e_d)_j * t, and the column L^-1 e_d is
+    read off L's index map at the label e_d, T entries of ``source``.
+    Label slice y of the result is (work amplitude at y) * (register 0's
+    shifted factor) (x) (registers 1..T-1's shifted factors), so it is
+    written as two joins over the same generators: a head, the work
+    register with register 0 (``DenseState._controlled_join``, p^T x q^n),
+    and a tail, one :meth:`DenseState.from_parts` of a unit label with the
+    other registers (p^T x q^(n(T-1))).  The Fourier-basis measurement
+    (:func:`~pqdec.qsim.fourier_label_marginal`) streams their label-wise
+    product through the inverse transform tile by tile, so the
+    p^T x q^(nT) composite is computed but never held.  Each register
+    takes at most ``label_digits`` shift maps.  With at most three
+    registers every composite amplitude is the product that one join of
+    the whole composite (``from_parts`` on ``layout``) forms,
+    (work * factor 0) * (factor 1 * factor 2); with more, the tail's
+    Kronecker product associates factor 1 (x) (factor 2 (x) ...), which
+    can move an amplitude by an ulp.
     """
     p, t = layout.p, layout.label_digits
     label = DenseState.zero_state(replace(layout, cube_count=0))
@@ -174,8 +191,16 @@ def _dense_full_marginal(
     source = label_source(columns, p)  # L^-1 y for every label y
     inv_cols = label_to_digits(source[p ** np.arange(t - 1, -1, -1)], t, p)  # row d: L^-1 e_d
     generators = inv_cols[:, : layout.cube_count, None, None] * t_digit_rows
-    state = DenseState.from_parts(layout, label.vec, pcs_vectors, generators)
-    return state.fourier_label_marginal()
+    head = DenseState._controlled_join(
+        replace(layout, cube_count=1), label.vec, pcs_vectors[:1], generators[:, :1]
+    )
+    tail = DenseState.from_parts(
+        replace(layout, cube_count=layout.cube_count - 1),
+        np.ones(layout.label_dim),
+        pcs_vectors[1:],
+        generators[:, 1:],
+    )
+    return fourier_label_marginal(head, tail)
 
 
 def _dense_factorized_marginal(

@@ -209,9 +209,15 @@ def verify_gap(
         raise BadParams("provide exactly one of exact_cover / min_cover_size")
     sc = g.sc
     p = g.field.p
-    opt, _ = gadget_distance_bruteforce(g)
+    # both inputs are checked before the exponential enumeration runs
     if exact_cover is not None:
         _validate_exact_cover(sc, exact_cover)
+    elif min_cover_size < sc.c * sc.K:
+        raise BadParams(
+            f"NO case needs every cover to have size >= c*K = {sc.c * sc.K}; got {min_cover_size}"
+        )
+    opt, _ = gadget_distance_bruteforce(g)
+    if exact_cover is not None:
         bound = (p - 1) * sc.K
         # constructive: all-ones on the cover zeroes the universe block and
         # pays exactly K on the tail
@@ -241,10 +247,6 @@ def verify_gap(
             residual_weight=residual_weight,
         )
     bound = sc.c * sc.K
-    if min_cover_size < bound:
-        raise BadParams(
-            f"NO case needs every cover to have size >= c*K = {bound}; got {min_cover_size}"
-        )
     if opt < bound:
         raise GadgetGapError(f"NO bound failed: OPT={opt} < c*K={bound}")
     return GapReport(case="no", opt=opt, bound=bound, passed=True)

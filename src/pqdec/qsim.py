@@ -68,9 +68,16 @@ factor for label i is one gather of its factor for label i-1, by a step
 that depends only on the carry from i-1 to i, a suffix sum of the
 generators: at most one map per label digit and register, built before
 the loop, and no per-label table.  A product state needs no joint
-tensor until a gate couples its parts, so the PCS sampler and the
-decoder's full-tensor path write the joined state once and pass over it
-only for the gates after the first controlled shift.  No decode runs :meth:`DenseState.permute_label` or
+tensor until a gate couples its parts, so the PCS sampler writes its
+joined state once and passes over it only for the gates after its
+controlled shift.  The decoder's full-tensor path holds no joined state
+at all: after its shift, label slice y is (work amplitude times
+register 0's factor) (x) (the other registers' factors), so it joins a
+head (the work register with register 0) and a tail (a unit label with
+the other registers) over the same generators, and its one gate after
+the shift, the Fourier-basis measurement
+(:func:`fourier_label_marginal`), computes their label-wise product
+tile by tile.  No decode runs :meth:`DenseState.permute_label` or
 :meth:`DenseState.controlled_register_shifts` as a pass of its own:
 they are the reference gates a join is checked against.
 
@@ -82,14 +89,16 @@ long run is innermost: on one core of a 2-vCPU Xeon, 16 MB of float64
 took 2.2 ms as eight 64 x 4096 outer products, against 5.2 ms as one
 32768 x 64 product and 1.8 ms for a fill.  A Fourier transform
 multiplies the state tile by tile (about ``DFT_TILE`` floats each) into
-a small scratch tile and copies each tile back.  A Fourier-basis label
-measurement (:meth:`DenseState.fourier_label_marginal`) does the same
-for every run of label axes but the last, and reads the last run's
-tiles without copying them back: it sums each tile's squared
-magnitudes per label while the tile is in cache, so the measurement is
-one read of the state and leaves it part-way through the transform.  A
-controlled shift and a label permutation move one label slice at a
-time, through one slice of scratch.  For p = 2 the Fourier matrix is
+a small scratch tile and copies each tile back.  The Fourier-basis
+label measurement of a head and a tail (:func:`fourier_label_marginal`)
+writes each tile of their label-wise product (``2 * DFT_TILE`` floats)
+into scratch, transforms it there through every run of label axes and
+sums its squared magnitudes per label while it is in cache: each
+composite amplitude is computed once, read once and never stored, and
+neither part is written (on the benchmark's dense_full shape, 1.3 MB
+traced at peak against a 16 MB composite).  A controlled shift and a
+label permutation move one label slice at a time, through one slice of
+scratch.  For p = 2 the Fourier matrix is
 the real Hadamard power, and every other gate only moves amplitudes, so
 a state built from real amplitudes stays real: it is stored as float64,
 half the bytes of a complex state, and a transform is a real product.
@@ -137,7 +146,9 @@ DFT_BLOCK_DIM = 32
 # With one BLAS thread on 2^21 complex amplitudes (median of 15), three
 # F_2 label digits took 6.9 ms in tiles of 2^15 floats, against 15.1 ms
 # at 2^12, 7.7 ms at 2^14, 7.1 ms at 2^16 and 10.4 ms at 2^17, and
-# 16.7 ms as one out-of-place product followed by a norm pass.
+# 16.7 ms as one out-of-place product followed by a norm pass.  The
+# streamed Fourier-basis measurement takes tiles of twice this (see
+# :func:`fourier_label_marginal`).
 DFT_TILE = 2**15
 
 
@@ -433,19 +444,19 @@ class DenseState:
 
     # -- gates ------------------------------------------------------------
 
-    def _dft_tiles(self, axis: int, inverse: bool, width: int):
-        """Yield (rows, tile, product) for the Fourier transform on ``width`` axes from ``axis``.
+    def dft_axis(self, axis: int, inverse: bool = False, width: int = 1) -> DenseState:
+        """Fourier transform on the ``width`` digit axes from ``axis``, in place.
 
         The state, viewed as (pre, block, post), is cut into tiles of about
         ``DFT_TILE`` floats: a run of ``pre`` rows when a row fits in a
         tile, else a slice of ``post`` columns of one row.  A tile holds
         ``DFT_TILE`` floats for a real and a complex state alike.  Each
-        tile, a (rows, block, columns) view of the state, is yielded with
-        the slice of ``pre`` rows it spans and its product by the Fourier
-        matrix, written into one scratch tile that the next product
-        overwrites.  The matrix takes the state's dtype, so a real state
-        (p = 2) takes a real product and a complex one a complex product.
-        With post == 1 each tile of rows is multiplied by F^T.
+        tile is multiplied by the Fourier matrix into one scratch tile,
+        whose squared magnitudes are summed for the norm check while it is
+        still in cache, and copied back over the tile.  The matrix takes
+        the state's dtype, so a real state (p = 2) takes a real product and
+        a complex one a complex product.  With post == 1 each tile of rows
+        is multiplied by F^T.
         """
         if not (0 <= axis and width >= 1 and axis + width <= self.layout.total_axes):
             raise BadRegister(
@@ -467,6 +478,7 @@ class DenseState:
             step = max(size // block, 1)
             tiles = [np.s_[i : i + 1, :, j : j + step] for i in range(pre) for j in range(0, post, step)]
         scratch = np.empty(x[tiles[0]].size, dtype=v.dtype)
+        total = 0.0
         for tile in tiles:
             src = x[tile]
             out = scratch[: src.size].reshape(src.shape)
@@ -474,17 +486,6 @@ class DenseState:
                 np.matmul(src[..., 0], f.T, out=out[..., 0])
             else:
                 np.matmul(f, src, out=out)
-            yield tile[0], src, out
-
-    def dft_axis(self, axis: int, inverse: bool = False, width: int = 1) -> DenseState:
-        """Fourier transform on the ``width`` digit axes from ``axis``, in place.
-
-        Tile by tile (see :meth:`_dft_tiles`): each product's squared
-        magnitudes are summed for the norm check while it is still in
-        cache, and it is copied back over its tile.
-        """
-        total = 0.0
-        for _, src, out in self._dft_tiles(axis, inverse, width):
             total += np.vdot(out, out).real
             src[...] = out
         _require_unit_norm(total)
@@ -570,31 +571,67 @@ class DenseState:
         w = self.vec.view(np.float64).reshape(self.layout.label_dim, -1)
         return np.einsum("ij,ij->i", w, w)
 
-    def fourier_label_marginal(self) -> np.ndarray:
-        """Outcome distribution of measuring the label register in the Fourier basis.
 
-        Equal to ``qft_label(inverse=True)`` then :meth:`label_marginal`,
-        in one read of the state for the last run of label axes: every
-        run but the last is transformed in place by :meth:`dft_axis`,
-        and the last one's products (see :meth:`_dft_tiles`) are never
-        copied back; each tile's squared magnitudes are summed per label
-        while it is in cache.  The norm is checked on their total, as
-        :meth:`dft_axis` checks it.  This is a measurement: the state is
-        left part-way through the transform and is not to be read after.
-        """
-        lay = self.layout
-        runs = _dft_runs(0, lay.label_digits, lay.p)
-        if not runs:
-            raise BadRegister("the layout has no label register to measure")
-        for axis, width in runs[:-1]:
-            self.dft_axis(axis, inverse=True, width=width)
-        axis, width = runs[-1]
-        marginal = np.zeros((lay.p**axis, lay.p**width))  # label = (pre, block)
-        for rows, _, out in self._dft_tiles(axis, True, width):
-            w = out.view(np.float64)
-            marginal[rows] += np.einsum("ijk,ijk->ij", w, w)
-        _require_unit_norm(marginal.sum())
-        return marginal.reshape(-1)
+def fourier_label_marginal(head: DenseState, tail: DenseState) -> np.ndarray:
+    """Fourier-basis label measurement of the label-wise product of two states.
+
+    ``head`` and ``tail`` share one label register (the same p and label
+    digits), and the composite state they stand for has label slice y
+    equal to head's slice y (x) tail's slice y.  Its outcome law, equal to
+    ``qft_label(inverse=True)`` then :meth:`DenseState.label_marginal` on
+    the composite, is computed without holding the composite.  It is
+    streamed in tiles of ``2 * DFT_TILE`` floats: a run of head columns
+    (every value of head's registers) with every tail column, or, when
+    one head column does not fit, a slice of tail columns.  Each tile is
+    written as ``head[:, rows, None] * tail[:, None, cols]`` into one
+    scratch tile, every label run's inverse Fourier matrix
+    (:func:`_dft_runs`) takes it into a second one and back, and its
+    squared magnitudes are summed per label while it is in cache, one
+    head column after another.  The norm is checked on their total at
+    ``NORM_TOL``, as :meth:`DenseState.dft_axis` checks it.  Neither state
+    is written.  Tile size: the decoder's whole full-tensor marginal on
+    the 2^21-amplitude real composite of the benchmark's dense_full
+    workload (F_8, n = 2, k = 1; 12 label draws, one BLAS thread, median
+    of 15 interleaved runs on one core of a 2-vCPU Xeon) took 5.8 ms at
+    ``DFT_TILE`` floats per tile, 4.9 ms at twice that and 6.4 ms at four
+    times, with traced peaks of 0.9, 1.3 and 2.4 MB.
+    """
+    lay = head.layout
+    if (tail.layout.p, tail.layout.label_digits) != (lay.p, lay.label_digits):
+        raise BadRegister(f"head {lay} and tail {tail.layout} have different label registers")
+    runs = _dft_runs(0, lay.label_digits, lay.p)
+    if not runs:
+        raise BadRegister("the layout has no label register to measure")
+    labels = lay.label_dim
+    a = head.vec.reshape(labels, -1)
+    b = tail.vec.reshape(labels, -1)
+    dtype = np.result_type(a, b)
+    mats = [
+        (lay.p**axis, _dft_matrix(lay.p, True, width).astype(dtype, copy=False))
+        for axis, width in runs
+    ]
+    size = 2 * DFT_TILE * 8 // dtype.itemsize  # elements in one tile
+    rows = max(size // (labels * b.shape[1]), 1)
+    cols = min(max(size // labels, 1), b.shape[1])
+    tile, spare = np.empty((2, labels * rows * cols), dtype=dtype)
+    marginal = np.zeros(labels)
+    for r in range(0, a.shape[1], rows):
+        part = a[:, r : r + rows, None]
+        for c in range(0, b.shape[1], cols):
+            other = b[:, None, c : c + cols]
+            count = labels * part.shape[1] * other.shape[2]
+            src, dst = tile[:count], spare[:count]
+            np.multiply(part, other, out=src.reshape(labels, part.shape[1], -1))
+            for pre, f in mats:
+                np.matmul(f, src.reshape(pre, len(f), -1), out=dst.reshape(pre, len(f), -1))
+                src, dst = dst, src
+            w = src.view(np.float64).reshape(labels, part.shape[1], -1)
+            # added head column by head column, in order, so the marginal's
+            # bits do not depend on how many head columns a tile holds
+            for column in np.einsum("ijk,ijk->ij", w, w).T:
+                marginal += column
+    _require_unit_norm(marginal.sum())
+    return marginal
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from dataclasses import replace
 from functools import reduce
 
@@ -7,10 +8,18 @@ import pytest
 
 import pqdec
 from pqdec import decoder
-from pqdec.codes import LinearCode, gen_instance, nearest_codeword_oracle, plant_instance, random_code
+from pqdec.codes import (
+    LinearCode,
+    gen_instance,
+    min_distance_bruteforce,
+    nearest_codeword_oracle,
+    plant_instance,
+    random_code,
+)
 from pqdec.decoder import (
     CONCENTRATION_TOL,
     DEFAULT_RETRY_BUDGET,
+    DecodeResult,
     _dense_factorized_marginal,
     _dense_full_marginal,
     backend_decoder,
@@ -478,6 +487,62 @@ def test_decode_dense_on_real_states_matches_complex_states(f8, monkeypatch):
     ]
     assert np.allclose([r.peak_probability for r in cplx], [r.peak_probability for r in real],
                        rtol=0, atol=1e-12)
+
+
+# the benchmark's dense_full inputs: the 14 generator columns (a, b) of
+# F_8^2 with d > sigma*n = 2, each planted with message j mod 8 and no error
+DENSE_FULL_COLUMNS = [
+    (1, 2), (1, 5), (2, 1), (2, 4), (3, 4), (3, 6), (4, 2),
+    (4, 3), (5, 1), (5, 7), (6, 3), (6, 7), (7, 5), (7, 6),
+]
+# what every decode of them returned when the composite state was held
+# whole and read in the Fourier basis: the resample rounds at seeds 0, 1
+# and 2, and one peak, whose bits depend on every summation's order
+DENSE_FULL_ROUNDS = (4, 1, 3)
+DENSE_FULL_PEAK = float.fromhex("0x1.0000000000003p+0")
+
+
+def test_decode_dense_on_dense_full_inputs_is_unchanged_seed_for_seed(f8):
+    sigma = SigmaParam.from_r(f8, 0)
+    for j, (a, b) in enumerate(DENSE_FULL_COLUMNS):
+        code = LinearCode(f8, [[f8.el(a)], [f8.el(b)]])
+        code = LinearCode(f8, code.matrix, d=min_distance_bruteforce(code))
+        s = f8.el(j % 8)
+        inst = plant_instance(code, (s,), (f8.zero, f8.zero))
+        for seed, rounds in enumerate(DENSE_FULL_ROUNDS):
+            want = DecodeResult(
+                s_hat_digits=tuple(int(d) for d in s.digits),
+                s_hat=(s.image,),
+                sigma_r=0,
+                backend="dense",
+                resample_rounds=rounds,
+                verified=True,
+                peak_probability=DENSE_FULL_PEAK,
+            )
+            assert decode_dense(inst, sigma, seed=seed) == want, (a, b, seed)
+
+
+def test_full_marginal_at_the_dense_full_shape_holds_no_joined_state(f8):
+    # 2^21 real amplitudes (16 MB) are computed, a head, a tail and two
+    # tiles are held
+    code = LinearCode(f8, [[f8.el(1)], [f8.el(2)]], d=3)
+    sampler = PcsSampler(code, SigmaParam.from_r(f8, 0))
+    columns, _ = sample_label_matrix(2, 3, np.random.default_rng(0))
+    pcs = [sampler.collapse(label) for label in columns.T]
+    del sampler
+    t_rows = vector_digit_rows(plant_instance(code, (f8.el(5),), (f8.zero, f8.zero)).t)
+    layout = RegisterLayout(p=2, m=3, n=2, label_digits=3, cube_count=3)
+    state_bytes = layout.dim * np.result_type(*pcs).itemsize
+    assert layout.dim == 2**21 and state_bytes == 2**24
+    _dense_full_marginal(columns, pcs, t_rows, layout)  # warm the caches
+    tracemalloc.start()
+    try:
+        marginal = _dense_full_marginal(columns, pcs, t_rows, layout)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert marginal.max() > 1 - 1e-9
+    assert peak < state_bytes / 4
 
 
 def test_decode_dense_raises_on_unverifiable_answer(f4):

@@ -139,6 +139,25 @@ def test_verify_gap_rejects_bad_witness():
         verify_gap(g, min_cover_size=1)  # not a NO instance
 
 
+def test_verify_gap_checks_its_inputs_before_enumerating(monkeypatch):
+    # a malformed witness or an undersized NO-case cover size is refused
+    # before the exponential distance enumeration starts
+    def refuse(g):
+        raise AssertionError("enumerated the gadget before checking the inputs")
+
+    monkeypatch.setattr("pqdec.hardness.gadget_distance_bruteforce", refuse)
+    f2 = Field(2, 1)
+    sc = SetCoverInstance(
+        universe_size=2, sets=(frozenset({0}), frozenset({1}), frozenset({0, 1})), K=1, c=2
+    )
+    g = build_gadget(sc, f2)
+    for witness in ([0], [0, 1], [5], [2, 2]):
+        with pytest.raises(BadParams):
+            verify_gap(g, exact_cover=witness)
+    with pytest.raises(BadParams):
+        verify_gap(g, min_cover_size=sc.c * sc.K - 1)
+
+
 def test_degenerate_k_rejected():
     with pytest.raises(BadParams):
         SetCoverInstance(universe_size=1, sets=(frozenset({0}),), K=0, c=3)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pqdec import decoder
 from pqdec.codes import LinearCode
 from pqdec.decoder import _dense_full_marginal
 from pqdec.errors import (
@@ -34,6 +35,7 @@ from pqdec.qsim import (
     cube_overlap,
     cube_vector,
     digits_to_label,
+    fourier_label_marginal,
     label_source,
     label_to_digits,
     pcs_state_direct,
@@ -914,9 +916,10 @@ def test_full_path_join_is_bitwise_the_permute_then_gather_join(lay, monkeypatch
     """The full-tensor path joins the uniform work register as it is.
 
     Permuting it by L^-1 and then reading it at L^-1 y gives back the
-    same array, so the joined state equals, bit for bit, the plain join
-    of the permuted work register gathered at the label source, followed
-    by the shift powers' table gathered there.
+    same array, so the composite state, the label-wise product of the
+    head and tail the measurement receives, equals, bit for bit, the
+    plain join of the permuted work register gathered at the label
+    source, followed by the shift powers' table gathered there.
     """
     rng = np.random.default_rng(lay.dim)
     t = lay.label_digits
@@ -932,11 +935,15 @@ def test_full_path_join_is_bitwise_the_permute_then_gather_join(lay, monkeypatch
     want = DenseState.from_parts(lay, label.vec[source], cubes)
     want = want.controlled_register_shifts(amounts).vec
     joined = []
-    monkeypatch.setattr(DenseState, "fourier_label_marginal", lambda st: joined.append(st.vec))
+    monkeypatch.setattr(
+        decoder, "fourier_label_marginal", lambda head, tail: joined.append((head.vec, tail.vec))
+    )
     _dense_full_marginal(matrix, cubes, rows, lay)
     assert len(joined) == 1
-    assert joined[0].dtype == want.dtype
-    assert np.array_equal(joined[0], want)
+    head, tail = (part.reshape(lay.label_dim, -1) for part in joined[0])
+    got = (head[:, :, None] * tail[:, None, :]).reshape(-1)  # label-wise product
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize(
@@ -1273,10 +1280,11 @@ def test_measure_label_uniform_probabilities():
     assert np.allclose(marg, 1 / 8, atol=1e-12)
 
 
-# (p, n, label digits, real input, label runs, last run tiled by rows):
+# (p, n, label digits, real input, label runs, tiled by head columns):
 # one label run or several (p = 2 and T = 7: widths 5 and 2; p = 3 and
-# T = 4: widths 3 and 1), and both tilings of the last run, rows of pre or
-# column slices of one row; a real input stays real only at p = 2
+# T = 4: widths 3 and 1), and both tilings of the streamed composite,
+# runs of whole head columns or slices of one head column's tail
+# columns; a real input stays real only at p = 2
 FOURIER_READOUT_CASES = [
     (2, 2, 3, True, 1, True),
     (2, 2, 3, False, 1, True),
@@ -1284,7 +1292,7 @@ FOURIER_READOUT_CASES = [
     (2, 13, 3, False, 1, False),
     (2, 2, 7, True, 2, True),
     (2, 2, 7, False, 2, True),
-    (2, 13, 7, True, 2, True),  # one row of pre per tile
+    (2, 13, 7, True, 2, True),  # many head columns per tile
     (2, 13, 7, False, 2, False),
     (3, 2, 4, True, 2, True),
     (3, 2, 4, False, 2, True),
@@ -1296,55 +1304,129 @@ FOURIER_READOUT_CASES = [
 ]
 
 
-def _readout_state(p: int, n: int, t: int, real: bool, seed: int) -> DenseState:
-    lay = RegisterLayout(p=p, m=1, n=n, label_digits=t, cube_count=1)
+def _readout_parts(
+    p: int, n: int, t: int, real: bool, seed: int, by_rows: bool = True
+) -> tuple[DenseState, DenseState]:
+    """A head and a tail over t label digits whose label-wise product has norm 1.
+
+    The composite has p^(t + n + 1) random amplitudes.  With ``by_rows``
+    the head holds n coordinates and the tail one; otherwise the head is
+    label-only and the tail holds all n + 1, so a tile is a slice of one
+    head column's tail columns once they pass a tile.
+    """
     rng = np.random.default_rng(seed)
-    vec = rng.normal(size=lay.dim if real else 2 * lay.dim)
-    vec = vec if real else vec.view(np.complex128)
-    return DenseState(lay, vec / np.linalg.norm(vec))
+    parts = []
+    for coords, count in [(n, 1), (1, 1)] if by_rows else [(1, 0), (n + 1, 1)]:
+        lay = RegisterLayout(p=p, m=1, n=coords, label_digits=t, cube_count=count)
+        vec = rng.normal(size=lay.dim if real else 2 * lay.dim)
+        parts.append(DenseState(lay, vec if real else vec.view(np.complex128)))
+    head, tail = parts
+    head.vec /= np.sqrt(np.sum(head.label_marginal() * tail.label_marginal()))
+    return head, tail
+
+
+def _composite(head: DenseState, tail: DenseState) -> DenseState:
+    """The label-wise product of ``head`` and ``tail``, held as one state."""
+    labels = head.layout.label_dim
+    vec = head.vec.reshape(labels, -1)[:, :, None] * tail.vec.reshape(labels, 1, -1)
+    coords = head.layout.n * head.layout.cube_count + tail.layout.n * tail.layout.cube_count
+    lay = RegisterLayout(
+        p=head.layout.p, m=1, n=coords, label_digits=head.layout.label_digits, cube_count=1
+    )
+    return DenseState(lay, vec.reshape(-1))
 
 
 @pytest.mark.parametrize("p,n,t,real,run_count,by_rows", FOURIER_READOUT_CASES)
 def test_fourier_label_marginal_is_the_inverse_transform_then_the_marginal(
     p, n, t, real, run_count, by_rows
 ):
-    st = _readout_state(p, n, t, real, seed=p * t + n)
+    head, tail = _readout_parts(p, n, t, real, seed=p * t + n, by_rows=by_rows)
+    st = _composite(head, tail)
     lay = st.layout
-    runs = _dft_runs(0, t, p)
-    width = runs[-1][1]
-    post = lay.dim // lay.label_dim
-    assert len(runs) == run_count
-    assert (p**width * post <= DFT_TILE * 8 // st.vec.itemsize) == by_rows
-    want = DenseState(lay, st.vec).qft_label(inverse=True).label_marginal()
-    got = st.fourier_label_marginal()
+    assert len(_dft_runs(0, t, p)) == run_count
+    tail_columns = tail.layout.dim // lay.label_dim
+    assert (lay.label_dim * tail_columns <= 2 * DFT_TILE * 8 // st.vec.itemsize) == by_rows
+    want = st.qft_label(inverse=True).label_marginal()
+    got = fourier_label_marginal(head, tail)
     assert got.shape == (lay.label_dim,)
     assert np.max(np.abs(got - want)) < 1e-15
 
 
 @pytest.mark.parametrize("p,n,t", [(2, 2, 3), (2, 13, 3), (3, 2, 2), (5, 5, 2), (2, 2, 7)])
 def test_fourier_label_marginal_checks_the_norm(p, n, t):
-    st = _readout_state(p, n, t, real=False, seed=1)
-    st.vec *= 1 + 1e-8
+    head, tail = _readout_parts(p, n, t, real=False, seed=1)
+    head.vec *= 1 + 1e-8
     with pytest.raises(InvariantViolated):
-        st.fourier_label_marginal()
+        fourier_label_marginal(head, tail)
 
 
 def test_fourier_label_marginal_needs_a_label_register():
-    st = DenseState.zero_state(RegisterLayout(p=2, m=1, n=2, label_digits=0, cube_count=1))
+    head = DenseState.zero_state(RegisterLayout(p=2, m=1, n=2, label_digits=0, cube_count=1))
+    tail = DenseState.zero_state(RegisterLayout(p=2, m=1, n=1, label_digits=0, cube_count=1))
     with pytest.raises(BadRegister):
-        st.fourier_label_marginal()
+        fourier_label_marginal(head, tail)
+    # and the head and tail must share one label register
+    head, tail = _readout_parts(2, 2, 3, real=True, seed=1)
+    other = DenseState.zero_state(RegisterLayout(p=2, m=1, n=1, label_digits=2, cube_count=1))
+    with pytest.raises(BadRegister):
+        fourier_label_marginal(head, other)
+    other = DenseState.zero_state(RegisterLayout(p=3, m=1, n=1, label_digits=3, cube_count=1))
+    with pytest.raises(BadRegister):
+        fourier_label_marginal(head, other)
 
 
 @pytest.mark.parametrize("p,n,t,real", [(3, 8, 4, False), (2, 13, 7, True)])
 def test_fourier_label_marginal_allocates_no_state_sized_array(p, n, t, real):
-    st = _readout_state(p, n, t, real, seed=3)
+    head, tail = _readout_parts(p, n, t, real, seed=3)
+    composite_bytes = p ** (t + n + 1) * np.result_type(head.vec, tail.vec).itemsize
     tracemalloc.start()
     try:
-        st.fourier_label_marginal()
+        fourier_label_marginal(head, tail)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < st.vec.nbytes / 8
+    assert peak < composite_bytes / 8
+
+
+# layouts of the streamed measurement's composite: p = 2 (real), p = 3
+# and p = 5 (complex), one to three cube registers, and two label runs
+# (p = 7, T = 2: 49 > DFT_BLOCK_DIM)
+STREAMED_LAYOUTS = [
+    RegisterLayout(p=2, m=2, n=2, label_digits=3, cube_count=1),
+    RegisterLayout(p=2, m=2, n=1, label_digits=3, cube_count=2),
+    RegisterLayout(p=2, m=1, n=2, label_digits=3, cube_count=3),
+    RegisterLayout(p=3, m=2, n=1, label_digits=2, cube_count=1),
+    RegisterLayout(p=3, m=1, n=2, label_digits=2, cube_count=2),
+    RegisterLayout(p=3, m=1, n=1, label_digits=3, cube_count=3),
+    RegisterLayout(p=5, m=1, n=2, label_digits=2, cube_count=1),
+    RegisterLayout(p=5, m=1, n=1, label_digits=2, cube_count=3),
+    RegisterLayout(p=7, m=1, n=1, label_digits=2, cube_count=2),
+]
+
+
+@pytest.mark.parametrize(
+    "lay",
+    STREAMED_LAYOUTS,
+    ids=[f"p{lay.p}_c{lay.cube_count}_d{lay.dim}" for lay in STREAMED_LAYOUTS],
+)
+def test_streamed_marginal_is_the_joined_state_read_in_the_fourier_basis(lay):
+    # the head joins the label with register 0, the tail a unit label with
+    # the others, over the same generators; their label-wise product,
+    # measured, is the whole join inverse transformed and then measured
+    label, cubes = _join_parts(lay, lay.dim, real=lay.p == 2)
+    label /= np.linalg.norm(label)
+    cubes = [v / np.linalg.norm(v) for v in cubes]
+    gens = _join_generators(lay, lay.dim)
+    head = DenseState._controlled_join(replace(lay, cube_count=1), label, cubes[:1], gens[:, :1])
+    tail = DenseState.from_parts(
+        replace(lay, cube_count=lay.cube_count - 1), np.ones(lay.label_dim), cubes[1:], gens[:, 1:]
+    )
+    assert len(_dft_runs(0, lay.label_digits, lay.p)) == (2 if lay.p == 7 else 1)
+    want = DenseState.from_parts(lay, label, cubes, gens)
+    assert want.vec.dtype == np.result_type(head.vec, tail.vec)
+    want = want.qft_label(inverse=True).label_marginal()
+    got = fourier_label_marginal(head, tail)
+    assert np.max(np.abs(got - want)) < 1e-12
 
 
 # ---------------------------------------------------------------- golden amplitudes
