@@ -260,7 +260,7 @@ def decode_dense(
     sampler = PcsSampler(code, sigma)  # raises OrthogonalityViolated / ScaleExceeded
     t_digits = f.m * code.k
     columns, rounds = sample_label_matrix(f.p, t_digits, rng)
-    pcs_vectors = [sampler.collapse(label) for label in columns.T]
+    pcs_vectors = list(sampler.collapse(columns.T))  # the T labels in one product
     del sampler  # its joined state is not read again; free it before the marginal
     t_rows = vector_digit_rows(inst.t)
     try:

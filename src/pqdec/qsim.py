@@ -57,27 +57,35 @@ first entangling gate of both circuits is a label-controlled shift, and
 both shifts are F_p-linear in the label digits, qudit Clifford gates
 given by an F_p matrix: the sampler's A c, and the decoder's
 U_t^(ell_j), read at L^-1 y when the label permutations L^-1 and L
-around the shift are folded in.  One controlled join
-(:meth:`DenseState.from_parts` with ``generators``, or the sampler's
-direct call of ``DenseState._controlled_join``) takes that map, one
-digit matrix per label digit and register, and writes the joined state
-with the shift already made: label slice i is the label amplitude times
-the Kronecker product of each register's factor shifted by its amount
+around the shift are folded in.  One controlled join, :func:`_join`,
+takes that map, one digit matrix per label digit and register, and
+writes the joined state with the shift already made (in a
+:class:`DenseState` through :meth:`DenseState.from_parts` with
+``generators`` or ``DenseState._controlled_join``; as the sampler's own
+real array through a direct call): label slice i is the label amplitude
+times the Kronecker product of each register's factor shifted by its amount
 for label i.  The join takes labels in index order, so each register's
 factor for label i is one gather of its factor for label i-1, by a step
 that depends only on the carry from i-1 to i, a suffix sum of the
 generators: at most one map per label digit and register, built before
 the loop, and no per-label table.  A product state needs no joint
 tensor until a gate couples its parts, so the PCS sampler writes its
-joined state once and passes over it only for the gates after its
-controlled shift.  The decoder's full-tensor path holds no joined state
+joined state once, real at every p (its factors are transforms of |0>,
+column 0 of F, and the join only scales and gathers them), and its one
+gate after the shift, step 5's transform followed by the label
+measurement, reads it once and writes nothing: it is the streamed
+Fourier-basis measurement of :func:`_fourier_law` with the forward F,
+and :meth:`PcsSampler.collapse` computes a label's slice of the
+transformed state as that label's row of F times the held array.  The
+decoder's full-tensor path holds no joined state
 at all: after its shift, label slice y is (work amplitude times
 register 0's factor) (x) (the other registers' factors), so it joins a
 head (the work register with register 0) and a tail (a unit label with
 the other registers) over the same generators, and its one gate after
 the shift, the Fourier-basis measurement
 (:func:`fourier_label_marginal`), computes their label-wise product
-tile by tile.  No decode runs :meth:`DenseState.permute_label` or
+tile by tile, through the same tile loop.  No decode runs
+:meth:`DenseState.permute_label` or
 :meth:`DenseState.controlled_register_shifts` as a pass of its own:
 they are the reference gates a join is checked against.
 
@@ -96,12 +104,21 @@ into scratch, transforms it there through every run of label axes and
 sums its squared magnitudes per label while it is in cache: each
 composite amplitude is computed once, read once and never stored, and
 neither part is written (on the benchmark's dense_full shape, 1.3 MB
-traced at peak against a 16 MB composite).  A controlled shift and a
+traced at peak against a 16 MB composite).  The sampler's measurement
+is the same loop on its one held array: each tile is read where it is
+held, and at p >= 3 its first label run is one real product by Re F
+and Im F stacked, half the flops of a complex product of the real
+amplitudes (on one core of a 2-vCPU Xeon, one BLAS thread, the F_27
+sampler's 3^12 amplitudes took about 2.5 ms this way, against about
+4.3 ms for the in-place complex transform and 0.7 ms for the marginal
+pass it replaces).  A controlled shift and a
 label permutation move one label slice at a time, through one slice of
 scratch.  For p = 2 the Fourier matrix is
 the real Hadamard power, and every other gate only moves amplitudes, so
 a state built from real amplitudes stays real: it is stored as float64,
 half the bytes of a complex state, and a transform is a real product.
+The sampler's joined state is no :class:`DenseState` and is float64 at
+every p.
 Each gate is checked: a Fourier transform, and a Fourier-basis
 measurement, checks the norm to 1e-10
 (:class:`~pqdec.errors.InvariantViolated` otherwise), on whichever
@@ -313,6 +330,59 @@ def _shift_cube(
     return np.take(block, src, axis=axis, out=out, mode="clip")
 
 
+def _join(
+    layout: RegisterLayout,
+    label: np.ndarray,
+    cubes: Sequence[np.ndarray],
+    generators: np.ndarray,
+    dtype: np.dtype,
+) -> np.ndarray:
+    """label (x) cubes, then the label-controlled shifts of ``generators``, written once.
+
+    ``label`` and ``cubes`` are flat parts of the layout's sizes, and
+    ``generators`` (G) has shape (label_digits, cube_count, n, m):
+    label i shifts cube register j by sum_d digit_d(i) * G[d, j] mod p.
+    No register is entangled before the shift, so label slice i is
+    label[i] times the Kronecker product over j of cube j so shifted.
+    Labels are taken in index order and each register holds one
+    factor: label i's is one gather of label i-1's (label 0 shifts
+    nothing, so its factor is the part itself).  When i has l
+    trailing zero base-p digits, digit T-1-l goes up by one and the l
+    digits below it wrap from p-1 to 0, also +1 mod p, so the step is
+    the suffix sum G[T-1-l] + ... + G[T-1].  One checked source-index
+    map is built per nonzero step and register, before the label
+    loop.  Each slice is one outer product, (label[i] * first factor)
+    (x) (Kronecker product of the others), so the long run is
+    innermost; with one cube register it is label[i] (x) that
+    register's factor.  Returns a new flat array of ``dtype``.
+    """
+    lay = layout
+    generators = np.asarray(generators, dtype=np.int64)
+    want = (lay.label_digits, lay.cube_count, lay.n, lay.m)
+    if generators.shape != want:
+        raise BadRegister(f"shift generators of shape {generators.shape}, layout needs {want}")
+    steps = np.cumsum(generators[::-1], axis=0) % lay.p  # row l: the step at carry level l
+    maps = [[_shift_source(s, lay.p) if s.any() else None for s in level] for level in steps]
+    vec = np.empty(lay.dim, dtype=dtype)
+    out = vec.reshape(lay.label_dim, -1)
+    split = 2 if lay.cube_count > 1 else 1  # parts in the outer product's head
+    factors = list(cubes)
+    for i in range(lay.label_dim):
+        if i:
+            level = 0  # trailing zero base-p digits of i
+            while i % lay.p ** (level + 1) == 0:
+                level += 1
+            for j, src in enumerate(maps[level]):
+                if src is not None:
+                    factors[j] = _shift_cube(factors[j], src, axis=0)
+        parts = [label[i : i + 1], *factors]
+        # Kronecker products, by outer products (np.kron costs ~3x more)
+        head = reduce(np.multiply.outer, parts[:split]).reshape(-1)
+        tail = reduce(np.multiply.outer, parts[split:] or [np.ones(1)]).reshape(-1)
+        np.multiply.outer(head, tail, out=out[i].reshape(len(head), -1))
+    return vec
+
+
 class DenseState:
     """Amplitude vector over a :class:`RegisterLayout`, in one array.
 
@@ -390,53 +460,14 @@ class DenseState:
         cubes: Sequence[np.ndarray],
         generators: np.ndarray,
     ) -> DenseState:
-        """label (x) cubes, then the label-controlled shifts of ``generators``, written once.
+        """:func:`_join` in the state's dtype rule, held as a state without a copy.
 
-        ``label`` and ``cubes`` are flat parts of the layout's sizes, and
-        ``generators`` (G) has shape (label_digits, cube_count, n, m):
-        label i shifts cube register j by sum_d digit_d(i) * G[d, j] mod p.
-        No register is entangled before the shift, so label slice i is
-        label[i] times the Kronecker product over j of cube j so shifted.
-        Labels are taken in index order and each register holds one
-        factor: label i's is one gather of label i-1's (label 0 shifts
-        nothing, so its factor is the part itself).  When i has l
-        trailing zero base-p digits, digit T-1-l goes up by one and the l
-        digits below it wrap from p-1 to 0, also +1 mod p, so the step is
-        the suffix sum G[T-1-l] + ... + G[T-1].  One checked source-index
-        map is built per nonzero step and register, before the label
-        loop.  Each slice is one outer product, (label[i] * first factor)
-        (x) (Kronecker product of the others), so the long run is
-        innermost; with one cube register it is label[i] (x) that
-        register's factor.  The state is real only when every part is and
-        the layout has p = 2.
+        The state is real only when every part is and the layout has p = 2.
         """
-        lay = layout
-        generators = np.asarray(generators, dtype=np.int64)
-        want = (lay.label_digits, lay.cube_count, lay.n, lay.m)
-        if generators.shape != want:
-            raise BadRegister(f"shift generators of shape {generators.shape}, layout needs {want}")
-        steps = np.cumsum(generators[::-1], axis=0) % lay.p  # row l: the step at carry level l
-        maps = [[_shift_source(s, lay.p) if s.any() else None for s in level] for level in steps]
-        dtype = np.result_type(label, *cubes, _dft_matrix(lay.p))
         state = cls.__new__(cls)
-        state.layout = lay
-        state.vec = np.empty(lay.dim, dtype=dtype)
-        out = state.vec.reshape(lay.label_dim, -1)
-        split = 2 if lay.cube_count > 1 else 1  # parts in the outer product's head
-        factors = list(cubes)
-        for i in range(lay.label_dim):
-            if i:
-                level = 0  # trailing zero base-p digits of i
-                while i % lay.p ** (level + 1) == 0:
-                    level += 1
-                for j, src in enumerate(maps[level]):
-                    if src is not None:
-                        factors[j] = _shift_cube(factors[j], src, axis=0)
-            parts = [label[i : i + 1], *factors]
-            # Kronecker products, by outer products (np.kron costs ~3x more)
-            head = reduce(np.multiply.outer, parts[:split]).reshape(-1)
-            tail = reduce(np.multiply.outer, parts[split:] or [np.ones(1)]).reshape(-1)
-            np.multiply.outer(head, tail, out=out[i].reshape(len(head), -1))
+        state.layout = layout
+        dtype = np.result_type(label, *cubes, _dft_matrix(layout.p))
+        state.vec = _join(layout, label, cubes, generators, dtype)
         return state
 
     def norm(self) -> float:
@@ -579,8 +610,9 @@ def fourier_label_marginal(head: DenseState, tail: DenseState) -> np.ndarray:
     digits), and the composite state they stand for has label slice y
     equal to head's slice y (x) tail's slice y.  Its outcome law, equal to
     ``qft_label(inverse=True)`` then :meth:`DenseState.label_marginal` on
-    the composite, is computed without holding the composite.  It is
-    streamed in tiles of ``2 * DFT_TILE`` floats: a run of head columns
+    the composite, is computed without holding the composite, by the tile
+    loop :func:`_fourier_law`, which the PCS sampler's measurement shares.
+    It is streamed in tiles of ``2 * DFT_TILE`` floats: a run of head columns
     (every value of head's registers) with every tail column, or, when
     one head column does not fit, a slice of tail columns.  Each tile is
     written as ``head[:, rows, None] * tail[:, None, cols]`` into one
@@ -599,37 +631,82 @@ def fourier_label_marginal(head: DenseState, tail: DenseState) -> np.ndarray:
     lay = head.layout
     if (tail.layout.p, tail.layout.label_digits) != (lay.p, lay.label_digits):
         raise BadRegister(f"head {lay} and tail {tail.layout} have different label registers")
-    runs = _dft_runs(0, lay.label_digits, lay.p)
+    labels = lay.label_dim
+    return _fourier_law(
+        head.vec.reshape(labels, -1), tail.vec.reshape(labels, -1), lay.p, lay.label_digits
+    )
+
+
+def _fourier_law(
+    a: np.ndarray, b: np.ndarray | None, p: int, digits: int, inverse: bool = True
+) -> np.ndarray:
+    """Label law of the state whose label slice y is a[y] (x) b[y] (a[y] alone
+    when ``b`` is None), measured after F^-1 (F with ``inverse`` False) on
+    its ``digits`` label digits of radix p.
+
+    The one tile loop of both Fourier-basis measurements (see
+    :func:`fourier_label_marginal`).  Without ``b`` a tile is a run of a's
+    columns, read where it is held, and its per-label sums are added tile
+    by tile.  A real ``a`` under a complex Fourier matrix (p >= 3) takes
+    the first label run as one real product by Re F and Im F, stacked
+    row by row, so that label z's real row is followed by its imaginary
+    row: no multiplication by an exact zero.  With one run those rows are
+    summed as they are; with more, they are interleaved into a complex
+    tile, which each later run takes as a complex product.  The total is
+    checked against ``NORM_TOL``.  Nothing that is passed in is written.
+    """
+    runs = _dft_runs(0, digits, p)
     if not runs:
         raise BadRegister("the layout has no label register to measure")
-    labels = lay.label_dim
-    a = head.vec.reshape(labels, -1)
-    b = tail.vec.reshape(labels, -1)
-    dtype = np.result_type(a, b)
-    mats = [
-        (lay.p**axis, _dft_matrix(lay.p, True, width).astype(dtype, copy=False))
-        for axis, width in runs
-    ]
+    labels = len(a)
+    amps = a.dtype if b is None else np.result_type(a, b)
+    mats = [(p**axis, _dft_matrix(p, inverse, width)) for axis, width in runs]
+    dtype = np.result_type(amps, mats[0][1])  # of a transformed tile
+    if b is None and amps != dtype:
+        f = mats[0][1]
+        first = np.stack([f.real, f.imag], axis=1).reshape(2 * len(f), -1)
+    else:
+        first = None
+    mats = [(pre, f.astype(dtype, copy=False)) for pre, f in mats]
     size = 2 * DFT_TILE * 8 // dtype.itemsize  # elements in one tile
-    rows = max(size // (labels * b.shape[1]), 1)
-    cols = min(max(size // labels, 1), b.shape[1])
-    tile, spare = np.empty((2, labels * rows * cols), dtype=dtype)
+    inner = 1 if b is None else b.shape[1]
+    rows = min(max(size // (labels * inner), 1), a.shape[1])
+    cols = min(max(size // labels, 1), inner)
+    tiles = np.empty((2, labels * rows * cols), dtype=dtype)
     marginal = np.zeros(labels)
     for r in range(0, a.shape[1], rows):
         part = a[:, r : r + rows, None]
-        for c in range(0, b.shape[1], cols):
-            other = b[:, None, c : c + cols]
-            count = labels * part.shape[1] * other.shape[2]
-            src, dst = tile[:count], spare[:count]
-            np.multiply(part, other, out=src.reshape(labels, part.shape[1], -1))
-            for pre, f in mats:
-                np.matmul(f, src.reshape(pre, len(f), -1), out=dst.reshape(pre, len(f), -1))
-                src, dst = dst, src
-            w = src.view(np.float64).reshape(labels, part.shape[1], -1)
-            # added head column by head column, in order, so the marginal's
-            # bits do not depend on how many head columns a tile holds
-            for column in np.einsum("ijk,ijk->ij", w, w).T:
-                marginal += column
+        for c in range(0, inner, cols):
+            if b is None:
+                src, turn = part, 0  # turn: the tile the next product writes
+            else:
+                other = b[:, None, c : c + cols]
+                src, turn = tiles[0, : part.size * other.shape[2]], 1
+                np.multiply(part, other, out=src.reshape(labels, part.shape[1], -1))
+            count = src.size
+            for k, (pre, f) in enumerate(mats):
+                dst = tiles[turn, :count]
+                if k == 0 and first is not None:
+                    halves = dst.view(np.float64).reshape(len(first), -1)
+                    np.matmul(first, src.reshape(len(f), -1), out=halves)
+                    dst = halves
+                    if len(mats) > 1:
+                        turn ^= 1
+                        dst = tiles[turn, :count]
+                        parts = halves.reshape(len(f), 2, -1).transpose(0, 2, 1)
+                        dst.view(np.float64).reshape(parts.shape)[...] = parts
+                else:
+                    np.matmul(f, src.reshape(pre, len(f), -1), out=dst.reshape(pre, len(f), -1))
+                src, turn = dst, turn ^ 1
+            if b is None:
+                w = src.reshape(labels, -1).view(np.float64)
+                marginal += np.einsum("ij,ij->i", w, w)
+            else:
+                w = src.view(np.float64).reshape(labels, part.shape[1], -1)
+                # added head column by head column, in order, so the marginal's
+                # bits do not depend on how many head columns a tile holds
+                for column in np.einsum("ijk,ijk->ij", w, w).T:
+                    marginal += column
     _require_unit_norm(marginal.sum())
     return marginal
 
@@ -737,9 +814,12 @@ class PcsSampler:
     register.  The first two steps act on one register each, so they run
     on that register alone: cube preparation at 0 on a cube-only state
     of q^n amplitudes, and the digit-wise Fourier transform on a
-    label-only state of p^(mk) amplitudes.  The third step, the
-    controlled shift by A c, is the first to couple them, so one
-    controlled join (``DenseState._controlled_join``; not
+    label-only state of p^(mk) amplitudes.  Both factors are Fourier
+    transforms of |0>, built from column 0 of F, which is exactly real;
+    their imaginary parts are checked to be exactly zero
+    (InvariantViolated otherwise) and their real parts are kept.  The
+    third step, the controlled shift by A c, is the first to couple
+    them, so one controlled join (:func:`_join`; not
     :meth:`DenseState.from_parts`, whose calls the benchmark's trace
     counts as the decoder's full-tensor path) writes the joined state
     with it made: label slice c is the label amplitude times the cube
@@ -747,13 +827,22 @@ class PcsSampler:
     columns of the expanded A as its generators, and going from label c-1
     to c moves the cube by a step that depends only on the carry: at most
     one checked shift map per label digit (m*k maps, not one per label),
-    and no table of labels or amounts.  The joined state then takes the
-    (no-op under this encoding) change of representation and a second
-    digit-wise Fourier transform.  Measuring the message register then yields a uniform
-    label and collapses the cube register to the matching phased cube
-    state; :meth:`collapse` is that read-out, the only one in the
-    package, and it checks its label (``layout.label_digits`` digits in
-    [0, p)).
+    and no table of labels or amounts.  The join only scales and gathers
+    real factors, so the joined state is real at every p: it is held as
+    ``amplitudes``, one float64 (p^(mk), q^n) array (not a
+    :class:`DenseState`, which is complex at p >= 3), half the bytes of a
+    complex state.  Step 4, the change of representation, is a no-op
+    under this encoding.  Step 5, the second digit-wise Fourier transform,
+    is never written: measuring the message register after it is the
+    streamed Fourier-basis measurement of ``amplitudes``
+    (:func:`_fourier_law` with the forward F), which computes every
+    transformed amplitude tile by tile and stores none.  Measuring yields
+    a uniform label and collapses the cube register to the matching
+    phased cube state; :meth:`collapse` is that read-out, the only one in
+    the package: label z's vector is row z of F (the Kronecker product of
+    its label runs' rows) times ``amplitudes``, normalised, and a stack of
+    labels is read in one product.  It checks its labels
+    (``layout.label_digits`` digits in [0, p)).
 
     Orthogonality of the anchored cubes is what makes the label marginal
     exactly uniform; it is checked both through the cached code distance
@@ -777,36 +866,75 @@ class PcsSampler:
         # coordinate j, i.e. the label is the stacked digit vector of c, so
         # label digit d shifts the cube by column d of the expanded A
         generators = code.operator.entries.T.reshape(-1, 1, code.n, f.m)
-        state = DenseState._controlled_join(self.layout, label.vec, [cube.vec], generators)
+        joined = _join(
+            self.layout, _real_part(label.vec), [_real_part(cube.vec)], generators, np.float64
+        )
+        self.amplitudes = joined.reshape(self.layout.label_dim, -1)
         # step 4, the change of representation F_q^k -> F_p^{mk}, is a
-        # no-op: the label slots already hold digits.  Step 5 is the
-        # second digit-wise Fourier transform
-        state.qft_label()
-        self.state = state
-        self.marginal = state.label_marginal()
-        expected = 1.0 / self.layout.label_dim
-        if np.max(np.abs(self.marginal - expected)) > UNIFORM_TOL:
-            raise OrthogonalityViolated(
-                "label marginal is not uniform; cube states are not orthonormal"
-            )
+        # no-op: the label slots already hold digits.  Step 5, the second
+        # digit-wise Fourier transform, is read through the measurement
+        self.marginal = _fourier_law(
+            self.amplitudes, None, f.p, self.layout.label_digits, inverse=False
+        )
+        _require_uniform(self.marginal)
 
-    def collapse(self, label_digits: Sequence[int]) -> np.ndarray:
+    def collapse(self, label_digits: Sequence[int] | np.ndarray) -> np.ndarray:
         """Post-measurement cube register state for a label (q^n vector).
 
-        The label must be exactly ``layout.label_digits`` integer digits,
-        each in [0, p); any other raises BadParams rather than reading
-        another label.
+        A nonempty (count, label_digits) stack of labels gives a (count,
+        q^n) stack of vectors, all from one product.  Each label must be exactly
+        ``layout.label_digits`` integer digits, each in [0, p); any other
+        raises BadParams rather than reading another label.
         """
         p, width = self.layout.p, self.layout.label_digits
         digits = np.asarray(label_digits)
         if (
-            digits.shape != (width,)
+            digits.ndim not in (1, 2)
+            or digits.shape[-1] != width
+            or not digits.size
             or digits.dtype.kind not in "iu"
             or ((digits < 0) | (digits >= p)).any()
         ):
             raise BadParams(f"label {digits.tolist()} is not {width} digits in [0, {p})")
-        slice_ = self.state.vec.reshape(self.layout.label_dim, -1)[digits_to_label(digits, p)]
-        nrm = np.linalg.norm(slice_)
-        if nrm == 0:
-            raise OrthogonalityViolated(f"label {tuple(digits.tolist())} has zero amplitude")
-        return slice_ / nrm
+        labels = digits.reshape(-1, width)
+        # row z of F on every label digit: the Kronecker product of the
+        # rows of its label runs' matrices, so no p^T-sided matrix is built
+        runs = [(a, w, _dft_matrix(p, False, w)) for a, w in _dft_runs(0, width, p)]
+        rows = np.array(
+            [reduce(np.kron, [f[digits_to_label(z[a : a + w], p)] for a, w, f in runs])
+             for z in labels]
+        )
+        if np.iscomplexobj(rows):
+            # Re F and Im F in one real product, so the held array is never
+            # cast: each label's real and imaginary rows land in its own
+            # output row, side by side, and are interleaved there
+            vecs = np.empty((len(labels), self.amplitudes.shape[1]), dtype=rows.dtype)
+            pairs = vecs.view(np.float64).reshape(len(labels), 2, -1)
+            stacked = np.stack([rows.real, rows.imag], axis=1).reshape(2 * len(labels), -1)
+            np.matmul(stacked, self.amplitudes, out=pairs.reshape(2 * len(labels), -1))
+            for pair in pairs:
+                pair.reshape(-1, 2)[...] = pair.T  # numpy copies the overlapping source first
+        else:
+            vecs = rows @ self.amplitudes
+        norms = np.array([np.linalg.norm(v) for v in vecs])
+        for z, nrm in zip(labels, norms):
+            if nrm == 0:
+                raise OrthogonalityViolated(f"label {tuple(z.tolist())} has zero amplitude")
+        vecs /= norms[:, None]
+        return vecs if digits.ndim == 2 else vecs[0]
+
+
+def _real_part(vec: np.ndarray) -> np.ndarray:
+    """``vec`` as a float64 array, once its imaginary parts are checked to be exactly zero."""
+    if np.any(np.imag(vec)):
+        raise InvariantViolated("a factor built from column 0 of F has a nonzero imaginary part")
+    return np.ascontiguousarray(np.real(vec), dtype=np.float64)
+
+
+def _require_uniform(marginal: np.ndarray) -> None:
+    """Raise OrthogonalityViolated unless ``marginal`` is uniform to UNIFORM_TOL (NaN fails)."""
+    dev = np.max(np.abs(marginal - 1.0 / len(marginal)))
+    if not dev <= UNIFORM_TOL:
+        raise OrthogonalityViolated(
+            "label marginal is not uniform; cube states are not orthonormal"
+        )

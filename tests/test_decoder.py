@@ -1,3 +1,7 @@
+import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from dataclasses import replace
@@ -477,10 +481,21 @@ def test_decode_dense_on_real_states_matches_complex_states(f8, monkeypatch):
     sigma = SigmaParam.from_r(f8, 0)
     cases = [(gen_instance(code, 0, seed=seed), seed) for seed in range(3)]
     real = [decode_dense(inst, sigma, seed=seed) for inst, seed in cases]
-    # every circuit starts from zero_state, so complex starts keep it all complex
+    # every circuit starts from zero_state, so complex starts make the
+    # decoder's head join complex; the sampler checks that its factors'
+    # imaginary parts are exactly zero and holds their real join
     monkeypatch.setattr(DenseState, "zero_state", staticmethod(_complex_zero_state))
-    assert PcsSampler(code, sigma).state.vec.dtype == np.complex128
+    assert PcsSampler(code, sigma).amplitudes.dtype == np.float64
+    measured = decoder.fourier_label_marginal
+    heads = []
+
+    def recording(head, tail):
+        heads.append(head.vec.dtype)
+        return measured(head, tail)
+
+    monkeypatch.setattr(decoder, "fourier_label_marginal", recording)
     cplx = [decode_dense(inst, sigma, seed=seed) for inst, seed in cases]
+    assert heads == [np.complex128] * len(cases)
     # the marginal sums run in another order, so the peak may move by an ulp
     assert [replace(r, peak_probability=None) for r in cplx] == [
         replace(r, peak_probability=None) for r in real
@@ -520,6 +535,62 @@ def test_decode_dense_on_dense_full_inputs_is_unchanged_seed_for_seed(f8):
                 peak_probability=DENSE_FULL_PEAK,
             )
             assert decode_dense(inst, sigma, seed=seed) == want, (a, b, seed)
+
+
+# the benchmark's dense_factorised inputs: the four F_27 generator columns
+# it selects (modulus low coefficients (1, 2, 0)), planted with message
+# 7j + 4 and errors (j, j + 1, j + 2) mod 3, decoded at sigma = 3
+DENSE_FACTORISED_COLUMNS = [(20, 24, 3), (2, 17, 8), (5, 16, 21), (18, 1, 6)]
+# what every decode of them returned with one BLAS thread, when the sampler
+# transformed its joined complex state in place: the resample rounds at
+# seeds 0, 1 and 2, and each decode's peak, whose bits depend on every
+# collapsed amplitude
+DENSE_FACTORISED_ROUNDS = (2, 1, 1)
+DENSE_FACTORISED_PEAKS = [
+    ("0x1.0000000000011p+0", "0x1.0000000000024p+0", "0x1.0000000000029p+0"),
+    ("0x1.0000000000016p+0", "0x1.0000000000012p+0", "0x1.000000000001dp+0"),
+    ("0x1.0000000000014p+0", "0x1.000000000000dp+0", "0x1.000000000002dp+0"),
+    ("0x1.0000000000014p+0", "0x1.0000000000012p+0", "0x1.0000000000025p+0"),
+]
+
+
+def _dense_factorised_decodes() -> list[list]:
+    """[s_hat, rounds, peak in hex] of every decode the pin below covers."""
+    f = Field(3, 3, poly=(1, 2, 0))
+    sigma = SigmaParam.from_r(f, 1)
+    out = []
+    for j, column in enumerate(DENSE_FACTORISED_COLUMNS):
+        code = LinearCode(f, [[f.el(a)] for a in column])
+        code = LinearCode(f, code.matrix, d=min_distance_bruteforce(code))
+        s = f.el((7 * j + 4) % 27)
+        inst = plant_instance(code, (s,), tuple(f.el((j + i) % 3) for i in range(3)))
+        for seed in range(len(DENSE_FACTORISED_ROUNDS)):
+            res = decode_dense(inst, sigma, seed=seed)
+            assert (res.s_hat_digits, res.sigma_r, res.verified) == (s.digits, 1, True)
+            out.append([list(res.s_hat), res.resample_rounds, res.peak_probability.hex()])
+    return out
+
+
+def test_decode_dense_on_dense_factorised_inputs_is_unchanged_seed_for_seed():
+    # the factorised path: the full tensor is past the amplitude guard
+    assert 3 ** (3 + 3 * 9) > MAX_AMPLITUDES
+    # BLAS splits a long dot product's sum across its threads, so the
+    # collapsed vectors' norms, and with them the peaks' last bits, depend
+    # on the thread count: the decodes run in a child with one thread, as
+    # the benchmark runs them
+    threads = {var: "1" for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), **threads)
+    script = "import json, test_decoder as t; print(json.dumps(t._dense_factorised_decodes()))"
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    want = [
+        [[(7 * j + 4) % 27], rounds, peak]
+        for j, peaks in enumerate(DENSE_FACTORISED_PEAKS)
+        for rounds, peak in zip(DENSE_FACTORISED_ROUNDS, peaks)
+    ]
+    assert json.loads(proc.stdout) == want
 
 
 def test_full_marginal_at_the_dense_full_shape_holds_no_joined_state(f8):

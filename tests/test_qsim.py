@@ -32,6 +32,9 @@ from pqdec.qsim import (
     SigmaParam,
     _dft_matrix,
     _dft_runs,
+    _fourier_law,
+    _real_part,
+    _require_uniform,
     cube_overlap,
     cube_vector,
     digits_to_label,
@@ -736,9 +739,8 @@ def test_norm_drift_raises_a_typed_error(p):
         DenseState(lay, 2 * _random_state(lay, 0)).dft_axis(0)
 
 
-def test_built_sampler_holds_one_state_sized_array(f16):
-    code = LinearCode(f16, [[f16.el(1)], [f16.el(2)], [f16.el(4)]], d=7)
-    sigma = SigmaParam.from_r(f16, 1)
+def _built_sampler_and_bytes_held(code: LinearCode, sigma: SigmaParam) -> tuple[PcsSampler, int]:
+    """A sampler and the bytes it holds once built, caches warmed first."""
     PcsSampler(code, sigma)  # warm the caches the build fills
     tracemalloc.start()
     try:
@@ -747,7 +749,22 @@ def test_built_sampler_holds_one_state_sized_array(f16):
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    state_bytes = sampler.state.vec.itemsize * sampler.layout.dim  # 2^16 amplitudes
+    return sampler, held
+
+
+def test_built_sampler_holds_one_state_sized_array(f16):
+    code = LinearCode(f16, [[f16.el(1)], [f16.el(2)], [f16.el(4)]], d=7)
+    sampler, held = _built_sampler_and_bytes_held(code, SigmaParam.from_r(f16, 1))
+    state_bytes = sampler.amplitudes.itemsize * sampler.layout.dim  # 2^16 amplitudes
+    assert state_bytes <= held < 1.5 * state_bytes
+
+
+def test_built_sampler_holds_8_bytes_per_amplitude_at_p3(f9):
+    # F_9 at n = 4: 3^10 amplitudes, held real although p >= 3
+    code = LinearCode(f9, [[f9.el(1)], [f9.el(3)], [f9.el(4)], [f9.el(7)]])
+    sampler, held = _built_sampler_and_bytes_held(code, SigmaParam.from_r(f9, 0))
+    state_bytes = 8 * sampler.layout.dim
+    assert sampler.amplitudes.nbytes == state_bytes
     assert state_bytes <= held < 1.5 * state_bytes
 
 
@@ -1006,9 +1023,10 @@ def test_state_dtype_is_that_of_the_fields_fourier_matrix(p):
     assert DenseState.zero_state(lay).vec.dtype == want
     assert DenseState(lay, np.eye(lay.dim)[1]).vec.dtype == want
     assert DenseState.from_parts(lay, np.eye(p)[0], [np.ones(p) / np.sqrt(p)]).vec.dtype == want
+    # the sampler's joined state is no DenseState: it is real at every p
     f = Field(p, 2)
     code = LinearCode(f, [[f.el(1)], [f.el(p)]])
-    assert PcsSampler(code, SigmaParam.from_r(f, 0)).state.vec.dtype == want
+    assert PcsSampler(code, SigmaParam.from_r(f, 0)).amplitudes.dtype == np.float64
 
 
 def test_a_complex_input_stays_complex_at_p2():
@@ -1044,8 +1062,8 @@ def test_gates_on_a_real_state_match_its_complex_copy(lay, gate):
 
 # ---------------------------------------------------------------- factor-first builds
 
-def _sampler_state_reference(code: LinearCode, sigma: SigmaParam) -> np.ndarray:
-    """The sampler's five steps with every gate on the joined composite register."""
+def _sampler_state_reference(code: LinearCode, sigma: SigmaParam) -> DenseState:
+    """The sampler's first four steps with every gate on the joined composite register."""
     f = code.field
     t = f.m * code.k
     lay = RegisterLayout(p=f.p, m=f.m, n=code.n, label_digits=t, cube_count=1)
@@ -1054,19 +1072,24 @@ def _sampler_state_reference(code: LinearCode, sigma: SigmaParam) -> np.ndarray:
     state.qft_label()
     labels = label_to_digits(np.arange(lay.label_dim), t, f.p)
     amounts = labels @ code.operator.entries.T % f.p
-    state.controlled_register_shifts(amounts.reshape(-1, 1, code.n, f.m))
-    state.qft_label()
-    return state.vec
+    return state.controlled_register_shifts(amounts.reshape(-1, 1, code.n, f.m))
 
 
 @pytest.mark.parametrize("r", [0, 1])
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_sampler_state_matches_composite_reference(p, r):
+    # the held array is the state before step 5; step 5 then measured is
+    # the marginal, and each label's slice of it is that label's collapse
     f = Field(p, 2)
     code = LinearCode(f, [[f.el(1)], [f.el(p)]])  # top digits (0, 1): orthogonal at r = 1
     sigma = SigmaParam.from_r(f, r)
-    got = PcsSampler(code, sigma).state.vec
-    assert np.max(np.abs(got - _sampler_state_reference(code, sigma))) < 1e-12
+    sampler = PcsSampler(code, sigma)
+    ref = _sampler_state_reference(code, sigma)
+    assert np.max(np.abs(sampler.amplitudes.reshape(-1) - ref.vec)) < 1e-12
+    want = ref.qft_label().vec.reshape(sampler.layout.label_dim, -1)
+    labels = label_to_digits(np.arange(sampler.layout.label_dim), 2, p)
+    got = np.sqrt(sampler.marginal)[:, None] * sampler.collapse(labels)
+    assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_sampler_joins_its_registers_without_from_parts(f4, monkeypatch):
@@ -1076,7 +1099,7 @@ def test_sampler_joins_its_registers_without_from_parts(f4, monkeypatch):
 
     monkeypatch.setattr(DenseState, "from_parts", classmethod(refuse))
     sampler = PcsSampler(code_123(f4), SigmaParam.from_r(f4, 0))
-    assert len(sampler.state.vec) == sampler.layout.dim
+    assert sampler.amplitudes.size == sampler.layout.dim
 
 
 @pytest.mark.parametrize("p,label_digits", [(2, 3), (3, 2), (5, 2)])
@@ -1261,13 +1284,101 @@ def test_collapse_rejects_a_malformed_label(f4, label):
 
 
 def test_collapse_of_a_valid_label_is_unchanged(f4):
-    # label (0, 1) is basis row 1: the vector is that row of the sampler
-    # state, normalised, read both from a tuple and from a numpy column
+    # label (0, 1) is basis row 1: the vector is row 1 of F times the held
+    # array, normalised, read from a tuple, from a numpy column and from a
+    # stack of labels
     sampler = PcsSampler(code_123(f4), SigmaParam.from_r(f4, 0))
-    row = sampler.state.vec.reshape(sampler.layout.label_dim, -1)[1]
+    row = _dft_matrix(2, width=2)[1] @ sampler.amplitudes
     want = row / np.linalg.norm(row)
     assert np.array_equal(sampler.collapse((0, 1)), want)
     assert np.array_equal(sampler.collapse(np.array([0, 1])), want)
+    assert np.array_equal(sampler.collapse(np.array([[1, 1], [0, 1]]))[1], want)
+
+
+# (p, label digits, label run widths, a sampler's code over F_(p^m) and
+# m): one label run or two, at p = 2, 3 and 5
+SAMPLER_READOUT_CASES = [
+    (2, 3, (3,), [[1], [2]], 3),
+    (2, 6, (5, 1), [[1, 0], [0, 1]], 3),
+    (3, 2, (2,), [[1], [3]], 2),
+    (3, 4, (3, 1), [[1, 0], [0, 1]], 2),
+    (5, 2, (2,), [[1], [5]], 2),
+    (5, 3, (2, 1), [[1]], 3),
+]
+
+
+def _real_label_state(p: int, t: int, seed: int) -> tuple[RegisterLayout, np.ndarray]:
+    """A random real unit state of t label digits and two cube digits."""
+    lay = RegisterLayout(p=p, m=1, n=2, label_digits=t, cube_count=1)
+    vec = np.random.default_rng(seed).normal(size=lay.dim)
+    return lay, vec / np.linalg.norm(vec)
+
+
+@pytest.mark.parametrize("p,t,widths,rows,m", SAMPLER_READOUT_CASES)
+def test_sampler_measurement_is_the_transform_then_the_marginal(p, t, widths, rows, m):
+    assert tuple(w for _, w in _dft_runs(0, t, p)) == widths
+    lay, vec = _real_label_state(p, t, seed=p * t)
+    for inverse in (False, True):
+        want = DenseState(lay, vec.astype(np.complex128)).qft_label(inverse).label_marginal()
+        got = _fourier_law(vec.reshape(lay.label_dim, -1), None, p, t, inverse)
+        assert np.max(np.abs(got - want)) < 1e-12
+    # a sampler's state: each collapse is the normalised slice of its
+    # complex copy transformed in place, one label at a time or stacked
+    f = Field(p, m)
+    code = LinearCode(f, [[f.el(x) for x in row] for row in rows])
+    sampler = PcsSampler(code, SigmaParam.from_r(f, 0))
+    assert sampler.layout.label_digits == t
+    want = DenseState(sampler.layout, sampler.amplitudes.reshape(-1).astype(np.complex128))
+    want = want.qft_label().vec.reshape(sampler.layout.label_dim, -1)
+    labels = label_to_digits(np.arange(sampler.layout.label_dim), t, p)
+    stacked = sampler.collapse(labels)
+    assert stacked.shape == want.shape
+    for z, label in enumerate(labels):
+        ref = want[z] / np.linalg.norm(want[z])
+        assert np.max(np.abs(sampler.collapse(label) - ref)) < 1e-12
+        assert np.max(np.abs(stacked[z] - ref)) < 1e-12
+
+
+@pytest.mark.parametrize("p,t", [(2, 3), (2, 6), (3, 2), (3, 4), (5, 3)])
+def test_sampler_measurement_checks_the_norm(p, t):
+    lay, vec = _real_label_state(p, t, seed=1)
+    held = vec.reshape(lay.label_dim, -1)
+    with pytest.raises(InvariantViolated):
+        _fourier_law(held * (1 + 1e-8), None, p, t, inverse=False)
+    held = held.copy()
+    held[1, 2] = np.nan
+    with pytest.raises(InvariantViolated):
+        _fourier_law(held, None, p, t, inverse=False)
+
+
+def test_uniform_check_fails_on_nan():
+    law = np.full(9, 1 / 9)
+    _require_uniform(law)
+    law[4] = np.nan
+    with pytest.raises(OrthogonalityViolated):
+        _require_uniform(law)
+    law[4] = 1 / 9 + 1e-11
+    with pytest.raises(OrthogonalityViolated):
+        _require_uniform(law)
+
+
+def test_sampler_factors_must_be_exactly_real():
+    part = _real_part(np.array([0.5 + 0j, -0.0 + 0j, 0.5 - 0j]))
+    assert part.dtype == np.float64 and np.array_equal(part, [0.5, 0.0, 0.5])
+    with pytest.raises(InvariantViolated):
+        _real_part(np.array([0.5 + 0j, 0.5 + 1e-300j]))
+    with pytest.raises(InvariantViolated):
+        _real_part(np.array([0.5 + 0j, complex(0.5, np.nan)]))
+
+
+def test_collapse_rejects_a_malformed_stack(f4):
+    sampler = PcsSampler(code_123(f4), SigmaParam.from_r(f4, 0))
+    for shape in [(2, 3), (1, 1, 2), (0, 2)]:
+        with pytest.raises(BadParams):
+            sampler.collapse(np.zeros(shape, dtype=int))
+    for labels in [[[0, 2]], [[0, 1], [1, -1]]]:
+        with pytest.raises(BadParams):
+            sampler.collapse(labels)
 
 
 # ---------------------------------------------------------------- measurement
