@@ -158,7 +158,7 @@ def separation_experiment(config: SeparationConfig) -> list[dict]:
         c_hits = 0
         for _ in range(config.trials):
             code = random_code(f, config.n, config.k, rng)
-            s = tuple(f.random_element(rng) for _ in range(config.k))
+            s = f.random_elements(rng, config.k)
             if r_e >= config.m:
                 e = tuple(
                     f.el(int(v))

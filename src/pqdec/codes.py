@@ -94,7 +94,8 @@ def random_code(
         raise BadShape(f"need n >= k >= 1, got n={n}, k={k}")
     rng = np.random.default_rng(seed)
     while True:
-        matrix = [[field.random_element(rng) for _ in range(k)] for _ in range(n)]
+        entries = field.random_elements(rng, n * k)  # row-major, one draw
+        matrix = [entries[i : i + k] for i in range(0, n * k, k)]
         try:
             return LinearCode(field, matrix)
         except BadShape:  # the shape is valid, so the columns are dependent
@@ -256,7 +257,7 @@ def gen_instance(
             f"per-coordinate error bound {bound} is past 2^63 - 1, the error draw's range"
         )
     rng = np.random.default_rng(seed)
-    s = tuple(f.random_element(rng) for _ in range(code.k))
+    s = f.random_elements(rng, code.k)
     cw = code.encode(s)
     for _ in range(1000):
         e = tuple(f.el(int(v)) for v in rng.integers(0, bound + 1, size=code.n))

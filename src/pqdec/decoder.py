@@ -312,7 +312,9 @@ def sigma_search(
     to the next exponent.  A dense run whose final marginal did not
     concentrate (peak below 1 - CONCENTRATION_TOL) also moves on: below
     the covering sigma the marginal is spread out, and a sampled candidate
-    that happens to verify is luck, not a decode.
+    that happens to verify is luck, not a decode.  Rounding can put a
+    concentrated ``peak_probability`` a few ulps above 1; the test is a
+    lower bound only, so such a peak passes.
     """
     decode = backend_decoder(backend)
     rng = np.random.default_rng(seed)

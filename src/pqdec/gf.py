@@ -274,7 +274,16 @@ class Field:
 
     def random_element(self, rng: np.random.Generator) -> FieldElement:
         """Uniform element, drawn digit-wise so huge q never overflows."""
-        return FieldElement(self, tuple(int(d) for d in rng.integers(0, self.p, self.m)))
+        return self.random_elements(rng, 1)[0]
+
+    def random_elements(self, rng: np.random.Generator, count: int) -> tuple[FieldElement, ...]:
+        """``count`` uniform elements from one draw of their digits.
+
+        Value for value, and in the generator state it leaves, the one
+        draw equals ``count`` separate draws of m digits each.
+        """
+        digits = rng.integers(0, self.p, size=(count, self.m)).tolist()
+        return tuple(FieldElement(self, tuple(row)) for row in digits)
 
     # -- misc ------------------------------------------------------------------
 
@@ -429,6 +438,7 @@ class ExpandedMatrix:
     p: int
 
 
+@lru_cache(maxsize=32)
 def _x_power_operators(field: Field) -> np.ndarray:
     """(m, m, m) stack whose slice l is the operator of multiplication by x^l.
 
@@ -436,6 +446,8 @@ def _x_power_operators(field: Field) -> np.ndarray:
     so all m slices are read off the 2m-1 reduced powers x^0 .. x^(2m-2),
     each the remainder of one :func:`_poly_divmod`; slice 1 is the
     companion matrix of ``field.poly`` and slice l its l-th power.
+    Memoised per field, that is per (p, m, poly): every equal Field shares
+    the one table, which is read-only.
     """
     p, m = field.p, field.m
     modulus = field.poly + (1,)
@@ -444,7 +456,9 @@ def _x_power_operators(field: Field) -> np.ndarray:
         rem = _poly_divmod([0] * e + [1], modulus, p)[1]
         powers[e, : len(rem)] = rem
     hankel = np.add.outer(np.arange(m), np.arange(m))  # [l, j] -> l + j
-    return powers[hankel].transpose(0, 2, 1)  # [l, row, j]
+    table = powers[hankel].transpose(0, 2, 1)  # [l, row, j]
+    table.setflags(write=False)
+    return table
 
 
 def expand_operator(matrix: Sequence[Sequence[FieldElement]], field: Field) -> ExpandedMatrix:

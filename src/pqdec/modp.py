@@ -3,7 +3,9 @@
 Gaussian elimination with exact modular arithmetic; p is assumed small
 enough that intermediate products fit in int64, which holds for every
 desk-scale prime used here.  Inverse and solve run on :func:`row_echelon`
-at every p; the one F_2 specialisation is the rank, on bit-packed rows.
+at every p.  At p = 2 the rank and the echelon form both come from one
+elimination on bit-packed rows (:func:`_xor_basis`); the numpy loop
+serves p >= 3.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ def _as_modp(matrix: np.ndarray, p: int) -> np.ndarray:
 def row_echelon(matrix: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over F_p and its pivot column list."""
     a = _as_modp(matrix, p)
+    if p == 2:
+        return _echelon_gf2(a)
     rows, cols = a.shape
     pivots: list[int] = []
     r = 0
@@ -55,47 +59,74 @@ def row_echelon(matrix: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 def rank(matrix: np.ndarray, p: int) -> int:
     if p == 2:
-        return _rank_gf2(matrix)
+        return len(_xor_basis(_as_modp(matrix, 2)))
     return len(row_echelon(matrix, p)[1])
 
 
 # ----------------------------------------------------------------------
-# The F_2 rank on rows packed into Python-int bitsets (bit c = column c):
-# one XOR adds a whole row, the packed-row elimination of M4RI
-# (Albrecht & Bard, "The M4RI Library")
+# F_2 elimination on rows packed into Python-int bitsets: one XOR adds a
+# whole row, the packed-row elimination of M4RI (Albrecht & Bard, "The
+# M4RI Library").  Column c of a row of `cols` columns is bit cols-1-c,
+# so a row's leading bit is its leftmost nonzero column.
 # ----------------------------------------------------------------------
 
 def _pack_rows(a: np.ndarray) -> list[int]:
     rows, cols = a.shape
     words = -(-cols // 64)
-    packed = np.zeros((rows, 8 * words), dtype=np.uint8)
-    packed[:, : (cols + 7) // 8] = np.packbits(a.astype(np.uint8), axis=1, bitorder="little")
-    word_cols = packed.view("<u8")  # (rows, words), word w holds columns 64w .. 64w+63
+    # zero bits on the left keep every row below 2^cols, so small rows stay small ints
+    bits = np.zeros((rows, 64 * words), dtype=np.uint8)
+    bits[:, 64 * words - cols :] = a
+    word_cols = np.packbits(bits, axis=1).view(">u8")  # (rows, words), most significant first
     out = [0] * rows
-    for w in range(words - 1, -1, -1):
+    for w in range(words):
         out = [(hi << 64) | lo for hi, lo in zip(out, word_cols[:, w].tolist())]
     return out
 
 
-def _rank_gf2(matrix: np.ndarray) -> int:
-    """Rank over F_2: rows are reduced one by one into an XOR basis.
+def _xor_basis(a: np.ndarray) -> dict[int, int]:
+    """XOR basis of the packed rows of a 0/1 matrix, keyed by leading bit.
 
-    Stops as soon as the basis spans all columns, so a tall full-rank
-    matrix reads only about as many rows as it has columns.
+    Rows are reduced one by one against the basis; the loop stops as soon
+    as the basis spans all columns, so a tall full-rank matrix reads only
+    about as many rows as it has columns.
     """
-    a = _as_modp(matrix, 2)
     cols = a.shape[1]
-    basis: dict[int, int] = {}  # leading bit -> basis row
+    basis: dict[int, int] = {}
     for row in _pack_rows(a):
         while row:
             lead = row.bit_length() - 1
             if lead not in basis:
                 basis[lead] = row
                 if len(basis) == cols:
-                    return cols
+                    return basis
                 break
             row ^= basis[lead]
-    return len(basis)
+    return basis
+
+
+def _echelon_gf2(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """:func:`row_echelon` at p = 2: the XOR basis, back-reduced and unpacked.
+
+    Basis rows are taken rightmost pivot first; each clears its bits at
+    the pivots right of its own, whose rows are already reduced, so the
+    order of those clears does not matter.
+    """
+    rows, cols = a.shape
+    basis = _xor_basis(a)
+    leads = sorted(basis)
+    for i, lead in enumerate(leads):
+        row = basis[lead]
+        for right in leads[:i]:
+            if row >> right & 1:
+                row ^= basis[right]
+        basis[lead] = row
+    leads.reverse()  # leftmost pivot first: the echelon row order
+    stride = -(-cols // 8)  # bytes per row
+    data = b"".join(basis[lead].to_bytes(stride, "big") for lead in leads)
+    packed = np.frombuffer(data, dtype=np.uint8).reshape(len(leads), stride)
+    out = np.zeros((rows, cols), dtype=np.int64)
+    out[: len(leads)] = np.unpackbits(packed, axis=1)[:, 8 * stride - cols :]
+    return out, [cols - 1 - lead for lead in leads]
 
 
 @dataclass(frozen=True)

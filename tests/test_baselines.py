@@ -166,6 +166,26 @@ def test_separation_reproducible():
     assert separation_experiment(config) == separation_experiment(config)
 
 
+@pytest.mark.parametrize(
+    "config,want",
+    [
+        # also pinned byte for byte, through the CLI, in the CI smoke step
+        (
+            SeparationConfig(p=2, m=8, n=8, k=2, trials=20, seed=0),
+            [("tight", 6, 1.0, 0.3), ("loose", 4, 1.0, 1.0), ("beyond", 8, 0.0, 0.0)],
+        ),
+        (
+            SeparationConfig(p=3, m=3, n=6, k=2, trials=10, seed=5),
+            [("tight", 2, 1.0, 0.4), ("loose", 0, 1.0, 1.0), ("beyond", 3, 0.0, 0.0)],
+        ),
+    ],
+)
+def test_separation_rows_pinned(config, want):
+    rows = separation_experiment(config)
+    keys = ("promise", "error_digits", "quantum_success", "classical_success")
+    assert [tuple(row[key] for key in keys) for row in rows] == want
+
+
 def test_classical_agrees_with_decoder_when_it_recovers():
     f = Field(2, 8)
     rng = np.random.default_rng(3)

@@ -143,6 +143,54 @@ def test_random_code_bad_shape(f4):
         random_code(f4, 1, 2, 0)
 
 
+def per_element_code(f, n, k, rng):
+    """random_code as one generator draw per element, the reference for its single draw."""
+    draws = 0
+    while True:
+        draws += 1
+        matrix = [
+            [f.from_digits(rng.integers(0, f.p, f.m).tolist()) for _ in range(k)]
+            for _ in range(n)
+        ]
+        try:
+            return LinearCode(f, matrix), draws
+        except BadShape:
+            continue
+
+
+@pytest.mark.parametrize(
+    "p,m,n,k,seed,redrawn",
+    [
+        (2, 3, 4, 2, 0, False),
+        (2, 8, 8, 2, 7, False),
+        (3, 2, 3, 2, 1, False),
+        (5, 1, 4, 3, 2, False),
+        (5, 3, 2, 1, 3, False),
+        # the first digit each of these seeds draws is 0: the 1 x 1 zero matrix is redrawn
+        (2, 1, 1, 1, 1, True),
+        (3, 1, 1, 1, 11, True),
+        (5, 1, 1, 1, 11, True),
+    ],
+)
+def test_random_code_draws_like_per_element_calls(p, m, n, k, seed, redrawn):
+    f = Field(p, m)
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    code = random_code(f, n, k, rng)
+    want, draws = per_element_code(f, n, k, ref)
+    assert code.matrix == want.matrix
+    assert (draws > 1) == redrawn
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("p,m,k", [(2, 4, 3), (3, 2, 2), (5, 1, 4)])
+def test_gen_instance_message_draws_like_per_element_calls(p, m, k):
+    f = Field(p, m)
+    code = random_code(f, k + 1, k, 0)
+    inst = gen_instance(code, 0, 13)
+    ref = np.random.default_rng(13)
+    assert inst.s_true == tuple(f.from_digits(ref.integers(0, p, m).tolist()) for _ in range(k))
+
+
 # ---------------------------------------------------------------- min distance
 
 def test_min_distance_f4_column_code(f4):

@@ -380,6 +380,29 @@ def test_x_power_operator_columns_are_reduced_powers_of_x(p, m):
             assert ops[ell][:, j].tolist() == list((x ** (ell + j)).digits)
 
 
+def test_x_power_operators_built_once_per_modulus():
+    table = _x_power_operators(Field(2, 8))
+    assert _x_power_operators(Field(2, 8)) is table  # equal fields share one table
+    with pytest.raises(ValueError):
+        table[1, 0, 0] = 1
+    # same (p, m), different modulus: the cache key includes the polynomial
+    a = _x_power_operators(Field(2, 4, [1, 1, 0, 0]))  # x^4 + x + 1
+    b = _x_power_operators(Field(2, 4, [1, 0, 0, 1]))  # x^4 + x^3 + 1
+    assert not np.array_equal(a, b)
+    # column m-1 of slice 1 holds x^4 reduced, which is the modulus's low part over F_2
+    assert a[1][:, 3].tolist() == [1, 1, 0, 0]
+    assert b[1][:, 3].tolist() == [1, 0, 0, 1]
+
+
+def test_random_elements_draws_like_per_element_calls():
+    for p, m in [(2, 1), (2, 16), (3, 3), (5, 2), (7, 2), (11, 1), (257, 1)]:
+        f = Field(p, m)
+        rng, ref = np.random.default_rng(p + m), np.random.default_rng(p + m)
+        got = f.random_elements(rng, 6)
+        assert got == tuple(f.from_digits(ref.integers(0, p, m).tolist()) for _ in range(6))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_expand_operator_rejects_foreign_entry(f4, f9):
     with pytest.raises(FieldMismatch):
         expand_operator([[f4.one], [f9.one]], f4)

@@ -3,7 +3,6 @@ import pytest
 
 from pqdec.errors import BadShape
 from pqdec.modp import (
-    _rank_gf2,
     fp_gauss_invert,
     fp_solve,
     invertibility_product,
@@ -12,12 +11,30 @@ from pqdec.modp import (
 )
 
 
-def test_rank_gf2_matches_generic_echelon():
-    rng = np.random.default_rng(0)
-    for _ in range(300):
-        rows, cols = rng.integers(1, 12, size=2)
-        mat = rng.integers(0, 2, size=(rows, cols))
-        assert _rank_gf2(mat) == len(row_echelon(mat, 2)[1])
+def reference_echelon(mat, p):
+    """Textbook Gauss-Jordan over F_p, the generic modular loop kept outside pqdec.modp.
+
+    At p = 2 the library runs a packed XOR elimination instead, so this
+    is the independent reference its rank, echelon form and pivots are
+    checked against.
+    """
+    a = np.array(mat, dtype=np.int64) % p
+    rows, cols = a.shape
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        nz = np.flatnonzero(a[r:, c])
+        if nz.size == 0:
+            continue
+        a[[r, r + nz[0]]] = a[[r + nz[0], r]]
+        a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
+        others = np.flatnonzero(a[:, c])
+        others = others[others != r]
+        a[others] = (a[others] - np.outer(a[others, c], a[r])) % p
+        pivots.append(c)
+    return a, pivots
 
 
 def low_rank_gf2(rng, rows, cols):
@@ -25,19 +42,91 @@ def low_rank_gf2(rng, rows, cols):
     return (rng.integers(0, 2, size=(rows, inner)) @ rng.integers(0, 2, size=(inner, cols))) % 2
 
 
+def assert_gf2_matches_reference(mat):
+    ech, pivots = row_echelon(mat, 2)
+    want, want_pivots = reference_echelon(mat, 2)
+    assert ech.dtype == np.int64 and ech.shape == mat.shape, mat.shape
+    assert np.array_equal(ech, want), mat.shape
+    assert pivots == want_pivots, mat.shape
+    assert rank(mat, 2) == len(want_pivots), mat.shape
+
+
+def test_reference_echelon_matches_generic_loop_at_odd_p():
+    # row_echelon keeps the generic loop at p >= 3, so the reference is checked there
+    rng = np.random.default_rng(4)
+    for p in (3, 5, 7):
+        for _ in range(50):
+            rows, cols = (int(x) for x in rng.integers(1, 12, size=2))
+            mat = rng.integers(0, p, size=(rows, cols))
+            ech, pivots = row_echelon(mat, p)
+            want, want_pivots = reference_echelon(mat, p)
+            assert np.array_equal(ech, want) and pivots == want_pivots
+
+
+def test_rank_gf2_matches_generic_echelon():
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        rows, cols = rng.integers(1, 12, size=2)
+        assert_gf2_matches_reference(rng.integers(0, 2, size=(rows, cols)))
+
+
 def test_rank_gf2_across_word_boundaries():
     rng = np.random.default_rng(1)
     shapes = [(int(rng.integers(1, 140)), cols) for cols in range(1, 131)]
     shapes += [(rows, cols) for cols in (63, 64, 65, 128) for rows in (cols - 1, cols, cols + 1)]
+    shapes += [(rows, cols) for cols in (63, 64, 65, 128) for rows in (cols // 3, 2 * cols)]
     for rows, cols in shapes:
         for mat in (rng.integers(0, 2, size=(rows, cols)), low_rank_gf2(rng, rows, cols)):
-            assert _rank_gf2(mat) == len(row_echelon(mat, 2)[1]), (rows, cols)
+            assert_gf2_matches_reference(mat)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(0, 5), (5, 0), (1, 1), (3, 5), (64, 64), (1, 7), (1, 64), (1, 130), (7, 1), (130, 1)],
+)
+def test_gf2_echelon_degenerate_shapes(shape):
+    rng = np.random.default_rng(sum(shape))
+    assert_gf2_matches_reference(np.zeros(shape, dtype=np.int64))
+    if 1 in shape:
+        for _ in range(5):
+            assert_gf2_matches_reference(rng.integers(0, 2, size=shape))
+        assert_gf2_matches_reference(np.ones(shape, dtype=np.int64))
+
+
+def test_fp_solve_gf2_matches_reference():
+    rng = np.random.default_rng(5)
+    seen = set()
+    for rows, cols in [(32, 17), (16, 17), (17, 16), (5, 5), (8, 3), (3, 8), (70, 66), (1, 1)]:
+        for trial in range(20):
+            if trial % 2:
+                a = rng.integers(0, 2, size=(rows, cols))
+            else:
+                a = low_rank_gf2(rng, rows, cols)
+            x = rng.integers(0, 2, size=cols)
+            # half consistent by construction, half with a random rhs
+            b = a @ x % 2 if trial % 4 < 2 else rng.integers(0, 2, size=rows)
+            res = fp_solve(a, b, 2)
+            ech, pivots = reference_echelon(np.concatenate([a, b[:, None]], axis=1), 2)
+            if cols in pivots:
+                want = "inconsistent"
+                assert res.rank == len(pivots) - 1
+            elif len(pivots) < cols:
+                want = "rank_deficient"
+                assert res.rank == len(pivots)
+            else:
+                want = "unique"
+                assert res.rank == cols
+                assert np.array_equal(res.solution, ech[:cols, cols])
+                assert np.array_equal(a @ res.solution % 2, b % 2)
+            assert res.status == want, (rows, cols, trial)
+            seen.add(want)
+    assert seen == {"unique", "inconsistent", "rank_deficient"}
 
 
 def reference_invert(mat, p):
-    """The generic path: row_echelon on [A | I]."""
+    """The reference elimination on [A | I]."""
     n = mat.shape[0]
-    ech, pivots = row_echelon(np.concatenate([mat % p, np.eye(n, dtype=np.int64)], axis=1), p)
+    ech, pivots = reference_echelon(np.concatenate([mat % p, np.eye(n, dtype=np.int64)], axis=1), p)
     return ech, sum(1 for c in pivots if c < n)
 
 
