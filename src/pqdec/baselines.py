@@ -39,7 +39,7 @@ import numpy as np
 from .codes import DecodeInstance, plant_instance, random_code
 from .decoder import decode_structured, verify_candidate
 from .errors import BadShape, InvariantViolated, NotPrime, PqdecError, PreconditionUnmet
-from .gf import Field, is_prime, stack_digits, top_digit_submatrix, unstack_digits
+from .gf import Field, digit_images, is_prime, label_to_digits, top_digit_submatrix
 # not called here: the benchmark self-tests find the tracer's wrapper on this module
 from .metrics import manhattan_dist  # noqa: F401
 from .modp import fp_solve, invertibility_product, rank
@@ -74,21 +74,21 @@ def direct_inversion_decode(inst: DecodeInstance, r: int) -> DirectInversionRepo
             f"system underdetermined: {rows} noise-free rows < {m * k} unknowns"
         )
     top = top_digit_submatrix(code.operator, r)
-    rhs = stack_digits(inst.t).reshape(n, m)[:, r:].reshape(-1)
+    rhs = inst.t[:, r:].reshape(-1)
     solved = fp_solve(top, rhs, f.p)
     if solved.status == "inconsistent":
         return DirectInversionReport(r, (rows, m * k), "inconsistent", None)
     if solved.status == "rank_deficient":
         return DirectInversionReport(r, (rows, m * k), "singular", None)
-    s_hat = unstack_digits(f, solved.solution)
-    residual = (top @ np.array(solved.solution, dtype=np.int64) - rhs) % f.p
-    if residual.any():
+    solution = np.asarray(solved.solution, dtype=np.int64)
+    if ((top @ solution - rhs) % f.p).any():
         raise InvariantViolated("solver returned a non-solution")
+    s_hat = solution.reshape(k, m) % f.p
     if not verify_candidate(inst, s_hat):
         # only reachable when the precondition was violated
         return DirectInversionReport(r, (rows, m * k), "out_of_bound", None)
     status = "unverified" if inst.w is None else "recovered"
-    return DirectInversionReport(r, (rows, m * k), status, tuple(e.image for e in s_hat))
+    return DirectInversionReport(r, (rows, m * k), status, tuple(digit_images(s_hat, f.p).tolist()))
 
 
 def invertibility_stats(
@@ -158,19 +158,11 @@ def separation_experiment(config: SeparationConfig) -> list[dict]:
         c_hits = 0
         for _ in range(config.trials):
             code = random_code(f, config.n, config.k, rng)
-            s = f.random_elements(rng, config.k)
-            if r_e >= config.m:
-                e = tuple(
-                    f.el(int(v))
-                    for v in rng.integers(f.q // f.p, f.q, size=config.n)
-                )
-            else:
-                e = tuple(
-                    f.el(int(v))
-                    for v in rng.integers(0, config.p**r_e, size=config.n)
-                )
+            s = rng.integers(0, f.p, size=(config.k, f.m))  # the draws of f.random_elements
+            low, high = (f.q // f.p, f.q) if r_e >= config.m else (0, config.p**r_e)
+            e = label_to_digits(rng.integers(low, high, size=config.n), f.m, f.p)[:, ::-1]
             inst = plant_instance(code, s, e)
-            s_images = tuple(x.image for x in s)
+            s_images = tuple(digit_images(s, f.p).tolist())
             sigma_r = min(r_e, config.m - 1)
             try:
                 res = decode_structured(inst, SigmaParam.from_r(f, sigma_r), rng)

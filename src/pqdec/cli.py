@@ -38,7 +38,7 @@ from .codes import (
 )
 from .decoder import BACKENDS, backend_decoder, sigma_search
 from .errors import BadParams, BadShape, NoSigmaSucceeded, PqdecError, PromiseViolated
-from .gf import Field
+from .gf import Field, digit_images
 from .hardness import (
     SetCoverInstance,
     build_gadget,
@@ -150,9 +150,9 @@ def _cmd_decode(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance)
     s_star, dist = nearest_codeword_oracle(inst.code, inst.t, budget=args.budget)
-    obj = {"s_star": [e.image for e in s_star], "distance": dist}
+    obj = {"s_star": digit_images(s_star, inst.field.p).tolist(), "distance": dist}
     if inst.s_true is not None:
-        obj["matches_plant"] = [e.image for e in s_star] == [e.image for e in inst.s_true]
+        obj["matches_plant"] = bool(np.array_equal(s_star, inst.s_true))
     _emit(args, json.dumps(obj, sort_keys=True))
     return 0
 

@@ -11,8 +11,8 @@ tie-break below refers to that order.
 
 Every application of A, single codewords and the whole codeword table
 alike, goes through the code's cached expanded F_p operator, so no
-scalar field product is formed; ``FieldElement`` is only the scalar
-view at the interface.
+scalar field product is formed; vectors are digit rows
+(:func:`pqdec.gf.digit_rows`), and ``FieldElement`` is only the scalar view.
 """
 
 from __future__ import annotations
@@ -26,13 +26,13 @@ from .errors import BadShape, BudgetExceeded, LengthMismatch, PreconditionUnmet
 from .gf import (
     Field,
     FieldElement,
+    _int_digits,
+    digit_images,
+    digit_rows,
     digits_to_label,
     expand_operator,
     json_int,
     label_to_digits,
-    require_field,
-    stack_digits,
-    unstack_digits,
 )
 from .metrics import manhattan_dist
 from .modp import rank
@@ -71,13 +71,13 @@ class LinearCode:
             raise BadShape("generator columns are linearly dependent over F_q")
         self.d = d
 
-    def encode(self, s: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
-        """Codeword A @ s."""
+    def encode(self, s) -> np.ndarray:
+        """Codeword A @ s as (n, m) digit rows; s is taken through :func:`~pqdec.gf.digit_rows`."""
+        s = digit_rows(self.field, s, "message entry")
         if len(s) != self.k:
             raise LengthMismatch(f"message length {len(s)} != k = {self.k}")
-        require_field(self.field, s, "message entry")
-        digits = self.operator.entries @ stack_digits(s) % self.field.p
-        return unstack_digits(self.field, digits)
+        digits = self.operator.entries @ s.reshape(-1) % self.field.p
+        return digits.reshape(self.n, self.field.m)
 
     def images(self) -> list[list[int]]:
         return [[e.image for e in row] for row in self.matrix]
@@ -165,23 +165,24 @@ def min_distance_bruteforce(code: LinearCode, budget: int = DEFAULT_ENUM_BUDGET)
 
 def nearest_codeword_oracle(
     code: LinearCode,
-    t: Sequence[FieldElement],
+    t,
     budget: int = DEFAULT_ENUM_BUDGET,
-) -> tuple[tuple[FieldElement, ...], int]:
-    """argmin over all messages of the Manhattan distance to t.
+) -> tuple[np.ndarray, int]:
+    """argmin over all messages of the Manhattan distance to t, as (k, m) digit rows.
 
     Ties break to the message that comes first in lexicographic image
-    order, so repeated calls agree.  Every entry of t must be over the
-    code's field (FieldMismatch), since t is read by its images.
+    order, so repeated calls agree.  t goes through
+    :func:`~pqdec.gf.digit_rows`, since it is read by its images.
     """
+    f = code.field
+    t = digit_rows(f, t, "target entry")
     if len(t) != code.n:
         raise LengthMismatch(f"target length {len(t)} != n = {code.n}")
-    require_field(code.field, t, "target entry")
     imgs = codeword_images(code, budget)
-    t_imgs = np.array([e.image for e in t], dtype=np.int64)
-    dists = np.abs(imgs - t_imgs).sum(axis=1)
+    dists = np.abs(imgs - digit_images(t, f.p)).sum(axis=1)
     best = int(np.argmin(dists))  # first minimum = lex-smallest message
-    s_star = tuple(code.field.el(int(v)) for v in label_to_digits(best, code.k, code.field.q))
+    # message number best has the m*k base-p digits of best, most significant first
+    s_star = label_to_digits(best, f.m * code.k, f.p).reshape(code.k, f.m)[:, ::-1]
     return s_star, int(dists[best])
 
 
@@ -189,26 +190,29 @@ def nearest_codeword_oracle(
 # Decoding instances
 # ----------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)  # compared by identity: it holds arrays
 class DecodeInstance:
     """A target vector with a promised error budget, optionally planted.
 
-    Shapes are checked, and every entry of ``t`` and ``s_true`` must be
-    over the code's field (FieldMismatch), so no decoder reads a foreign
-    element.
+    ``t`` and ``s_true`` are held as :func:`~pqdec.gf.digit_rows`'
+    read-only copies, lengths checked, so no decoder reads a foreign
+    element or a digit out of range.
     """
 
     code: LinearCode
-    t: tuple[FieldElement, ...]
+    t: np.ndarray
     w: int | None  # None means no bound (infinite promise)
-    s_true: tuple[FieldElement, ...] | None = None
+    s_true: np.ndarray | None = None
 
     def __post_init__(self) -> None:
+        f = self.code.field
+        self.t = digit_rows(f, self.t, "instance entry")
         if len(self.t) != self.code.n:
             raise LengthMismatch(f"target length {len(self.t)} != n = {self.code.n}")
-        if self.s_true is not None and len(self.s_true) != self.code.k:
-            raise LengthMismatch(f"message length {len(self.s_true)} != k = {self.code.k}")
-        require_field(self.code.field, (*self.t, *(self.s_true or ())), "instance entry")
+        if self.s_true is not None:
+            self.s_true = digit_rows(f, self.s_true, "instance entry")
+            if len(self.s_true) != self.code.k:
+                raise LengthMismatch(f"message length {len(self.s_true)} != k = {self.code.k}")
         if self.w is not None and self.w < 0:
             raise BadShape(f"error budget w = {self.w} must be >= 0")
 
@@ -217,19 +221,16 @@ class DecodeInstance:
         return self.code.field
 
 
-def plant_instance(
-    code: LinearCode,
-    s: Sequence[FieldElement],
-    e: Sequence[FieldElement],
-    w: int | None = None,
-) -> DecodeInstance:
-    """Instance t = A s + e with explicit error; w defaults to the actual distance."""
+def plant_instance(code: LinearCode, s, e, w: int | None = None) -> DecodeInstance:
+    """Instance t = A s + e (digit rows mod p); w defaults to the actual distance."""
+    f = code.field
+    e = digit_rows(f, e, "error entry")
     if len(e) != code.n:
         raise LengthMismatch(f"error length {len(e)} != n = {code.n}")
     cw = code.encode(s)
-    t = tuple(c + err for c, err in zip(cw, e))
-    actual = manhattan_dist(t, cw)
-    return DecodeInstance(code=code, t=t, w=actual if w is None else w, s_true=tuple(s))
+    t = (cw + e) % f.p
+    actual = manhattan_dist(f, t, cw)
+    return DecodeInstance(code=code, t=t, w=actual if w is None else w, s_true=s)
 
 
 def gen_instance(
@@ -257,12 +258,14 @@ def gen_instance(
             f"per-coordinate error bound {bound} is past 2^63 - 1, the error draw's range"
         )
     rng = np.random.default_rng(seed)
-    s = f.random_elements(rng, code.k)
+    s = rng.integers(0, f.p, size=(code.k, f.m))  # the draws of f.random_elements
     cw = code.encode(s)
     for _ in range(1000):
-        e = tuple(f.el(int(v)) for v in rng.integers(0, bound + 1, size=code.n))
-        t = tuple(c + err for c, err in zip(cw, e))
-        if manhattan_dist(t, cw) <= w:
+        images = rng.integers(0, bound + 1, size=code.n)
+        # Python-int digits: past q = 2^63 the codec's int64 weights overflow
+        e = np.array([_int_digits(int(v), f.p, f.m) for v in images], dtype=np.int64)
+        t = (cw + e) % f.p
+        if manhattan_dist(f, t, cw) <= w:
             return DecodeInstance(code=code, t=t, w=w, s_true=s)
     raise BudgetExceeded("could not sample an error meeting the declared bound")
 
@@ -277,11 +280,11 @@ def instance_to_json(inst: DecodeInstance) -> dict:
         "n": inst.code.n,
         "k": inst.code.k,
         "A": inst.code.images(),
-        "t": [e.image for e in inst.t],
+        "t": digit_images(inst.t, inst.field.p).tolist(),
         "w": inst.w,
     }
     if inst.s_true is not None:
-        obj["s_true"] = [e.image for e in inst.s_true]
+        obj["s_true"] = digit_images(inst.s_true, inst.field.p).tolist()
     if inst.code.d is not None:
         obj["d"] = inst.code.d
     return obj

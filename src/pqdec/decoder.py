@@ -58,7 +58,7 @@ from .errors import (
     RetryBudgetExhausted,
     ScaleExceeded,
 )
-from .gf import FieldElement, label_to_digits, stack_digits, unstack_digits
+from .gf import digit_images, label_to_digits
 from .metrics import manhattan_dist
 from .modp import rank
 from .qsim import (
@@ -71,7 +71,6 @@ from .qsim import (
     label_source,
     require_cube_orthogonality,
     shift_cube_vector,
-    vector_digit_rows,
 )
 
 BACKENDS = ("dense", "structured")
@@ -107,13 +106,13 @@ def sample_label_matrix(p: int, t: int, rng: np.random.Generator) -> tuple[np.nd
     )
 
 
-def verify_candidate(inst: DecodeInstance, s_hat: tuple[FieldElement, ...]) -> bool:
+def verify_candidate(inst: DecodeInstance, s_hat) -> bool:
     """True iff the candidate's codeword is within the instance's bound (always, without one)."""
     return _within_bound(inst, inst.code.encode(s_hat))
 
 
-def _within_bound(inst: DecodeInstance, codeword: tuple[FieldElement, ...]) -> bool:
-    return inst.w is None or manhattan_dist(inst.t, codeword) <= inst.w
+def _within_bound(inst: DecodeInstance, codeword: np.ndarray) -> bool:
+    return inst.w is None or manhattan_dist(inst.field, inst.t, codeword) <= inst.w
 
 
 def decode_structured(
@@ -127,7 +126,7 @@ def decode_structured(
     if inst.s_true is None:
         raise PromiseViolated("structured backend needs a planted instance")
     codeword = code.encode(inst.s_true)
-    residual = (stack_digits(inst.t) - stack_digits(codeword)).reshape(code.n, f.m) % f.p
+    residual = (inst.t - codeword) % f.p
     if residual[:, sigma.r :].any():  # some coordinate of t - A s has image >= sigma
         raise PromiseViolated(
             f"planted error has a coordinate image >= sigma = {sigma.sigma}; "
@@ -139,12 +138,11 @@ def decode_structured(
     # the phases telescope through L^-1 then L, leaving -s on the work
     # register; the Fourier-basis measurement reads it out and negation
     # recovers s, so the answer is the planted message itself
-    s_hat_digits = tuple(int(d) for d in stack_digits(inst.s_true))
     if not _within_bound(inst, codeword):
         raise PromiseViolated("structured decode failed verification against the bound")
     return DecodeResult(
-        s_hat_digits=s_hat_digits,
-        s_hat=tuple(e.image for e in inst.s_true),
+        s_hat_digits=tuple(inst.s_true.reshape(-1).tolist()),
+        s_hat=tuple(digit_images(inst.s_true, f.p).tolist()),
         sigma_r=sigma.r,
         backend="structured",
         resample_rounds=rounds,
@@ -262,14 +260,13 @@ def decode_dense(
     columns, rounds = sample_label_matrix(f.p, t_digits, rng)
     pcs_vectors = list(sampler.collapse(columns.T))  # the T labels in one product
     del sampler  # its joined state is not read again; free it before the marginal
-    t_rows = vector_digit_rows(inst.t)
     try:
         layout = RegisterLayout(
             p=f.p, m=f.m, n=code.n, label_digits=t_digits, cube_count=t_digits
         )
-        marginal = _dense_full_marginal(columns, pcs_vectors, t_rows, layout)
+        marginal = _dense_full_marginal(columns, pcs_vectors, inst.t, layout)
     except ScaleExceeded:
-        marginal = _dense_factorized_marginal(columns, pcs_vectors, t_rows, f)
+        marginal = _dense_factorized_marginal(columns, pcs_vectors, inst.t, f)
     total = marginal.sum()
     if not abs(total - 1.0) < 1e-9:
         raise InvariantViolated(f"final marginal sums to {total!r}, not 1")
@@ -279,13 +276,12 @@ def decode_dense(
         outcome_idx = peak_idx
     else:
         outcome_idx = int(rng.choice(len(marginal), p=marginal / total))
-    s_hat_digits = tuple((-label_to_digits(outcome_idx, t_digits, f.p) % f.p).tolist())
-    s_hat = unstack_digits(f, s_hat_digits)
+    s_hat = -label_to_digits(outcome_idx, t_digits, f.p).reshape(code.k, f.m) % f.p
     if not verify_candidate(inst, s_hat):
         raise PromiseViolated("dense decode failed verification against the bound")
     return DecodeResult(
-        s_hat_digits=s_hat_digits,
-        s_hat=tuple(e.image for e in s_hat),
+        s_hat_digits=tuple(s_hat.reshape(-1).tolist()),
+        s_hat=tuple(digit_images(s_hat, f.p).tolist()),
         sigma_r=sigma.r,
         backend="dense",
         resample_rounds=rounds,

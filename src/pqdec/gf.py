@@ -13,14 +13,16 @@ integer addition of the images; e.g. in F_16 the images satisfy
 monic degree-m irreducible polynomial, stored as its m low coefficients
 (constant term first, leading 1 implicit).
 
-A matrix over F_q also acts as an F_p-linear operator on the stacked
-digit vectors; ``expand_operator`` materialises that operator as an
+An F_q vector is one (len, m) int64 array of digit rows, LSB first, from
+instance to decoder (in through :func:`digit_rows`, images through
+:func:`digit_images`).  A matrix over F_q acts as an F_p-linear operator
+on the flattened rows; ``expand_operator`` materialises it as an
 (m*n) x (m*k) matrix over F_p whose (i, j) block is the multiplication
 operator of entry (i, j) in the basis (1, x, ..., x^(m-1)).  F_q linear
 maps are applied through that expanded operator (numpy products mod p,
 built once per code by :class:`pqdec.codes.LinearCode`); ``FieldElement``
-is the scalar view of one element, used at the public API and by the
-tests as the reference arithmetic.
+is the scalar view of one element, used for matrix entries, at the public
+API and by the tests as the reference arithmetic.
 
 This module owns the field layer's two conventions, once each:
 
@@ -44,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -407,14 +409,40 @@ class FieldElement:
         return f"GF({self.field.q})[{self.image}]"
 
 
-def require_field(field: Field, elements: Iterable[FieldElement], what: str) -> None:
-    """Raise FieldMismatch unless every element is over ``field``.
+def digit_rows(field: Field, vec, what: str = "vector entry") -> np.ndarray:
+    """Read-only (len, m) int64 digit rows of a vector, LSB first: the one way in.
 
-    Each element is checked, by identity first, so elements that
-    ``field`` itself made cost no equality test.
+    ``vec`` is ``FieldElement``s over ``field`` (FieldMismatch names ``what``)
+    or an integer array of shape (len, m) with digits in [0, p) (BadShape,
+    OutOfRange), checked before it is copied.
     """
-    if any(e.field is not field and e.field != field for e in elements):
-        raise FieldMismatch(f"{what} from a different field")
+    m, p = field.m, field.p
+    if isinstance(vec, np.ndarray):
+        if vec.dtype.kind not in "iu" or vec.ndim != 2 or vec.shape[1] != m:
+            raise BadShape(f"expected integer digit rows (len, {m}), got {vec.dtype} {vec.shape}")
+        if vec.size and (vec.min() < 0 or vec.max() >= p):
+            raise OutOfRange(f"digit outside [0, {p - 1}]")
+        rows = vec.astype(np.int64)
+    else:
+        vec = tuple(vec)
+        # identity first, so elements that ``field`` itself made cost no equality test
+        if any(e.field is not field and e.field != field for e in vec):
+            raise FieldMismatch(f"{what} from a different field")
+        rows = np.array([e.digits for e in vec], dtype=np.int64).reshape(len(vec), m)
+    rows.setflags(write=False)
+    return rows
+
+
+def digit_images(rows: np.ndarray, p: int) -> np.ndarray:
+    """Exact images of (len, m) digit rows, the format's one width split.
+
+    int64 while len * q < 2^63, so a sum of len images or differences
+    stays in range; Python ints past that (F_{2^64}).
+    """
+    count, m = rows.shape
+    if count * p**m < 2**63:
+        return rows @ p ** np.arange(m, dtype=np.int64)
+    return rows.astype(object) @ np.array([p**i for i in range(m)], dtype=object)
 
 
 # ----------------------------------------------------------------------
@@ -423,7 +451,7 @@ def require_field(field: Field, elements: Iterable[FieldElement], what: str) -> 
 
 @dataclass(frozen=True)
 class ExpandedMatrix:
-    """An F_q matrix rewritten as an F_p matrix on stacked digit vectors.
+    """An F_q matrix rewritten as an F_p matrix on flattened digit rows.
 
     ``entries`` has shape (m*n, m*k); block (i, j) is the m x m
     multiplication-by-A[i][j] operator in the basis (1, x, ..., x^(m-1)),
@@ -465,7 +493,8 @@ def expand_operator(matrix: Sequence[Sequence[FieldElement]], field: Field) -> E
     """Expand an n x k matrix over F_q into its (m*n) x (m*k) F_p operator.
 
     Defining property: entries @ digits(x) == digits(A x) for every
-    x in F_q^k, with digit vectors stacked coordinate-major, LSB first.
+    x in F_q^k, digits(x) being the flattened (k, m) digit rows of x
+    (coordinate-major, LSB first).
     Block (i, j) is sum_l digit_l(A[i][j]) * X^l for the multiplication-
     by-x^l operators X^l, so every block comes out of one contraction of
     the (n, k, m) digit array of the entries; no field product is formed.
@@ -473,10 +502,7 @@ def expand_operator(matrix: Sequence[Sequence[FieldElement]], field: Field) -> E
     n = len(matrix)
     k = len(matrix[0]) if n else 0
     m, p = field.m, field.p
-    require_field(field, (a for row in matrix for a in row), "matrix entry")
-    digits = np.array(
-        [[a.digits for a in row] for row in matrix], dtype=np.int64
-    ).reshape(n, k, m)
+    digits = digit_rows(field, [a for row in matrix for a in row], "matrix entry").reshape(n, k, m)
     blocks = np.einsum("ijl,lab->iajb", digits, _x_power_operators(field)) % p
     return ExpandedMatrix(entries=blocks.reshape(m * n, m * k), n=n, k=k, m=m, p=p)
 
@@ -491,17 +517,3 @@ def top_digit_submatrix(expanded: ExpandedMatrix, r: int) -> np.ndarray:
     if not 0 <= r < m:
         raise OutOfRange(f"low-digit cutoff r = {r} outside [0, {m - 1}]")
     return expanded.entries.reshape(expanded.n, m, -1)[:, r:].reshape(-1, m * expanded.k)
-
-
-def stack_digits(vec: Sequence[FieldElement]) -> np.ndarray:
-    """Concatenated digit vectors of a field vector (coordinate-major, LSB first)."""
-    return np.array([d for e in vec for d in e.digits], dtype=np.int64)
-
-
-def unstack_digits(field: Field, flat: Sequence[int]) -> tuple[FieldElement, ...]:
-    """Inverse of :func:`stack_digits`."""
-    m = field.m
-    if len(flat) % m:
-        raise DegreeMismatch(f"digit vector length {len(flat)} not a multiple of m={m}")
-    rows = (np.asarray(flat, dtype=np.int64) % field.p).reshape(-1, m).tolist()
-    return tuple(FieldElement(field, tuple(row)) for row in rows)

@@ -31,9 +31,11 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .codes import LinearCode
 from .errors import BadParams, BudgetExceeded, GadgetGapError
-from .gf import Field, FieldElement, json_int, label_to_digits
+from .gf import Field, digit_rows, json_int, label_to_digits
 from .metrics import manhattan_dist, manhattan_norm
 
 DEFAULT_GADGET_BUDGET = 2**20
@@ -89,12 +91,12 @@ class SetCoverInstance:
             raise BadParams(f"malformed set cover: {exc!r}") from exc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # hashed by identity: b0 is an array
 class Gadget:
-    """Target b0 and the linear code whose generator column i is b_(i+1)."""
+    """Target b0 (read-only digit rows) and the code whose generator column i is b_(i+1)."""
 
     sc: SetCoverInstance
-    b0: tuple[FieldElement, ...]
+    b0: np.ndarray
     code: LinearCode
 
     @property
@@ -119,7 +121,7 @@ def build_gadget(sc: SetCoverInstance, field: Field) -> Gadget:
     L = sc.c * sc.K
     block = L * sc.universe_size
     zero, one = field.zero, field.one
-    b0 = (one,) * block + (zero,) * sc.num_sets
+    b0 = digit_rows(field, (one,) * block + (zero,) * sc.num_sets)
     rows = [[one if pos // L in s else zero for s in sc.sets] for pos in range(block)]
     rows += [[one if j == i else zero for j in range(sc.num_sets)] for i in range(sc.num_sets)]
     return Gadget(sc=sc, b0=b0, code=LinearCode(field, rows))
@@ -132,7 +134,8 @@ def gadget_distance_bruteforce(
 
     Enumerates all q^m' assignments directly, assignment ``idx`` being
     the base-q digits of ``idx`` read through the numeral codec one index
-    at a time, and takes each span as ``g.code.encode(alpha)``.  It keeps
+    at a time (its m*m' base-p digits, each coordinate's reversed into
+    digit rows), and takes each span as ``g.code.encode(alpha)``.  It keeps
     its own enumeration, distances and tie-break, so the codeword oracle
     still cross-checks it; the two share only the expanded operator.
     Returns (OPT, the first minimising alpha as integer images).
@@ -145,11 +148,10 @@ def gadget_distance_bruteforce(
     best: int | None = None
     best_alpha: tuple[int, ...] = ()
     for idx in range(total):
-        alpha_imgs = tuple(label_to_digits(idx, m_sets, f.q).tolist())
-        alpha = tuple(f.el(v) for v in alpha_imgs)
-        dist = manhattan_dist(g.b0, g.code.encode(alpha))
+        alpha = label_to_digits(idx, f.m * m_sets, f.p).reshape(m_sets, f.m)[:, ::-1]
+        dist = manhattan_dist(f, g.b0, g.code.encode(alpha))
         if best is None or dist < best:
-            best, best_alpha = dist, alpha_imgs
+            best, best_alpha = dist, tuple(label_to_digits(idx, m_sets, f.q).tolist())
     return int(best), best_alpha
 
 
@@ -221,14 +223,12 @@ def verify_gap(
         bound = (p - 1) * sc.K
         # constructive: all-ones on the cover zeroes the universe block and
         # pays exactly K on the tail
-        alpha = [g.field.zero] * sc.num_sets
-        for i in exact_cover:
-            alpha[i] = g.field.one
+        alpha = [g.field.one if i in exact_cover else g.field.zero for i in range(sc.num_sets)]
         span = g.code.encode(alpha)
-        witness_distance = manhattan_dist(g.b0, span)
+        witness_distance = manhattan_dist(g.field, g.b0, span)
         # scaling the cover by p-1 (= -1) cancels the universe block, so the
         # weight of b0 + (p-1) * span = b0 - span is carried by the K tail marks
-        residual_weight = manhattan_norm([a - b for a, b in zip(g.b0, span)])
+        residual_weight = manhattan_norm(g.field, (g.b0 - span) % p)
         passed = (
             opt <= bound
             and witness_distance == sc.K

@@ -18,10 +18,11 @@ in ``gf`` so that ``codes`` enumerates messages with it too).
 Within a coordinate the LEAST significant digit sits at the last
 (fastest-varying) axis, so the m axes of a coordinate, read as a C-order
 number, equal the coordinate's integer image, and a cube register's
-block index is the base-q number of its coordinate images.  Every radix
-conversion in the package goes through that one codec, with three
-exceptions.  Two work on Python ints for images past 2^63,
-``gf._int_digits`` and ``FieldElement.image``.  One builds an index map
+block index is the base-q number of its coordinate images (each
+coordinate's digit row reversed).  Every radix conversion in the package
+goes through that one codec, with four exceptions.  Three work on Python
+ints for images past 2^63, ``gf._int_digits``, ``FieldElement.image``
+and ``gf.digit_images``.  One builds an index map
 by Horner's rule: :func:`_shift_source`, for speed (a 3^9-entry shift
 map and its bijection check take about 0.13 ms by Horner against about
 6 ms through the codec, on one core of a 2-vCPU Xeon).  A decode builds
@@ -147,7 +148,7 @@ from .errors import (
     OutOfRange,
     ScaleExceeded,
 )
-from .gf import Field, FieldElement, digits_to_label, is_prime, label_to_digits, stack_digits
+from .gf import Field, digit_rows, digits_to_label, is_prime, label_to_digits
 
 MAX_AMPLITUDES = 2**24
 NORM_TOL = 1e-10
@@ -715,12 +716,7 @@ def _fourier_law(
 # Small-vector helpers on a single F_q^n register (no label part)
 # ----------------------------------------------------------------------
 
-def vector_digit_rows(vec: Sequence[FieldElement]) -> np.ndarray:
-    """(n, m) digit matrix of an F_q^n vector, LSB first."""
-    return np.array([e.digits for e in vec], dtype=np.int64)
-
-
-def cube_vector(field: Field, n: int, anchor: Sequence[FieldElement], sigma: SigmaParam) -> np.ndarray:
+def cube_vector(field: Field, n: int, anchor, sigma: SigmaParam) -> np.ndarray:
     """The side-sigma cube state at ``anchor`` as a bare q^n amplitude vector.
 
     Straight from the definition, as the oracle of :meth:`DenseState.prep_cube`
@@ -730,12 +726,13 @@ def cube_vector(field: Field, n: int, anchor: Sequence[FieldElement], sigma: Sig
     More than ``MAX_AMPLITUDES`` amplitudes raise ScaleExceeded before
     anything is allocated.
     """
+    anchor = digit_rows(field, anchor, "anchor entry")
     if len(anchor) != n:
         raise LengthMismatch(f"anchor length {len(anchor)} != n = {n}")
     p, m, q = field.p, field.m, field.q
     _require_amplitudes(q**n, "cube vector")
     offsets = label_to_digits(np.arange(sigma.sigma**n), n, sigma.sigma)
-    anchor_digits = label_to_digits([a.image for a in anchor], m, p)
+    anchor_digits = anchor[:, ::-1]  # most significant first, as the codec reads
     # digits_to_label reduces mod p, so the sum is F_q addition
     points = digits_to_label(label_to_digits(offsets, m, p) + anchor_digits, p)
     vec = np.zeros(q**n, dtype=np.complex128)
@@ -777,17 +774,15 @@ def pcs_state_direct(
     _require_amplitudes(q**code.n, "phased cube state")
     omega = np.exp(2j * np.pi / f.p)
     out = np.zeros(q**code.n, dtype=np.complex128)
-    msgs = message_images(f, k)
+    msgs = label_to_digits(message_images(f, k), f.m, f.p)[..., ::-1]  # (q^k, k, m) rows
     label = np.array(label_digits, dtype=np.int64)
-    for row in msgs:
-        c = tuple(f.el(int(v)) for v in row)
-        c_digits = stack_digits(c)
-        phase = omega ** int((label * c_digits).sum() % f.p)
+    for c in msgs:
+        phase = omega ** int((label * c.reshape(-1)).sum() % f.p)
         out += phase * cube_vector(f, code.n, code.encode(c), sigma)
     return out * q ** (-k / 2)
 
 
-def cube_overlap(delta: Sequence[FieldElement], sigma: SigmaParam) -> float:
+def cube_overlap(field: Field, delta, sigma: SigmaParam) -> float:
     """<C_sigma(0) | C_sigma(delta)> computed by digit counting.
 
     Per coordinate the overlap of [sigma] with delta_i + [sigma] is sigma
@@ -795,12 +790,7 @@ def cube_overlap(delta: Sequence[FieldElement], sigma: SigmaParam) -> float:
     addition cannot clear a high digit), and 0 otherwise; the state
     overlap is the product of the per-coordinate fractions.
     """
-    out = 1.0
-    for e in delta:
-        top_clear = all(d == 0 for d in e.digits[sigma.r :])
-        count = sigma.sigma if top_clear else 0
-        out *= count / sigma.sigma
-    return out
+    return 0.0 if digit_rows(field, delta)[:, sigma.r :].any() else 1.0
 
 
 # ----------------------------------------------------------------------
@@ -863,7 +853,7 @@ class PcsSampler:
         cube = DenseState.zero_state(replace(self.layout, label_digits=0))
         cube.prep_cube(sigma)
         # label digits j*m .. j*m+m-1 are the LSB-first digits of message
-        # coordinate j, i.e. the label is the stacked digit vector of c, so
+        # coordinate j, i.e. the label is the flattened digit rows of c, so
         # label digit d shifts the cube by column d of the expanded A
         generators = code.operator.entries.T.reshape(-1, 1, code.n, f.m)
         joined = _join(

@@ -26,7 +26,14 @@ from pqdec.codes import (
     random_code,
 )
 from pqdec.decoder import decode_dense, decode_structured
-from pqdec.gf import Field, expand_operator, label_to_digits, top_digit_submatrix
+from pqdec.gf import (
+    Field,
+    digit_images,
+    digit_rows,
+    expand_operator,
+    label_to_digits,
+    top_digit_submatrix,
+)
 from pqdec.hardness import (
     SetCoverInstance,
     build_gadget,
@@ -43,7 +50,6 @@ from pqdec.qsim import (
     cube_vector,
     pcs_state_direct,
     shift_cube_vector,
-    vector_digit_rows,
 )
 
 F4 = Field(2, 2)
@@ -109,16 +115,16 @@ def test_criterion_02_cube_state_laws():
                 sigma = SigmaParam.from_r(field, r)
                 c0 = cube_vector(field, n, zero, sigma)
                 for images in product(range(field.q), repeat=n):
-                    delta = tuple(field.el(v) for v in images)
+                    delta = digit_rows(field, [field.el(v) for v in images])
                     cd = cube_vector(field, n, delta, sigma)
                     dense = np.vdot(c0, cd)
-                    analytic = cube_overlap(delta, sigma)
+                    analytic = cube_overlap(field, delta, sigma)
                     ok &= abs(dense - analytic) < 1e-10
-                    if all(e.image < sigma.sigma for e in delta):
+                    if all(v < sigma.sigma for v in images):
                         # strict close form: the states coincide
                         ok &= np.allclose(c0, cd, atol=1e-10)
                         ok &= abs(analytic - 1.0) < 1e-10
-                    if manhattan_norm(delta) > n * sigma.sigma:
+                    if manhattan_norm(field, delta) > n * sigma.sigma:
                         ok &= abs(analytic) < 1e-10
                     checked += 1
     elapsed = time.perf_counter() - started
@@ -139,12 +145,12 @@ def test_criterion_03_eigenphase_exhaustive():
         s = (F4.el(s_img),)
         s_digits = np.array([d for e in s for d in e.digits])
         for err in errors:
-            e = tuple(F4.el(v) for v in err)
-            t = tuple(a + b for a, b in zip(code.encode(s), e))
-            ok &= manhattan_dist(t, code.encode(s)) <= 1
+            e = digit_rows(F4, [F4.el(v) for v in err])
+            t = (code.encode(s) + e) % 2
+            ok &= manhattan_dist(F4, t, code.encode(s)) <= 1
             for label in product(range(2), repeat=2):
                 phi = pcs_state_direct(code, sigma, label)
-                shifted = shift_cube_vector(phi, F4, vector_digit_rows(t))
+                shifted = shift_cube_vector(phi, F4, t)
                 phase = int(np.array(label) @ s_digits) % 2
                 ok &= np.allclose(shifted, (-1.0) ** phase * phi, atol=1e-10)
                 checked += 1
@@ -217,7 +223,7 @@ def test_criterion_05_end_to_end_decoder():
         ok &= d / (p * n) < sigma.sigma < d / n
         dense = decode_dense(inst, sigma, seed=idx)
         ok &= dense.peak_probability >= 1 - 1e-9
-        ok &= dense.s_hat == tuple(e.image for e in inst.s_true)
+        ok &= dense.s_hat == tuple(digit_images(inst.s_true, p).tolist())
         structured = decode_structured(inst, sigma, seed=idx)
         ok &= structured.s_hat == dense.s_hat
         ok &= structured.resample_rounds == dense.resample_rounds

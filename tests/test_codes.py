@@ -21,9 +21,10 @@ from pqdec.errors import (
     BudgetExceeded,
     FieldMismatch,
     LengthMismatch,
+    OutOfRange,
     PreconditionUnmet,
 )
-from pqdec.gf import Field
+from pqdec.gf import Field, digit_images, digit_rows
 from pqdec.metrics import manhattan_dist
 
 
@@ -35,13 +36,15 @@ def code_123(f4):
 
 def test_encode_zero_is_zero(f4):
     code = code_123(f4)
-    assert all(e.image == 0 for e in code.encode([f4.zero]))
+    assert code.encode([f4.zero]).shape == (3, 2)
+    assert not code.encode([f4.zero]).any()
+    assert not code.encode(np.zeros((1, 2), dtype=np.int64)).any()
 
 
 def test_encode_f4_column_code(f4):
     code = code_123(f4)
-    assert [e.image for e in code.encode([f4.el(2)])] == [2, 3, 1]
-    assert [e.image for e in code.encode([f4.el(3)])] == [3, 1, 2]
+    assert digit_images(code.encode([f4.el(2)]), 2).tolist() == [2, 3, 1]
+    assert digit_images(code.encode([f4.el(3)]), 2).tolist() == [3, 1, 2]
     with pytest.raises(LengthMismatch):
         code.encode([f4.el(1), f4.el(1)])
 
@@ -53,8 +56,8 @@ def test_encode_is_linear(f9):
         s1 = [f9.random_element(rng) for _ in range(2)]
         s2 = [f9.random_element(rng) for _ in range(2)]
         lhs = code.encode([a + b for a, b in zip(s1, s2)])
-        rhs = [a + b for a, b in zip(code.encode(s1), code.encode(s2))]
-        assert lhs == tuple(rhs)
+        rhs = (code.encode(s1) + code.encode(s2)) % 3
+        assert np.array_equal(lhs, rhs)
 
 
 def test_rank_check_rejects_dependent_columns(f4):
@@ -86,6 +89,11 @@ def reference_encode(code, s):
     return tuple(out)
 
 
+def image_distance(x, y):
+    """The Manhattan distance of two FieldElement vectors, image by image."""
+    return sum(abs(a.image - b.image) for a, b in zip(x, y))
+
+
 @pytest.mark.parametrize("p,m", [(2, 2), (2, 16), (3, 3), (5, 2), (7, 3)])
 def test_encode_and_codeword_images_match_scalar_path(p, m):
     f = Field(p, m)
@@ -94,7 +102,7 @@ def test_encode_and_codeword_images_match_scalar_path(p, m):
     code = random_code(f, 4, k, rng)
     for _ in range(20):
         s = [f.random_element(rng) for _ in range(k)]
-        assert code.encode(s) == reference_encode(code, s)
+        assert np.array_equal(code.encode(s), digit_rows(f, reference_encode(code, s)))
     imgs = codeword_images(code)
     msgs = message_images(f, k)
     assert imgs.shape == (f.q**k, 4)
@@ -110,7 +118,7 @@ def test_encode_matches_scalar_path_on_f2_64():
     code = random_code(f, 3, 2, rng)
     for _ in range(5):
         s = [f.random_element(rng) for _ in range(2)]
-        assert code.encode(s) == reference_encode(code, s)
+        assert np.array_equal(code.encode(s), digit_rows(f, reference_encode(code, s)))
 
 
 def test_encode_rejects_foreign_message(f4, f9):
@@ -188,7 +196,8 @@ def test_gen_instance_message_draws_like_per_element_calls(p, m, k):
     code = random_code(f, k + 1, k, 0)
     inst = gen_instance(code, 0, 13)
     ref = np.random.default_rng(13)
-    assert inst.s_true == tuple(f.from_digits(ref.integers(0, p, m).tolist()) for _ in range(k))
+    want = [f.from_digits(ref.integers(0, p, m).tolist()) for _ in range(k)]
+    assert np.array_equal(inst.s_true, digit_rows(f, want))
 
 
 # ---------------------------------------------------------------- min distance
@@ -196,9 +205,9 @@ def test_gen_instance_message_draws_like_per_element_calls(p, m, k):
 def test_min_distance_f4_column_code(f4):
     code = code_123(f4)
     # independent enumeration with plain field ops
-    words = [code.encode([f4.el(s)]) for s in range(4)]
+    words = [reference_encode(code, [f4.el(s)]) for s in range(4)]
     expected = min(
-        manhattan_dist(words[i], words[j])
+        image_distance(words[i], words[j])
         for i in range(4)
         for j in range(i + 1, 4)
     )
@@ -211,7 +220,7 @@ def test_min_distance_repetition_f16(f16):
     code = LinearCode(f16, [[f16.el(1)], [f16.el(1)]])
     words = [code.encode([f16.el(s)]) for s in range(16)]
     expected = min(
-        manhattan_dist(words[i], words[j])
+        manhattan_dist(f16, words[i], words[j])
         for i in range(16)
         for j in range(i + 1, 16)
     )
@@ -230,7 +239,7 @@ def test_codeword_images_match_encode(f9):
     msgs = message_images(f9, 2)
     for row in range(0, imgs.shape[0], 7):
         s = [f9.el(int(v)) for v in msgs[row]]
-        assert [e.image for e in code.encode(s)] == list(imgs[row])
+        assert digit_images(code.encode(s), 3).tolist() == list(imgs[row])
 
 
 # ---------------------------------------------------------------- oracle
@@ -239,7 +248,7 @@ def test_oracle_on_codeword(f4):
     code = code_123(f4)
     s = (f4.el(3),)
     s_star, dist = nearest_codeword_oracle(code, code.encode(s))
-    assert s_star == s and dist == 0
+    assert np.array_equal(s_star, digit_rows(f4, s)) and dist == 0
 
 
 def test_oracle_recovers_planted(f4):
@@ -248,22 +257,22 @@ def test_oracle_recovers_planted(f4):
     # error weight 1 < d/2 = 2, so the plant is the unique nearest codeword
     for s_img in range(4):
         s = (f4.el(s_img),)
-        t = list(code.encode(s))
+        t = list(reference_encode(code, s))
         t[0] = t[0] + f4.one
-        s_star, dist = nearest_codeword_oracle(code, tuple(t))
-        assert s_star == s
+        s_star, dist = nearest_codeword_oracle(code, digit_rows(f4, t))
+        assert np.array_equal(s_star, digit_rows(f4, s))
         assert dist == 1
 
 
 def test_oracle_tie_breaks_lexicographically(f4):
     code = LinearCode(f4, [[f4.el(1)], [f4.el(1)]])
     # t = (0, 1) is at distance 1 from both message 0 and message 1
-    t = (f4.el(0), f4.el(1))
+    t = digit_rows(f4, (f4.el(0), f4.el(1)))
     s_star, dist = nearest_codeword_oracle(code, t)
     assert dist == 1
-    assert s_star[0].image == 0  # smallest image wins
+    assert digit_images(s_star, 2).tolist() == [0]  # smallest image wins
     again, _ = nearest_codeword_oracle(code, t)
-    assert again == s_star
+    assert np.array_equal(again, s_star)
 
 
 # ---------------------------------------------------------------- instances
@@ -271,7 +280,7 @@ def test_oracle_tie_breaks_lexicographically(f4):
 def test_gen_instance_zero_budget_is_codeword(f4):
     code = code_123(f4)
     inst = gen_instance(code, 0, seed=3)
-    assert inst.t == code.encode(inst.s_true)
+    assert np.array_equal(inst.t, code.encode(inst.s_true))
     assert inst.w == 0
 
 
@@ -279,7 +288,7 @@ def test_gen_instance_respects_bound(f16):
     code = random_code(f16, 4, 2, 9)
     for seed in range(30):
         inst = gen_instance(code, 8, seed=seed)
-        assert manhattan_dist(inst.t, code.encode(inst.s_true)) <= 8
+        assert manhattan_dist(f16, inst.t, code.encode(inst.s_true)) <= 8
 
 
 def test_gen_instance_error_images_uniform(f16):
@@ -291,8 +300,8 @@ def test_gen_instance_error_images_uniform(f16):
     for _ in range(draws):
         inst = gen_instance(code, w, rng)
         cw = code.encode(inst.s_true)
-        for a, b in zip(inst.t, cw):
-            counts[(a - b).image] += 1
+        for image in digit_images((inst.t - cw) % 2, 2):
+            counts[image] += 1
     freqs = counts / (draws * n)
     assert counts.sum() == draws * n  # every error image stayed in [0, 3]
     assert np.all(np.abs(freqs - 0.25) < 0.02)
@@ -305,7 +314,7 @@ def test_gen_instance_caps_each_error_image_at_q_minus_1(f4, seed):
     code = LinearCode(f4, [[f4.el(2)], [f4.el(3)]])
     inst = gen_instance(code, 100, seed=seed)
     assert inst.w == 100
-    assert manhattan_dist(inst.t, code.encode(inst.s_true)) <= 2 * (f4.q - 1)
+    assert manhattan_dist(f4, inst.t, code.encode(inst.s_true)) <= 2 * (f4.q - 1)
 
 
 def test_gen_instance_refuses_an_error_bound_past_int64():
@@ -320,7 +329,7 @@ def test_gen_instance_refuses_an_error_bound_past_int64():
     assert rng.bit_generator.state == state  # refused before any draw
     inst = gen_instance(code, 2**64 - 2, rng)
     assert inst.w == 2**64 - 2
-    assert manhattan_dist(inst.t, code.encode(inst.s_true)) <= inst.w
+    assert manhattan_dist(f, inst.t, code.encode(inst.s_true)) <= inst.w
 
 
 def test_plant_instance_records_actual_distance(f9):
@@ -328,8 +337,10 @@ def test_plant_instance_records_actual_distance(f9):
     s = (f9.el(5),)
     e = (f9.el(1), f9.el(0), f9.el(2))
     inst = plant_instance(code, s, e)
-    assert inst.w == manhattan_dist(inst.t, code.encode(s))
-    assert inst.s_true == s
+    t = [c + err for c, err in zip(reference_encode(code, s), e)]
+    assert np.array_equal(inst.t, digit_rows(f9, t))
+    assert inst.w == image_distance(t, reference_encode(code, s))
+    assert np.array_equal(inst.s_true, digit_rows(f9, s))
 
 
 def test_plant_instance_rejects_error_of_wrong_length(f4):
@@ -357,13 +368,31 @@ def test_instance_rejects_an_entry_from_another_field(f16, where, foreign):
     # and the oracle, which takes a bare target, makes it itself; the
     # foreign entry is the last one, past what a first-entry check sees
     code = LinearCode(f16, [[f16.el(1)], [f16.el(2)], [f16.el(4)]])
-    parts = {"t": list(code.encode((f16.el(5),))), "s_true": [f16.el(5)]}
+    parts = {"t": list(reference_encode(code, (f16.el(5),))), "s_true": [f16.el(5)]}
     parts["t" if where == "oracle" else where][-1] = foreign
     with pytest.raises(FieldMismatch):
         if where == "oracle":
             nearest_codeword_oracle(code, tuple(parts["t"]))
         else:
             DecodeInstance(code=code, t=tuple(parts["t"]), w=0, s_true=tuple(parts["s_true"]))
+
+
+@pytest.mark.parametrize(
+    "where,bad,error",
+    [
+        ("t", np.zeros((3, 3), dtype=np.int64), BadShape),  # width 3 over F_16
+        ("t", np.zeros((3, 4)), BadShape),  # float digits
+        ("t", np.full((3, 4), -1), OutOfRange),
+        ("s_true", np.full((1, 4), 2), OutOfRange),
+    ],
+    ids=["t_width", "t_float", "t_negative_digit", "s_true_digit_p"],
+)
+def test_instance_rejects_malformed_digit_rows(f16, where, bad, error):
+    code = LinearCode(f16, [[f16.el(1)], [f16.el(2)], [f16.el(4)]])
+    parts = {"t": code.encode([f16.el(5)]), "s_true": digit_rows(f16, [f16.el(5)])}
+    parts[where] = bad
+    with pytest.raises(error):
+        DecodeInstance(code=code, t=parts["t"], w=0, s_true=parts["s_true"])
 
 
 def test_instance_json_round_trip(f9):
@@ -374,9 +403,9 @@ def test_instance_json_round_trip(f9):
     back = instance_from_json(obj)
     assert back.code.images() == inst.code.images()
     assert back.code.d == inst.code.d
-    assert [e.image for e in back.t] == [e.image for e in inst.t]
+    assert np.array_equal(back.t, inst.t)
     assert back.w == inst.w
-    assert back.s_true == inst.s_true
+    assert np.array_equal(back.s_true, inst.s_true)
 
 
 def test_instance_json_unbounded_and_unplanted(f9):

@@ -41,7 +41,7 @@ from pqdec.errors import (
     PromiseViolated,
     RetryBudgetExhausted,
 )
-from pqdec.gf import Field, digits_to_label, label_to_digits
+from pqdec.gf import Field, digit_images, digit_rows, digits_to_label, label_to_digits
 from pqdec.modp import fp_gauss_invert, invertibility_product
 from pqdec.qsim import (
     MAX_AMPLITUDES,
@@ -53,7 +53,6 @@ from pqdec.qsim import (
     label_source,
     pcs_state_direct,
     shift_cube_vector,
-    vector_digit_rows,
 )
 
 from conftest import generator_table, power_generators
@@ -158,7 +157,7 @@ def test_decode_dense_zero_error_q4(f4):
     for seed in range(8):
         inst = gen_instance(code, 0, seed=seed)
         res = decode_dense(inst, sigma, seed=seed)
-        assert res.s_hat == tuple(e.image for e in inst.s_true)
+        assert res.s_hat == tuple(digit_images(inst.s_true, 2).tolist())
         assert res.peak_probability > 1 - 1e-9
         assert res.verified
 
@@ -176,7 +175,7 @@ def test_decode_dense_nonzero_error_q16_matches_oracle(f16):
         assert res.s_hat == (s[0].image,)
         assert res.peak_probability > 1 - 1e-9
         s_star, _ = nearest_codeword_oracle(code, inst.t)
-        assert res.s_hat == tuple(x.image for x in s_star)
+        assert res.s_hat == tuple(digit_images(s_star, 2).tolist())
 
 
 def test_decode_dense_p3_negation_step(f9):
@@ -188,7 +187,7 @@ def test_decode_dense_p3_negation_step(f9):
     for seed in range(6):
         inst = gen_instance(code, 0, seed=seed)
         res = decode_dense(inst, sigma, seed=seed)
-        s_digits = tuple(d for e in inst.s_true for d in e.digits)
+        s_digits = tuple(inst.s_true.reshape(-1).tolist())  # coordinate-major, LSB first
         assert res.s_hat_digits == s_digits
         if any(d not in (0,) and (-d) % 3 != d for d in s_digits):
             hit_asymmetric = True
@@ -257,7 +256,7 @@ def test_factorized_marginal_equals_full_tensor(f4, f8, f9):
             sampler.collapse(tuple(int(x) for x in columns[:, j]))
             for j in range(t_digits)
         ]
-        t_rows = vector_digit_rows(inst.t)
+        t_rows = inst.t
         layout = RegisterLayout(
             p=f.p, m=f.m, n=code.n, label_digits=t_digits, cube_count=t_digits
         )
@@ -280,7 +279,7 @@ def test_factorized_rows_are_phase_estimation(p, m, gens, d):
     # an exact codeword keeps t inside the promise; error image 1 reaches sigma = 1
     for error, inside in [(0, True), (1, False)]:
         errors = (f.el(error),) + (f.zero,) * (code.n - 1)
-        t_rows = vector_digit_rows(plant_instance(code, (f.el(1),), errors).t)
+        t_rows = plant_instance(code, (f.el(1),), errors).t
         for label in label_to_digits(np.arange(p**m), m, p):
             phi = sampler.collapse(label)
             row = _dense_factorized_marginal(np.eye(1, dtype=np.int64), [phi], t_rows, f)
@@ -601,7 +600,7 @@ def test_full_marginal_at_the_dense_full_shape_holds_no_joined_state(f8):
     columns, _ = sample_label_matrix(2, 3, np.random.default_rng(0))
     pcs = [sampler.collapse(label) for label in columns.T]
     del sampler
-    t_rows = vector_digit_rows(plant_instance(code, (f8.el(5),), (f8.zero, f8.zero)).t)
+    t_rows = plant_instance(code, (f8.el(5),), (f8.zero, f8.zero)).t
     layout = RegisterLayout(p=2, m=3, n=2, label_digits=3, cube_count=3)
     state_bytes = layout.dim * np.result_type(*pcs).itemsize
     assert layout.dim == 2**21 and state_bytes == 2**24
@@ -755,7 +754,7 @@ def test_sigma_search_codeword(f4):
     inst = gen_instance(code_123(f4), 0, seed=2)
     res = sigma_search(inst, backend="dense", seed=0)
     assert res.sigma_r == 0
-    assert res.s_hat == tuple(e.image for e in inst.s_true)
+    assert res.s_hat == tuple(digit_images(inst.s_true, 2).tolist())
 
 
 def test_sigma_search_reaches_working_exponent(f16):
@@ -823,8 +822,9 @@ def test_verify_candidate(f4):
     code = code_123(f4)
     inst = gen_instance(code, 0, seed=1)
     assert verify_candidate(inst, inst.s_true)
-    other = (inst.s_true[0] + f4.one,)
+    other = (f4.from_digits(inst.s_true[0].tolist()) + f4.one,)
     assert not verify_candidate(inst, other)  # d = 4 > 2w = 0
+    assert not verify_candidate(inst, digit_rows(f4, other))
     from pqdec.codes import DecodeInstance
 
     unbounded = DecodeInstance(code=code, t=inst.t, w=None)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pqdec.codes import DecodeInstance, LinearCode
 from pqdec.errors import (
     BadShape,
     DegreeMismatch,
@@ -19,12 +20,13 @@ from pqdec.gf import (
     _poly_divmod,
     _x_power_operators,
     default_irreducible,
+    digit_images,
+    digit_rows,
     expand_operator,
     is_irreducible,
-    stack_digits,
     top_digit_submatrix,
-    unstack_digits,
 )
+from pqdec.metrics import manhattan_dist, manhattan_norm
 from pqdec.modp import rank
 
 
@@ -242,14 +244,14 @@ def test_field_axioms_random_triples(p, m):
 
 
 def test_vector_addition_is_digitwise(f16):
-    # field addition of vectors equals digit-wise mod-p addition of stacks
+    # field addition of vectors equals digit-wise mod-p addition of digit rows
     rng = np.random.default_rng(7)
     for _ in range(200):
         x = [f16.random_element(rng) for _ in range(3)]
         y = [f16.random_element(rng) for _ in range(3)]
         s = [a + b for a, b in zip(x, y)]
         assert np.array_equal(
-            stack_digits(s), (stack_digits(x) + stack_digits(y)) % 2
+            digit_rows(f16, s), (digit_rows(f16, x) + digit_rows(f16, y)) % 2
         )
 
 
@@ -292,8 +294,8 @@ def test_expand_defining_property_random(f9):
             a[i][0] * x[0] + a[i][1] * x[1]
             for i in range(3)
         ]
-        lhs = (exp.entries @ stack_digits(x)) % 3
-        assert np.array_equal(lhs, stack_digits(ax))
+        lhs = (exp.entries @ digit_rows(f9, x).reshape(-1)) % 3
+        assert np.array_equal(lhs, digit_rows(f9, ax).reshape(-1))
 
 
 def test_expand_respects_composition(f4):
@@ -408,10 +410,93 @@ def test_expand_operator_rejects_foreign_entry(f4, f9):
         expand_operator([[f4.one], [f9.one]], f4)
 
 
-def test_stack_unstack_round_trip(f8):
+def test_digit_rows_round_trip(f8):
     rng = np.random.default_rng(6)
     vec = tuple(f8.random_element(rng) for _ in range(5))
-    assert unstack_digits(f8, stack_digits(vec)) == vec
+    rows = digit_rows(f8, vec)
+    assert rows.shape == (5, 3) and rows.dtype == np.int64
+    assert tuple(f8.from_digits(row.tolist()) for row in rows) == vec
+    assert digit_images(rows, 2).tolist() == [e.image for e in vec]
+    assert np.array_equal(digit_rows(f8, rows), rows)
+    assert digit_rows(f8, ()).shape == (0, 3)
+
+
+# ---------------------------------------------------------------- the vector boundary
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        (np.zeros((2, 3), dtype=np.int64), BadShape),  # width 3 over F_16
+        (np.zeros(8, dtype=np.int64), BadShape),  # not rows
+        (np.zeros((2, 4)), BadShape),  # float dtype
+        (np.zeros((2, 4), dtype=bool), BadShape),
+        (np.array([[0, 0, 0, 0], [0, 0, -1, 0]]), OutOfRange),
+        (np.array([[0, 0, 0, 0], [0, 2, 0, 0]]), OutOfRange),
+        (np.array([[0, 0, 0, 0], [0, 2, 0, 0]], dtype=np.uint8), OutOfRange),
+    ],
+)
+def test_digit_rows_rejects_malformed_arrays(f16, bad, error):
+    with pytest.raises(error):
+        digit_rows(f16, bad)
+
+
+def test_digit_rows_rejects_a_foreign_field(f16, f4):
+    with pytest.raises(FieldMismatch):
+        digit_rows(f16, [f16.one, f4.one])
+    # the same p and m under another modulus
+    with pytest.raises(FieldMismatch):
+        digit_rows(f16, [f16.one, Field(2, 4, [1, 0, 0, 1]).one])
+
+
+def test_digit_rows_is_a_read_only_copy(f16):
+    caller = np.array([[1, 0, 1, 0], [0, 1, 1, 1]], dtype=np.int32)
+    rows = digit_rows(f16, caller)
+    assert rows.dtype == np.int64 and not rows.flags.writeable
+    with pytest.raises(ValueError):
+        rows[0, 0] = 0
+    caller[0, 0] = 0
+    assert rows[0, 0] == 1
+    assert not digit_rows(f16, [f16.one]).flags.writeable
+
+
+def test_instance_holds_a_read_only_copy_of_its_vectors(f16):
+    code = LinearCode(f16, [[f16.el(1)], [f16.el(2)], [f16.el(4)]])
+    t, s = code.encode([f16.el(5)]), digit_rows(f16, [f16.el(5)]).copy()
+    inst = DecodeInstance(code=code, t=t, w=0, s_true=s)
+    t[0, 0] ^= 1
+    s[0, 0] ^= 1
+    assert np.array_equal(inst.t, code.encode([f16.el(5)]))
+    assert np.array_equal(inst.s_true, digit_rows(f16, [f16.el(5)]))
+    assert not inst.t.flags.writeable and not inst.s_true.flags.writeable
+
+
+def _image_reference(x, y):
+    return sum(abs(a.image - b.image) for a, b in zip(x, y))
+
+
+def test_digit_images_are_exact_past_2_63():
+    f = Field(2, 64)
+    x, y = [f.el(0), f.el(0)], [f.el(2**64 - 1), f.el(2**64 - 1)]
+    dist = manhattan_dist(f, digit_rows(f, x), digit_rows(f, y))
+    assert dist == 2**65 - 2 == _image_reference(x, y)
+    assert type(dist) is int
+    assert manhattan_norm(f, digit_rows(f, y)) == 2**65 - 2
+    assert digit_images(digit_rows(f, y), 2).tolist() == [2**64 - 1] * 2
+
+
+@pytest.mark.parametrize("n", [1, 2])  # n * q = 2^62 (int64 images) and 2^63 (Python ints)
+def test_digit_images_on_both_sides_of_the_int64_split(n):
+    f = Field(2, 62)
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        x = [f.el(f.q - 1 - int(v)) for v in rng.integers(0, 4, n)]
+        y = [f.el(int(v)) for v in rng.integers(0, 4, n)]
+        x_rows, y_rows = digit_rows(f, x), digit_rows(f, y)
+        images = digit_images(x_rows, 2)
+        assert images.dtype == (np.int64 if n == 1 else object)
+        assert images.tolist() == [e.image for e in x]
+        assert manhattan_dist(f, x_rows, y_rows) == _image_reference(x, y)
+        assert manhattan_norm(f, x_rows) == sum(e.image for e in x)
 
 
 def test_large_degree_field_uses_exact_bigints():

@@ -3,7 +3,7 @@ import pytest
 
 from pqdec.codes import nearest_codeword_oracle
 from pqdec.errors import BadParams, BudgetExceeded
-from pqdec.gf import Field
+from pqdec.gf import Field, digit_images, digit_rows
 from pqdec.hardness import (
     SetCoverInstance,
     build_gadget,
@@ -24,7 +24,8 @@ def test_build_gadget_single_set(f4):
     f2 = Field(2, 1)
     sc = SetCoverInstance(universe_size=1, sets=(frozenset({0}),), K=1, c=1)
     g = build_gadget(sc, f2)
-    assert [e.image for e in g.b0] == [1, 0]
+    assert digit_images(g.b0, 2).tolist() == [1, 0]
+    assert not g.b0.flags.writeable
     assert [e.image for e in _column(g, 0)] == [1, 1]
 
 
@@ -40,8 +41,9 @@ def test_build_gadget_tail_of_b0_is_zero():
     L = 4
     assert g.L == L
     assert g.dimension == L * 3 + 4
-    assert all(e.image == 1 for e in g.b0[: L * 3])
-    assert all(e.image == 0 for e in g.b0[L * 3 :])
+    images = digit_images(g.b0, 2)
+    assert all(images[: L * 3] == 1)
+    assert all(images[L * 3 :] == 0)
     # b_1 covers elements 0 and 1: ones on their tuples, tail mark at 0
     col = _column(g, 0)
     assert all(col[u * L + j].image == 1 for u in (0, 1) for j in range(L))
@@ -54,7 +56,7 @@ def test_gadget_distance_zero_assignment(f4):
     sc = SetCoverInstance(universe_size=2, sets=(frozenset({0}), frozenset({1})), K=2, c=2)
     g = build_gadget(sc, f2)
     zeros = tuple(f2.zero for _ in range(2))
-    assert manhattan_dist(g.b0, g.code.encode(zeros)) == g.L * 2
+    assert manhattan_dist(f2, g.b0, g.code.encode(zeros)) == g.L * 2
 
 
 def test_gadget_distance_exact_cover_yes_case():
@@ -120,8 +122,9 @@ def test_verify_gap_residual_weight_is_b0_plus_p_minus_1_times_the_cover(p, m):
     summed = [f.zero] * g.dimension
     for i in (0, 1):
         summed = [a + f.el(p - 1) * b for a, b in zip(summed, _column(g, i))]
+    b0 = [f.from_digits(row.tolist()) for row in g.b0]
     report = verify_gap(g, exact_cover=[0, 1])
-    assert report.residual_weight == sum((a + b).image for a, b in zip(g.b0, summed))
+    assert report.residual_weight == sum((a + b).image for a, b in zip(b0, summed))
     assert report.residual_weight == (p - 1) * sc.K
 
 
@@ -194,7 +197,7 @@ def test_gadget_span_is_the_scalar_column_sum(p, m):
         summed = [f.zero] * g.dimension
         for i, coef in enumerate(alpha):
             summed = [a + coef * b for a, b in zip(summed, _column(g, i))]
-        assert g.code.encode(alpha) == tuple(summed)
+        assert np.array_equal(g.code.encode(alpha), digit_rows(f, summed))
 
 
 def test_verify_gap_yes_and_no_over_f9(f9):

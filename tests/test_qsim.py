@@ -20,7 +20,7 @@ from pqdec.errors import (
     OutOfRange,
     ScaleExceeded,
 )
-from pqdec.gf import Field
+from pqdec.gf import Field, digit_rows
 from pqdec.metrics import manhattan_norm
 from pqdec.modp import fp_gauss_invert, rank
 from pqdec.qsim import (
@@ -43,7 +43,6 @@ from pqdec.qsim import (
     label_to_digits,
     pcs_state_direct,
     shift_cube_vector,
-    vector_digit_rows,
 )
 
 from conftest import generator_table, power_generators
@@ -133,9 +132,9 @@ def test_prep_cube_sigma1_is_point(f4):
     sig = SigmaParam.from_r(f4, 0)
     st = DenseState.zero_state(lay).prep_cube(sig)
     assert np.allclose(st.vec, cube_vector(f4, 2, (f4.zero, f4.zero), sig), atol=1e-12)
-    y = (f4.el(3), f4.el(1))
+    y = digit_rows(f4, (f4.el(3), f4.el(1)))
     direct = cube_vector(f4, 2, y, sig)
-    assert np.allclose(shift_cube_vector(st.vec, f4, vector_digit_rows(y)), direct, atol=1e-12)
+    assert np.allclose(shift_cube_vector(st.vec, f4, y), direct, atol=1e-12)
     assert abs(direct[3 * 4 + 1] - 1.0) < 1e-12
 
 
@@ -144,9 +143,10 @@ def test_prep_cube_f4_side2(f4):
     lay = RegisterLayout(p=2, m=2, n=1, label_digits=0, cube_count=1)
     st = DenseState.zero_state(lay).prep_cube(sig)
     assert np.allclose(st.vec, [2**-0.5, 2**-0.5, 0, 0], atol=1e-12)
-    moved = shift_cube_vector(st.vec, f4, vector_digit_rows((f4.el(2),)))
+    two = digit_rows(f4, (f4.el(2),))
+    moved = shift_cube_vector(st.vec, f4, two)
     assert np.allclose(moved, [0, 0, 2**-0.5, 2**-0.5], atol=1e-12)
-    assert np.allclose(moved, cube_vector(f4, 1, (f4.el(2),), sig), atol=1e-12)
+    assert np.allclose(moved, cube_vector(f4, 1, two, sig), atol=1e-12)
 
 
 @pytest.mark.parametrize("p,m,n", [(2, 3, 2), (3, 2, 2), (5, 2, 1)])
@@ -161,6 +161,7 @@ def test_cube_vector_matches_the_elementwise_definition(p, m, n):
         for z in product(range(sig.sigma), repeat=n):
             images = [(a + f.el(b)).image for a, b in zip(y, z)]
             want[sum(v * f.q ** (n - 1 - j) for j, v in enumerate(images))] += sig.sigma ** (-n / 2)
+        assert np.array_equal(cube_vector(f, n, digit_rows(f, y), sig), want)
         assert np.array_equal(cube_vector(f, n, y, sig), want)
 
 
@@ -192,9 +193,7 @@ def test_shift_moves_cubes(f4):
     for _ in range(25):
         x = tuple(f4.random_element(rng) for _ in range(2))
         y = tuple(f4.random_element(rng) for _ in range(2))
-        moved = shift_cube_vector(
-            cube_vector(f4, 2, y, sig), f4, vector_digit_rows(x)
-        )
+        moved = shift_cube_vector(cube_vector(f4, 2, y, sig), f4, digit_rows(f4, x))
         target = cube_vector(f4, 2, tuple(a + b for a, b in zip(x, y)), sig)
         assert np.allclose(moved, target, atol=1e-12)
 
@@ -202,12 +201,12 @@ def test_shift_moves_cubes(f4):
 def test_shift_zero_power_is_identity(f9):
     sig = SigmaParam.from_r(f9, 1)
     vec = cube_vector(f9, 1, (f9.el(4),), sig)
-    assert np.array_equal(shift_cube_vector(vec, f9, vector_digit_rows((f9.el(7),)), 0), vec)
+    assert np.array_equal(shift_cube_vector(vec, f9, digit_rows(f9, (f9.el(7),)), 0), vec)
 
 
 def test_shift_zero_power_is_a_copy_and_makes_no_map(f9, shift_maps):
     vec = cube_vector(f9, 1, (f9.el(4),), SigmaParam.from_r(f9, 1))
-    rows = vector_digit_rows((f9.el(7),))
+    rows = digit_rows(f9, (f9.el(7),))
     for ell in (0, 3, -6):  # every multiple of p is the zero power
         moved = shift_cube_vector(vec, f9, rows, ell)
         assert moved is not vec and np.array_equal(moved, vec)
@@ -219,7 +218,7 @@ def test_shift_zero_power_is_a_copy_and_makes_no_map(f9, shift_maps):
 def test_shift_of_a_stack_shifts_each_row_through_one_map(f9, shift_maps):
     rng = np.random.default_rng(12)
     stack = rng.normal(size=(3, 2, 81)) + 1j * rng.normal(size=(3, 2, 81))
-    rows = vector_digit_rows((f9.el(5), f9.el(7)))
+    rows = digit_rows(f9, (f9.el(5), f9.el(7)))
     got = shift_cube_vector(stack, f9, rows, 2)
     assert len(shift_maps) == 1 and got.shape == stack.shape
     for idx in np.ndindex(stack.shape[:-1]):
@@ -228,7 +227,7 @@ def test_shift_of_a_stack_shifts_each_row_through_one_map(f9, shift_maps):
 
 def test_shift_order_p_is_identity(f9):
     vec = cube_vector(f9, 1, (f9.el(2),), SigmaParam.from_r(f9, 1))
-    rows = vector_digit_rows((f9.el(5),))
+    rows = digit_rows(f9, (f9.el(5),))
     out = vec
     for _ in range(3):
         out = shift_cube_vector(out, f9, rows)
@@ -240,14 +239,14 @@ def test_dense_shift_register_matches_small_vector(f4):
     lay = RegisterLayout(p=2, m=2, n=2, label_digits=1, cube_count=1)
     sig = SigmaParam.from_r(f4, 1)
     st = DenseState.zero_state(lay).prep_cube(sig).qft_label()
-    x = (f4.el(2), f4.el(3))
-    y = (f4.el(1), f4.el(2))
-    st.controlled_register_shifts(np.stack([vector_digit_rows(x), vector_digit_rows(y)])[:, None])
+    x = digit_rows(f4, (f4.el(2), f4.el(3)))
+    y = digit_rows(f4, (f4.el(1), f4.el(2)))
+    st.controlled_register_shifts(np.stack([x, y])[:, None])
     at_zero = DenseState.zero_state(replace(lay, label_digits=0)).prep_cube(sig).vec
     for label, anchor in enumerate([x, y]):
         slice_ = st.vec.reshape(2, -1)[label] * 2**0.5
         assert np.allclose(slice_, cube_vector(f4, 2, anchor, sig), atol=1e-12)
-        moved = shift_cube_vector(at_zero, f4, vector_digit_rows(anchor))
+        moved = shift_cube_vector(at_zero, f4, anchor)
         assert np.allclose(slice_, moved, atol=1e-12)
 
 
@@ -360,27 +359,28 @@ def test_shift_rejects_mismatched_register(f4):
 
 def test_cube_overlap_examples(f4):
     sig = SigmaParam.from_r(f4, 1)
-    assert cube_overlap((f4.el(1), f4.el(1)), sig) == 1.0
-    assert cube_overlap((f4.el(2), f4.el(0)), sig) == 0.0
+    assert cube_overlap(f4, digit_rows(f4, (f4.el(1), f4.el(1))), sig) == 1.0
+    assert cube_overlap(f4, digit_rows(f4, (f4.el(2), f4.el(0))), sig) == 0.0
+    assert cube_overlap(f4, (f4.el(2), f4.el(0)), sig) == 0.0
     # norm equals n*sigma yet the overlap is already zero: the far
     # condition is sufficient, not necessary
-    delta = (f4.el(2),)
-    assert manhattan_norm(delta) == 2
-    assert cube_overlap(delta, sig) == 0.0
+    delta = digit_rows(f4, (f4.el(2),))
+    assert manhattan_norm(f4, delta) == 2
+    assert cube_overlap(f4, delta, sig) == 0.0
 
 
 @pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (3, 2), (2, 4)])
 def test_cube_overlap_matches_dense_inner_product(p, m):
     f = Field(p, m)
     for n in (1, 2):
-        zero = tuple(f.zero for _ in range(n))
+        zero = np.zeros((n, m), dtype=np.int64)
         for r in range(m):
             sig = SigmaParam.from_r(f, r)
             c0 = cube_vector(f, n, zero, sig)
             for images in product(range(f.q), repeat=n):
-                delta = tuple(f.el(v) for v in images)
+                delta = digit_rows(f, [f.el(v) for v in images])
                 dense = np.vdot(c0, cube_vector(f, n, delta, sig))
-                assert abs(dense - cube_overlap(delta, sig)) < 1e-12
+                assert abs(dense - cube_overlap(f, delta, sig)) < 1e-12
 
 
 # ---------------------------------------------------------------- label QFT
@@ -1147,7 +1147,7 @@ def test_controlled_shift_zero_control_is_identity(f4):
     label[0] = 1.0  # control digits (0, 0)
     st = DenseState.from_parts(lay, label, [phi])
     before = st.vec.copy()
-    rows = vector_digit_rows(code.encode((f4.el(1),)))
+    rows = code.encode((f4.el(1),))
     st.controlled_register_shifts(generator_table(lay, power_generators(lay, rows)))
     assert np.allclose(st.vec, before, atol=1e-12)
 
@@ -1157,13 +1157,12 @@ def test_controlled_shift_kickback_matches_eigenphase(f4):
     code = code_23(f4)
     sig = SigmaParam.from_r(f4, 1)
     s = (f4.el(3),)
-    t = code.encode(s)
+    rows = code.encode(s)
     for label in product(range(2), repeat=2):
         phi = pcs_state_direct(code, sig, label)
         lay = RegisterLayout(p=2, m=2, n=2, label_digits=1, cube_count=1)
         label_vec = np.array([2**-0.5, 2**-0.5], dtype=np.complex128)
         st = DenseState.from_parts(lay, label_vec, [phi])
-        rows = vector_digit_rows(t)
         st.controlled_register_shifts(generator_table(lay, power_generators(lay, rows)))
         phase = (np.array(label) @ np.array([d for e in s for d in e.digits])) % 2
         expect = np.concatenate(
@@ -1182,11 +1181,11 @@ def test_pcs_is_shift_eigenvector_exhaustive(f4):
     for s_img in range(4):
         s = (f4.el(s_img),)
         for err in errors:
-            e = tuple(f4.el(v) for v in err)
-            t = tuple(a + b for a, b in zip(code.encode(s), e))
+            e = digit_rows(f4, [f4.el(v) for v in err])
+            t = (code.encode(s) + e) % 2
             for label in product(range(2), repeat=2):
                 phi = pcs_state_direct(code, sig, label)
-                shifted = shift_cube_vector(phi, f4, vector_digit_rows(t))
+                shifted = shift_cube_vector(phi, f4, t)
                 phase = (
                     np.array(label) @ np.array([d for x in s for d in x.digits])
                 ) % 2
@@ -1202,7 +1201,7 @@ def test_pcs_is_shift_eigenvector_n1(f4):
         t = code.encode(s)
         for label in product(range(2), repeat=2):
             phi = pcs_state_direct(code, sig, label)
-            shifted = shift_cube_vector(phi, f4, vector_digit_rows(t))
+            shifted = shift_cube_vector(phi, f4, t)
             phase = (np.array(label) @ np.array(s[0].digits)) % 2
             assert np.allclose(shifted, (-1.0) ** phase * phi, atol=1e-10)
 
@@ -1212,10 +1211,10 @@ def test_pcs_eigenvector_fails_beyond_sigma(f4):
     code = code_123(f4)
     sig = SigmaParam.from_r(f4, 0)  # sigma = 1: only zero error qualifies
     s = (f4.el(1),)
-    e = (f4.el(1), f4.zero, f4.zero)  # image 1 >= sigma
-    t = tuple(a + b for a, b in zip(code.encode(s), e))
+    e = digit_rows(f4, (f4.el(1), f4.zero, f4.zero))  # image 1 >= sigma
+    t = (code.encode(s) + e) % 2
     phi = pcs_state_direct(code, sig, (1, 0))
-    shifted = shift_cube_vector(phi, f4, vector_digit_rows(t))
+    shifted = shift_cube_vector(phi, f4, t)
     assert not np.allclose(np.abs(np.vdot(phi, shifted)), 1.0, atol=1e-6)
 
 
