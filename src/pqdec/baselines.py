@@ -45,6 +45,10 @@ from .metrics import manhattan_dist  # noqa: F401
 from .modp import fp_solve, invertibility_product, rank
 from .qsim import SigmaParam
 
+# invertibility_stats ranks its draws in stacks of at most this many
+# entries (512 KB of int64), at least one matrix per stack
+STATS_STACK_ENTRIES = 1 << 16
+
 
 @dataclass(frozen=True)
 class DirectInversionReport:
@@ -96,6 +100,9 @@ def invertibility_stats(
 ) -> float:
     """Empirical invertibility frequency of uniform T x T matrices over F_p.
 
+    Each trial draws its own T x T matrix, in order, from one generator;
+    the draws are ranked in stacks of at most STATS_STACK_ENTRIES entries
+    (at least one matrix), so memory stays bounded for any trial count.
     A non-prime p raises NotPrime, and T or trials below 1 raise
     PreconditionUnmet, before anything is drawn.
     """
@@ -106,7 +113,11 @@ def invertibility_stats(
     if trials < 1:
         raise PreconditionUnmet("trials must be >= 1")
     rng = np.random.default_rng(seed)
-    hits = sum(rank(rng.integers(0, p, size=(t, t)), p) == t for _ in range(trials))
+    stack = max(1, STATS_STACK_ENTRIES // (t * t))
+    hits = 0
+    for start in range(0, trials, stack):
+        draws = [rng.integers(0, p, size=(t, t)) for _ in range(min(stack, trials - start))]
+        hits += int(np.count_nonzero(rank(np.stack(draws), p) == t))
     return hits / trials
 
 

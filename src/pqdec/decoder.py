@@ -98,7 +98,7 @@ def sample_label_matrix(p: int, t: int, rng: np.random.Generator) -> tuple[np.nd
     of L^-1 off L's own index map.
     """
     for rounds in range(1, DEFAULT_RETRY_BUDGET + 1):
-        columns = rng.integers(0, p, size=(t, t)).astype(np.int64)
+        columns = rng.integers(0, p, size=(t, t))
         if rank(columns, p) == t:
             return columns, rounds
     raise RetryBudgetExhausted(

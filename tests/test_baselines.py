@@ -15,6 +15,7 @@ from pqdec.decoder import decode_structured
 from pqdec.errors import BadShape, InvariantViolated, PreconditionUnmet
 from pqdec.gf import Field
 from pqdec.qsim import SigmaParam
+from test_modp import reference_echelon
 
 
 def test_direct_inversion_zero_error_square(f4):
@@ -103,6 +104,17 @@ def test_invertibility_stats_t1():
     for p in (2, 3, 5):
         freq = invertibility_stats(p, 1, 4000, seed=p)
         assert abs(freq - (p - 1) / p) < 0.03
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_invertibility_stats_matches_per_trial_reference(p):
+    # two full stacks and part of a third, so both seams between stacks are crossed
+    t = 20
+    trials = 2 * (baselines.STATS_STACK_ENTRIES // (t * t)) + 7
+    rng = np.random.default_rng(11)
+    draws = (rng.integers(0, p, size=(t, t)) for _ in range(trials))
+    hits = sum(len(reference_echelon(draw, p)[1]) == t for draw in draws)
+    assert invertibility_stats(p, t, trials, seed=11) == hits / trials
 
 
 def test_invertibility_stats_increases_with_p():
