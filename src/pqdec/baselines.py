@@ -100,9 +100,10 @@ def invertibility_stats(
 ) -> float:
     """Empirical invertibility frequency of uniform T x T matrices over F_p.
 
-    Each trial draws its own T x T matrix, in order, from one generator;
-    the draws are ranked in stacks of at most STATS_STACK_ENTRIES entries
-    (at least one matrix), so memory stays bounded for any trial count.
+    Trials come from one generator, one draw per stack of at most
+    STATS_STACK_ENTRIES entries (at least one matrix), so memory stays
+    bounded for any trial count; a stack's draw equals its T x T matrices
+    drawn one by one, in order, in values and in the generator state left.
     A non-prime p raises NotPrime, and T or trials below 1 raise
     PreconditionUnmet, before anything is drawn.
     """
@@ -116,8 +117,8 @@ def invertibility_stats(
     stack = max(1, STATS_STACK_ENTRIES // (t * t))
     hits = 0
     for start in range(0, trials, stack):
-        draws = [rng.integers(0, p, size=(t, t)) for _ in range(min(stack, trials - start))]
-        hits += int(np.count_nonzero(rank(np.stack(draws), p) == t))
+        draws = rng.integers(0, p, size=(min(stack, trials - start), t, t))
+        hits += int(np.count_nonzero(rank(draws, p) == t))
     return hits / trials
 
 
@@ -169,7 +170,7 @@ def separation_experiment(config: SeparationConfig) -> list[dict]:
         c_hits = 0
         for _ in range(config.trials):
             code = random_code(f, config.n, config.k, rng)
-            s = rng.integers(0, f.p, size=(config.k, f.m))  # the draws of f.random_elements
+            s = rng.integers(0, f.p, size=(config.k, f.m))  # the draws of k f.random_element calls
             low, high = (f.q // f.p, f.q) if r_e >= config.m else (0, config.p**r_e)
             e = label_to_digits(rng.integers(low, high, size=config.n), f.m, f.p)[:, ::-1]
             inst = plant_instance(code, s, e)

@@ -11,21 +11,21 @@ tie-break below refers to that order.
 
 Every application of A, single codewords and the whole codeword table
 alike, goes through the code's cached expanded F_p operator, so no
-scalar field product is formed; vectors are digit rows
-(:func:`pqdec.gf.digit_rows`), and ``FieldElement`` is only the scalar view.
+scalar field product is formed.  Vectors are digit rows
+(:func:`pqdec.gf.digit_rows`) and A is one (n, k, m) digit array
+(:func:`pqdec.gf.matrix_digits`); ``FieldElement`` is only the scalar
+view, read in by :func:`instance_from_json`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import BadShape, BudgetExceeded, LengthMismatch, PreconditionUnmet
 from .gf import (
     Field,
-    FieldElement,
     _int_digits,
     digit_images,
     digit_rows,
@@ -33,6 +33,7 @@ from .gf import (
     expand_operator,
     json_int,
     label_to_digits,
+    matrix_digits,
 )
 from .metrics import manhattan_dist
 from .modp import rank
@@ -44,25 +45,18 @@ _BLOCK_DIGITS = 2**21  # codeword digits per block in codeword_images
 class LinearCode:
     """Generator matrix over F_q with rank-k columns, optional cached distance.
 
-    ``operator`` is the digit-expanded F_p operator of the generator
-    matrix (see :func:`pqdec.gf.expand_operator`), built once and stored
-    read-only; encoding, the rank check and the codeword tables all go
-    through it.
+    ``matrix`` is the read-only (n, k, m) digit array of A, taken through
+    :func:`pqdec.gf.matrix_digits`.  ``operator`` is its digit-expanded
+    F_p operator (see :func:`pqdec.gf.expand_operator`), built once and
+    stored read-only; encoding, the rank check and the codeword tables
+    all go through it.
     """
 
-    def __init__(
-        self,
-        field: Field,
-        matrix: Sequence[Sequence[FieldElement]],
-        d: int | None = None,
-    ):
+    def __init__(self, field: Field, matrix, d: int | None = None):
         self.field = field
-        self.matrix = tuple(tuple(row) for row in matrix)
-        self.n = len(self.matrix)
-        self.k = len(self.matrix[0]) if self.n else 0
-        if any(len(row) != self.k for row in self.matrix):
-            raise BadShape("ragged generator matrix")
-        if self.k < 1 or self.n < self.k:
+        self.matrix = matrix_digits(field, matrix)
+        self.n, self.k = self.matrix.shape[:2]
+        if self.n < self.k:
             raise BadShape(f"need n >= k >= 1, got n={self.n}, k={self.k}")
         self.operator = expand_operator(self.matrix, field)
         self.operator.entries.setflags(write=False)
@@ -80,7 +74,8 @@ class LinearCode:
         return digits.reshape(self.n, self.field.m)
 
     def images(self) -> list[list[int]]:
-        return [[e.image for e in row] for row in self.matrix]
+        f = self.field
+        return digit_images(self.matrix.reshape(-1, f.m), f.p).reshape(self.n, self.k).tolist()
 
     def __repr__(self) -> str:
         return f"LinearCode(q={self.field.q}, n={self.n}, k={self.k}, d={self.d})"
@@ -94,10 +89,8 @@ def random_code(
         raise BadShape(f"need n >= k >= 1, got n={n}, k={k}")
     rng = np.random.default_rng(seed)
     while True:
-        entries = field.random_elements(rng, n * k)  # row-major, one draw
-        matrix = [entries[i : i + k] for i in range(0, n * k, k)]
         try:
-            return LinearCode(field, matrix)
+            return LinearCode(field, rng.integers(0, field.p, size=(n, k, field.m)))
         except BadShape:  # the shape is valid, so the columns are dependent
             continue
 
@@ -258,7 +251,7 @@ def gen_instance(
             f"per-coordinate error bound {bound} is past 2^63 - 1, the error draw's range"
         )
     rng = np.random.default_rng(seed)
-    s = rng.integers(0, f.p, size=(code.k, f.m))  # the draws of f.random_elements
+    s = rng.integers(0, f.p, size=(code.k, f.m))  # the draws of k f.random_element calls
     cw = code.encode(s)
     for _ in range(1000):
         images = rng.integers(0, bound + 1, size=code.n)

@@ -10,10 +10,10 @@ leaves the work register's amplitudes where they were.  Its generators
 are the columns of L^-1, read off L's one index map, times t.  Label
 slice y of the composite state is then (work amplitude times register
 0's shifted factor) (x) (the other registers' shifted factors), so two
-controlled joins over those generators write its two parts: a head,
-the work register with register 0 (``DenseState._controlled_join``),
-and a tail, one ``DenseState.from_parts`` of a unit label with the
-other registers.  The Fourier-basis measurement
+controlled joins over those generators, each one
+``DenseState.from_parts``, write its two parts: a head, the work
+register with register 0, and a tail, a unit label with the other
+registers.  The Fourier-basis measurement
 (``qsim.fourier_label_marginal``) streams their label-wise product
 through the inverse transform tile by tile, so every amplitude of the
 composite is computed but the state is never held.  When the full
@@ -169,10 +169,10 @@ def _dense_full_marginal(
     read off L's index map at the label e_d, T entries of ``source``.
     Label slice y of the result is (work amplitude at y) * (register 0's
     shifted factor) (x) (registers 1..T-1's shifted factors), so it is
-    written as two joins over the same generators: a head, the work
-    register with register 0 (``DenseState._controlled_join``, p^T x q^n),
-    and a tail, one :meth:`DenseState.from_parts` of a unit label with the
-    other registers (p^T x q^(n(T-1))).  The Fourier-basis measurement
+    written as two joins over the same generators, each one
+    :meth:`DenseState.from_parts`: a head, the work register with
+    register 0 (p^T x q^n), and a tail, a unit label with the other
+    registers (p^T x q^(n(T-1))).  The Fourier-basis measurement
     (:func:`~pqdec.qsim.fourier_label_marginal`) streams their label-wise
     product through the inverse transform tile by tile, so the
     p^T x q^(nT) composite is computed but never held.  Each register
@@ -189,7 +189,7 @@ def _dense_full_marginal(
     source = label_source(columns, p)  # L^-1 y for every label y
     inv_cols = label_to_digits(source[p ** np.arange(t - 1, -1, -1)], t, p)  # row d: L^-1 e_d
     generators = inv_cols[:, : layout.cube_count, None, None] * t_digit_rows
-    head = DenseState._controlled_join(
+    head = DenseState.from_parts(
         replace(layout, cube_count=1), label.vec, pcs_vectors[:1], generators[:, :1]
     )
     tail = DenseState.from_parts(

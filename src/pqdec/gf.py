@@ -15,14 +15,15 @@ monic degree-m irreducible polynomial, stored as its m low coefficients
 
 An F_q vector is one (len, m) int64 array of digit rows, LSB first, from
 instance to decoder (in through :func:`digit_rows`, images through
-:func:`digit_images`).  A matrix over F_q acts as an F_p-linear operator
-on the flattened rows; ``expand_operator`` materialises it as an
+:func:`digit_images`), and an n x k matrix one (n, k, m) digit array (in
+through :func:`matrix_digits`).  A matrix over F_q acts as an F_p-linear
+operator on the flattened rows; ``expand_operator`` materialises it as an
 (m*n) x (m*k) matrix over F_p whose (i, j) block is the multiplication
 operator of entry (i, j) in the basis (1, x, ..., x^(m-1)).  F_q linear
 maps are applied through that expanded operator (numpy products mod p,
 built once per code by :class:`pqdec.codes.LinearCode`); ``FieldElement``
-is the scalar view of one element, used for matrix entries, at the public
-API and by the tests as the reference arithmetic.
+is the scalar view of one element at the boundary (the JSON loader, the
+public API) and the tests' reference arithmetic.
 
 This module owns the field layer's two conventions, once each:
 
@@ -276,16 +277,7 @@ class Field:
 
     def random_element(self, rng: np.random.Generator) -> FieldElement:
         """Uniform element, drawn digit-wise so huge q never overflows."""
-        return self.random_elements(rng, 1)[0]
-
-    def random_elements(self, rng: np.random.Generator, count: int) -> tuple[FieldElement, ...]:
-        """``count`` uniform elements from one draw of their digits.
-
-        Value for value, and in the generator state it leaves, the one
-        draw equals ``count`` separate draws of m digits each.
-        """
-        digits = rng.integers(0, self.p, size=(count, self.m)).tolist()
-        return tuple(FieldElement(self, tuple(row)) for row in digits)
+        return FieldElement(self, tuple(rng.integers(0, self.p, size=self.m).tolist()))
 
     # -- misc ------------------------------------------------------------------
 
@@ -412,8 +404,9 @@ class FieldElement:
 def digit_rows(field: Field, vec, what: str = "vector entry") -> np.ndarray:
     """Read-only (len, m) int64 digit rows of a vector, LSB first: the one way in.
 
-    ``vec`` is ``FieldElement``s over ``field`` (FieldMismatch names ``what``)
-    or an integer array of shape (len, m) with digits in [0, p) (BadShape,
+    ``vec`` is ``FieldElement``s over ``field`` (BadShape on any other
+    entry, FieldMismatch on a foreign one, both naming ``what``) or an
+    integer array of shape (len, m) with digits in [0, p) (BadShape,
     OutOfRange), checked before it is copied.
     """
     m, p = field.m, field.p
@@ -425,12 +418,40 @@ def digit_rows(field: Field, vec, what: str = "vector entry") -> np.ndarray:
         rows = vec.astype(np.int64)
     else:
         vec = tuple(vec)
+        if not all(isinstance(e, FieldElement) for e in vec):
+            raise BadShape(f"{what} is not a FieldElement")
         # identity first, so elements that ``field`` itself made cost no equality test
         if any(e.field is not field and e.field != field for e in vec):
             raise FieldMismatch(f"{what} from a different field")
         rows = np.array([e.digits for e in vec], dtype=np.int64).reshape(len(vec), m)
     rows.setflags(write=False)
     return rows
+
+
+def matrix_digits(field: Field, matrix) -> np.ndarray:
+    """Read-only (n, k, m) int64 digit array of an F_q matrix, LSB first: its one way in.
+
+    ``matrix`` is an integer array of shape (n, k, m) or n rows of k
+    ``FieldElement``s; the entries are checked by :func:`digit_rows`, and
+    an empty or ragged matrix raises BadShape.
+    """
+    if isinstance(matrix, np.ndarray):
+        if matrix.ndim != 3:
+            raise BadShape(f"expected digit array (n, k, {field.m}), got shape {matrix.shape}")
+        n, k = matrix.shape[:2]
+        entries = matrix.reshape(n * k, matrix.shape[2])
+    else:
+        try:
+            rows = [tuple(row) for row in matrix]
+        except TypeError as exc:
+            raise BadShape(f"matrix rows must be sequences: {exc}") from exc
+        n, k = len(rows), len(rows[0]) if rows else 0
+        if any(len(row) != k for row in rows):
+            raise BadShape("ragged matrix")
+        entries = [a for row in rows for a in row]
+    if n == 0 or k == 0:
+        raise BadShape(f"empty matrix ({n} x {k})")
+    return digit_rows(field, entries, "matrix entry").reshape(n, k, field.m)
 
 
 def digit_images(rows: np.ndarray, p: int) -> np.ndarray:
@@ -489,22 +510,20 @@ def _x_power_operators(field: Field) -> np.ndarray:
     return table
 
 
-def expand_operator(matrix: Sequence[Sequence[FieldElement]], field: Field) -> ExpandedMatrix:
+def expand_operator(matrix, field: Field) -> ExpandedMatrix:
     """Expand an n x k matrix over F_q into its (m*n) x (m*k) F_p operator.
 
-    Defining property: entries @ digits(x) == digits(A x) for every
-    x in F_q^k, digits(x) being the flattened (k, m) digit rows of x
-    (coordinate-major, LSB first).
-    Block (i, j) is sum_l digit_l(A[i][j]) * X^l for the multiplication-
-    by-x^l operators X^l, so every block comes out of one contraction of
-    the (n, k, m) digit array of the entries; no field product is formed.
+    ``matrix`` is read through :func:`matrix_digits`.  Defining property:
+    entries @ digits(x) == digits(A x) for every x in F_q^k, digits(x)
+    being the flattened (k, m) digit rows of x (coordinate-major, LSB
+    first).  Block (i, j) is sum_l digit_l(A[i][j]) * X^l for the
+    multiplication-by-x^l operators X^l, so every block comes out of one
+    contraction of the (n, k, m) digit array; no field product is formed.
     """
-    n = len(matrix)
-    k = len(matrix[0]) if n else 0
-    m, p = field.m, field.p
-    digits = digit_rows(field, [a for row in matrix for a in row], "matrix entry").reshape(n, k, m)
-    blocks = np.einsum("ijl,lab->iajb", digits, _x_power_operators(field)) % p
-    return ExpandedMatrix(entries=blocks.reshape(m * n, m * k), n=n, k=k, m=m, p=p)
+    digits = matrix_digits(field, matrix)
+    n, k, m = digits.shape
+    blocks = np.einsum("ijl,lab->iajb", digits, _x_power_operators(field)) % field.p
+    return ExpandedMatrix(entries=blocks.reshape(m * n, m * k), n=n, k=k, m=m, p=field.p)
 
 
 def top_digit_submatrix(expanded: ExpandedMatrix, r: int) -> np.ndarray:

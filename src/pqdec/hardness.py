@@ -118,13 +118,12 @@ def build_gadget(sc: SetCoverInstance, field: Field) -> Gadget:
     The tail block is the identity, so the generators are independent
     and the code's rank check always passes.
     """
-    L = sc.c * sc.K
-    block = L * sc.universe_size
-    zero, one = field.zero, field.one
-    b0 = digit_rows(field, (one,) * block + (zero,) * sc.num_sets)
-    rows = [[one if pos // L in s else zero for s in sc.sets] for pos in range(block)]
-    rows += [[one if j == i else zero for j in range(sc.num_sets)] for i in range(sc.num_sets)]
-    return Gadget(sc=sc, b0=b0, code=LinearCode(field, rows))
+    member = [[1] + [u in s for s in sc.sets] for u in range(sc.universe_size)]
+    # column 0 is b0 and column i is b_i; each universe row repeats L = c*K times
+    images = np.vstack([np.repeat(member, sc.c * sc.K, axis=0), np.eye(sc.num_sets + 1)[1:]])
+    digits = np.zeros(images.shape + (field.m,), dtype=np.int64)
+    digits[..., 0] = images  # the images 0 and 1 are their low digit
+    return Gadget(sc=sc, b0=digit_rows(field, digits[:, 0]), code=LinearCode(field, digits[:, 1:]))
 
 
 def gadget_distance_bruteforce(
@@ -223,7 +222,8 @@ def verify_gap(
         bound = (p - 1) * sc.K
         # constructive: all-ones on the cover zeroes the universe block and
         # pays exactly K on the tail
-        alpha = [g.field.one if i in exact_cover else g.field.zero for i in range(sc.num_sets)]
+        alpha = np.zeros((sc.num_sets, g.field.m), dtype=np.int64)
+        alpha[list(exact_cover), 0] = 1
         span = g.code.encode(alpha)
         witness_distance = manhattan_dist(g.field, g.b0, span)
         # scaling the cover by p-1 (= -1) cancels the universe block, so the

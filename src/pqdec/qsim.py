@@ -62,14 +62,14 @@ around the shift are folded in.  One controlled join, :func:`_join`,
 takes that map, one digit matrix per label digit and register, and
 writes the joined state with the shift already made (in a
 :class:`DenseState` through :meth:`DenseState.from_parts` with
-``generators`` or ``DenseState._controlled_join``; as the sampler's own
-real array through a direct call): label slice i is the label amplitude
-times the Kronecker product of each register's factor shifted by its amount
-for label i.  The join takes labels in index order, so each register's
-factor for label i is one gather of its factor for label i-1, by a step
-that depends only on the carry from i-1 to i, a suffix sum of the
-generators: at most one map per label digit and register, built before
-the loop, and no per-label table.  A product state needs no joint
+``generators``; as the sampler's own real array through a direct call):
+label slice i is the label amplitude times the Kronecker product of each
+register's factor shifted by its amount for label i.  The join takes
+labels in index order, so each register's factor for label i is one
+gather of its factor for label i-1, by a step that depends only on the
+carry from i-1 to i, a suffix sum of the generators: at most one map per
+label digit and register, built before the loop, and no per-label
+table.  A product state needs no joint
 tensor until a gate couples its parts, so the PCS sampler writes its
 joined state once, real at every p (its factors are transforms of |0>,
 column 0 of F, and the join only scales and gathers them), and its one
@@ -434,7 +434,8 @@ class DenseState:
         already made: label i shifts cube register j by
         sum_d digit_d(i) * generators[d, j] mod p.  Without them it is the
         plain product, all-zero generators, which build no map.  Either
-        way the state is written once, by :meth:`_controlled_join`.
+        way the state is written once, by :func:`_join`, and held without a
+        copy; it is real only when every part is and the layout has p = 2.
         """
         if len(cube_vecs) != layout.cube_count:
             raise BadRegister(
@@ -451,20 +452,6 @@ class DenseState:
             generators = np.zeros(
                 (layout.label_digits, layout.cube_count, layout.n, layout.m), np.int64
             )
-        return cls._controlled_join(layout, label, cubes, generators)
-
-    @classmethod
-    def _controlled_join(
-        cls,
-        layout: RegisterLayout,
-        label: np.ndarray,
-        cubes: Sequence[np.ndarray],
-        generators: np.ndarray,
-    ) -> DenseState:
-        """:func:`_join` in the state's dtype rule, held as a state without a copy.
-
-        The state is real only when every part is and the layout has p = 2.
-        """
         state = cls.__new__(cls)
         state.layout = layout
         dtype = np.result_type(label, *cubes, _dft_matrix(layout.p))

@@ -80,11 +80,12 @@ def test_rank_check_rejects_scaled_column(p, m):
 
 def reference_encode(code, s):
     """A @ s by FieldElement arithmetic, entry by entry."""
+    f = code.field
     out = []
     for row in code.matrix:
-        acc = code.field.zero
+        acc = f.zero
         for a, x in zip(row, s):
-            acc = acc + a * x
+            acc = acc + f.from_digits(a.tolist()) * x
         out.append(acc)
     return tuple(out)
 
@@ -143,7 +144,7 @@ def test_random_code_reproducible(f16):
 def test_random_code_1x1_nonzero(f4):
     for seed in range(10):
         code = random_code(f4, 1, 1, seed)
-        assert code.matrix[0][0].image != 0
+        assert code.images()[0][0] != 0
 
 
 def test_random_code_bad_shape(f4):
@@ -185,7 +186,7 @@ def test_random_code_draws_like_per_element_calls(p, m, n, k, seed, redrawn):
     rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
     code = random_code(f, n, k, rng)
     want, draws = per_element_code(f, n, k, ref)
-    assert code.matrix == want.matrix
+    assert np.array_equal(code.matrix, want.matrix)
     assert (draws > 1) == redrawn
     assert rng.bit_generator.state == ref.bit_generator.state
 
@@ -427,6 +428,9 @@ def test_instance_json_unbounded_and_unplanted(f9):
         (lambda obj: obj.update(w=-1), BadShape),
         (lambda obj: obj.pop("t"), BadShape),
         (lambda obj: obj.pop("A"), BadShape),
+        (lambda obj: obj.update(A=[]), BadShape),
+        (lambda obj: obj.update(A=[obj["A"][0], obj["A"][1] + [1], obj["A"][2]]), BadShape),
+        (lambda obj: obj.update(A=[[]]), BadShape),
         (lambda obj: obj.pop("field"), BadShape),
         (lambda obj: obj["field"].pop("poly"), BadShape),
         (lambda obj: obj.update(t="abc"), BadShape),
@@ -456,6 +460,9 @@ def test_instance_json_unbounded_and_unplanted(f9):
         "negative_w",
         "missing_t",
         "missing_A",
+        "empty_A",
+        "ragged_A",
+        "A_of_one_empty_row",
         "missing_field",
         "missing_poly",
         "text_t",

@@ -380,7 +380,7 @@ def test_full_marginal_of_real_parts_matches_complex_parts(f4):
 
 def test_full_marginal_joins_once_and_shifts_in_the_join(f4, monkeypatch):
     # bench/tracer.py counts a from_parts call inside a decode as the
-    # full-tensor path, and times the join under from_parts
+    # full-tensor path, and times both joins, head and tail, under from_parts
     joins = []
     from_parts = DenseState.from_parts.__func__
 
@@ -402,7 +402,7 @@ def test_full_marginal_joins_once_and_shifts_in_the_join(f4, monkeypatch):
     monkeypatch.setattr(DenseState, "from_parts", classmethod(counted))
     monkeypatch.setattr(DenseState, "controlled_register_shifts", refuse)
     got = _dense_full_marginal(columns, pcs, t_rows, layout)
-    assert len(joins) == 1
+    assert len(joins) == 2  # the head and the tail
     assert np.max(np.abs(got - want)) < 1e-12
 
 

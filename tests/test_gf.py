@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pqdec import gf
 from pqdec.codes import DecodeInstance, LinearCode
 from pqdec.errors import (
     BadShape,
@@ -24,6 +25,7 @@ from pqdec.gf import (
     digit_rows,
     expand_operator,
     is_irreducible,
+    matrix_digits,
     top_digit_submatrix,
 )
 from pqdec.metrics import manhattan_dist, manhattan_norm
@@ -396,18 +398,18 @@ def test_x_power_operators_built_once_per_modulus():
     assert b[1][:, 3].tolist() == [1, 0, 0, 1]
 
 
-def test_random_elements_draws_like_per_element_calls():
-    for p, m in [(2, 1), (2, 16), (3, 3), (5, 2), (7, 2), (11, 1), (257, 1)]:
-        f = Field(p, m)
-        rng, ref = np.random.default_rng(p + m), np.random.default_rng(p + m)
-        got = f.random_elements(rng, 6)
-        assert got == tuple(f.from_digits(ref.integers(0, p, m).tolist()) for _ in range(6))
-        assert rng.bit_generator.state == ref.bit_generator.state
-
-
 def test_expand_operator_rejects_foreign_entry(f4, f9):
     with pytest.raises(FieldMismatch):
         expand_operator([[f4.one], [f9.one]], f4)
+
+
+def test_random_element_draws_its_m_digits():
+    for p, m in [(2, 1), (2, 16), (3, 3), (257, 1)]:
+        f = Field(p, m)
+        rng, ref = np.random.default_rng(p + m), np.random.default_rng(p + m)
+        got = [f.random_element(rng) for _ in range(3)]
+        assert got == [f.from_digits(ref.integers(0, p, m).tolist()) for _ in range(3)]
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_digit_rows_round_trip(f8):
@@ -457,6 +459,87 @@ def test_digit_rows_is_a_read_only_copy(f16):
     caller[0, 0] = 0
     assert rows[0, 0] == 1
     assert not digit_rows(f16, [f16.one]).flags.writeable
+
+
+@pytest.mark.parametrize(
+    "call, what",
+    [
+        (lambda f: digit_rows(f, [[1, 0, 0]], "probe"), "probe"),
+        (lambda f: digit_rows(f, [f.one, 3], "probe"), "probe"),
+        (lambda f: LinearCode(f, [[1], [2]]), "matrix entry"),
+        (lambda f: LinearCode(f, [[f.one], [[1, 0, 0]]]), "matrix entry"),
+        (lambda f: LinearCode(f, [[f.el(1)], [f.el(2)]]).encode([3]), "message entry"),
+    ],
+    ids=["digit_list", "int_among_elements", "int_matrix", "digit_list_entry", "int_message"],
+)
+def test_non_elements_raise_bad_shape_naming_the_entry(f8, call, what):
+    with pytest.raises(BadShape, match=what):
+        call(f8)
+
+
+# ---------------------------------------------------------------- the matrix boundary
+
+def test_matrix_digits_reads_elements_and_arrays_alike(f9):
+    caller = np.array([[[1, 0]], [[2, 1]], [[0, 2]]], dtype=np.int32)
+    from_rows = matrix_digits(f9, [[f9.el(1)], [f9.el(5)], [f9.el(6)]])
+    from_array = matrix_digits(f9, caller)
+    for got in (from_rows, from_array):
+        assert got.shape == (3, 1, 2) and got.dtype == np.int64
+        assert not got.flags.writeable
+        assert np.array_equal(got, caller)
+    caller[0, 0, 0] = 0
+    assert from_array[0, 0, 0] == 1
+    code = LinearCode(f9, from_array)
+    assert (code.n, code.k) == (3, 1) and np.array_equal(code.matrix, from_rows)
+    assert code.images() == [[1], [5], [6]]
+    assert not code.matrix.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "make, error",
+    [
+        (lambda f, g: np.ones((3, 2), dtype=np.int64), BadShape),
+        (lambda f, g: np.ones((3, 1, 1, 2), dtype=np.int64), BadShape),
+        (lambda f, g: np.ones((3, 1, 3), dtype=np.int64), BadShape),
+        (lambda f, g: np.ones((3, 1, 2)), BadShape),
+        (lambda f, g: np.ones((3, 1, 2), dtype=bool), BadShape),
+        (lambda f, g: np.full((3, 1, 2), 3), OutOfRange),
+        (lambda f, g: np.full((3, 1, 2), -1), OutOfRange),
+        (lambda f, g: np.ones((0, 1, 2), dtype=np.int64), BadShape),
+        (lambda f, g: np.ones((3, 0, 2), dtype=np.int64), BadShape),
+        (lambda f, g: [], BadShape),
+        (lambda f, g: [[]], BadShape),
+        (lambda f, g: [f.one, f.one], BadShape),  # rows that are not sequences
+        (lambda f, g: [[f.one], [f.one, f.el(2)], [f.one]], BadShape),
+        (lambda f, g: [[f.one], [g.one], [f.el(2)]], FieldMismatch),
+    ],
+    ids=[
+        "ndim_2",
+        "ndim_4",
+        "width_3",
+        "float",
+        "bool",
+        "digit_p",
+        "negative_digit",
+        "no_rows",
+        "no_columns",
+        "empty_list",
+        "one_empty_row",
+        "element_rows",
+        "ragged",
+        "foreign_entry",
+    ],
+)
+def test_matrix_way_in_rejects_malformed_matrices(f9, f4, monkeypatch, make, error):
+    def refuse(field):
+        raise AssertionError("expanded a malformed matrix")
+
+    monkeypatch.setattr(gf, "_x_power_operators", refuse)
+    bad = make(f9, f4)
+    with pytest.raises(error):
+        LinearCode(f9, bad)
+    with pytest.raises(error):
+        expand_operator(bad, f9)
 
 
 def test_instance_holds_a_read_only_copy_of_its_vectors(f16):

@@ -16,7 +16,7 @@ from pqdec.metrics import manhattan_dist
 
 def _column(g, i):
     """Vector b_(i+1): generator column i of the gadget's code."""
-    return [row[i] for row in g.code.matrix]
+    return [g.field.from_digits(row[i].tolist()) for row in g.code.matrix]
 
 
 def test_build_gadget_single_set(f4):

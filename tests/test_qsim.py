@@ -33,6 +33,7 @@ from pqdec.qsim import (
     _dft_matrix,
     _dft_runs,
     _fourier_law,
+    _join,
     _real_part,
     _require_uniform,
     cube_overlap,
@@ -975,7 +976,7 @@ def test_join_rejects_amounts_of_the_wrong_shape(shape):
     with pytest.raises(BadRegister):
         DenseState.from_parts(lay, label, cubes, generators)
     with pytest.raises(BadRegister):
-        DenseState._controlled_join(lay, label, cubes, generators)
+        _join(lay, label, cubes, generators, np.float64)  # the sampler's entry
 
 
 SAMPLER_LAYOUT = RegisterLayout(p=3, m=3, n=3, label_digits=3, cube_count=1)
@@ -1527,7 +1528,7 @@ def test_streamed_marginal_is_the_joined_state_read_in_the_fourier_basis(lay):
     label /= np.linalg.norm(label)
     cubes = [v / np.linalg.norm(v) for v in cubes]
     gens = _join_generators(lay, lay.dim)
-    head = DenseState._controlled_join(replace(lay, cube_count=1), label, cubes[:1], gens[:, :1])
+    head = DenseState.from_parts(replace(lay, cube_count=1), label, cubes[:1], gens[:, :1])
     tail = DenseState.from_parts(
         replace(lay, cube_count=lay.cube_count - 1), np.ones(lay.label_dim), cubes[1:], gens[:, 1:]
     )
