@@ -14,9 +14,10 @@ controlled joins over those generators, each one
 ``DenseState.from_parts``, write its two parts: a head, the work
 register with register 0, and a tail, a unit label with the other
 registers.  The Fourier-basis measurement
-(``qsim.fourier_label_marginal``) streams their label-wise product
-through the inverse transform tile by tile, so every amplitude of the
-composite is computed but the state is never held.  When the full
+(``qsim.fourier_label_marginal``) depends only on the label register's
+reduced density matrix, the entrywise product of the head's and the
+tail's label Gram matrices, so no amplitude of the composite is ever
+formed.  When the full
 tensor product exceeds the amplitude guard, the final label marginal
 is computed exactly without it: the state after the controlled shifts
 is a sum of label-basis terms whose cube part factorises register by
@@ -67,6 +68,7 @@ from .qsim import (
     RegisterLayout,
     SigmaParam,
     _dft_matrix,
+    _row_dots,
     fourier_label_marginal,
     label_source,
     require_cube_orthogonality,
@@ -173,15 +175,12 @@ def _dense_full_marginal(
     :meth:`DenseState.from_parts`: a head, the work register with
     register 0 (p^T x q^n), and a tail, a unit label with the other
     registers (p^T x q^(n(T-1))).  The Fourier-basis measurement
-    (:func:`~pqdec.qsim.fourier_label_marginal`) streams their label-wise
-    product through the inverse transform tile by tile, so the
-    p^T x q^(nT) composite is computed but never held.  Each register
-    takes at most ``label_digits`` shift maps.  With at most three
-    registers every composite amplitude is the product that one join of
-    the whole composite (``from_parts`` on ``layout``) forms,
-    (work * factor 0) * (factor 1 * factor 2); with more, the tail's
-    Kronecker product associates factor 1 (x) (factor 2 (x) ...), which
-    can move an amplitude by an ulp.
+    (:func:`~pqdec.qsim.fourier_label_marginal`) reads them through the
+    label register's p^T x p^T reduced density matrix, Gram(head) o
+    Gram(tail) entrywise, so no amplitude of the p^T x q^(nT) composite
+    is formed; it agrees with the whole join read in the Fourier basis
+    to rounding, not bit for bit.  Each register takes at most
+    ``label_digits`` shift maps.
     """
     p, t = layout.p, layout.label_digits
     label = DenseState.zero_state(replace(layout, cube_count=0))
@@ -224,15 +223,20 @@ def _dense_factorized_marginal(
     approximation is involved; the tensor product is just never
     materialised.  g_j(0) is the squared norm of Phi_j, and each power
     d >= 1 shifts the (T, q^n) stack of the Phi_j at once, through one
-    checked map shared by the T registers: p - 1 maps in all.
+    checked map shared by the T registers: p - 1 maps in all.  Every
+    overlap is summed by :func:`~pqdec.qsim._row_dots`, in an order
+    numpy fixes, so its bits do not depend on the BLAS thread count.
     """
     p = field.p
     phis = np.stack(pcs_vectors)
     g = np.empty((len(phis), p), dtype=phis.dtype)  # row j: register j's overlaps
-    g[:, 0] = [np.vdot(phi, phi) for phi in phis]  # d = 0: the squared norm
+    flat = phis.view(np.float64)
+    g[:, 0] = _row_dots(flat, flat)  # d = 0: the squared norm
     for d in range(1, p):
-        shifted = shift_cube_vector(phis, field, t_digit_rows, d)
-        g[:, d] = [np.vdot(phi, moved) for phi, moved in zip(phis, shifted)]
+        # <phi|v> = conj(sum conj(v) phi): the fresh shifted stack v is
+        # conjugated in place, so no conjugate of the phis is allocated
+        moved = shift_cube_vector(phis, field, t_digit_rows, d)
+        g[:, d] = _row_dots(np.conjugate(moved, out=moved), phis).conj()
     f_inv = _dft_matrix(p, inverse=True)
     weights = [np.maximum((f_inv @ row).real / np.sqrt(p), 0.0) for row in g]
     return reduce(np.kron, weights)[label_source(columns.T, p, inverse=True)]

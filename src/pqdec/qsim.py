@@ -78,14 +78,14 @@ measurement, reads it once and writes nothing: it is the streamed
 Fourier-basis measurement of :func:`_fourier_law` with the forward F,
 and :meth:`PcsSampler.collapse` computes a label's slice of the
 transformed state as that label's row of F times the held array.  The
-decoder's full-tensor path holds no joined state
-at all: after its shift, label slice y is (work amplitude times
-register 0's factor) (x) (the other registers' factors), so it joins a
-head (the work register with register 0) and a tail (a unit label with
-the other registers) over the same generators, and its one gate after
-the shift, the Fourier-basis measurement
-(:func:`fourier_label_marginal`), computes their label-wise product
-tile by tile, through the same tile loop.  No decode runs
+decoder's full-tensor path holds no joined state at all: after its
+shift, label slice y is (work amplitude times register 0's factor) (x)
+(the other registers' factors), so it joins a head (the work register
+with register 0) and a tail (a unit label with the other registers)
+over the same generators, and its one gate after the shift, the
+Fourier-basis measurement (:func:`fourier_label_marginal`), reads the
+label register's reduced density matrix off them: the entrywise
+product of their label Gram matrices.  No decode runs
 :meth:`DenseState.permute_label` or
 :meth:`DenseState.controlled_register_shifts` as a pass of its own:
 they are the reference gates a join is checked against.
@@ -100,34 +100,32 @@ took 2.2 ms as eight 64 x 4096 outer products, against 5.2 ms as one
 multiplies the state tile by tile (about ``DFT_TILE`` floats each) into
 a small scratch tile and copies each tile back.  The Fourier-basis
 label measurement of a head and a tail (:func:`fourier_label_marginal`)
-writes each tile of their label-wise product (``2 * DFT_TILE`` floats)
-into scratch, transforms it there through every run of label axes and
-sums its squared magnitudes per label while it is in cache: each
-composite amplitude is computed once, read once and never stored, and
-neither part is written (on the benchmark's dense_full shape, 1.3 MB
-traced at peak against a 16 MB composite).  The sampler's measurement
-is the same loop on its one held array: each tile is read where it is
-held, and at p >= 3 its first label run is one real product by Re F
-and Im F stacked, half the flops of a complex product of the real
-amplitudes (on one core of a 2-vCPU Xeon, one BLAS thread, the F_27
-sampler's 3^12 amplitudes took about 2.5 ms this way, against about
-4.3 ms for the in-place complex transform and 0.7 ms for the marginal
-pass it replaces).  A controlled shift and a
-label permutation move one label slice at a time, through one slice of
-scratch.  For p = 2 the Fourier matrix is
-the real Hadamard power, and every other gate only moves amplitudes, so
-a state built from real amplitudes stays real: it is stored as float64,
-half the bytes of a complex state, and a transform is a real product.
-The sampler's joined state is no :class:`DenseState` and is float64 at
-every p.
+forms no composite amplitude at all: it holds the p^T x p^T reduced
+density matrix rho = Gram(head) o Gram(tail) (entrywise), each Gram
+summed over column blocks of ``2 * DFT_TILE`` floats, and reads the law
+as the diagonal of F^-1 rho F^-H; neither part is written.  The
+sampler's measurement streams its one held array through a tile loop:
+each tile is read where it is held, transformed into scratch and summed
+per label while it is in cache, and at p >= 3 its first label run is
+one real product by Re F and Im F stacked, half the flops of a complex
+product of the real amplitudes (on one core of a 2-vCPU Xeon, one BLAS
+thread, the F_27 sampler's 3^12 amplitudes took about 2.5 ms this way,
+against about 4.3 ms for the in-place complex transform and 0.7 ms for
+the marginal pass it replaces).  A controlled shift and a label
+permutation move one label slice at a time, through one slice of
+scratch.  For p = 2 the Fourier matrix is the real Hadamard power, and
+every other gate only moves amplitudes, so a state built from real
+amplitudes stays real: it is stored as float64, half the bytes of a
+complex state, and a transform is a real product.  The sampler's
+joined state is no :class:`DenseState` and is float64 at every p.
 Each gate is checked: a Fourier transform, and a Fourier-basis
 measurement, checks the norm to 1e-10
 (:class:`~pqdec.errors.InvariantViolated` otherwise), on whichever
 register it runs on, summing each tile's squared magnitudes while the
-tile is still in cache; a gate that only reorders amplitudes (a label
-permutation or a shift) first checks that its index map is a bijection,
-which is exact and costs one pass over the map instead of one over the
-state.
+tile is still in cache (the full-tensor read-out checks its law's sum,
+trace rho); a gate that only reorders amplitudes (a label permutation or
+a shift) first checks that its index map is a bijection, which is exact
+and costs one pass over the map instead of one over the state.
 """
 
 from __future__ import annotations
@@ -165,8 +163,7 @@ DFT_BLOCK_DIM = 32
 # F_2 label digits took 6.9 ms in tiles of 2^15 floats, against 15.1 ms
 # at 2^12, 7.7 ms at 2^14, 7.1 ms at 2^16 and 10.4 ms at 2^17, and
 # 16.7 ms as one out-of-place product followed by a norm pass.  The
-# streamed Fourier-basis measurement takes tiles of twice this (see
-# :func:`fourier_label_marginal`).
+# sampler's measurement tiles and the Gram matrices' blocks take twice this.
 DFT_TILE = 2**15
 
 
@@ -595,106 +592,96 @@ def fourier_label_marginal(head: DenseState, tail: DenseState) -> np.ndarray:
     """Fourier-basis label measurement of the label-wise product of two states.
 
     ``head`` and ``tail`` share one label register (the same p and label
-    digits), and the composite state they stand for has label slice y
-    equal to head's slice y (x) tail's slice y.  Its outcome law, equal to
-    ``qft_label(inverse=True)`` then :meth:`DenseState.label_marginal` on
-    the composite, is computed without holding the composite, by the tile
-    loop :func:`_fourier_law`, which the PCS sampler's measurement shares.
-    It is streamed in tiles of ``2 * DFT_TILE`` floats: a run of head columns
-    (every value of head's registers) with every tail column, or, when
-    one head column does not fit, a slice of tail columns.  Each tile is
-    written as ``head[:, rows, None] * tail[:, None, cols]`` into one
-    scratch tile, every label run's inverse Fourier matrix
-    (:func:`_dft_runs`) takes it into a second one and back, and its
-    squared magnitudes are summed per label while it is in cache, one
-    head column after another.  The norm is checked on their total at
-    ``NORM_TOL``, as :meth:`DenseState.dft_axis` checks it.  Neither state
-    is written.  Tile size: the decoder's whole full-tensor marginal on
-    the 2^21-amplitude real composite of the benchmark's dense_full
-    workload (F_8, n = 2, k = 1; 12 label draws, one BLAS thread, median
-    of 15 interleaved runs on one core of a 2-vCPU Xeon) took 5.8 ms at
-    ``DFT_TILE`` floats per tile, 4.9 ms at twice that and 6.4 ms at four
-    times, with traced peaks of 0.9, 1.3 and 2.4 MB.
+    digits), and the composite they stand for has label slice y equal to
+    head's slice y (x) tail's slice y.  Its outcome law (``qft_label``
+    with ``inverse``, then :meth:`DenseState.label_marginal`, on the
+    composite) depends only on the label register's reduced density
+    matrix rho, entry (y, y') <head_y'|head_y> <tail_y'|tail_y>: the
+    entrywise product of the parts' Gram matrices (:func:`_gram`), so no
+    composite amplitude is formed.  The law is the real diagonal of
+    F^-1 rho F^-H; its sum, trace rho, is checked at ``NORM_TOL``, and
+    each entry is clamped at 0, where rounding can leave an impossible
+    outcome a few ulps below.  rho is p^T x p^T: at most 2^8 x 2^8 on the
+    decoder's full-tensor path when T >= 2, and ScaleExceeded past the
+    amplitude guard.  Neither state is written.
     """
     lay = head.layout
     if (tail.layout.p, tail.layout.label_digits) != (lay.p, lay.label_digits):
         raise BadRegister(f"head {lay} and tail {tail.layout} have different label registers")
-    labels = lay.label_dim
-    return _fourier_law(
-        head.vec.reshape(labels, -1), tail.vec.reshape(labels, -1), lay.p, lay.label_digits
-    )
+    if not lay.label_digits:
+        raise BadRegister("the layout has no label register to measure")
+    _require_amplitudes(lay.label_dim**2, "label density matrix")
+    rho = _gram(head.vec.reshape(lay.label_dim, -1)) * _gram(tail.vec.reshape(lay.label_dim, -1))
+    # complex only at p >= 3, where every DenseState is complex too
+    f = _dft_matrix(lay.p, True, lay.label_digits).astype(rho.dtype, copy=False)
+    # Re sum_y' (F rho)[z, y'] conj(F[z, y']), on float64 views
+    law = np.einsum("ij,ij->i", (f @ rho).view(np.float64), f.view(np.float64))
+    _require_unit_norm(law.sum())
+    return np.maximum(law, 0.0)
 
 
-def _fourier_law(
-    a: np.ndarray, b: np.ndarray | None, p: int, digits: int, inverse: bool = True
-) -> np.ndarray:
-    """Label law of the state whose label slice y is a[y] (x) b[y] (a[y] alone
-    when ``b`` is None), measured after F^-1 (F with ``inverse`` False) on
-    its ``digits`` label digits of radix p.
+def _gram(x: np.ndarray) -> np.ndarray:
+    """x x^H over column blocks of ``2 * DFT_TILE`` floats: a complex x is conjugated by block."""
+    step = max(2 * DFT_TILE * 8 // (x.itemsize * len(x)), 1)
+    out = np.zeros((len(x), len(x)), dtype=x.dtype)
+    for c in range(0, x.shape[1], step):
+        block = x[:, c : c + step]
+        out += block @ block.conj().T
+    return out
 
-    The one tile loop of both Fourier-basis measurements (see
-    :func:`fourier_label_marginal`).  Without ``b`` a tile is a run of a's
-    columns, read where it is held, and its per-label sums are added tile
-    by tile.  A real ``a`` under a complex Fourier matrix (p >= 3) takes
-    the first label run as one real product by Re F and Im F, stacked
-    row by row, so that label z's real row is followed by its imaginary
-    row: no multiplication by an exact zero.  With one run those rows are
-    summed as they are; with more, they are interleaved into a complex
-    tile, which each later run takes as a complex product.  The total is
+
+def _fourier_law(a: np.ndarray, p: int, digits: int, inverse: bool = True) -> np.ndarray:
+    """Label law of the state whose label slice y is a[y], measured after
+    F^-1 (F with ``inverse`` False) on its ``digits`` label digits of radix p.
+
+    The PCS sampler's Fourier-basis measurement, one tile loop: a tile is
+    a run of a's columns (about ``2 * DFT_TILE`` floats once transformed),
+    read where it is held, every label run's Fourier matrix
+    (:func:`_dft_runs`) takes it into one scratch tile and the next, and
+    its squared magnitudes are summed per label while it is in cache.  A
+    real ``a`` under a complex Fourier matrix (p >= 3) takes the first
+    label run as one real product by Re F and Im F, stacked row by row,
+    so that label z's real row is followed by its imaginary row: no
+    multiplication by an exact zero.  With one run those rows are summed
+    as they are; with more, they are interleaved into a complex tile,
+    which each later run takes as a complex product.  The total is
     checked against ``NORM_TOL``.  Nothing that is passed in is written.
     """
     runs = _dft_runs(0, digits, p)
     if not runs:
         raise BadRegister("the layout has no label register to measure")
     labels = len(a)
-    amps = a.dtype if b is None else np.result_type(a, b)
     mats = [(p**axis, _dft_matrix(p, inverse, width)) for axis, width in runs]
-    dtype = np.result_type(amps, mats[0][1])  # of a transformed tile
-    if b is None and amps != dtype:
+    dtype = np.result_type(a, mats[0][1])  # of a transformed tile
+    if a.dtype != dtype:
         f = mats[0][1]
         first = np.stack([f.real, f.imag], axis=1).reshape(2 * len(f), -1)
     else:
         first = None
     mats = [(pre, f.astype(dtype, copy=False)) for pre, f in mats]
     size = 2 * DFT_TILE * 8 // dtype.itemsize  # elements in one tile
-    inner = 1 if b is None else b.shape[1]
-    rows = min(max(size // (labels * inner), 1), a.shape[1])
-    cols = min(max(size // labels, 1), inner)
-    tiles = np.empty((2, labels * rows * cols), dtype=dtype)
+    rows = min(max(size // labels, 1), a.shape[1])
+    tiles = np.empty((2, labels * rows), dtype=dtype)
     marginal = np.zeros(labels)
     for r in range(0, a.shape[1], rows):
-        part = a[:, r : r + rows, None]
-        for c in range(0, inner, cols):
-            if b is None:
-                src, turn = part, 0  # turn: the tile the next product writes
+        src, turn = a[:, r : r + rows], 0  # turn: the tile the next product writes
+        count = src.size
+        for k, (pre, f) in enumerate(mats):
+            dst = tiles[turn, :count]
+            if k == 0 and first is not None:
+                halves = dst.view(np.float64).reshape(len(first), -1)
+                np.matmul(first, src.reshape(len(f), -1), out=halves)
+                dst = halves
+                if len(mats) > 1:
+                    turn ^= 1
+                    dst = tiles[turn, :count]
+                    parts = halves.reshape(len(f), 2, -1).transpose(0, 2, 1)
+                    dst.view(np.float64).reshape(parts.shape)[...] = parts
             else:
-                other = b[:, None, c : c + cols]
-                src, turn = tiles[0, : part.size * other.shape[2]], 1
-                np.multiply(part, other, out=src.reshape(labels, part.shape[1], -1))
-            count = src.size
-            for k, (pre, f) in enumerate(mats):
-                dst = tiles[turn, :count]
-                if k == 0 and first is not None:
-                    halves = dst.view(np.float64).reshape(len(first), -1)
-                    np.matmul(first, src.reshape(len(f), -1), out=halves)
-                    dst = halves
-                    if len(mats) > 1:
-                        turn ^= 1
-                        dst = tiles[turn, :count]
-                        parts = halves.reshape(len(f), 2, -1).transpose(0, 2, 1)
-                        dst.view(np.float64).reshape(parts.shape)[...] = parts
-                else:
-                    np.matmul(f, src.reshape(pre, len(f), -1), out=dst.reshape(pre, len(f), -1))
-                src, turn = dst, turn ^ 1
-            if b is None:
-                w = src.reshape(labels, -1).view(np.float64)
-                marginal += np.einsum("ij,ij->i", w, w)
-            else:
-                w = src.view(np.float64).reshape(labels, part.shape[1], -1)
-                # added head column by head column, in order, so the marginal's
-                # bits do not depend on how many head columns a tile holds
-                for column in np.einsum("ijk,ijk->ij", w, w).T:
-                    marginal += column
+                np.matmul(f, src.reshape(pre, len(f), -1), out=dst.reshape(pre, len(f), -1))
+            src, turn = dst, turn ^ 1
+        w = src.reshape(labels, -1).view(np.float64)
+        marginal += np.einsum("ij,ij->i", w, w)
     _require_unit_norm(marginal.sum())
     return marginal
 
@@ -850,9 +837,7 @@ class PcsSampler:
         # step 4, the change of representation F_q^k -> F_p^{mk}, is a
         # no-op: the label slots already hold digits.  Step 5, the second
         # digit-wise Fourier transform, is read through the measurement
-        self.marginal = _fourier_law(
-            self.amplitudes, None, f.p, self.layout.label_digits, inverse=False
-        )
+        self.marginal = _fourier_law(self.amplitudes, f.p, self.layout.label_digits, inverse=False)
         _require_uniform(self.marginal)
 
     def collapse(self, label_digits: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -893,12 +878,27 @@ class PcsSampler:
                 pair.reshape(-1, 2)[...] = pair.T  # numpy copies the overlapping source first
         else:
             vecs = rows @ self.amplitudes
-        norms = np.array([np.linalg.norm(v) for v in vecs])
+        w = vecs.view(np.float64)
+        norms = np.sqrt(_row_dots(w, w))
         for z, nrm in zip(labels, norms):
             if nrm == 0:
                 raise OrthogonalityViolated(f"label {tuple(z.tolist())} has zero amplitude")
         vecs /= norms[:, None]
         return vecs if digits.ndim == 2 else vecs[0]
+
+
+def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_k x[..., k] y[..., k] of two arrays of one shape.
+
+    Summed in an order numpy fixes: no BLAS dot, whose bits depend on how
+    many threads split it, and no one running sum, which over a cube
+    state's many equal terms drifts by up to about 3e-13 (F_27, n = 3).
+    einsum sums runs of 128 entries and ``np.sum`` adds the runs pairwise.
+    """
+    cut = x.shape[-1] - x.shape[-1] % 128
+    runs = [v[..., :cut].reshape(*v.shape[:-1], -1, 128) for v in (x, y)]
+    rest = np.einsum("...k,...k->...", x[..., cut:], y[..., cut:])
+    return np.einsum("...k,...k->...", *runs).sum(axis=-1) + rest
 
 
 def _real_part(vec: np.ndarray) -> np.ndarray:

@@ -509,43 +509,60 @@ DENSE_FULL_COLUMNS = [
     (1, 2), (1, 5), (2, 1), (2, 4), (3, 4), (3, 6), (4, 2),
     (4, 3), (5, 1), (5, 7), (6, 3), (6, 7), (7, 5), (7, 6),
 ]
-# what every decode of them returned when the composite state was held
-# whole and read in the Fourier basis: the resample rounds at seeds 0, 1
-# and 2, and one peak, whose bits depend on every summation's order
+# what every decode of them returned: the resample rounds at seeds 0, 1
+# and 2, as when the composite state was held whole and read in the
+# Fourier basis, and one peak, whose bits depend on every summation's
+# order.  Read from the label register's reduced density matrix, the peak
+# moved from 0x1.0000000000003p+0, by four ulps
 DENSE_FULL_ROUNDS = (4, 1, 3)
-DENSE_FULL_PEAK = float.fromhex("0x1.0000000000003p+0")
+DENSE_FULL_PEAK = float.fromhex("0x1.0000000000007p+0")
+DENSE_FULL_STREAMED_PEAK = float.fromhex("0x1.0000000000003p+0")
 
 
-def test_decode_dense_on_dense_full_inputs_is_unchanged_seed_for_seed(f8):
+def _dense_full_decodes() -> list[list]:
+    """[s_hat, rounds, peak in hex] of every decode of the dense_full inputs."""
+    f8 = Field(2, 3)
     sigma = SigmaParam.from_r(f8, 0)
+    out = []
     for j, (a, b) in enumerate(DENSE_FULL_COLUMNS):
         code = LinearCode(f8, [[f8.el(a)], [f8.el(b)]])
         code = LinearCode(f8, code.matrix, d=min_distance_bruteforce(code))
         s = f8.el(j % 8)
         inst = plant_instance(code, (s,), (f8.zero, f8.zero))
-        for seed, rounds in enumerate(DENSE_FULL_ROUNDS):
-            want = DecodeResult(
-                s_hat_digits=tuple(int(d) for d in s.digits),
-                s_hat=(s.image,),
-                sigma_r=0,
-                backend="dense",
-                resample_rounds=rounds,
-                verified=True,
-                peak_probability=DENSE_FULL_PEAK,
-            )
-            assert decode_dense(inst, sigma, seed=seed) == want, (a, b, seed)
+        for seed in range(len(DENSE_FULL_ROUNDS)):
+            res = decode_dense(inst, sigma, seed=seed)
+            assert (res.s_hat_digits, res.sigma_r, res.verified) == (s.digits, 0, True)
+            out.append([list(res.s_hat), res.resample_rounds, res.peak_probability.hex()])
+    return out
+
+
+def test_decode_dense_on_dense_full_inputs_is_unchanged_seed_for_seed():
+    assert abs(DENSE_FULL_PEAK - DENSE_FULL_STREAMED_PEAK) < 1e-12
+    want = [
+        [[j % 8], rounds, DENSE_FULL_PEAK.hex()]
+        for j in range(len(DENSE_FULL_COLUMNS))
+        for rounds in DENSE_FULL_ROUNDS
+    ]
+    assert _dense_full_decodes() == want
 
 
 # the benchmark's dense_factorised inputs: the four F_27 generator columns
 # it selects (modulus low coefficients (1, 2, 0)), planted with message
 # 7j + 4 and errors (j, j + 1, j + 2) mod 3, decoded at sigma = 3
 DENSE_FACTORISED_COLUMNS = [(20, 24, 3), (2, 17, 8), (5, 16, 21), (18, 1, 6)]
-# what every decode of them returned with one BLAS thread, when the sampler
-# transformed its joined complex state in place: the resample rounds at
-# seeds 0, 1 and 2, and each decode's peak, whose bits depend on every
-# collapsed amplitude
+# what every decode of them returned: the resample rounds at seeds 0, 1
+# and 2, and each decode's peak, whose bits depend on every collapsed
+# amplitude and on the order of every sum behind the overlaps
 DENSE_FACTORISED_ROUNDS = (2, 1, 1)
 DENSE_FACTORISED_PEAKS = [
+    ("0x1.0000000000003p+0", "0x1.0000000000001p+0", "0x1.0000000000004p+0"),
+    ("0x1.0000000000001p+0", "0x1.0000000000002p+0", "0x1.0000000000002p+0"),
+    ("0x1.0000000000001p+0", "0x1.0000000000000p+0", "0x1.0000000000003p+0"),
+    ("0x1.0000000000002p+0", "0x1.0000000000001p+0", "0x1.0000000000001p+0"),
+]
+# the peaks when the norms and overlaps were BLAS dot products, read with
+# one BLAS thread
+DENSE_FACTORISED_BLAS_PEAKS = [
     ("0x1.0000000000011p+0", "0x1.0000000000024p+0", "0x1.0000000000029p+0"),
     ("0x1.0000000000016p+0", "0x1.0000000000012p+0", "0x1.000000000001dp+0"),
     ("0x1.0000000000014p+0", "0x1.000000000000dp+0", "0x1.000000000002dp+0"),
@@ -554,7 +571,7 @@ DENSE_FACTORISED_PEAKS = [
 
 
 def _dense_factorised_decodes() -> list[list]:
-    """[s_hat, rounds, peak in hex] of every decode the pin below covers."""
+    """[s_hat, rounds, peak in hex] of every decode of the dense_factorised inputs."""
     f = Field(3, 3, poly=(1, 2, 0))
     sigma = SigmaParam.from_r(f, 1)
     out = []
@@ -570,31 +587,45 @@ def _dense_factorised_decodes() -> list[list]:
     return out
 
 
-def test_decode_dense_on_dense_factorised_inputs_is_unchanged_seed_for_seed():
-    # the factorised path: the full tensor is past the amplitude guard
-    assert 3 ** (3 + 3 * 9) > MAX_AMPLITUDES
-    # BLAS splits a long dot product's sum across its threads, so the
-    # collapsed vectors' norms, and with them the peaks' last bits, depend
-    # on the thread count: the decodes run in a child with one thread, as
-    # the benchmark runs them
-    threads = {var: "1" for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), **threads)
-    script = "import json, test_decoder as t; print(json.dumps(t._dense_factorised_decodes()))"
+def _decodes_in_a_child(helper: str, threads: int) -> list[list]:
+    """What ``helper`` of this module returns in a child whose BLAS has ``threads`` threads."""
+    variables = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    env.update({var: str(threads) for var in variables})
+    script = f"import json, test_decoder as t; print(json.dumps(t.{helper}()))"
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_decode_dense_on_dense_factorised_inputs_is_unchanged_seed_for_seed():
+    # the factorised path: the full tensor is past the amplitude guard
+    assert 3 ** (3 + 3 * 9) > MAX_AMPLITUDES
+    for peaks, blas_peaks in zip(DENSE_FACTORISED_PEAKS, DENSE_FACTORISED_BLAS_PEAKS):
+        for peak, blas_peak in zip(peaks, blas_peaks):
+            assert abs(float.fromhex(peak) - float.fromhex(blas_peak)) < 1e-12
     want = [
         [[(7 * j + 4) % 27], rounds, peak]
         for j, peaks in enumerate(DENSE_FACTORISED_PEAKS)
         for rounds, peak in zip(DENSE_FACTORISED_ROUNDS, peaks)
     ]
-    assert json.loads(proc.stdout) == want
+    assert _dense_factorised_decodes() == want
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores")
+@pytest.mark.parametrize("helper", ["_dense_full_decodes", "_dense_factorised_decodes"])
+def test_pinned_decodes_do_not_depend_on_the_blas_thread_count(helper):
+    # the norms and overlaps are summed in an order numpy fixes, and the
+    # matrix products behind the collapse and the Gram matrices split
+    # their outputs, not their sums, across threads: the same bits
+    assert _decodes_in_a_child(helper, 1) == _decodes_in_a_child(helper, 2)
 
 
 def test_full_marginal_at_the_dense_full_shape_holds_no_joined_state(f8):
-    # 2^21 real amplitudes (16 MB) are computed, a head, a tail and two
-    # tiles are held
+    # no amplitude of the 2^21-amplitude (16 MB) composite is formed: a
+    # head, a tail and their 8 x 8 label Gram matrices are held
     code = LinearCode(f8, [[f8.el(1)], [f8.el(2)]], d=3)
     sampler = PcsSampler(code, SigmaParam.from_r(f8, 0))
     columns, _ = sample_label_matrix(2, 3, np.random.default_rng(0))
@@ -634,6 +665,48 @@ def test_decode_dense_rejects_an_unnormalised_marginal(f4, monkeypatch):
     inst = gen_instance(code_123(f4), 0, seed=5)
     with pytest.raises(InvariantViolated):
         decode_dense(inst, SigmaParam.from_r(f4, 0), seed=5)
+
+
+class _RecordingGenerator(np.random.Generator):
+    """A generator that keeps the law of every ``choice`` it draws."""
+
+    def choice(self, a, *args, p=None, **kwargs):
+        self.laws.append(p)
+        return super().choice(a, *args, p=p, **kwargs)
+
+
+@pytest.mark.parametrize("p,images,error", [(3, [5, 1, 0], (1, 0, 0)), (5, [19, 7], (1, 0))])
+def test_full_path_law_is_nonnegative_at_and_below_the_covering_sigma(
+    p, images, error, monkeypatch
+):
+    # F_9 at n = 3 and F_25 at n = 2 take the full-tensor path on complex
+    # states, and sigma = p covers the error image 1.  There the law
+    # concentrates, and rounding leaves some impossible outcomes up to
+    # about 5e-16 below 0 before the read-out clamps them.  At sigma = 1
+    # the law spreads out and the outcome is drawn from it, which a
+    # negative entry would make raise ValueError
+    f = Field(p, 2)
+    code = LinearCode(f, [[f.el(a)] for a in images])
+    inst = plant_instance(code, (f.el(1),), tuple(f.el(e) for e in error))
+    measured = decoder.fourier_label_marginal
+    laws = []
+
+    def recording(head, tail):
+        laws.append(measured(head, tail))
+        return laws[-1]
+
+    monkeypatch.setattr(decoder, "fourier_label_marginal", recording)
+    for seed in range(2):
+        assert decode_dense(inst, SigmaParam.from_r(f, 1), seed=seed).s_hat == (1,)
+        rng = _RecordingGenerator(np.random.PCG64(seed))
+        rng.laws = []
+        try:
+            decode_dense(inst, SigmaParam.from_r(f, 0), seed=rng)
+        except PromiseViolated:
+            pass  # the drawn candidate is far from t
+        [drawn] = rng.laws
+        assert drawn.max() < 1 - CONCENTRATION_TOL
+    assert len(laws) == 4 and all(law.min() >= 0 for law in laws)
 
 
 # ---------------------------------------------------------------- structured decode

@@ -2,13 +2,14 @@ import hashlib
 import tracemalloc
 from dataclasses import replace
 from itertools import product
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from pqdec import decoder
+from pqdec import decoder, qsim
 from pqdec.codes import LinearCode
 from pqdec.decoder import _dense_full_marginal
 from pqdec.errors import (
@@ -36,6 +37,7 @@ from pqdec.qsim import (
     _join,
     _real_part,
     _require_uniform,
+    _row_dots,
     cube_overlap,
     cube_vector,
     digits_to_label,
@@ -1320,7 +1322,7 @@ def test_sampler_measurement_is_the_transform_then_the_marginal(p, t, widths, ro
     lay, vec = _real_label_state(p, t, seed=p * t)
     for inverse in (False, True):
         want = DenseState(lay, vec.astype(np.complex128)).qft_label(inverse).label_marginal()
-        got = _fourier_law(vec.reshape(lay.label_dim, -1), None, p, t, inverse)
+        got = _fourier_law(vec.reshape(lay.label_dim, -1), p, t, inverse)
         assert np.max(np.abs(got - want)) < 1e-12
     # a sampler's state: each collapse is the normalised slice of its
     # complex copy transformed in place, one label at a time or stacked
@@ -1344,11 +1346,11 @@ def test_sampler_measurement_checks_the_norm(p, t):
     lay, vec = _real_label_state(p, t, seed=1)
     held = vec.reshape(lay.label_dim, -1)
     with pytest.raises(InvariantViolated):
-        _fourier_law(held * (1 + 1e-8), None, p, t, inverse=False)
+        _fourier_law(held * (1 + 1e-8), p, t, inverse=False)
     held = held.copy()
     held[1, 2] = np.nan
     with pytest.raises(InvariantViolated):
-        _fourier_law(held, None, p, t, inverse=False)
+        _fourier_law(held, p, t, inverse=False)
 
 
 def test_uniform_check_fails_on_nan():
@@ -1371,6 +1373,21 @@ def test_sampler_factors_must_be_exactly_real():
         _real_part(np.array([0.5 + 0j, complex(0.5, np.nan)]))
 
 
+@pytest.mark.parametrize("length", [1, 127, 128, 300, 2 * 3**9])
+def test_row_dots_are_dot_products_summed_in_runs(length):
+    rng = np.random.default_rng(length)
+    x, y = rng.normal(size=(2, 3, length))
+    want = np.sum(x.astype(np.longdouble) * y, axis=-1)
+    assert np.max(np.abs(_row_dots(x, y) - want)) < 1e-12
+    bra, ket = x - 1j * y, y + 1j * x  # complex rows, as the overlaps take them
+    want = np.sum(bra.astype(np.clongdouble) * ket, axis=-1)
+    assert np.max(np.abs(_row_dots(bra, ket) - want)) < 1e-12
+    # a cube state's many equal terms: one running sum of 2 * 3^9 squares of
+    # 3^(-9/2) / sqrt(2) drifts by about 7e-14, the runs by a few ulps
+    flat = np.full((1, length), np.sqrt(0.5 / 3**9))
+    assert abs(_row_dots(flat, flat)[0] - length / (2 * 3**9)) < 1e-15
+
+
 def test_collapse_rejects_a_malformed_stack(f4):
     sampler = PcsSampler(code_123(f4), SigmaParam.from_r(f4, 0))
     for shape in [(2, 3), (1, 1, 2), (0, 2)]:
@@ -1391,11 +1408,11 @@ def test_measure_label_uniform_probabilities():
     assert np.allclose(marg, 1 / 8, atol=1e-12)
 
 
-# (p, n, label digits, real input, label runs, tiled by head columns):
+# (p, n, label digits, real input, label runs, tail in one Gram block):
 # one label run or several (p = 2 and T = 7: widths 5 and 2; p = 3 and
-# T = 4: widths 3 and 1), and both tilings of the streamed composite,
-# runs of whole head columns or slices of one head column's tail
-# columns; a real input stays real only at p = 2
+# T = 4: widths 3 and 1), and a tail whose Gram matrix is one block or
+# many blocks of 2 * DFT_TILE floats; a real input stays real only at
+# p = 2
 FOURIER_READOUT_CASES = [
     (2, 2, 3, True, 1, True),
     (2, 2, 3, False, 1, True),
@@ -1403,7 +1420,7 @@ FOURIER_READOUT_CASES = [
     (2, 13, 3, False, 1, False),
     (2, 2, 7, True, 2, True),
     (2, 2, 7, False, 2, True),
-    (2, 13, 7, True, 2, True),  # many head columns per tile
+    (2, 13, 7, True, 2, True),  # a wide head
     (2, 13, 7, False, 2, False),
     (3, 2, 4, True, 2, True),
     (3, 2, 4, False, 2, True),
@@ -1422,8 +1439,8 @@ def _readout_parts(
 
     The composite has p^(t + n + 1) random amplitudes.  With ``by_rows``
     the head holds n coordinates and the tail one; otherwise the head is
-    label-only and the tail holds all n + 1, so a tile is a slice of one
-    head column's tail columns once they pass a tile.
+    label-only and the tail holds all n + 1, so its Gram matrix is summed
+    over several column blocks once the tail passes one.
     """
     rng = np.random.default_rng(seed)
     parts = []
@@ -1486,6 +1503,13 @@ def test_fourier_label_marginal_needs_a_label_register():
         fourier_label_marginal(head, other)
 
 
+def test_fourier_label_marginal_refuses_a_density_matrix_past_the_guard():
+    # 2^13 labels: rho would hold 2^26 entries, past the 2^24 amplitude guard
+    lay = RegisterLayout(p=2, m=1, n=1, label_digits=13, cube_count=0)
+    with pytest.raises(ScaleExceeded):
+        fourier_label_marginal(DenseState.zero_state(lay), DenseState.zero_state(lay))
+
+
 @pytest.mark.parametrize("p,n,t,real", [(3, 8, 4, False), (2, 13, 7, True)])
 def test_fourier_label_marginal_allocates_no_state_sized_array(p, n, t, real):
     head, tail = _readout_parts(p, n, t, real, seed=3)
@@ -1499,7 +1523,42 @@ def test_fourier_label_marginal_allocates_no_state_sized_array(p, n, t, real):
     assert peak < composite_bytes / 8
 
 
-# layouts of the streamed measurement's composite: p = 2 (real), p = 3
+def _random_part(p: int, t: int, coords: int, real: bool, rng) -> DenseState:
+    """Random amplitudes over t label digits and ``coords`` one-digit coordinates."""
+    lay = RegisterLayout(p=p, m=1, n=max(coords, 1), label_digits=t, cube_count=min(coords, 1))
+    vec = rng.normal(size=lay.dim if real else 2 * lay.dim)
+    return DenseState(lay, vec if real else vec.view(np.complex128))
+
+
+@st.composite
+def _readout_shapes(draw):
+    """(p, label digits, head and tail coordinates, real, log2 DFT_TILE): <= 3^8 amplitudes."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    digits = {2: 12, 3: 8, 5: 5, 7: 4}[p]  # p^digits <= 3^8 composite amplitudes
+    t = draw(st.integers(1, min(3, digits - 1)))
+    tail = draw(st.integers(1, digits - t))
+    head = draw(st.integers(0, digits - t - tail))
+    # a small tile cuts a tail into many Gram blocks; 15 is the real one
+    return p, t, head, tail, draw(st.booleans()), draw(st.sampled_from([3, 6, 15]))
+
+
+@given(shape=_readout_shapes(), seed=st.integers(0, 2**16))
+@example(shape=(2, 1, 1, 17, False, 15), seed=0)  # eight Gram blocks at the real tile
+@example(shape=(3, 2, 0, 9, False, 15), seed=1)  # six
+def test_fourier_label_marginal_is_the_composite_read_in_the_fourier_basis(shape, seed):
+    p, t, head_coords, tail_coords, real, tile_log = shape
+    rng = np.random.default_rng(seed)
+    head = _random_part(p, t, head_coords, real, rng)
+    tail = _random_part(p, t, tail_coords, real, rng)
+    head.vec /= np.sqrt(np.sum(head.label_marginal() * tail.label_marginal()))
+    want = _composite(head, tail).qft_label(inverse=True).label_marginal()
+    with patch.object(qsim, "DFT_TILE", 2**tile_log):
+        got = fourier_label_marginal(head, tail)
+    assert np.max(np.abs(got - want)) < 1e-12
+    assert np.all(got >= 0)
+
+
+# layouts of the full-tensor read-out's composite: p = 2 (real), p = 3
 # and p = 5 (complex), one to three cube registers, and two label runs
 # (p = 7, T = 2: 49 > DFT_BLOCK_DIM)
 STREAMED_LAYOUTS = [
