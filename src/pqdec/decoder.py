@@ -46,6 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import reduce
+from typing import Sequence
 
 import numpy as np
 
@@ -154,7 +155,7 @@ def decode_structured(
 
 def _dense_full_marginal(
     columns: np.ndarray,
-    pcs_vectors: list[np.ndarray],
+    pcs_vectors: Sequence[np.ndarray],
     t_digit_rows: np.ndarray,
     layout: RegisterLayout,
 ) -> np.ndarray:
@@ -202,7 +203,7 @@ def _dense_full_marginal(
 
 def _dense_factorized_marginal(
     columns: np.ndarray,
-    pcs_vectors: list[np.ndarray],
+    pcs_vectors: Sequence[np.ndarray],
     t_digit_rows: np.ndarray,
     field,
 ) -> np.ndarray:
@@ -221,22 +222,28 @@ def _dense_factorized_marginal(
     ``inverse``, checked to be a bijection, so a singular A raises
     BadParams) moves it to outcome order.  No
     approximation is involved; the tensor product is just never
-    materialised.  g_j(0) is the squared norm of Phi_j, and each power
-    d >= 1 shifts the (T, q^n) stack of the Phi_j at once, through one
-    checked map shared by the T registers: p - 1 maps in all.  Every
+    materialised.  g_j(0) is the squared norm of Phi_j, and
+    g_j(p - d) = conj(g_j(d)), since U_t^(p-d) = U_t^-d, so only the powers
+    d = 1 .. p//2 shift: each shifts the (T, q^n) stack of the Phi_j at
+    once, through one checked map shared by the T registers, p//2 maps in
+    all (at p = 2, d = 1 is its own mirror and still shifts).  Every
     overlap is summed by :func:`~pqdec.qsim._row_dots`, in an order
     numpy fixes, so its bits do not depend on the BLAS thread count.
     """
     p = field.p
-    phis = np.stack(pcs_vectors)
+    phis = np.asarray(pcs_vectors)  # a (T, q^n) stack is read where it is held
     g = np.empty((len(phis), p), dtype=phis.dtype)  # row j: register j's overlaps
     flat = phis.view(np.float64)
     g[:, 0] = _row_dots(flat, flat)  # d = 0: the squared norm
-    for d in range(1, p):
+    for d in range(1, p // 2 + 1):
         # <phi|v> = conj(sum conj(v) phi): the fresh shifted stack v is
         # conjugated in place, so no conjugate of the phis is allocated
         moved = shift_cube_vector(phis, field, t_digit_rows, d)
-        g[:, d] = _row_dots(np.conjugate(moved, out=moved), phis).conj()
+        overlap = _row_dots(np.conjugate(moved, out=moved), phis).conj()
+        # U_t^(p-d) = U_t^-d, so g(p - d) = <U_t^d phi|phi> = conj(g(d));
+        # written first, so at p = 2 (d = p - d = 1) g(1) is the overlap itself
+        g[:, p - d] = overlap.conj()
+        g[:, d] = overlap
     f_inv = _dft_matrix(p, inverse=True)
     weights = [np.maximum((f_inv @ row).real / np.sqrt(p), 0.0) for row in g]
     return reduce(np.kron, weights)[label_source(columns.T, p, inverse=True)]
@@ -262,7 +269,7 @@ def decode_dense(
     sampler = PcsSampler(code, sigma)  # raises OrthogonalityViolated / ScaleExceeded
     t_digits = f.m * code.k
     columns, rounds = sample_label_matrix(f.p, t_digits, rng)
-    pcs_vectors = list(sampler.collapse(columns.T))  # the T labels in one product
+    pcs_vectors = sampler.collapse(columns.T)  # the T labels' (T, q^n) stack, in one product
     del sampler  # its joined state is not read again; free it before the marginal
     try:
         layout = RegisterLayout(

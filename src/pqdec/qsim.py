@@ -27,8 +27,8 @@ by Horner's rule: :func:`_shift_source`, for speed (a 3^9-entry shift
 map and its bijection check take about 0.13 ms by Horner against about
 6 ms through the codec, on one core of a 2-vCPU Xeon).  A decode builds
 few shift maps, at most one per label digit and register in a join (see
-Factor first) and one per nonzero power of U_t in the factorised
-marginal: five over F_27 at k = 1.  Label index maps go through the
+Factor first) and one per power d = 1 .. p//2 of U_t in the factorised
+marginal: four over F_27 at k = 1.  Label index maps go through the
 codec, in :func:`label_source`, with a bijection check: a decode has at
 most 2^12 labels, where the codec is about as fast as Horner's rule, and
 each dense decode builds exactly one, on either marginal path.  The one
@@ -70,14 +70,22 @@ gather of its factor for label i-1, by a step that depends only on the
 carry from i-1 to i, a suffix sum of the generators: at most one map per
 label digit and register, built before the loop, and no per-label
 table.  A product state needs no joint
-tensor until a gate couples its parts, so the PCS sampler writes its
-joined state once, real at every p (its factors are transforms of |0>,
-column 0 of F, and the join only scales and gathers them), and its one
+tensor until a gate couples its parts, and a part that no gate couples
+needs none at all: the PCS sampler's cube is prepared uniform on the r
+low digits of each coordinate, the Fourier state |+>^r, which every
+digit shift fixes, so its controlled shift never entangles those digits.
+They stay one factor of sigma^n equal amplitudes
+(:func:`_uniform_low_cube`, checked exactly uniform), and the sampler
+joins only the m - r high digits of each coordinate, shifted by the high
+digits of its generators.  It writes that joined state once, real at
+every p (its factors are transforms of |0>, column 0 of F, and the join
+only scales and gathers them), and its one
 gate after the shift, step 5's transform followed by the label
 measurement, reads it once and writes nothing: it is the streamed
 Fourier-basis measurement of :func:`_fourier_law` with the forward F,
 and :meth:`PcsSampler.collapse` computes a label's slice of the
-transformed state as that label's row of F times the held array.  The
+transformed state as that label's row of F times the held array, then
+puts the low factor back, interleaved per coordinate.  The
 decoder's full-tensor path holds no joined state at all: after its
 shift, label slice y is (work amplitude times register 0's factor) (x)
 (the other registers' factors), so it joins a head (the work register
@@ -109,9 +117,14 @@ each tile is read where it is held, transformed into scratch and summed
 per label while it is in cache, and at p >= 3 its first label run is
 one real product by Re F and Im F stacked, half the flops of a complex
 product of the real amplitudes (on one core of a 2-vCPU Xeon, one BLAS
-thread, the F_27 sampler's 3^12 amplitudes took about 2.5 ms this way,
-against about 4.3 ms for the in-place complex transform and 0.7 ms for
-the marginal pass it replaces).  A controlled shift and a label
+thread, 3^12 amplitudes, the F_27 sampler's whole register at n = 3 and
+sigma = 1, took about 2.5 ms this way, against about 4.3 ms for the
+in-place complex transform and 0.7 ms for the marginal pass it
+replaces).  At sigma = p^r the sampler holds p^(mk) x p^((m-r)n)
+high-digit amplitudes and the sigma^n of its low factor, not p^(mk) x
+q^n: on F_27 at n = 3 and sigma = 3 that is 3^9 floats (157 kB, against
+4.25 MB for the whole register), whose measurement took about 0.12 ms
+on the same core.  A controlled shift and a label
 permutation move one label slice at a time, through one slice of
 scratch.  For p = 2 the Fourier matrix is the real Hadamard power, and
 every other gate only moves amplitudes, so a state built from real
@@ -775,38 +788,53 @@ class PcsSampler:
     """Five-step sampler producing a uniformly labelled phased cube state.
 
     Runs on a message register (m*k digit slots) tensored with ONE cube
-    register.  The first two steps act on one register each, so they run
-    on that register alone: cube preparation at 0 on a cube-only state
-    of q^n amplitudes, and the digit-wise Fourier transform on a
-    label-only state of p^(mk) amplitudes.  Both factors are Fourier
-    transforms of |0>, built from column 0 of F, which is exactly real;
-    their imaginary parts are checked to be exactly zero
+    register; ``layout`` is that whole register.  The first two steps act
+    on one register each, so they run on that register alone: the
+    digit-wise Fourier transform on a label-only state of p^(mk)
+    amplitudes, and cube preparation at 0, which transforms only the r
+    low digits of each coordinate, on a cube-only state of those digits,
+    sigma^n amplitudes (``low``; the single amplitude 1.0 at r = 0).
+    ``low`` is checked to be exactly uniform (InvariantViolated
+    otherwise), so every digit shift fixes it: the controlled shift never
+    entangles it, and it stays a factor of every later state.  The cube's
+    m - r high digits per coordinate start at |0>.  Both joined factors
+    are Fourier transforms of |0>, built from column 0 of F, which is
+    exactly real; their imaginary parts are checked to be exactly zero
     (InvariantViolated otherwise) and their real parts are kept.  The
     third step, the controlled shift by A c, is the first to couple
     them, so one controlled join (:func:`_join`; not
     :meth:`DenseState.from_parts`, whose calls the benchmark's trace
-    counts as the decoder's full-tensor path) writes the joined state
-    with it made: label slice c is the label amplitude times the cube
-    moved to A c.  A c is linear in the digits of c, so the join takes the
-    columns of the expanded A as its generators, and going from label c-1
-    to c moves the cube by a step that depends only on the carry: at most
+    counts as the decoder's full-tensor path) writes the joined state of
+    the label and the high digits with it made: label slice c is the
+    label amplitude times the high digits moved to those of A c.  A c is
+    linear in the digits of c, so the join takes the high digits of the
+    expanded A's columns as its generators, and going from label c-1 to
+    c moves the cube by a step that depends only on the carry: at most
     one checked shift map per label digit (m*k maps, not one per label),
     and no table of labels or amounts.  The join only scales and gathers
     real factors, so the joined state is real at every p: it is held as
-    ``amplitudes``, one float64 (p^(mk), q^n) array (not a
-    :class:`DenseState`, which is complex at p >= 3), half the bytes of a
-    complex state.  Step 4, the change of representation, is a no-op
-    under this encoding.  Step 5, the second digit-wise Fourier transform,
-    is never written: measuring the message register after it is the
-    streamed Fourier-basis measurement of ``amplitudes``
-    (:func:`_fourier_law` with the forward F), which computes every
-    transformed amplitude tile by tile and stores none.  Measuring yields
-    a uniform label and collapses the cube register to the matching
-    phased cube state; :meth:`collapse` is that read-out, the only one in
-    the package: label z's vector is row z of F (the Kronecker product of
-    its label runs' rows) times ``amplitudes``, normalised, and a stack of
-    labels is read in one product.  It checks its labels
-    (``layout.label_digits`` digits in [0, p)).
+    ``amplitudes``, one float64 (p^(mk), p^((m-r)n)) array (not a
+    :class:`DenseState`, which is complex at p >= 3); the whole
+    register's state is ``amplitudes`` (x) ``low``, interleaved per
+    coordinate, and at r = 0 it is ``amplitudes`` itself.  Step 4, the
+    change of representation, is a no-op under this encoding.  Step 5,
+    the second digit-wise Fourier transform, is never written: measuring
+    the message register after it is the streamed Fourier-basis
+    measurement of ``amplitudes`` (:func:`_fourier_law` with the forward
+    F), which computes every transformed amplitude tile by tile and
+    stores none; ``low`` has unit norm and is not transformed, so it
+    does not change the law.  Measuring yields a uniform label and
+    collapses the cube register to the matching phased cube state;
+    :meth:`collapse` is that read-out, the only one in the package:
+    label z's high vector is row z of F (the Kronecker product of its
+    label runs' rows) times ``amplitudes``, normalised with ``low``'s
+    norm, and its q^n vector that high vector (x) ``low``, interleaved
+    per coordinate: as ``low`` is uniform, the high vector times its one
+    amplitude, each coordinate's entries repeated sigma times (one
+    ``np.repeat`` per coordinate, about 5x faster than a broadcast
+    product whose innermost run is sigma entries long).  A stack of
+    labels is read in one matrix product.  It checks its labels (``layout.label_digits``
+    digits in [0, p)).
 
     Orthogonality of the anchored cubes is what makes the label marginal
     exactly uniform; it is checked both through the cached code distance
@@ -820,20 +848,24 @@ class PcsSampler:
         self.layout = RegisterLayout(
             p=f.p, m=f.m, n=code.n, label_digits=f.m * code.k, cube_count=1
         )
+        self.sigma = sigma
         # the registers are not entangled before the controlled shift, so
         # each runs its gates on its own one-sided state, and one join
-        # writes them together with that shift made
-        label = DenseState.zero_state(replace(self.layout, cube_count=0)).qft_label()
-        cube = DenseState.zero_state(replace(self.layout, label_digits=0))
-        cube.prep_cube(sigma)
+        # writes them together with that shift made.  The cube's r low
+        # digits per coordinate are prepared uniform, which every shift
+        # fixes, so they stay one factor and the join runs on the m - r
+        # high digits, still at |0>
+        self.low = _uniform_low_cube(f.p, code.n, sigma)
+        high = replace(self.layout, m=f.m - sigma.r)
+        label = DenseState.zero_state(replace(high, cube_count=0)).qft_label()
+        cube = DenseState.zero_state(replace(high, label_digits=0))
         # label digits j*m .. j*m+m-1 are the LSB-first digits of message
         # coordinate j, i.e. the label is the flattened digit rows of c, so
-        # label digit d shifts the cube by column d of the expanded A
-        generators = code.operator.entries.T.reshape(-1, 1, code.n, f.m)
-        joined = _join(
-            self.layout, _real_part(label.vec), [_real_part(cube.vec)], generators, np.float64
-        )
-        self.amplitudes = joined.reshape(self.layout.label_dim, -1)
+        # label digit d shifts the cube by column d of the expanded A, and
+        # its high digits by that column's high digits
+        generators = code.operator.entries.T.reshape(-1, 1, code.n, f.m)[..., sigma.r :]
+        joined = _join(high, _real_part(label.vec), [_real_part(cube.vec)], generators, np.float64)
+        self.amplitudes = joined.reshape(high.label_dim, -1)
         # step 4, the change of representation F_q^k -> F_p^{mk}, is a
         # no-op: the label slots already hold digits.  Step 5, the second
         # digit-wise Fourier transform, is read through the measurement
@@ -843,8 +875,11 @@ class PcsSampler:
     def collapse(self, label_digits: Sequence[int] | np.ndarray) -> np.ndarray:
         """Post-measurement cube register state for a label (q^n vector).
 
-        A nonempty (count, label_digits) stack of labels gives a (count,
-        q^n) stack of vectors, all from one product.  Each label must be exactly
+        The label's high vector, normalised so that it (x) ``low`` has
+        unit norm (a zero vector raises OrthogonalityViolated), times
+        ``low``, interleaved per coordinate.  A nonempty (count,
+        label_digits) stack of labels gives a (count, q^n) stack of
+        vectors, all from one product.  Each label must be exactly
         ``layout.label_digits`` integer digits, each in [0, p); any other
         raises BadParams rather than reading another label.
         """
@@ -879,11 +914,23 @@ class PcsSampler:
         else:
             vecs = rows @ self.amplitudes
         w = vecs.view(np.float64)
-        norms = np.sqrt(_row_dots(w, w))
+        # the squared norm of high (x) low is the product of theirs, and
+        # low's is its size times its one amplitude squared
+        norms = np.sqrt(_row_dots(w, w) * (self.low.size * self.low[0] ** 2))
         for z, nrm in zip(labels, norms):
             if nrm == 0:
                 raise OrthogonalityViolated(f"label {tuple(z.tolist())} has zero amplitude")
         vecs /= norms[:, None]
+        # coordinate i's image is its high part times sigma plus its low
+        # part, so each q^n vector is high (x) low interleaved per
+        # coordinate; low is uniform, so that is the high vector times its
+        # one amplitude, each coordinate's entries repeated sigma times
+        lay = self.layout
+        high = lay.p ** (lay.m - self.sigma.r)  # values of a coordinate's high digits
+        vecs = (vecs * self.low[0]).reshape(len(labels), *(high,) * lay.n)
+        for axis in range(1, lay.n + 1):
+            vecs = np.repeat(vecs, self.sigma.sigma, axis=axis)
+        vecs = vecs.reshape(len(labels), -1)
         return vecs if digits.ndim == 2 else vecs[0]
 
 
@@ -899,6 +946,24 @@ def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     runs = [v[..., :cut].reshape(*v.shape[:-1], -1, 128) for v in (x, y)]
     rest = np.einsum("...k,...k->...", x[..., cut:], y[..., cut:])
     return np.einsum("...k,...k->...", *runs).sum(axis=-1) + rest
+
+
+def _uniform_low_cube(p: int, n: int, sigma: SigmaParam) -> np.ndarray:
+    """The side-sigma cube at 0 on the r low digits of each of n coordinates: sigma^n amplitudes.
+
+    Prepared by :meth:`DenseState.prep_cube` on a cube-only state of r
+    digits per coordinate (the single amplitude 1.0 at r = 0) and checked
+    to be exactly uniform, every entry equal (InvariantViolated
+    otherwise): a uniform state is fixed by every digit shift, so no
+    controlled shift entangles it.
+    """
+    if not sigma.r:
+        return np.ones(1)
+    cube = DenseState.zero_state(RegisterLayout(p=p, m=sigma.r, n=n, label_digits=0, cube_count=1))
+    low = _real_part(cube.prep_cube(sigma).vec)
+    if np.any(low != low[0]):
+        raise InvariantViolated("the cube's low digits are not uniform; a shift would move them")
+    return low
 
 
 def _real_part(vec: np.ndarray) -> np.ndarray:

@@ -319,16 +319,35 @@ def test_stacked_factorized_marginal_equals_the_per_register_loop(p, m, gens):
         assert np.max(np.abs(got - want)) < 1e-15
 
 
-def test_dense_factorised_decode_makes_label_digits_plus_p_minus_1_maps(shift_maps):
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_halved_overlap_rows_match_every_shift(p, shift_maps):
+    # the marginal shifts d = 1 .. p//2 and reads g(p - d) as conj(g(d));
+    # on random complex states and a random t its rows must match the
+    # reference's, which shifts all p - 1 powers
+    f = Field(p, 2)
+    rng = np.random.default_rng(p)
+    phis = rng.normal(size=(2, p**4)) + 1j * rng.normal(size=(2, p**4))
+    phis /= np.linalg.norm(phis, axis=1, keepdims=True)
+    t_rows = rng.integers(1, p, size=(2, 2))
+    for j, phi in enumerate(phis):
+        # the 1 x 1 label matrix: the marginal is register j's row itself
+        got = _dense_factorized_marginal(np.eye(1, dtype=np.int64), [phi], t_rows, f)
+        want = _factorized_marginal_reference(np.eye(1, dtype=np.int64), [phi], t_rows, f)
+        assert np.max(np.abs(got - want)) < 1e-15
+        assert len(shift_maps) == (j + 1) * (p // 2 + p - 1)  # here, then the reference
+
+
+def test_dense_factorised_decode_makes_label_digits_plus_half_p_maps(shift_maps):
     # the dense_factorised workload's shape: F_27, n = 3, k = 1, sigma = 3;
     # the sampler's join takes one map per label digit (3) and the
-    # marginal one per nonzero power of U_t (2), shared by the T registers
+    # marginal one per power d = 1 .. p//2 of U_t (1), shared by the T
+    # registers: g(2) is the conjugate of g(1)
     f = Field(3, 3)
     code = LinearCode(f, [[f.el(1)], [f.el(3)], [f.el(9)]])
     inst = plant_instance(code, (f.el(17),), (f.el(2), f.zero, f.el(1)))
     res = decode_dense(inst, SigmaParam.from_r(f, 1), seed=4)
     assert res.s_hat == (17,) and res.peak_probability > 1 - 1e-9
-    assert len(shift_maps) == 3 + 2
+    assert len(shift_maps) == 3 + 1
 
 
 def _full_marginal_reference(columns, pcs_vectors, t_digit_rows, layout):
@@ -552,9 +571,21 @@ def test_decode_dense_on_dense_full_inputs_is_unchanged_seed_for_seed():
 DENSE_FACTORISED_COLUMNS = [(20, 24, 3), (2, 17, 8), (5, 16, 21), (18, 1, 6)]
 # what every decode of them returned: the resample rounds at seeds 0, 1
 # and 2, and each decode's peak, whose bits depend on every collapsed
-# amplitude and on the order of every sum behind the overlaps
+# amplitude and on the order of every sum behind the overlaps.  With the
+# cube's low digits held as one uniform factor (each collapsed vector is
+# its high part, normalised with the factor's norm, times the factor) and
+# g(p - d) read as conj(g(d)), the peaks moved by at most four ulps from
+# DENSE_FACTORISED_WHOLE_CUBE_PEAKS
 DENSE_FACTORISED_ROUNDS = (2, 1, 1)
 DENSE_FACTORISED_PEAKS = [
+    ("0x1.0000000000003p+0", "0x1.0000000000002p+0", "0x1.0000000000003p+0"),
+    ("0x1.0000000000003p+0", "0x1.0000000000004p+0", "0x1.0000000000005p+0"),
+    ("0x1.0000000000003p+0", "0x1.0000000000001p+0", "0x1.0000000000003p+0"),
+    ("0x1.0000000000006p+0", "0x1.0000000000005p+0", "0x1.0000000000003p+0"),
+]
+# the peaks when the sampler held every cube digit in its joined state
+# and the overlaps shifted every power d = 1 .. p - 1
+DENSE_FACTORISED_WHOLE_CUBE_PEAKS = [
     ("0x1.0000000000003p+0", "0x1.0000000000001p+0", "0x1.0000000000004p+0"),
     ("0x1.0000000000001p+0", "0x1.0000000000002p+0", "0x1.0000000000002p+0"),
     ("0x1.0000000000001p+0", "0x1.0000000000000p+0", "0x1.0000000000003p+0"),
@@ -603,9 +634,10 @@ def _decodes_in_a_child(helper: str, threads: int) -> list[list]:
 def test_decode_dense_on_dense_factorised_inputs_is_unchanged_seed_for_seed():
     # the factorised path: the full tensor is past the amplitude guard
     assert 3 ** (3 + 3 * 9) > MAX_AMPLITUDES
-    for peaks, blas_peaks in zip(DENSE_FACTORISED_PEAKS, DENSE_FACTORISED_BLAS_PEAKS):
-        for peak, blas_peak in zip(peaks, blas_peaks):
-            assert abs(float.fromhex(peak) - float.fromhex(blas_peak)) < 1e-12
+    for old_pins in (DENSE_FACTORISED_WHOLE_CUBE_PEAKS, DENSE_FACTORISED_BLAS_PEAKS):
+        for peaks, old_peaks in zip(DENSE_FACTORISED_PEAKS, old_pins):
+            for peak, old_peak in zip(peaks, old_peaks):
+                assert abs(float.fromhex(peak) - float.fromhex(old_peak)) < 1e-12
     want = [
         [[(7 * j + 4) % 27], rounds, peak]
         for j, peaks in enumerate(DENSE_FACTORISED_PEAKS)

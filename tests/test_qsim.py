@@ -756,10 +756,30 @@ def _built_sampler_and_bytes_held(code: LinearCode, sigma: SigmaParam) -> tuple[
 
 
 def test_built_sampler_holds_one_state_sized_array(f16):
+    # at r = 1 the held array is the state on the m - r high digits of each
+    # coordinate: p^(mk) * p^((m-r)n) = 2^4 * 2^9 amplitudes, an eighth of
+    # the 2^16 of the whole register
     code = LinearCode(f16, [[f16.el(1)], [f16.el(2)], [f16.el(4)]], d=7)
     sampler, held = _built_sampler_and_bytes_held(code, SigmaParam.from_r(f16, 1))
-    state_bytes = sampler.amplitudes.itemsize * sampler.layout.dim  # 2^16 amplitudes
+    state_bytes = 2**4 * 2 ** ((4 - 1) * 3) * 8
+    assert sampler.amplitudes.nbytes == state_bytes
     assert state_bytes <= held < 1.5 * state_bytes
+
+
+def test_sampler_build_at_the_dense_factorised_shape_peaks_under_1_mb():
+    # F_27, n = 3, k = 1, sigma = 3: the whole register's 3^12 real
+    # amplitudes are 4.25 MB; the high digits' 3^3 * 3^6 are 157 kB
+    f = Field(3, 3, poly=(1, 2, 0))
+    code = LinearCode(f, [[f.el(20)], [f.el(24)], [f.el(3)]], d=10)
+    sigma = SigmaParam.from_r(f, 1)
+    PcsSampler(code, sigma)  # warm the caches the build fills
+    tracemalloc.start()
+    try:
+        PcsSampler(code, sigma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_built_sampler_holds_8_bytes_per_amplitude_at_p3(f9):
@@ -1078,17 +1098,37 @@ def _sampler_state_reference(code: LinearCode, sigma: SigmaParam) -> DenseState:
     return state.controlled_register_shifts(amounts.reshape(-1, 1, code.n, f.m))
 
 
+def _expanded_sampler_state(sampler: PcsSampler) -> np.ndarray:
+    """The sampler's state on every cube digit: its high array times its low factor.
+
+    A cube basis value's coordinate i has image h_i * sigma + l_i, for
+    h the high array's coordinate values and l the low factor's, so each
+    (h, l) pair is placed at its index through the numeral codec.
+    """
+    lay, s = sampler.layout, sampler.sigma.sigma
+    high = lay.p ** (lay.m - sampler.sigma.r)
+    highs = label_to_digits(np.arange(high**lay.n), lay.n, high)
+    lows = label_to_digits(np.arange(s**lay.n), lay.n, s)
+    index = digits_to_label(highs[:, None, :] * s + lows[None, :, :], lay.p**lay.m)
+    full = np.zeros((lay.label_dim, lay.cube_dim))
+    full[:, index] = sampler.amplitudes[:, :, None] * sampler.low
+    return full.reshape(-1)
+
+
 @pytest.mark.parametrize("r", [0, 1])
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_sampler_state_matches_composite_reference(p, r):
-    # the held array is the state before step 5; step 5 then measured is
-    # the marginal, and each label's slice of it is that label's collapse
+    # the held array and the low factor together are the state before
+    # step 5; step 5 then measured is the marginal, and each label's slice
+    # of it is that label's collapse
     f = Field(p, 2)
     code = LinearCode(f, [[f.el(1)], [f.el(p)]])  # top digits (0, 1): orthogonal at r = 1
     sigma = SigmaParam.from_r(f, r)
     sampler = PcsSampler(code, sigma)
+    assert sampler.amplitudes.shape == (p**2, p ** ((2 - r) * code.n))
+    assert sampler.low.shape == (p ** (r * code.n),)
     ref = _sampler_state_reference(code, sigma)
-    assert np.max(np.abs(sampler.amplitudes.reshape(-1) - ref.vec)) < 1e-12
+    assert np.max(np.abs(_expanded_sampler_state(sampler) - ref.vec)) < 1e-12
     want = ref.qft_label().vec.reshape(sampler.layout.label_dim, -1)
     labels = label_to_digits(np.arange(sampler.layout.label_dim), 2, p)
     got = np.sqrt(sampler.marginal)[:, None] * sampler.collapse(labels)
@@ -1103,6 +1143,25 @@ def test_sampler_joins_its_registers_without_from_parts(f4, monkeypatch):
     monkeypatch.setattr(DenseState, "from_parts", classmethod(refuse))
     sampler = PcsSampler(code_123(f4), SigmaParam.from_r(f4, 0))
     assert sampler.amplitudes.size == sampler.layout.dim
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_sampler_refuses_a_low_cube_factor_that_is_not_uniform(p, monkeypatch):
+    # only a uniform low factor is fixed by every shift, so a forged one,
+    # off by one ulp in one amplitude, must not be carried past the join
+    prep_cube = DenseState.prep_cube
+
+    def forged(self, sigma):
+        state = prep_cube(self, sigma)
+        state.vec[-1] = np.nextafter(state.vec[-1].real, 1.0)
+        return state
+
+    f = Field(p, 2)
+    code = LinearCode(f, [[f.el(1)], [f.el(p)]])
+    PcsSampler(code, SigmaParam.from_r(f, 1))  # the prepared factor passes
+    monkeypatch.setattr(DenseState, "prep_cube", forged)
+    with pytest.raises(InvariantViolated, match="not uniform"):
+        PcsSampler(code, SigmaParam.from_r(f, 1))
 
 
 @pytest.mark.parametrize("p,label_digits", [(2, 3), (3, 2), (5, 2)])
