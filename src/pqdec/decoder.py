@@ -1,8 +1,10 @@
 """The quantum decoder, end to end, on two backends.
 
 Dense backend: every circuit step of the decoder is executed on the
-dense simulator, as three gates.  The uniform superposition runs on the
-label work register of T = m*k digit slots alone.  L^-1, the controlled
+dense simulator, as three gates, on the m - r high digits of each cube
+coordinate, since every shift fixes the cube's uniform low digits.  The
+uniform superposition runs on the label work register of T = m*k digit
+slots alone.  L^-1, the controlled
 shift powers CU and L are one gate on the composite register of the
 work register and the T cube registers: L only moves label slices, so
 L . CU . L^-1 is the shift controlled by L^-1 y on label y, and it
@@ -174,13 +176,14 @@ def _dense_full_marginal(
     shifted factor) (x) (registers 1..T-1's shifted factors), so it is
     written as two joins over the same generators, each one
     :meth:`DenseState.from_parts`: a head, the work register with
-    register 0 (p^T x q^n), and a tail, a unit label with the other
-    registers (p^T x q^(n(T-1))).  The Fourier-basis measurement
+    register 0 (p^T x p^(m'n), for the m' = m - r high digits per
+    coordinate of ``layout``), and a tail, a unit label with the other
+    registers (p^T x p^(m'n(T-1))).  The Fourier-basis measurement
     (:func:`~pqdec.qsim.fourier_label_marginal`) reads them through the
     label register's p^T x p^T reduced density matrix, Gram(head) o
-    Gram(tail) entrywise, so no amplitude of the p^T x q^(nT) composite
-    is formed; it agrees with the whole join read in the Fourier basis
-    to rounding, not bit for bit.  Each register takes at most
+    Gram(tail) entrywise, so no amplitude of the p^T x p^(m'nT)
+    composite is formed; it agrees with the whole join read in the
+    Fourier basis to rounding, not bit for bit.  Each register takes at most
     ``label_digits`` shift maps.
     """
     p, t = layout.p, layout.label_digits
@@ -224,14 +227,15 @@ def _dense_factorized_marginal(
     approximation is involved; the tensor product is just never
     materialised.  g_j(0) is the squared norm of Phi_j, and
     g_j(p - d) = conj(g_j(d)), since U_t^(p-d) = U_t^-d, so only the powers
-    d = 1 .. p//2 shift: each shifts the (T, q^n) stack of the Phi_j at
-    once, through one checked map shared by the T registers, p//2 maps in
-    all (at p = 2, d = 1 is its own mirror and still shifts).  Every
-    overlap is summed by :func:`~pqdec.qsim._row_dots`, in an order
-    numpy fixes, so its bits do not depend on the BLAS thread count.
+    d = 1 .. p//2 shift: each shifts the (T, p^((m-r)n)) stack of the
+    Phi_j's high vectors by t's high digits at once, through one checked
+    map shared by the T registers, p//2 maps in all (at p = 2, d = 1 is
+    its own mirror and still shifts).  Every overlap is summed by
+    :func:`~pqdec.qsim._row_dots`, in an order numpy fixes, so its bits
+    do not depend on the BLAS thread count.
     """
     p = field.p
-    phis = np.asarray(pcs_vectors)  # a (T, q^n) stack is read where it is held
+    phis = np.asarray(pcs_vectors)  # a (T, p^((m-r)n)) stack is read where it is held
     g = np.empty((len(phis), p), dtype=phis.dtype)  # row j: register j's overlaps
     flat = phis.view(np.float64)
     g[:, 0] = _row_dots(flat, flat)  # d = 0: the squared norm
@@ -269,15 +273,17 @@ def decode_dense(
     sampler = PcsSampler(code, sigma)  # raises OrthogonalityViolated / ScaleExceeded
     t_digits = f.m * code.k
     columns, rounds = sample_label_matrix(f.p, t_digits, rng)
-    pcs_vectors = sampler.collapse(columns.T)  # the T labels' (T, q^n) stack, in one product
+    pcs_vectors = sampler.collapse(columns.T)  # the T labels' high vectors, in one product
     del sampler  # its joined state is not read again; free it before the marginal
+    high_t = inst.t[:, sigma.r :]  # every shift fixes the cube's uniform low digits
     try:
-        layout = RegisterLayout(
+        layout = RegisterLayout(  # the whole composite's guard picks the path
             p=f.p, m=f.m, n=code.n, label_digits=t_digits, cube_count=t_digits
         )
-        marginal = _dense_full_marginal(columns, pcs_vectors, inst.t, layout)
+        high = replace(layout, m=f.m - sigma.r)
+        marginal = _dense_full_marginal(columns, pcs_vectors, high_t, high)
     except ScaleExceeded:
-        marginal = _dense_factorized_marginal(columns, pcs_vectors, inst.t, f)
+        marginal = _dense_factorized_marginal(columns, pcs_vectors, high_t, f)
     total = marginal.sum()
     if not abs(total - 1.0) < 1e-9:
         raise InvariantViolated(f"final marginal sums to {total!r}, not 1")

@@ -37,13 +37,13 @@ checks the label it is given.
 
 Cube gates act on every cube register at once: no gate addresses one
 register.  As in the decoder of the paper, a cube is prepared at 0
-(:meth:`DenseState.prep_cube`) and moved only by controlled shifts
-(:meth:`DenseState.controlled_register_shifts`, one digit matrix per
-label and register), which all go through the one shift kernel
+(:meth:`DenseState.prep_cube`) and moved only by the label-controlled
+shifts a controlled join makes (:func:`_join`; see Factor first), which
+all go through the one shift kernel
 :func:`_shift_cube`, a gather through a source-index map with one entry
 per basis value of the cube register.  A cube anchored elsewhere
 exists only as the bare vector :func:`cube_vector`, and
-:func:`shift_cube_vector` moves a bare vector through the same kernel.
+:func:`shift_cube_vector` moves a stack of them through the same kernel.
 
 Conventions: omega_p = exp(2*pi*i/p); the forward single-digit Fourier
 transform is F[a, b] = omega_p^(a*b)/sqrt(p); measuring "in the Fourier
@@ -84,8 +84,9 @@ gate after the shift, step 5's transform followed by the label
 measurement, reads it once and writes nothing: it is the streamed
 Fourier-basis measurement of :func:`_fourier_law` with the forward F,
 and :meth:`PcsSampler.collapse` computes a label's slice of the
-transformed state as that label's row of F times the held array, then
-puts the low factor back, interleaved per coordinate.  The
+transformed state as that label's row of F times the held array: its
+high vector, all that a decode reads, since every later gate fixes the
+low factor too (the decoder shifts by t's high digits alone).  The
 decoder's full-tensor path holds no joined state at all: after its
 shift, label slice y is (work amplitude times register 0's factor) (x)
 (the other registers' factors), so it joins a head (the work register
@@ -730,10 +731,12 @@ def cube_vector(field: Field, n: int, anchor, sigma: SigmaParam) -> np.ndarray:
 def shift_cube_vector(
     vec: np.ndarray, field: Field, t_digit_rows: np.ndarray, ell: int = 1
 ) -> np.ndarray:
-    """U_t^ell along the last axis of a (..., q^n) stack of bare register vectors.
+    """U_t^ell along the last axis of a (..., p^(n*m')) stack of bare register vectors.
 
-    Always a new array.  A zero power (ell * t = 0 mod p) is a copy and
-    builds no map, as a zero step of the join and a zero row of
+    ``t_digit_rows`` is an (n, m') digit block: all of t for q^n vectors,
+    t's high digits ``t[:, r:]`` for collapsed high vectors.  Always a
+    new array.  A zero power (ell * t = 0 mod p) is a copy and builds no
+    map, as a zero step of the join and a zero row of
     :meth:`DenseState.controlled_register_shifts` build none; any other
     power is one gather through one checked map, whatever the stack.
     """
@@ -827,14 +830,13 @@ class PcsSampler:
     collapses the cube register to the matching phased cube state;
     :meth:`collapse` is that read-out, the only one in the package:
     label z's high vector is row z of F (the Kronecker product of its
-    label runs' rows) times ``amplitudes``, normalised with ``low``'s
-    norm, and its q^n vector that high vector (x) ``low``, interleaved
-    per coordinate: as ``low`` is uniform, the high vector times its one
-    amplitude, each coordinate's entries repeated sigma times (one
-    ``np.repeat`` per coordinate, about 5x faster than a broadcast
-    product whose innermost run is sigma entries long).  A stack of
-    labels is read in one matrix product.  It checks its labels (``layout.label_digits``
-    digits in [0, p)).
+    label runs' rows) times ``amplitudes``, normalised so that it (x)
+    ``low`` has unit norm.  It returns the high vector alone: the
+    register's state is that vector (x) ``low``, interleaved per
+    coordinate, and every later shift fixes ``low``, so a decode never
+    writes a q^n vector.  A stack of labels is read in one matrix
+    product.  It checks its labels (``layout.label_digits`` digits in
+    [0, p)).
 
     Orthogonality of the anchored cubes is what makes the label marginal
     exactly uniform; it is checked both through the cached code distance
@@ -848,7 +850,6 @@ class PcsSampler:
         self.layout = RegisterLayout(
             p=f.p, m=f.m, n=code.n, label_digits=f.m * code.k, cube_count=1
         )
-        self.sigma = sigma
         # the registers are not entangled before the controlled shift, so
         # each runs its gates on its own one-sided state, and one join
         # writes them together with that shift made.  The cube's r low
@@ -873,13 +874,14 @@ class PcsSampler:
         _require_uniform(self.marginal)
 
     def collapse(self, label_digits: Sequence[int] | np.ndarray) -> np.ndarray:
-        """Post-measurement cube register state for a label (q^n vector).
+        """Post-measurement state of the cube register's high digits for a label.
 
-        The label's high vector, normalised so that it (x) ``low`` has
-        unit norm (a zero vector raises OrthogonalityViolated), times
-        ``low``, interleaved per coordinate.  A nonempty (count,
-        label_digits) stack of labels gives a (count, q^n) stack of
-        vectors, all from one product.  Each label must be exactly
+        The label's high vector, p^((m-r)n) amplitudes, normalised so that
+        it (x) ``low`` has unit norm (a zero vector raises
+        OrthogonalityViolated); the register's state is that product,
+        interleaved per coordinate.  A nonempty (count, label_digits)
+        stack of labels gives a (count, p^((m-r)n)) stack of vectors, all
+        from one product.  Each label must be exactly
         ``layout.label_digits`` integer digits, each in [0, p); any other
         raises BadParams rather than reading another label.
         """
@@ -921,16 +923,6 @@ class PcsSampler:
             if nrm == 0:
                 raise OrthogonalityViolated(f"label {tuple(z.tolist())} has zero amplitude")
         vecs /= norms[:, None]
-        # coordinate i's image is its high part times sigma plus its low
-        # part, so each q^n vector is high (x) low interleaved per
-        # coordinate; low is uniform, so that is the high vector times its
-        # one amplitude, each coordinate's entries repeated sigma times
-        lay = self.layout
-        high = lay.p ** (lay.m - self.sigma.r)  # values of a coordinate's high digits
-        vecs = (vecs * self.low[0]).reshape(len(labels), *(high,) * lay.n)
-        for axis in range(1, lay.n + 1):
-            vecs = np.repeat(vecs, self.sigma.sigma, axis=axis)
-        vecs = vecs.reshape(len(labels), -1)
         return vecs if digits.ndim == 2 else vecs[0]
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import settings
 
 from pqdec import qsim
-from pqdec.gf import Field, label_to_digits
+from pqdec.gf import Field, digits_to_label, label_to_digits
 
 # The same examples on every run, with no timing-based failures, so the
 # suite's outcome does not change from run to run.
@@ -54,3 +54,23 @@ def generator_table(layout, generators) -> np.ndarray:
     """
     labels = label_to_digits(np.arange(layout.label_dim), layout.label_digits, layout.p)
     return np.tensordot(labels, np.asarray(generators, dtype=np.int64), axes=1)
+
+
+def with_low_factor(sampler, high) -> np.ndarray:
+    """A (..., p^((m-r)n)) stack of the sampler's high-digit vectors on every cube digit.
+
+    Each vector (x) the sampler's uniform low factor, as q^n vectors: a
+    cube basis value's coordinate i has image h_i * sigma + l_i, for h
+    the high vector's coordinate values and l the low factor's, so each
+    (h, l) pair is placed at its index through the numeral codec.
+    """
+    lay = sampler.layout
+    sigma = round(sampler.low.size ** (1 / lay.n))
+    side = lay.p**lay.m // sigma  # values of a coordinate's high digits
+    highs = label_to_digits(np.arange(side**lay.n), lay.n, side)
+    lows = label_to_digits(np.arange(sampler.low.size), lay.n, sigma)
+    index = digits_to_label(highs[:, None, :] * sigma + lows[None, :, :], lay.p**lay.m)
+    high = np.asarray(high)
+    full = np.zeros((*high.shape[:-1], lay.cube_dim), dtype=high.dtype)
+    full[..., index] = high[..., :, None] * sampler.low
+    return full

@@ -52,6 +52,8 @@ from pqdec.qsim import (
     shift_cube_vector,
 )
 
+from conftest import with_low_factor
+
 F4 = Field(2, 2)
 F8 = Field(2, 3)
 F9 = Field(3, 2)
@@ -179,7 +181,7 @@ def test_criterion_04_sampler_uniformity():
         for idx in range(sampler.layout.label_dim):
             label = tuple(label_to_digits(idx, sampler.layout.label_digits, code.field.p).tolist())
             ok &= np.allclose(
-                sampler.collapse(label),
+                with_low_factor(sampler, sampler.collapse(label)),
                 pcs_state_direct(code, sigma, label),
                 atol=1e-10,
             )

@@ -55,7 +55,7 @@ from pqdec.qsim import (
     shift_cube_vector,
 )
 
-from conftest import generator_table, power_generators
+from conftest import generator_table, power_generators, with_low_factor
 
 
 def code_123(f4):
@@ -220,8 +220,10 @@ def test_decode_dense_full_tensor_sigma2(f4):
 
 def test_factorized_marginal_equals_full_tensor(f4, f8, f9):
     code_f8 = LinearCode(f8, [[f8.el(1)], [f8.el(2)]], d=3)
-    f5 = Field(5, 1)
+    f5, f25 = Field(5, 1), Field(5, 2)
     code_f5 = LinearCode(f5, [[f5.el(1)], [f5.el(2)]], d=3)
+    code_f9 = LinearCode(f9, [[f9.el(1)], [f9.el(3)], [f9.el(1)]])
+    code_f25 = LinearCode(f25, [[f25.el(1)], [f25.el(5)]])
     cases = [
         (gen_instance(code_123(f4), 0, seed=5), SigmaParam.from_r(f4, 0), 5),
         (
@@ -242,6 +244,20 @@ def test_factorized_marginal_equals_full_tensor(f4, f8, f9):
             SigmaParam.from_r(f5, 0),
             2,
         ),
+        # sigma = p: the collapsed vectors are the high digits' alone, and
+        # the generators' top digits (0, 1) keep the cubes orthogonal.  F_9's
+        # error reaches sigma off the code's high digits, so its law is
+        # spread; F_25's errors stay below sigma
+        (
+            plant_instance(code_f9, (f9.el(5),), (f9.zero, f9.zero, f9.el(3))),
+            SigmaParam.from_r(f9, 1),
+            3,
+        ),
+        (
+            plant_instance(code_f25, (f25.el(17),), (f25.el(2), f25.el(1))),
+            SigmaParam.from_r(f25, 1),
+            4,
+        ),
     ]
     for inst, sigma, seed in cases:
         code = inst.code
@@ -256,13 +272,17 @@ def test_factorized_marginal_equals_full_tensor(f4, f8, f9):
             sampler.collapse(tuple(int(x) for x in columns[:, j]))
             for j in range(t_digits)
         ]
-        t_rows = inst.t
+        high_t = inst.t[:, sigma.r :]
         layout = RegisterLayout(
-            p=f.p, m=f.m, n=code.n, label_digits=t_digits, cube_count=t_digits
+            p=f.p, m=f.m - sigma.r, n=code.n, label_digits=t_digits, cube_count=t_digits
         )
-        full = _dense_full_marginal(columns, pcs, t_rows, layout)
-        fact = _dense_factorized_marginal(columns, pcs, t_rows, f)
+        full = _dense_full_marginal(columns, pcs, high_t, layout)
+        fact = _dense_factorized_marginal(columns, pcs, high_t, f)
         assert np.allclose(full, fact, atol=1e-12)
+        # every shift fixes the uniform low factor: the whole cube vectors
+        # under the whole of t have the high vectors' law
+        whole = _dense_factorized_marginal(columns, with_low_factor(sampler, pcs), inst.t, f)
+        assert np.allclose(whole, fact, atol=1e-12)
 
 
 @pytest.mark.parametrize("p,m,gens,d", [(2, 2, (1, 2, 3), 4), (3, 2, (1, 3), 3), (5, 1, (1, 2), 3)])
@@ -571,13 +591,21 @@ def test_decode_dense_on_dense_full_inputs_is_unchanged_seed_for_seed():
 DENSE_FACTORISED_COLUMNS = [(20, 24, 3), (2, 17, 8), (5, 16, 21), (18, 1, 6)]
 # what every decode of them returned: the resample rounds at seeds 0, 1
 # and 2, and each decode's peak, whose bits depend on every collapsed
-# amplitude and on the order of every sum behind the overlaps.  With the
-# cube's low digits held as one uniform factor (each collapsed vector is
-# its high part, normalised with the factor's norm, times the factor) and
-# g(p - d) read as conj(g(d)), the peaks moved by at most four ulps from
-# DENSE_FACTORISED_WHOLE_CUBE_PEAKS
+# amplitude and on the order of every sum behind the overlaps.  The
+# overlaps are read on the collapsed high vectors alone, each normalised
+# so that it times the cube's uniform low factor has unit norm; that
+# factor's computed squared norm is 1 + 8.9e-16, so each of the three
+# registers' overlaps is that much short and every peak sits below 1
 DENSE_FACTORISED_ROUNDS = (2, 1, 1)
 DENSE_FACTORISED_PEAKS = [
+    ("0x1.fffffffffffebp-1", "0x1.fffffffffffe9p-1", "0x1.fffffffffffebp-1"),
+    ("0x1.fffffffffffe8p-1", "0x1.fffffffffffebp-1", "0x1.fffffffffffebp-1"),
+    ("0x1.fffffffffffebp-1", "0x1.fffffffffffe9p-1", "0x1.fffffffffffebp-1"),
+    ("0x1.fffffffffffebp-1", "0x1.fffffffffffebp-1", "0x1.fffffffffffebp-1"),
+]
+# the peaks when each collapsed vector was written on every cube digit,
+# its high vector times the low factor, and the overlaps shifted those
+DENSE_FACTORISED_CUBE_VECTOR_PEAKS = [
     ("0x1.0000000000003p+0", "0x1.0000000000002p+0", "0x1.0000000000003p+0"),
     ("0x1.0000000000003p+0", "0x1.0000000000004p+0", "0x1.0000000000005p+0"),
     ("0x1.0000000000003p+0", "0x1.0000000000001p+0", "0x1.0000000000003p+0"),
@@ -634,7 +662,11 @@ def _decodes_in_a_child(helper: str, threads: int) -> list[list]:
 def test_decode_dense_on_dense_factorised_inputs_is_unchanged_seed_for_seed():
     # the factorised path: the full tensor is past the amplitude guard
     assert 3 ** (3 + 3 * 9) > MAX_AMPLITUDES
-    for old_pins in (DENSE_FACTORISED_WHOLE_CUBE_PEAKS, DENSE_FACTORISED_BLAS_PEAKS):
+    for old_pins in (
+        DENSE_FACTORISED_CUBE_VECTOR_PEAKS,
+        DENSE_FACTORISED_WHOLE_CUBE_PEAKS,
+        DENSE_FACTORISED_BLAS_PEAKS,
+    ):
         for peaks, old_peaks in zip(DENSE_FACTORISED_PEAKS, old_pins):
             for peak, old_peak in zip(peaks, old_peaks):
                 assert abs(float.fromhex(peak) - float.fromhex(old_peak)) < 1e-12
@@ -676,6 +708,25 @@ def test_full_marginal_at_the_dense_full_shape_holds_no_joined_state(f8):
         tracemalloc.stop()
     assert marginal.max() > 1 - 1e-9
     assert peak < state_bytes / 4
+
+
+def test_decode_dense_at_the_dense_factorised_shape_peaks_under_1_mb():
+    # F_27, n = 3, k = 1, sigma = 3: each of the three collapsed vectors
+    # is its 3^6 high digits (12 kB complex), not 3^9 (315 kB), and so is
+    # every shifted copy the overlaps read
+    f = Field(3, 3, poly=(1, 2, 0))
+    code = LinearCode(f, [[f.el(20)], [f.el(24)], [f.el(3)]], d=10)
+    inst = plant_instance(code, (f.el(4),), (f.zero, f.el(1), f.el(2)))
+    sigma = SigmaParam.from_r(f, 1)
+    decode_dense(inst, sigma, seed=0)  # warm the caches a decode fills
+    tracemalloc.start()
+    try:
+        res = decode_dense(inst, sigma, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.s_hat == (4,)
+    assert peak < 2**20
 
 
 def test_decode_dense_raises_on_unverifiable_answer(f4):

@@ -48,7 +48,7 @@ from pqdec.qsim import (
     shift_cube_vector,
 )
 
-from conftest import generator_table, power_generators
+from conftest import generator_table, power_generators, with_low_factor
 
 OMEGA = {p: np.exp(2j * np.pi / p) for p in (2, 3)}
 
@@ -1098,29 +1098,12 @@ def _sampler_state_reference(code: LinearCode, sigma: SigmaParam) -> DenseState:
     return state.controlled_register_shifts(amounts.reshape(-1, 1, code.n, f.m))
 
 
-def _expanded_sampler_state(sampler: PcsSampler) -> np.ndarray:
-    """The sampler's state on every cube digit: its high array times its low factor.
-
-    A cube basis value's coordinate i has image h_i * sigma + l_i, for
-    h the high array's coordinate values and l the low factor's, so each
-    (h, l) pair is placed at its index through the numeral codec.
-    """
-    lay, s = sampler.layout, sampler.sigma.sigma
-    high = lay.p ** (lay.m - sampler.sigma.r)
-    highs = label_to_digits(np.arange(high**lay.n), lay.n, high)
-    lows = label_to_digits(np.arange(s**lay.n), lay.n, s)
-    index = digits_to_label(highs[:, None, :] * s + lows[None, :, :], lay.p**lay.m)
-    full = np.zeros((lay.label_dim, lay.cube_dim))
-    full[:, index] = sampler.amplitudes[:, :, None] * sampler.low
-    return full.reshape(-1)
-
-
 @pytest.mark.parametrize("r", [0, 1])
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_sampler_state_matches_composite_reference(p, r):
     # the held array and the low factor together are the state before
     # step 5; step 5 then measured is the marginal, and each label's slice
-    # of it is that label's collapse
+    # of it is that label's collapse with the low factor put back
     f = Field(p, 2)
     code = LinearCode(f, [[f.el(1)], [f.el(p)]])  # top digits (0, 1): orthogonal at r = 1
     sigma = SigmaParam.from_r(f, r)
@@ -1128,10 +1111,10 @@ def test_sampler_state_matches_composite_reference(p, r):
     assert sampler.amplitudes.shape == (p**2, p ** ((2 - r) * code.n))
     assert sampler.low.shape == (p ** (r * code.n),)
     ref = _sampler_state_reference(code, sigma)
-    assert np.max(np.abs(_expanded_sampler_state(sampler) - ref.vec)) < 1e-12
+    assert np.max(np.abs(with_low_factor(sampler, sampler.amplitudes).reshape(-1) - ref.vec)) < 1e-12
     want = ref.qft_label().vec.reshape(sampler.layout.label_dim, -1)
     labels = label_to_digits(np.arange(sampler.layout.label_dim), 2, p)
-    got = np.sqrt(sampler.marginal)[:, None] * sampler.collapse(labels)
+    got = np.sqrt(sampler.marginal)[:, None] * with_low_factor(sampler, sampler.collapse(labels))
     assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -1307,7 +1290,9 @@ def test_sampler_collapse_sigma2_q16(f16):
     assert np.max(np.abs(sampler.marginal - 1 / 16)) < 1e-12
     for label in [(0, 0, 0, 0), (1, 0, 1, 1), (0, 1, 1, 0)]:
         assert np.allclose(
-            sampler.collapse(label), pcs_state_direct(code, sig, label), atol=1e-12
+            with_low_factor(sampler, sampler.collapse(label)),
+            pcs_state_direct(code, sig, label),
+            atol=1e-12,
         )
 
 
