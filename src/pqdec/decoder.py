@@ -1,11 +1,13 @@
 """The quantum decoder, end to end, on two backends.
 
-Dense backend: every circuit step of the decoder is executed on the
-dense simulator, as three gates, on the m - r high digits of each cube
-coordinate, since every shift fixes the cube's uniform low digits.  The
-uniform superposition runs on the label work register of T = m*k digit
-slots alone.  L^-1, the controlled
-shift powers CU and L are one gate on the composite register of the
+Dense backend: the PCS sampler refuses, before it allocates anything,
+a cutoff r at which two messages share a cube (Top_r(A) short of full
+column rank), and otherwise every circuit step of the decoder is
+executed on the dense simulator, as three gates, on the m - r high
+digits of each cube coordinate, since every shift fixes the cube's
+uniform low digits.  The uniform superposition runs on the label work
+register of T = m*k digit slots alone.  L^-1, the controlled shift
+powers CU and L are one gate on the composite register of the
 work register and the T cube registers: L only moves label slices, so
 L . CU . L^-1 is the shift controlled by L^-1 y on label y, and it
 leaves the work register's amplitudes where they were.  Its generators
@@ -38,7 +40,9 @@ s_true, the negation of the outcome -s_true that the circuit measures.
 It refuses (PromiseViolated) rather than extrapolate: without a planted
 message the phase bookkeeping has no ground truth to follow, and with
 one it checks the eigenphase condition before answering.  Label draws
-are uniform, the sampler's exact marginal when the cubes are orthonormal.
+are uniform, the sampler's exact marginal when the cubes are orthonormal;
+the dense sampler checks that exactly, by the F_p rank of Top_r(A), and
+the structured backend by the cached distance alone (d > sigma*n).
 
 Both backends consume the same label stream from the seed, so they
 agree run for run, including the number of resample rounds.
@@ -263,9 +267,11 @@ def decode_dense(
     Uses the materialised composite register when it fits under the
     amplitude guard and the exact factorised marginal otherwise.  The
     label batch is redrawn (whole batches) until the label matrix is
-    invertible; labels come from the seed stream after the sampler's
-    marginal has been checked to be exactly uniform, which makes the
-    draw equal in distribution to measuring the sampler.
+    invertible; labels come from the seed stream once the sampler has
+    checked that its label law is exactly uniform (Top_r(A) has full
+    column rank m*k over F_p, so no two messages share a cube), which
+    makes the draw equal in distribution to measuring the sampler.  That
+    check runs before the sampler allocates anything.
     """
     code = inst.code
     f = code.field

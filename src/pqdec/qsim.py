@@ -37,7 +37,8 @@ checks the label it is given.
 
 Cube gates act on every cube register at once: no gate addresses one
 register.  As in the decoder of the paper, a cube is prepared at 0
-(:meth:`DenseState.prep_cube`) and moved only by the label-controlled
+(:meth:`DenseState.prep_cube`, whose uniform low digits the sampler
+leaves unwritten; see Factor first) and moved only by the label-controlled
 shifts a controlled join makes (:func:`_join`; see Factor first), which
 all go through the one shift kernel
 :func:`_shift_cube`, a gather through a source-index map with one entry
@@ -74,19 +75,17 @@ tensor until a gate couples its parts, and a part that no gate couples
 needs none at all: the PCS sampler's cube is prepared uniform on the r
 low digits of each coordinate, the Fourier state |+>^r, which every
 digit shift fixes, so its controlled shift never entangles those digits.
-They stay one factor of sigma^n equal amplitudes
-(:func:`_uniform_low_cube`, checked exactly uniform), and the sampler
-joins only the m - r high digits of each coordinate, shifted by the high
-digits of its generators.  It writes that joined state once, real at
-every p (its factors are transforms of |0>, column 0 of F, and the join
-only scales and gathers them), and its one
-gate after the shift, step 5's transform followed by the label
-measurement, reads it once and writes nothing: it is the streamed
-Fourier-basis measurement of :func:`_fourier_law` with the forward F,
-and :meth:`PcsSampler.collapse` computes a label's slice of the
-transformed state as that label's row of F times the held array: its
+They stay one factor of sigma^n equal amplitudes that no decode reads,
+so the sampler never writes them: it joins only the m - r high digits
+of each coordinate, shifted by the high digits of its generators.  Its
+label is uniform exactly when no two messages share those high digits,
+an F_p rank condition it checks before it writes anything.  It writes
+that joined state once, real at every p (its factors are transforms of
+|0>, column 0 of F, and the join only scales and gathers them), and
+:meth:`PcsSampler.collapse` computes a label's slice of the state after
+step 5's transform as that label's row of F times the held array: its
 high vector, all that a decode reads, since every later gate fixes the
-low factor too (the decoder shifts by t's high digits alone).  The
+low digits too (the decoder shifts by t's high digits alone).  The
 decoder's full-tensor path holds no joined state at all: after its
 shift, label slice y is (work amplitude times register 0's factor) (x)
 (the other registers' factors), so it joins a head (the work register
@@ -112,34 +111,25 @@ label measurement of a head and a tail (:func:`fourier_label_marginal`)
 forms no composite amplitude at all: it holds the p^T x p^T reduced
 density matrix rho = Gram(head) o Gram(tail) (entrywise), each Gram
 summed over column blocks of ``2 * DFT_TILE`` floats, and reads the law
-as the diagonal of F^-1 rho F^-H; neither part is written.  The
-sampler's measurement streams its one held array through a tile loop:
-each tile is read where it is held, transformed into scratch and summed
-per label while it is in cache, and at p >= 3 its first label run is
-one real product by Re F and Im F stacked, half the flops of a complex
-product of the real amplitudes (on one core of a 2-vCPU Xeon, one BLAS
-thread, 3^12 amplitudes, the F_27 sampler's whole register at n = 3 and
-sigma = 1, took about 2.5 ms this way, against about 4.3 ms for the
-in-place complex transform and 0.7 ms for the marginal pass it
-replaces).  At sigma = p^r the sampler holds p^(mk) x p^((m-r)n)
-high-digit amplitudes and the sigma^n of its low factor, not p^(mk) x
-q^n: on F_27 at n = 3 and sigma = 3 that is 3^9 floats (157 kB, against
-4.25 MB for the whole register), whose measurement took about 0.12 ms
-on the same core.  A controlled shift and a label
-permutation move one label slice at a time, through one slice of
-scratch.  For p = 2 the Fourier matrix is the real Hadamard power, and
-every other gate only moves amplitudes, so a state built from real
-amplitudes stays real: it is stored as float64, half the bytes of a
-complex state, and a transform is a real product.  The sampler's
-joined state is no :class:`DenseState` and is float64 at every p.
-Each gate is checked: a Fourier transform, and a Fourier-basis
-measurement, checks the norm to 1e-10
-(:class:`~pqdec.errors.InvariantViolated` otherwise), on whichever
-register it runs on, summing each tile's squared magnitudes while the
-tile is still in cache (the full-tensor read-out checks its law's sum,
-trace rho); a gate that only reorders amplitudes (a label permutation or
-a shift) first checks that its index map is a bijection, which is exact
-and costs one pass over the map instead of one over the state.
+as the diagonal of F^-1 rho F^-H; neither part is written.  At sigma =
+p^r the sampler holds p^(mk) x p^((m-r)n) high-digit amplitudes, not
+p^(mk) x q^n: on F_27 at n = 3 and sigma = 3 that is 3^9 floats (157 kB,
+against 4.25 MB for the whole register), and it reads them only in
+:meth:`PcsSampler.collapse`, one product for a stack of labels.  A
+controlled shift and a label permutation move one label slice at a
+time, through one slice of scratch.  For p = 2 the Fourier matrix is
+the real Hadamard power, and every other gate only moves amplitudes, so
+a state built from real amplitudes stays real: it is stored as float64,
+half the bytes of a complex state, and a transform is a real product.
+The sampler's joined state is no :class:`DenseState` and is float64 at
+every p.  Each gate is checked: a Fourier transform checks the norm to
+1e-10 (:class:`~pqdec.errors.InvariantViolated` otherwise), on
+whichever register it runs on, summing each tile's squared magnitudes
+while the tile is still in cache, and the full-tensor read-out checks
+its law's sum, trace rho; a gate that only reorders amplitudes (a label
+permutation or a shift) first checks that its index map is a bijection,
+which is exact and costs one pass over the map instead of one over the
+state.
 """
 
 from __future__ import annotations
@@ -160,11 +150,18 @@ from .errors import (
     OutOfRange,
     ScaleExceeded,
 )
-from .gf import Field, digit_rows, digits_to_label, is_prime, label_to_digits
+from .gf import (
+    Field,
+    digit_rows,
+    digits_to_label,
+    is_prime,
+    label_to_digits,
+    top_digit_submatrix,
+)
+from .modp import rank
 
 MAX_AMPLITUDES = 2**24
 NORM_TOL = 1e-10
-UNIFORM_TOL = 1e-12
 # Largest side of one Fourier matrix: a run of digit axes is transformed
 # by one matmul while p^width stays at or under this.  A wider run makes
 # fewer passes over the state but more flops per amplitude.  With one
@@ -177,7 +174,7 @@ DFT_BLOCK_DIM = 32
 # F_2 label digits took 6.9 ms in tiles of 2^15 floats, against 15.1 ms
 # at 2^12, 7.7 ms at 2^14, 7.1 ms at 2^16 and 10.4 ms at 2^17, and
 # 16.7 ms as one out-of-place product followed by a norm pass.  The
-# sampler's measurement tiles and the Gram matrices' blocks take twice this.
+# Gram matrices' column blocks take twice this.
 DFT_TILE = 2**15
 
 
@@ -644,62 +641,6 @@ def _gram(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fourier_law(a: np.ndarray, p: int, digits: int, inverse: bool = True) -> np.ndarray:
-    """Label law of the state whose label slice y is a[y], measured after
-    F^-1 (F with ``inverse`` False) on its ``digits`` label digits of radix p.
-
-    The PCS sampler's Fourier-basis measurement, one tile loop: a tile is
-    a run of a's columns (about ``2 * DFT_TILE`` floats once transformed),
-    read where it is held, every label run's Fourier matrix
-    (:func:`_dft_runs`) takes it into one scratch tile and the next, and
-    its squared magnitudes are summed per label while it is in cache.  A
-    real ``a`` under a complex Fourier matrix (p >= 3) takes the first
-    label run as one real product by Re F and Im F, stacked row by row,
-    so that label z's real row is followed by its imaginary row: no
-    multiplication by an exact zero.  With one run those rows are summed
-    as they are; with more, they are interleaved into a complex tile,
-    which each later run takes as a complex product.  The total is
-    checked against ``NORM_TOL``.  Nothing that is passed in is written.
-    """
-    runs = _dft_runs(0, digits, p)
-    if not runs:
-        raise BadRegister("the layout has no label register to measure")
-    labels = len(a)
-    mats = [(p**axis, _dft_matrix(p, inverse, width)) for axis, width in runs]
-    dtype = np.result_type(a, mats[0][1])  # of a transformed tile
-    if a.dtype != dtype:
-        f = mats[0][1]
-        first = np.stack([f.real, f.imag], axis=1).reshape(2 * len(f), -1)
-    else:
-        first = None
-    mats = [(pre, f.astype(dtype, copy=False)) for pre, f in mats]
-    size = 2 * DFT_TILE * 8 // dtype.itemsize  # elements in one tile
-    rows = min(max(size // labels, 1), a.shape[1])
-    tiles = np.empty((2, labels * rows), dtype=dtype)
-    marginal = np.zeros(labels)
-    for r in range(0, a.shape[1], rows):
-        src, turn = a[:, r : r + rows], 0  # turn: the tile the next product writes
-        count = src.size
-        for k, (pre, f) in enumerate(mats):
-            dst = tiles[turn, :count]
-            if k == 0 and first is not None:
-                halves = dst.view(np.float64).reshape(len(first), -1)
-                np.matmul(first, src.reshape(len(f), -1), out=halves)
-                dst = halves
-                if len(mats) > 1:
-                    turn ^= 1
-                    dst = tiles[turn, :count]
-                    parts = halves.reshape(len(f), 2, -1).transpose(0, 2, 1)
-                    dst.view(np.float64).reshape(parts.shape)[...] = parts
-            else:
-                np.matmul(f, src.reshape(pre, len(f), -1), out=dst.reshape(pre, len(f), -1))
-            src, turn = dst, turn ^ 1
-        w = src.reshape(labels, -1).view(np.float64)
-        marginal += np.einsum("ij,ij->i", w, w)
-    _require_unit_norm(marginal.sum())
-    return marginal
-
-
 # ----------------------------------------------------------------------
 # Small-vector helpers on a single F_q^n register (no label part)
 # ----------------------------------------------------------------------
@@ -795,14 +736,13 @@ class PcsSampler:
     on one register each, so they run on that register alone: the
     digit-wise Fourier transform on a label-only state of p^(mk)
     amplitudes, and cube preparation at 0, which transforms only the r
-    low digits of each coordinate, on a cube-only state of those digits,
-    sigma^n amplitudes (``low``; the single amplitude 1.0 at r = 0).
-    ``low`` is checked to be exactly uniform (InvariantViolated
-    otherwise), so every digit shift fixes it: the controlled shift never
-    entangles it, and it stays a factor of every later state.  The cube's
-    m - r high digits per coordinate start at |0>.  Both joined factors
-    are Fourier transforms of |0>, built from column 0 of F, which is
-    exactly real; their imaginary parts are checked to be exactly zero
+    low digits of each coordinate into the uniform |+>^r.  Every digit
+    shift fixes that uniform state, so no later gate entangles it: it is
+    a factor of every later state, sigma^n equal amplitudes, and since no
+    decode reads it the sampler does not write it.  The cube's m - r high
+    digits per coordinate start at |0>.  Both joined factors are Fourier
+    transforms of |0>, built from column 0 of F, which is exactly real;
+    their imaginary parts are checked to be exactly zero
     (InvariantViolated otherwise) and their real parts are kept.  The
     third step, the controlled shift by A c, is the first to couple
     them, so one controlled join (:func:`_join`; not
@@ -817,31 +757,27 @@ class PcsSampler:
     and no table of labels or amounts.  The join only scales and gathers
     real factors, so the joined state is real at every p: it is held as
     ``amplitudes``, one float64 (p^(mk), p^((m-r)n)) array (not a
-    :class:`DenseState`, which is complex at p >= 3); the whole
-    register's state is ``amplitudes`` (x) ``low``, interleaved per
-    coordinate, and at r = 0 it is ``amplitudes`` itself.  Step 4, the
-    change of representation, is a no-op under this encoding.  Step 5,
-    the second digit-wise Fourier transform, is never written: measuring
-    the message register after it is the streamed Fourier-basis
-    measurement of ``amplitudes`` (:func:`_fourier_law` with the forward
-    F), which computes every transformed amplitude tile by tile and
-    stores none; ``low`` has unit norm and is not transformed, so it
-    does not change the law.  Measuring yields a uniform label and
-    collapses the cube register to the matching phased cube state;
-    :meth:`collapse` is that read-out, the only one in the package:
-    label z's high vector is row z of F (the Kronecker product of its
-    label runs' rows) times ``amplitudes``, normalised so that it (x)
-    ``low`` has unit norm.  It returns the high vector alone: the
-    register's state is that vector (x) ``low``, interleaved per
-    coordinate, and every later shift fixes ``low``, so a decode never
-    writes a q^n vector.  A stack of labels is read in one matrix
+    :class:`DenseState`, which is complex at p >= 3), and it is all the
+    sampler holds.  Step 4, the change of representation, is a no-op
+    under this encoding.  Step 5, the second digit-wise Fourier
+    transform, is never written: measuring the message register after it
+    yields a uniform label and collapses the cube register to the
+    matching phased cube state, and :meth:`collapse` is that read-out,
+    the only one in the package: label z's high vector is row z of F
+    (the Kronecker product of its label runs' rows) times
+    ``amplitudes``, normalised.  A stack of labels is read in one matrix
     product.  It checks its labels (``layout.label_digits`` digits in
     [0, p)).
 
-    Orthogonality of the anchored cubes is what makes the label marginal
-    exactly uniform; it is checked both through the cached code distance
-    (d > sigma*n) when available and numerically on the computed
-    marginal.
+    The label is uniform exactly when the anchored cubes are
+    orthonormal.  Row c of ``amplitudes`` is one-hot, at the high digits
+    of A c, so that holds exactly when no two messages share those high
+    digits: when Top_r(A) (:func:`~pqdec.gf.top_digit_submatrix` of the
+    expanded A) has full column rank m*k over F_p.  The constructor
+    checks the cached code distance first (d > sigma*n, by
+    :func:`require_cube_orthogonality`), then the amplitude guard
+    (ScaleExceeded), then that rank, and raises OrthogonalityViolated,
+    naming r and kappa_r = m*k - rank, before it allocates any state.
     """
 
     def __init__(self, code: LinearCode, sigma: SigmaParam):
@@ -850,13 +786,20 @@ class PcsSampler:
         self.layout = RegisterLayout(
             p=f.p, m=f.m, n=code.n, label_digits=f.m * code.k, cube_count=1
         )
+        # the join's row c is one-hot, at the high digits of A c, so the
+        # label law is uniform exactly when no two messages share them:
+        # when Top_r(A) has full column rank m*k.  Checked before the join
+        kappa = self.layout.label_digits - rank(top_digit_submatrix(code.operator, sigma.r), f.p)
+        if kappa:
+            raise OrthogonalityViolated(
+                f"at r = {sigma.r}, kappa_r = m*k - rank Top_r(A) = {kappa} > 0: "
+                "messages share a cube, so the cube states are not orthonormal"
+            )
         # the registers are not entangled before the controlled shift, so
         # each runs its gates on its own one-sided state, and one join
         # writes them together with that shift made.  The cube's r low
         # digits per coordinate are prepared uniform, which every shift
-        # fixes, so they stay one factor and the join runs on the m - r
-        # high digits, still at |0>
-        self.low = _uniform_low_cube(f.p, code.n, sigma)
+        # fixes, so the join runs on the m - r high digits, still at |0>
         high = replace(self.layout, m=f.m - sigma.r)
         label = DenseState.zero_state(replace(high, cube_count=0)).qft_label()
         cube = DenseState.zero_state(replace(high, label_digits=0))
@@ -869,17 +812,16 @@ class PcsSampler:
         self.amplitudes = joined.reshape(high.label_dim, -1)
         # step 4, the change of representation F_q^k -> F_p^{mk}, is a
         # no-op: the label slots already hold digits.  Step 5, the second
-        # digit-wise Fourier transform, is read through the measurement
-        self.marginal = _fourier_law(self.amplitudes, f.p, self.layout.label_digits, inverse=False)
-        _require_uniform(self.marginal)
+        # digit-wise Fourier transform, is read by ``collapse``
 
     def collapse(self, label_digits: Sequence[int] | np.ndarray) -> np.ndarray:
         """Post-measurement state of the cube register's high digits for a label.
 
-        The label's high vector, p^((m-r)n) amplitudes, normalised so that
-        it (x) ``low`` has unit norm (a zero vector raises
-        OrthogonalityViolated); the register's state is that product,
-        interleaved per coordinate.  A nonempty (count, label_digits)
+        The label's high vector, p^((m-r)n) amplitudes, divided by its own
+        norm (a zero vector raises OrthogonalityViolated); the register's
+        state is that vector (x) the uniform low digits, interleaved per
+        coordinate, and every later shift fixes the low digits, so a
+        decode never writes a q^n vector.  A nonempty (count, label_digits)
         stack of labels gives a (count, p^((m-r)n)) stack of vectors, all
         from one product.  Each label must be exactly
         ``layout.label_digits`` integer digits, each in [0, p); any other
@@ -916,9 +858,7 @@ class PcsSampler:
         else:
             vecs = rows @ self.amplitudes
         w = vecs.view(np.float64)
-        # the squared norm of high (x) low is the product of theirs, and
-        # low's is its size times its one amplitude squared
-        norms = np.sqrt(_row_dots(w, w) * (self.low.size * self.low[0] ** 2))
+        norms = np.sqrt(_row_dots(w, w))
         for z, nrm in zip(labels, norms):
             if nrm == 0:
                 raise OrthogonalityViolated(f"label {tuple(z.tolist())} has zero amplitude")
@@ -940,35 +880,8 @@ def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("...k,...k->...", *runs).sum(axis=-1) + rest
 
 
-def _uniform_low_cube(p: int, n: int, sigma: SigmaParam) -> np.ndarray:
-    """The side-sigma cube at 0 on the r low digits of each of n coordinates: sigma^n amplitudes.
-
-    Prepared by :meth:`DenseState.prep_cube` on a cube-only state of r
-    digits per coordinate (the single amplitude 1.0 at r = 0) and checked
-    to be exactly uniform, every entry equal (InvariantViolated
-    otherwise): a uniform state is fixed by every digit shift, so no
-    controlled shift entangles it.
-    """
-    if not sigma.r:
-        return np.ones(1)
-    cube = DenseState.zero_state(RegisterLayout(p=p, m=sigma.r, n=n, label_digits=0, cube_count=1))
-    low = _real_part(cube.prep_cube(sigma).vec)
-    if np.any(low != low[0]):
-        raise InvariantViolated("the cube's low digits are not uniform; a shift would move them")
-    return low
-
-
 def _real_part(vec: np.ndarray) -> np.ndarray:
     """``vec`` as a float64 array, once its imaginary parts are checked to be exactly zero."""
     if np.any(np.imag(vec)):
         raise InvariantViolated("a factor built from column 0 of F has a nonzero imaginary part")
     return np.ascontiguousarray(np.real(vec), dtype=np.float64)
-
-
-def _require_uniform(marginal: np.ndarray) -> None:
-    """Raise OrthogonalityViolated unless ``marginal`` is uniform to UNIFORM_TOL (NaN fails)."""
-    dev = np.max(np.abs(marginal - 1.0 / len(marginal)))
-    if not dev <= UNIFORM_TOL:
-        raise OrthogonalityViolated(
-            "label marginal is not uniform; cube states are not orthonormal"
-        )

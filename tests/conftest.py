@@ -3,7 +3,9 @@ import pytest
 from hypothesis import settings
 
 from pqdec import qsim
+from pqdec.codes import LinearCode
 from pqdec.gf import Field, digits_to_label, label_to_digits
+from pqdec.qsim import DenseState, RegisterLayout, SigmaParam
 
 # The same examples on every run, with no timing-based failures, so the
 # suite's outcome does not change from run to run.
@@ -59,18 +61,42 @@ def generator_table(layout, generators) -> np.ndarray:
 def with_low_factor(sampler, high) -> np.ndarray:
     """A (..., p^((m-r)n)) stack of the sampler's high-digit vectors on every cube digit.
 
-    Each vector (x) the sampler's uniform low factor, as q^n vectors: a
-    cube basis value's coordinate i has image h_i * sigma + l_i, for h
-    the high vector's coordinate values and l the low factor's, so each
-    (h, l) pair is placed at its index through the numeral codec.
+    Each vector (x) the uniform low factor, sigma^n amplitudes of
+    sigma^(-n/2), as q^n vectors: a cube basis value's coordinate i has
+    image h_i * sigma + l_i, for h the high vector's coordinate values
+    and l the low factor's, so each (h, l) pair is placed at its index
+    through the numeral codec.
     """
     lay = sampler.layout
-    sigma = round(sampler.low.size ** (1 / lay.n))
+    lows = lay.cube_dim // sampler.amplitudes.shape[1]  # sigma^n
+    sigma = round(lows ** (1 / lay.n))
     side = lay.p**lay.m // sigma  # values of a coordinate's high digits
     highs = label_to_digits(np.arange(side**lay.n), lay.n, side)
-    lows = label_to_digits(np.arange(sampler.low.size), lay.n, sigma)
-    index = digits_to_label(highs[:, None, :] * sigma + lows[None, :, :], lay.p**lay.m)
+    low_digits = label_to_digits(np.arange(lows), lay.n, sigma)
+    index = digits_to_label(highs[:, None, :] * sigma + low_digits[None, :, :], lay.p**lay.m)
     high = np.asarray(high)
     full = np.zeros((*high.shape[:-1], lay.cube_dim), dtype=high.dtype)
-    full[..., index] = high[..., :, None] * sampler.low
+    full[..., index] = high[..., :, None] * lows**-0.5
     return full
+
+
+def sampler_state_reference(code: LinearCode, sigma: SigmaParam) -> DenseState:
+    """The sampler's first four steps with every gate on the joined composite register.
+
+    Its label law after ``qft_label`` is the law the sampler's measurement
+    would give, and it is uniform exactly where the sampler accepts.
+    """
+    f = code.field
+    t = f.m * code.k
+    lay = RegisterLayout(p=f.p, m=f.m, n=code.n, label_digits=t, cube_count=1)
+    state = DenseState.zero_state(lay)
+    state.prep_cube(sigma)
+    state.qft_label()
+    labels = label_to_digits(np.arange(lay.label_dim), t, f.p)
+    amounts = labels @ code.operator.entries.T % f.p
+    return state.controlled_register_shifts(amounts.reshape(-1, 1, code.n, f.m))
+
+
+def reference_label_law(code: LinearCode, sigma: SigmaParam) -> np.ndarray:
+    """The label law of :func:`sampler_state_reference` measured after step 5's transform."""
+    return sampler_state_reference(code, sigma).qft_label().label_marginal()

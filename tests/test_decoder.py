@@ -592,12 +592,20 @@ DENSE_FACTORISED_COLUMNS = [(20, 24, 3), (2, 17, 8), (5, 16, 21), (18, 1, 6)]
 # what every decode of them returned: the resample rounds at seeds 0, 1
 # and 2, and each decode's peak, whose bits depend on every collapsed
 # amplitude and on the order of every sum behind the overlaps.  The
-# overlaps are read on the collapsed high vectors alone, each normalised
-# so that it times the cube's uniform low factor has unit norm; that
-# factor's computed squared norm is 1 + 8.9e-16, so each of the three
-# registers' overlaps is that much short and every peak sits below 1
+# overlaps are read on the collapsed high vectors alone, each divided by
+# its own norm
 DENSE_FACTORISED_ROUNDS = (2, 1, 1)
 DENSE_FACTORISED_PEAKS = [
+    ("0x1.0000000000003p+0", "0x1.0000000000004p+0", "0x1.0000000000004p+0"),
+    ("0x1.0000000000002p+0", "0x1.0000000000004p+0", "0x1.0000000000004p+0"),
+    ("0x1.0000000000003p+0", "0x1.0000000000003p+0", "0x1.0000000000004p+0"),
+    ("0x1.0000000000003p+0", "0x1.0000000000005p+0", "0x1.0000000000005p+0"),
+]
+# the peaks when each high vector was normalised so that it times the
+# cube's computed uniform low factor had unit norm; that factor's
+# squared norm came out 1 + 8.9e-16, so each of the three registers'
+# overlaps was that much short and every peak sat below 1
+DENSE_FACTORISED_LOW_FACTOR_PEAKS = [
     ("0x1.fffffffffffebp-1", "0x1.fffffffffffe9p-1", "0x1.fffffffffffebp-1"),
     ("0x1.fffffffffffe8p-1", "0x1.fffffffffffebp-1", "0x1.fffffffffffebp-1"),
     ("0x1.fffffffffffebp-1", "0x1.fffffffffffe9p-1", "0x1.fffffffffffebp-1"),
@@ -663,6 +671,7 @@ def test_decode_dense_on_dense_factorised_inputs_is_unchanged_seed_for_seed():
     # the factorised path: the full tensor is past the amplitude guard
     assert 3 ** (3 + 3 * 9) > MAX_AMPLITUDES
     for old_pins in (
+        DENSE_FACTORISED_LOW_FACTOR_PEAKS,
         DENSE_FACTORISED_CUBE_VECTOR_PEAKS,
         DENSE_FACTORISED_WHOLE_CUBE_PEAKS,
         DENSE_FACTORISED_BLAS_PEAKS,

@@ -10,7 +10,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pqdec import decoder, qsim
-from pqdec.codes import LinearCode
+from pqdec.baselines import direct_inversion_decode
+from pqdec.codes import LinearCode, plant_instance, random_code
 from pqdec.decoder import _dense_full_marginal
 from pqdec.errors import (
     BadParams,
@@ -19,6 +20,7 @@ from pqdec.errors import (
     LengthMismatch,
     OrthogonalityViolated,
     OutOfRange,
+    PreconditionUnmet,
     ScaleExceeded,
 )
 from pqdec.gf import Field, digit_rows
@@ -33,10 +35,8 @@ from pqdec.qsim import (
     SigmaParam,
     _dft_matrix,
     _dft_runs,
-    _fourier_law,
     _join,
     _real_part,
-    _require_uniform,
     _row_dots,
     cube_overlap,
     cube_vector,
@@ -48,7 +48,13 @@ from pqdec.qsim import (
     shift_cube_vector,
 )
 
-from conftest import generator_table, power_generators, with_low_factor
+from conftest import (
+    generator_table,
+    power_generators,
+    reference_label_law,
+    sampler_state_reference,
+    with_low_factor,
+)
 
 OMEGA = {p: np.exp(2j * np.pi / p) for p in (2, 3)}
 
@@ -1085,36 +1091,24 @@ def test_gates_on_a_real_state_match_its_complex_copy(lay, gate):
 
 # ---------------------------------------------------------------- factor-first builds
 
-def _sampler_state_reference(code: LinearCode, sigma: SigmaParam) -> DenseState:
-    """The sampler's first four steps with every gate on the joined composite register."""
-    f = code.field
-    t = f.m * code.k
-    lay = RegisterLayout(p=f.p, m=f.m, n=code.n, label_digits=t, cube_count=1)
-    state = DenseState.zero_state(lay)
-    state.prep_cube(sigma)
-    state.qft_label()
-    labels = label_to_digits(np.arange(lay.label_dim), t, f.p)
-    amounts = labels @ code.operator.entries.T % f.p
-    return state.controlled_register_shifts(amounts.reshape(-1, 1, code.n, f.m))
-
-
 @pytest.mark.parametrize("r", [0, 1])
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_sampler_state_matches_composite_reference(p, r):
-    # the held array and the low factor together are the state before
-    # step 5; step 5 then measured is the marginal, and each label's slice
-    # of it is that label's collapse with the low factor put back
+    # the held array with the uniform low factor put back is the state
+    # before step 5; step 5 then measured is the reference law, and each
+    # label's slice of it is that label's collapse with the low factor put back
     f = Field(p, 2)
     code = LinearCode(f, [[f.el(1)], [f.el(p)]])  # top digits (0, 1): orthogonal at r = 1
     sigma = SigmaParam.from_r(f, r)
     sampler = PcsSampler(code, sigma)
     assert sampler.amplitudes.shape == (p**2, p ** ((2 - r) * code.n))
-    assert sampler.low.shape == (p ** (r * code.n),)
-    ref = _sampler_state_reference(code, sigma)
+    ref = sampler_state_reference(code, sigma)
     assert np.max(np.abs(with_low_factor(sampler, sampler.amplitudes).reshape(-1) - ref.vec)) < 1e-12
-    want = ref.qft_label().vec.reshape(sampler.layout.label_dim, -1)
+    law = ref.qft_label().label_marginal()
+    assert np.max(np.abs(law - 1 / sampler.layout.label_dim)) < 1e-12
+    want = ref.vec.reshape(sampler.layout.label_dim, -1)
     labels = label_to_digits(np.arange(sampler.layout.label_dim), 2, p)
-    got = np.sqrt(sampler.marginal)[:, None] * with_low_factor(sampler, sampler.collapse(labels))
+    got = np.sqrt(law)[:, None] * with_low_factor(sampler, sampler.collapse(labels))
     assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -1126,25 +1120,6 @@ def test_sampler_joins_its_registers_without_from_parts(f4, monkeypatch):
     monkeypatch.setattr(DenseState, "from_parts", classmethod(refuse))
     sampler = PcsSampler(code_123(f4), SigmaParam.from_r(f4, 0))
     assert sampler.amplitudes.size == sampler.layout.dim
-
-
-@pytest.mark.parametrize("p", [2, 3])
-def test_sampler_refuses_a_low_cube_factor_that_is_not_uniform(p, monkeypatch):
-    # only a uniform low factor is fixed by every shift, so a forged one,
-    # off by one ulp in one amplitude, must not be carried past the join
-    prep_cube = DenseState.prep_cube
-
-    def forged(self, sigma):
-        state = prep_cube(self, sigma)
-        state.vec[-1] = np.nextafter(state.vec[-1].real, 1.0)
-        return state
-
-    f = Field(p, 2)
-    code = LinearCode(f, [[f.el(1)], [f.el(p)]])
-    PcsSampler(code, SigmaParam.from_r(f, 1))  # the prepared factor passes
-    monkeypatch.setattr(DenseState, "prep_cube", forged)
-    with pytest.raises(InvariantViolated, match="not uniform"):
-        PcsSampler(code, SigmaParam.from_r(f, 1))
 
 
 @pytest.mark.parametrize("p,label_digits", [(2, 3), (3, 2), (5, 2)])
@@ -1270,8 +1245,10 @@ def test_sampler_marginal_exactly_uniform(f4, f9):
         (code_123(f4), f4),
         (LinearCode(f9, [[f9.el(1)], [f9.el(3)]], d=3), f9),
     ]:
-        sampler = PcsSampler(code, SigmaParam.from_r(field, 0))
-        assert np.max(np.abs(sampler.marginal - 1 / sampler.layout.label_dim)) < 1e-12
+        sigma = SigmaParam.from_r(field, 0)
+        sampler = PcsSampler(code, sigma)
+        law = reference_label_law(code, sigma)
+        assert np.max(np.abs(law - 1 / sampler.layout.label_dim)) < 1e-12
 
 
 def test_sampler_collapse_equals_direct_construction(f4):
@@ -1287,7 +1264,7 @@ def test_sampler_collapse_sigma2_q16(f16):
     code = LinearCode(f16, [[f16.el(1)], [f16.el(2)], [f16.el(4)]], d=7)
     sig = SigmaParam.from_r(f16, 1)
     sampler = PcsSampler(code, sig)
-    assert np.max(np.abs(sampler.marginal - 1 / 16)) < 1e-12
+    assert np.max(np.abs(reference_label_law(code, sig) - 1 / 16)) < 1e-12
     for label in [(0, 0, 0, 0), (1, 0, 1, 1), (0, 1, 1, 0)]:
         assert np.allclose(
             with_low_factor(sampler, sampler.collapse(label)),
@@ -1316,6 +1293,67 @@ def test_sampler_detects_collisions_numerically(f4):
     code = LinearCode(f4, [[f4.el(1)]])
     with pytest.raises(OrthogonalityViolated):
         PcsSampler(code, SigmaParam.from_r(f4, 1))
+
+
+# (p, m, n, k) shapes of the collision ensemble: random codes with no
+# cached distance, so the d rule passes them all and only the rank decides
+COLLISION_SHAPES = [(2, 3, 2, 1), (2, 2, 3, 2), (3, 2, 2, 1), (3, 2, 3, 1), (5, 2, 2, 1)]
+
+
+def test_sampler_refuses_exactly_where_the_reference_law_is_not_uniform():
+    # the sampler's rank check against the label law of the reference
+    # state, and against direct inversion on a plant with errors below sigma
+    rng = np.random.default_rng(0)
+    refused = {p: 0 for p in (2, 3, 5)}
+    accepted = dict(refused)
+    for p, m, n, k in COLLISION_SHAPES:
+        f = Field(p, m)
+        for _ in range(6):
+            code = random_code(f, n, k, rng)
+            assert code.d is None
+            for r in range(m):
+                sigma = SigmaParam.from_r(f, r)
+                law = reference_label_law(code, sigma)
+                off = np.max(np.abs(law - 1 / len(law))) > 1e-12
+                try:
+                    PcsSampler(code, sigma)
+                except OrthogonalityViolated:
+                    assert off, (code, r)
+                    refused[p] += 1
+                else:
+                    assert not off, (code, r)
+                    accepted[p] += 1
+                errors = rng.integers(0, p, size=(n, m))
+                errors[:, r:] = 0  # every error image below sigma
+                inst = plant_instance(code, rng.integers(0, p, size=(k, m)), errors)
+                if n * (m - r) < m * k:
+                    assert off  # fewer high digits than message digits
+                    with pytest.raises(PreconditionUnmet):
+                        direct_inversion_decode(inst, r)
+                else:
+                    assert (direct_inversion_decode(inst, r).status == "singular") == off
+    assert all(refused.values()) and all(accepted.values())
+    assert sum(refused.values()) >= 5 and sum(accepted.values()) >= 5
+
+
+def test_sampler_refuses_before_it_allocates(f4, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the sampler allocated a state before its checks")
+
+    monkeypatch.setattr(qsim, "_join", refuse)
+    monkeypatch.setattr(DenseState, "zero_state", classmethod(refuse))
+    # Top_1(A) = [0 1] has rank 1 < m*k = 2: kappa_1 = 1, named with r
+    line = LinearCode(f4, [[f4.el(1)]])
+    message = r"^at r = 1, kappa_r = m\*k - rank Top_r\(A\) = 1 > 0"
+    with pytest.raises(OrthogonalityViolated, match=message):
+        PcsSampler(line, SigmaParam.from_r(f4, 1))
+    # past the amplitude guard (2^(2 + 24) amplitudes) and colliding: the guard speaks first
+    wide = LinearCode(f4, [[f4.el(1)]] * 12)
+    with pytest.raises(ScaleExceeded):
+        PcsSampler(wide, SigmaParam.from_r(f4, 1))
+    # a cached small distance: the d rule speaks first
+    with pytest.raises(OrthogonalityViolated, match=r"d = 4 <= sigma\*n = 6"):
+        PcsSampler(code_123(f4), SigmaParam.from_r(f4, 1))
 
 
 @pytest.mark.parametrize(
@@ -1353,21 +1391,9 @@ SAMPLER_READOUT_CASES = [
 ]
 
 
-def _real_label_state(p: int, t: int, seed: int) -> tuple[RegisterLayout, np.ndarray]:
-    """A random real unit state of t label digits and two cube digits."""
-    lay = RegisterLayout(p=p, m=1, n=2, label_digits=t, cube_count=1)
-    vec = np.random.default_rng(seed).normal(size=lay.dim)
-    return lay, vec / np.linalg.norm(vec)
-
-
 @pytest.mark.parametrize("p,t,widths,rows,m", SAMPLER_READOUT_CASES)
 def test_sampler_measurement_is_the_transform_then_the_marginal(p, t, widths, rows, m):
     assert tuple(w for _, w in _dft_runs(0, t, p)) == widths
-    lay, vec = _real_label_state(p, t, seed=p * t)
-    for inverse in (False, True):
-        want = DenseState(lay, vec.astype(np.complex128)).qft_label(inverse).label_marginal()
-        got = _fourier_law(vec.reshape(lay.label_dim, -1), p, t, inverse)
-        assert np.max(np.abs(got - want)) < 1e-12
     # a sampler's state: each collapse is the normalised slice of its
     # complex copy transformed in place, one label at a time or stacked
     f = Field(p, m)
@@ -1383,29 +1409,6 @@ def test_sampler_measurement_is_the_transform_then_the_marginal(p, t, widths, ro
         ref = want[z] / np.linalg.norm(want[z])
         assert np.max(np.abs(sampler.collapse(label) - ref)) < 1e-12
         assert np.max(np.abs(stacked[z] - ref)) < 1e-12
-
-
-@pytest.mark.parametrize("p,t", [(2, 3), (2, 6), (3, 2), (3, 4), (5, 3)])
-def test_sampler_measurement_checks_the_norm(p, t):
-    lay, vec = _real_label_state(p, t, seed=1)
-    held = vec.reshape(lay.label_dim, -1)
-    with pytest.raises(InvariantViolated):
-        _fourier_law(held * (1 + 1e-8), p, t, inverse=False)
-    held = held.copy()
-    held[1, 2] = np.nan
-    with pytest.raises(InvariantViolated):
-        _fourier_law(held, p, t, inverse=False)
-
-
-def test_uniform_check_fails_on_nan():
-    law = np.full(9, 1 / 9)
-    _require_uniform(law)
-    law[4] = np.nan
-    with pytest.raises(OrthogonalityViolated):
-        _require_uniform(law)
-    law[4] = 1 / 9 + 1e-11
-    with pytest.raises(OrthogonalityViolated):
-        _require_uniform(law)
 
 
 def test_sampler_factors_must_be_exactly_real():
