@@ -2,7 +2,10 @@
 
 Dense backend: the PCS sampler refuses, before it allocates anything,
 a cutoff r at which two messages share a cube (Top_r(A) short of full
-column rank), and otherwise every circuit step of the decoder is
+column rank).  Otherwise its controlled shift maps a basis state to a
+basis state, so it holds its state by the support, one cube index per
+label, and reads the T labels' high vectors off it in one scatter.
+Every circuit step of the decoder is
 executed on the dense simulator, as three gates, on the m - r high
 digits of each cube coordinate, since every shift fixes the cube's
 uniform low digits.  The uniform superposition runs on the label work
@@ -279,8 +282,7 @@ def decode_dense(
     sampler = PcsSampler(code, sigma)  # raises OrthogonalityViolated / ScaleExceeded
     t_digits = f.m * code.k
     columns, rounds = sample_label_matrix(f.p, t_digits, rng)
-    pcs_vectors = sampler.collapse(columns.T)  # the T labels' high vectors, in one product
-    del sampler  # its joined state is not read again; free it before the marginal
+    pcs_vectors = sampler.collapse(columns.T)  # the T labels' high vectors, in one scatter
     high_t = inst.t[:, sigma.r :]  # every shift fixes the cube's uniform low digits
     try:
         layout = RegisterLayout(  # the whole composite's guard picks the path

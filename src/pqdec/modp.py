@@ -1,7 +1,8 @@
 """Dense linear algebra over the prime field F_p (numpy int64).
 
 Exact Gauss-Jordan elimination, one kernel per prime class.  Both take a
-2-D matrix or a (B, R, C) stack of B matrices:
+2-D matrix or a (B, R, C) stack of B matrices (the stacked ranks of
+``baselines.invertibility_stats``):
 
 - at p = 2, one elimination on bit-packed rows (:func:`_xor_basis`); a
   stack is packed in one pass and its matrices are reduced one by one;
@@ -9,10 +10,10 @@ Exact Gauss-Jordan elimination, one kernel per prime class.  Both take a
   matrices of a stack at once (:func:`_eliminate`); a 2-D matrix is a
   stack of one.
 
-On a 2-D matrix :func:`rank` returns a Python int, and :func:`row_echelon`
-the reduced echelon form and its pivot column list.  On a stack they
-return an int64 array of B ranks, and a (B, R, C) array with B pivot
-lists.  Inverse and solve run on :func:`row_echelon` for one matrix.
+On a 2-D matrix :func:`rank` returns a Python int, and on a stack an
+int64 array of B ranks.  :func:`row_echelon` takes one 2-D matrix and
+returns its reduced echelon form and pivot column list; inverse and
+solve run on it.
 The p >= 3 loop reduces its entries mod p often enough that no
 intermediate passes 2^62, for any p with p^2 < 2^62, which holds for
 every desk-scale prime used here.
@@ -49,33 +50,18 @@ def _as_modp(matrix: np.ndarray, p: int) -> np.ndarray:
     return out & 1 if p == 2 else out % p
 
 
-def row_echelon(matrix: np.ndarray, p: int) -> tuple[np.ndarray, list]:
-    """Reduced row echelon form over F_p and its pivot columns.
-
-    For a (B, R, C) stack: the (B, R, C) echelon forms and B pivot lists.
-    """
+def row_echelon(matrix: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form over F_p of a 2-D matrix, and its pivot columns."""
+    a = _as_int64(matrix, stack=False)
     if p == 2:
-        packed, shape = _gf2_rows(matrix)
-        out = [_echelon_gf2(rows, *shape[-2:]) for rows in packed]
-        if len(shape) == 2:
-            return out[0]
-        echelons = np.stack([ech for ech, _ in out]) if out else np.zeros(shape, np.int64)
-        return echelons, [pivots for _, pivots in out]
-    a = _as_int64(matrix, stack=True)
-    if a.ndim == 2:
-        # every step of a single matrix has its pivot, so its stored rows
-        # are its echelon rows in order
-        pivot_rows, pivot_cols, _ = _eliminate(a[None], p)
-        echelon = np.zeros_like(a)
-        np.remainder(pivot_rows[0], p, out=echelon[: len(pivot_cols)])
-        return echelon, pivot_cols
-    pivot_rows, pivot_cols, marks = _eliminate(a, p)
-    found = np.array(marks, dtype=np.int64).reshape(len(pivot_cols), len(a)).T
-    # a matrix's rows at steps without its pivot are zero: sort them last
-    order = np.argsort(1 - found, axis=1, kind="stable")[:, : a.shape[1]]
-    echelons = np.zeros_like(a)
-    echelons[:, : order.shape[1]] = np.take_along_axis(pivot_rows, order[:, :, None], axis=1) % p
-    return echelons, [[c for c, hit in zip(pivot_cols, row) if hit] for row in found.tolist()]
+        packed, shape = _gf2_rows(a)
+        return _echelon_gf2(packed[0], *shape)
+    # every step of a single matrix has its pivot, so its stored rows are
+    # its echelon rows in order
+    pivot_rows, pivot_cols, _ = _eliminate(a[None], p)
+    echelon = np.zeros_like(a)
+    np.remainder(pivot_rows[0], p, out=echelon[: len(pivot_cols)])
+    return echelon, pivot_cols
 
 
 def rank(matrix: np.ndarray, p: int) -> int | np.ndarray:

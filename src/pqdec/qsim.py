@@ -28,7 +28,7 @@ map and its bijection check take about 0.13 ms by Horner against about
 6 ms through the codec, on one core of a 2-vCPU Xeon).  A decode builds
 few shift maps, at most one per label digit and register in a join (see
 Factor first) and one per power d = 1 .. p//2 of U_t in the factorised
-marginal: four over F_27 at k = 1.  Label index maps go through the
+marginal: one over F_27 at k = 1.  Label index maps go through the
 codec, in :func:`label_source`, with a bijection check: a decode has at
 most 2^12 labels, where the codec is about as fast as Horner's rule, and
 each dense decode builds exactly one, on either marginal path.  The one
@@ -38,11 +38,13 @@ checks the label it is given.
 Cube gates act on every cube register at once: no gate addresses one
 register.  As in the decoder of the paper, a cube is prepared at 0
 (:meth:`DenseState.prep_cube`, whose uniform low digits the sampler
-leaves unwritten; see Factor first) and moved only by the label-controlled
-shifts a controlled join makes (:func:`_join`; see Factor first), which
-all go through the one shift kernel
-:func:`_shift_cube`, a gather through a source-index map with one entry
-per basis value of the cube register.  A cube anchored elsewhere
+leaves unwritten; see Factor first) and moved only by label-controlled
+shifts.  The sampler's moves a basis state to a basis state, which it
+holds as one index per label; the decoder's are made by the controlled
+join of :meth:`DenseState.from_parts` (see Factor first), which goes
+through the one shift kernel :func:`_shift_cube`, a gather through a
+source-index map with one entry per basis value of the cube register,
+as every other shift does.  A cube anchored elsewhere
 exists only as the bare vector :func:`cube_vector`, and
 :func:`shift_cube_vector` moves a stack of them through the same kernel.
 
@@ -59,11 +61,10 @@ first entangling gate of both circuits is a label-controlled shift, and
 both shifts are F_p-linear in the label digits, qudit Clifford gates
 given by an F_p matrix: the sampler's A c, and the decoder's
 U_t^(ell_j), read at L^-1 y when the label permutations L^-1 and L
-around the shift are folded in.  One controlled join, :func:`_join`,
-takes that map, one digit matrix per label digit and register, and
-writes the joined state with the shift already made (in a
-:class:`DenseState` through :meth:`DenseState.from_parts` with
-``generators``; as the sampler's own real array through a direct call):
+around the shift are folded in.  One controlled join,
+:meth:`DenseState.from_parts` with ``generators``, takes that map, one
+digit matrix per label digit and register, and writes the joined state
+with the shift already made:
 label slice i is the label amplitude times the Kronecker product of each
 register's factor shifted by its amount for label i.  The join takes
 labels in index order, so each register's factor for label i is one
@@ -76,14 +77,16 @@ needs none at all: the PCS sampler's cube is prepared uniform on the r
 low digits of each coordinate, the Fourier state |+>^r, which every
 digit shift fixes, so its controlled shift never entangles those digits.
 They stay one factor of sigma^n equal amplitudes that no decode reads,
-so the sampler never writes them: it joins only the m - r high digits
-of each coordinate, shifted by the high digits of its generators.  Its
+so the sampler never writes them.  Its shift acts on the m - r high
+digits of each coordinate, still at |0>, and a shift maps a basis state
+to a basis state, so the joined state has one nonzero per label c, at
+the high digits of A c.  The sampler holds it by that support, one cube
+index per label, beside the label amplitudes, and joins nothing.  Its
 label is uniform exactly when no two messages share those high digits,
-an F_p rank condition it checks before it writes anything.  It writes
-that joined state once, real at every p (its factors are transforms of
-|0>, column 0 of F, and the join only scales and gathers them), and
+an F_p rank condition it checks before it builds anything.
 :meth:`PcsSampler.collapse` computes a label's slice of the state after
-step 5's transform as that label's row of F times the held array: its
+step 5's transform as that label's row of F times the label amplitudes,
+scattered to the support: its
 high vector, all that a decode reads, since every later gate fixes the
 low digits too (the decoder shifts by t's high digits alone).  The
 decoder's full-tensor path holds no joined state at all: after its
@@ -111,18 +114,18 @@ label measurement of a head and a tail (:func:`fourier_label_marginal`)
 forms no composite amplitude at all: it holds the p^T x p^T reduced
 density matrix rho = Gram(head) o Gram(tail) (entrywise), each Gram
 summed over column blocks of ``2 * DFT_TILE`` floats, and reads the law
-as the diagonal of F^-1 rho F^-H; neither part is written.  At sigma =
-p^r the sampler holds p^(mk) x p^((m-r)n) high-digit amplitudes, not
-p^(mk) x q^n: on F_27 at n = 3 and sigma = 3 that is 3^9 floats (157 kB,
-against 4.25 MB for the whole register), and it reads them only in
-:meth:`PcsSampler.collapse`, one product for a stack of labels.  A
+as the diagonal of F^-1 rho F^-H; neither part is written.  The
+sampler holds p^(mk) label amplitudes and p^(mk) int64 cube indices, not
+a p^(mk) x q^n state: on F_27 at n = 3 and sigma = 3 that is 27 of each,
+against 3^9 floats for the joined high digits and 4.25 MB for the whole
+register, and :meth:`PcsSampler.collapse` writes only the
+(count, p^((m-r)n)) stack of high vectors it returns.  A
 controlled shift and a label permutation move one label slice at a
 time, through one slice of scratch.  For p = 2 the Fourier matrix is
 the real Hadamard power, and every other gate only moves amplitudes, so
 a state built from real amplitudes stays real: it is stored as float64,
 half the bytes of a complex state, and a transform is a real product.
-The sampler's joined state is no :class:`DenseState` and is float64 at
-every p.  Each gate is checked: a Fourier transform checks the norm to
+Each gate is checked: a Fourier transform checks the norm to
 1e-10 (:class:`~pqdec.errors.InvariantViolated` otherwise), on
 whichever register it runs on, summing each tile's squared magnitudes
 while the tile is still in cache, and the full-tensor read-out checks
@@ -339,59 +342,6 @@ def _shift_cube(
     return np.take(block, src, axis=axis, out=out, mode="clip")
 
 
-def _join(
-    layout: RegisterLayout,
-    label: np.ndarray,
-    cubes: Sequence[np.ndarray],
-    generators: np.ndarray,
-    dtype: np.dtype,
-) -> np.ndarray:
-    """label (x) cubes, then the label-controlled shifts of ``generators``, written once.
-
-    ``label`` and ``cubes`` are flat parts of the layout's sizes, and
-    ``generators`` (G) has shape (label_digits, cube_count, n, m):
-    label i shifts cube register j by sum_d digit_d(i) * G[d, j] mod p.
-    No register is entangled before the shift, so label slice i is
-    label[i] times the Kronecker product over j of cube j so shifted.
-    Labels are taken in index order and each register holds one
-    factor: label i's is one gather of label i-1's (label 0 shifts
-    nothing, so its factor is the part itself).  When i has l
-    trailing zero base-p digits, digit T-1-l goes up by one and the l
-    digits below it wrap from p-1 to 0, also +1 mod p, so the step is
-    the suffix sum G[T-1-l] + ... + G[T-1].  One checked source-index
-    map is built per nonzero step and register, before the label
-    loop.  Each slice is one outer product, (label[i] * first factor)
-    (x) (Kronecker product of the others), so the long run is
-    innermost; with one cube register it is label[i] (x) that
-    register's factor.  Returns a new flat array of ``dtype``.
-    """
-    lay = layout
-    generators = np.asarray(generators, dtype=np.int64)
-    want = (lay.label_digits, lay.cube_count, lay.n, lay.m)
-    if generators.shape != want:
-        raise BadRegister(f"shift generators of shape {generators.shape}, layout needs {want}")
-    steps = np.cumsum(generators[::-1], axis=0) % lay.p  # row l: the step at carry level l
-    maps = [[_shift_source(s, lay.p) if s.any() else None for s in level] for level in steps]
-    vec = np.empty(lay.dim, dtype=dtype)
-    out = vec.reshape(lay.label_dim, -1)
-    split = 2 if lay.cube_count > 1 else 1  # parts in the outer product's head
-    factors = list(cubes)
-    for i in range(lay.label_dim):
-        if i:
-            level = 0  # trailing zero base-p digits of i
-            while i % lay.p ** (level + 1) == 0:
-                level += 1
-            for j, src in enumerate(maps[level]):
-                if src is not None:
-                    factors[j] = _shift_cube(factors[j], src, axis=0)
-        parts = [label[i : i + 1], *factors]
-        # Kronecker products, by outer products (np.kron costs ~3x more)
-        head = reduce(np.multiply.outer, parts[:split]).reshape(-1)
-        tail = reduce(np.multiply.outer, parts[split:] or [np.ones(1)]).reshape(-1)
-        np.multiply.outer(head, tail, out=out[i].reshape(len(head), -1))
-    return vec
-
-
 class DenseState:
     """Amplitude vector over a :class:`RegisterLayout`, in one array.
 
@@ -437,12 +387,24 @@ class DenseState:
     ) -> DenseState:
         """Tensor product of a label-register state and one state per cube register.
 
-        With ``generators``, shaped (label_digits, cube_count, n, m), the
-        product is written with the label-controlled shifts they define
-        already made: label i shifts cube register j by
-        sum_d digit_d(i) * generators[d, j] mod p.  Without them it is the
-        plain product, all-zero generators, which build no map.  Either
-        way the state is written once, by :func:`_join`, and held without a
+        With ``generators`` (G), shaped (label_digits, cube_count, n, m),
+        the product is written with the label-controlled shifts they
+        define already made, one controlled join: label i shifts cube
+        register j by sum_d digit_d(i) * G[d, j] mod p.  Without them it
+        is the plain product, all-zero generators, which build no map.
+        No register is entangled before the shift, so label slice i is
+        label[i] times the Kronecker product over j of cube j so shifted.
+        Labels are taken in index order and each register holds one
+        factor: label i's is one gather of label i-1's (label 0 shifts
+        nothing, so its factor is the part itself).  When i has l
+        trailing zero base-p digits, digit T-1-l goes up by one and the l
+        digits below it wrap from p-1 to 0, also +1 mod p, so the step is
+        the suffix sum G[T-1-l] + ... + G[T-1].  One checked source-index
+        map is built per nonzero step and register, before the label
+        loop.  Each slice is one outer product, (label[i] * first factor)
+        (x) (Kronecker product of the others), so the long run is
+        innermost; with one cube register it is label[i] (x) that
+        register's factor.  The state is written once and held without a
         copy; it is real only when every part is and the layout has p = 2.
         """
         if len(cube_vecs) != layout.cube_count:
@@ -456,14 +418,34 @@ class DenseState:
         for j, cv in enumerate(cubes):
             if len(cv) != layout.cube_dim:
                 raise BadRegister(f"cube part {j} has {len(cv)} amplitudes, not {layout.cube_dim}")
+        want = (layout.label_digits, layout.cube_count, layout.n, layout.m)
         if generators is None:
-            generators = np.zeros(
-                (layout.label_digits, layout.cube_count, layout.n, layout.m), np.int64
-            )
+            generators = np.zeros(want, np.int64)
+        generators = np.asarray(generators, dtype=np.int64)
+        if generators.shape != want:
+            raise BadRegister(f"shift generators of shape {generators.shape}, layout needs {want}")
+        steps = np.cumsum(generators[::-1], axis=0) % layout.p  # row l: the step at carry level l
+        maps = [[_shift_source(s, layout.p) if s.any() else None for s in row] for row in steps]
         state = cls.__new__(cls)
         state.layout = layout
         dtype = np.result_type(label, *cubes, _dft_matrix(layout.p))
-        state.vec = _join(layout, label, cubes, generators, dtype)
+        state.vec = np.empty(layout.dim, dtype=dtype)
+        out = state.vec.reshape(layout.label_dim, -1)
+        split = 2 if layout.cube_count > 1 else 1  # parts in the outer product's head
+        factors = list(cubes)  # each register's factor, moved label by label
+        for i in range(layout.label_dim):
+            if i:
+                level = 0  # trailing zero base-p digits of i
+                while i % layout.p ** (level + 1) == 0:
+                    level += 1
+                for j, src in enumerate(maps[level]):
+                    if src is not None:
+                        factors[j] = _shift_cube(factors[j], src, axis=0)
+            parts = [label[i : i + 1], *factors]
+            # Kronecker products, by outer products (np.kron costs ~3x more)
+            head = reduce(np.multiply.outer, parts[:split]).reshape(-1)
+            tail = reduce(np.multiply.outer, parts[split:] or [np.ones(1)]).reshape(-1)
+            np.multiply.outer(head, tail, out=out[i].reshape(len(head), -1))
         return state
 
     def norm(self) -> float:
@@ -735,49 +717,35 @@ class PcsSampler:
     register; ``layout`` is that whole register.  The first two steps act
     on one register each, so they run on that register alone: the
     digit-wise Fourier transform on a label-only state of p^(mk)
-    amplitudes, and cube preparation at 0, which transforms only the r
-    low digits of each coordinate into the uniform |+>^r.  Every digit
-    shift fixes that uniform state, so no later gate entangles it: it is
-    a factor of every later state, sigma^n equal amplitudes, and since no
-    decode reads it the sampler does not write it.  The cube's m - r high
-    digits per coordinate start at |0>.  Both joined factors are Fourier
-    transforms of |0>, built from column 0 of F, which is exactly real;
-    their imaginary parts are checked to be exactly zero
-    (InvariantViolated otherwise) and their real parts are kept.  The
-    third step, the controlled shift by A c, is the first to couple
-    them, so one controlled join (:func:`_join`; not
-    :meth:`DenseState.from_parts`, whose calls the benchmark's trace
-    counts as the decoder's full-tensor path) writes the joined state of
-    the label and the high digits with it made: label slice c is the
-    label amplitude times the high digits moved to those of A c.  A c is
-    linear in the digits of c, so the join takes the high digits of the
-    expanded A's columns as its generators, and going from label c-1 to
-    c moves the cube by a step that depends only on the carry: at most
-    one checked shift map per label digit (m*k maps, not one per label),
-    and no table of labels or amounts.  The join only scales and gathers
-    real factors, so the joined state is real at every p: it is held as
-    ``amplitudes``, one float64 (p^(mk), p^((m-r)n)) array (not a
-    :class:`DenseState`, which is complex at p >= 3), and it is all the
-    sampler holds.  Step 4, the change of representation, is a no-op
-    under this encoding.  Step 5, the second digit-wise Fourier
+    amplitudes, held as ``label_amplitudes``, and cube preparation at 0,
+    which transforms only the r low digits of each coordinate into the
+    uniform |+>^r.  Every digit shift fixes that uniform state, so no
+    later gate entangles it: it is a factor of every later state, sigma^n
+    equal amplitudes, and since no decode reads it the sampler does not
+    write it.  The cube's m - r high digits per coordinate start at |0>,
+    one basis state.  The third step, the controlled shift
+    |c>|y> -> |c>|y + A c>, maps a basis state to a basis state, so the
+    joined state is sum_c a_c |c>|Top_r(A c)>: one nonzero per label.
+    The sampler holds that state by its support alone: ``support[c]`` is
+    the cube index of the high digits of A c (the numeral codec on the
+    digits of every label times the expanded A), and the amplitude there
+    is ``label_amplitudes[c]``.  Step 4, the change of representation, is
+    a no-op under this encoding.  Step 5, the second digit-wise Fourier
     transform, is never written: measuring the message register after it
     yields a uniform label and collapses the cube register to the
     matching phased cube state, and :meth:`collapse` is that read-out,
-    the only one in the package: label z's high vector is row z of F
-    (the Kronecker product of its label runs' rows) times
-    ``amplitudes``, normalised.  A stack of labels is read in one matrix
-    product.  It checks its labels (``layout.label_digits`` digits in
-    [0, p)).
+    the only one in the package.  It checks its labels
+    (``layout.label_digits`` digits in [0, p)).
 
     The label is uniform exactly when the anchored cubes are
-    orthonormal.  Row c of ``amplitudes`` is one-hot, at the high digits
-    of A c, so that holds exactly when no two messages share those high
-    digits: when Top_r(A) (:func:`~pqdec.gf.top_digit_submatrix` of the
-    expanded A) has full column rank m*k over F_p.  The constructor
-    checks the cached code distance first (d > sigma*n, by
-    :func:`require_cube_orthogonality`), then the amplitude guard
-    (ScaleExceeded), then that rank, and raises OrthogonalityViolated,
-    naming r and kappa_r = m*k - rank, before it allocates any state.
+    orthonormal, which holds exactly when no two messages share the high
+    digits of A c: when ``support`` has no repeat, i.e. when Top_r(A)
+    (:func:`~pqdec.gf.top_digit_submatrix` of the expanded A) has full
+    column rank m*k over F_p.  The constructor checks the cached code
+    distance first (d > sigma*n, by :func:`require_cube_orthogonality`),
+    then the amplitude guard (ScaleExceeded), then that rank, and raises
+    OrthogonalityViolated, naming r and kappa_r = m*k - rank, before it
+    allocates anything.
     """
 
     def __init__(self, code: LinearCode, sigma: SigmaParam):
@@ -786,30 +754,25 @@ class PcsSampler:
         self.layout = RegisterLayout(
             p=f.p, m=f.m, n=code.n, label_digits=f.m * code.k, cube_count=1
         )
-        # the join's row c is one-hot, at the high digits of A c, so the
-        # label law is uniform exactly when no two messages share them:
-        # when Top_r(A) has full column rank m*k.  Checked before the join
+        # the label law is uniform exactly when no two messages share the
+        # high digits of A c: when Top_r(A) has full column rank m*k
         kappa = self.layout.label_digits - rank(top_digit_submatrix(code.operator, sigma.r), f.p)
         if kappa:
             raise OrthogonalityViolated(
                 f"at r = {sigma.r}, kappa_r = m*k - rank Top_r(A) = {kappa} > 0: "
                 "messages share a cube, so the cube states are not orthonormal"
             )
-        # the registers are not entangled before the controlled shift, so
-        # each runs its gates on its own one-sided state, and one join
-        # writes them together with that shift made.  The cube's r low
-        # digits per coordinate are prepared uniform, which every shift
-        # fixes, so the join runs on the m - r high digits, still at |0>
-        high = replace(self.layout, m=f.m - sigma.r)
-        label = DenseState.zero_state(replace(high, cube_count=0)).qft_label()
-        cube = DenseState.zero_state(replace(high, label_digits=0))
+        high = replace(self.layout, m=f.m - sigma.r, cube_count=0)
+        self.label_amplitudes = DenseState.zero_state(high).qft_label().vec
+        self.high_dim = high.cube_dim  # p^((m-r)n) high-digit values
         # label digits j*m .. j*m+m-1 are the LSB-first digits of message
-        # coordinate j, i.e. the label is the flattened digit rows of c, so
-        # label digit d shifts the cube by column d of the expanded A, and
-        # its high digits by that column's high digits
-        generators = code.operator.entries.T.reshape(-1, 1, code.n, f.m)[..., sigma.r :]
-        joined = _join(high, _real_part(label.vec), [_real_part(cube.vec)], generators, np.float64)
-        self.amplitudes = joined.reshape(high.label_dim, -1)
+        # coordinate j, so the label's digit vector times the expanded A
+        # is A c's flattened digit rows; a high cube index reads each
+        # coordinate's high digits most significant first
+        labels = label_to_digits(np.arange(high.label_dim), high.label_digits, f.p)
+        images = (labels @ code.operator.entries.T).reshape(-1, code.n, f.m)
+        high_digits = images[..., sigma.r :][..., ::-1].reshape(len(labels), -1)
+        self.support = digits_to_label(high_digits, f.p)
         # step 4, the change of representation F_q^k -> F_p^{mk}, is a
         # no-op: the label slots already hold digits.  Step 5, the second
         # digit-wise Fourier transform, is read by ``collapse``
@@ -817,15 +780,17 @@ class PcsSampler:
     def collapse(self, label_digits: Sequence[int] | np.ndarray) -> np.ndarray:
         """Post-measurement state of the cube register's high digits for a label.
 
-        The label's high vector, p^((m-r)n) amplitudes, divided by its own
-        norm (a zero vector raises OrthogonalityViolated); the register's
-        state is that vector (x) the uniform low digits, interleaved per
-        coordinate, and every later shift fixes the low digits, so a
-        decode never writes a q^n vector.  A nonempty (count, label_digits)
-        stack of labels gives a (count, p^((m-r)n)) stack of vectors, all
-        from one product.  Each label must be exactly
-        ``layout.label_digits`` integer digits, each in [0, p); any other
-        raises BadParams rather than reading another label.
+        Label z's high vector, p^((m-r)n) amplitudes, is row z of F (the
+        Kronecker product of its label runs' rows) times the held state:
+        entry ``support[c]`` is F[z, c] * ``label_amplitudes[c]``, every
+        other entry 0.  It is divided by its own norm (a zero vector
+        raises OrthogonalityViolated); the register's state is that
+        vector (x) the uniform low digits, interleaved per coordinate, and
+        every later shift fixes the low digits, so a decode never writes a
+        q^n vector.  A nonempty (count, label_digits) stack of labels
+        gives a (count, p^((m-r)n)) stack of vectors.  Each label must be
+        exactly ``layout.label_digits`` integer digits, each in [0, p);
+        any other raises BadParams rather than reading another label.
         """
         p, width = self.layout.p, self.layout.label_digits
         digits = np.asarray(label_digits)
@@ -845,18 +810,9 @@ class PcsSampler:
             [reduce(np.kron, [f[digits_to_label(z[a : a + w], p)] for a, w, f in runs])
              for z in labels]
         )
-        if np.iscomplexobj(rows):
-            # Re F and Im F in one real product, so the held array is never
-            # cast: each label's real and imaginary rows land in its own
-            # output row, side by side, and are interleaved there
-            vecs = np.empty((len(labels), self.amplitudes.shape[1]), dtype=rows.dtype)
-            pairs = vecs.view(np.float64).reshape(len(labels), 2, -1)
-            stacked = np.stack([rows.real, rows.imag], axis=1).reshape(2 * len(labels), -1)
-            np.matmul(stacked, self.amplitudes, out=pairs.reshape(2 * len(labels), -1))
-            for pair in pairs:
-                pair.reshape(-1, 2)[...] = pair.T  # numpy copies the overlapping source first
-        else:
-            vecs = rows @ self.amplitudes
+        terms = rows * self.label_amplitudes
+        vecs = np.zeros((len(labels), self.high_dim), dtype=terms.dtype)
+        vecs[:, self.support] = terms  # support has no repeat, so no two terms meet
         w = vecs.view(np.float64)
         norms = np.sqrt(_row_dots(w, w))
         for z, nrm in zip(labels, norms):
@@ -878,10 +834,3 @@ def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     runs = [v[..., :cut].reshape(*v.shape[:-1], -1, 128) for v in (x, y)]
     rest = np.einsum("...k,...k->...", x[..., cut:], y[..., cut:])
     return np.einsum("...k,...k->...", *runs).sum(axis=-1) + rest
-
-
-def _real_part(vec: np.ndarray) -> np.ndarray:
-    """``vec`` as a float64 array, once its imaginary parts are checked to be exactly zero."""
-    if np.any(np.imag(vec)):
-        raise InvariantViolated("a factor built from column 0 of F has a nonzero imaginary part")
-    return np.ascontiguousarray(np.real(vec), dtype=np.float64)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -68,16 +70,34 @@ def with_low_factor(sampler, high) -> np.ndarray:
     through the numeral codec.
     """
     lay = sampler.layout
-    lows = lay.cube_dim // sampler.amplitudes.shape[1]  # sigma^n
+    high = np.asarray(high)
+    lows = lay.cube_dim // high.shape[-1]  # sigma^n
     sigma = round(lows ** (1 / lay.n))
     side = lay.p**lay.m // sigma  # values of a coordinate's high digits
     highs = label_to_digits(np.arange(side**lay.n), lay.n, side)
     low_digits = label_to_digits(np.arange(lows), lay.n, sigma)
     index = digits_to_label(highs[:, None, :] * sigma + low_digits[None, :, :], lay.p**lay.m)
-    high = np.asarray(high)
     full = np.zeros((*high.shape[:-1], lay.cube_dim), dtype=high.dtype)
     full[..., index] = high[..., :, None] * lows**-0.5
     return full
+
+
+def joined_sampler_state(code: LinearCode, sigma: SigmaParam) -> np.ndarray:
+    """The sampler's state after its controlled shift, written out by one controlled join.
+
+    The label after ``qft_label`` (x) the |0> high cube, with the shift by
+    A c made through :meth:`DenseState.from_parts`, whose generators are
+    the high digits of the expanded A's columns: a (p^(mk), p^((m-r)n))
+    array, row c the label amplitude times the high cube moved to the
+    high digits of A c.
+    """
+    f = code.field
+    high = RegisterLayout(p=f.p, m=f.m - sigma.r, n=code.n, label_digits=f.m * code.k, cube_count=1)
+    label = DenseState.zero_state(replace(high, cube_count=0)).qft_label()
+    cube = DenseState.zero_state(replace(high, label_digits=0))
+    generators = code.operator.entries.T.reshape(-1, 1, code.n, f.m)[..., sigma.r :]
+    joined = DenseState.from_parts(high, label.vec, [cube.vec], generators)
+    return joined.vec.reshape(high.label_dim, -1)
 
 
 def sampler_state_reference(code: LinearCode, sigma: SigmaParam) -> DenseState:

@@ -357,17 +357,17 @@ def test_halved_overlap_rows_match_every_shift(p, shift_maps):
         assert len(shift_maps) == (j + 1) * (p // 2 + p - 1)  # here, then the reference
 
 
-def test_dense_factorised_decode_makes_label_digits_plus_half_p_maps(shift_maps):
+def test_dense_factorised_decode_makes_half_p_maps(shift_maps):
     # the dense_factorised workload's shape: F_27, n = 3, k = 1, sigma = 3;
-    # the sampler's join takes one map per label digit (3) and the
-    # marginal one per power d = 1 .. p//2 of U_t (1), shared by the T
-    # registers: g(2) is the conjugate of g(1)
+    # the sampler holds its state by its support and builds no map (0),
+    # and the marginal one per power d = 1 .. p//2 of U_t (1), shared by
+    # the T registers: g(2) is the conjugate of g(1)
     f = Field(3, 3)
     code = LinearCode(f, [[f.el(1)], [f.el(3)], [f.el(9)]])
     inst = plant_instance(code, (f.el(17),), (f.el(2), f.zero, f.el(1)))
     res = decode_dense(inst, SigmaParam.from_r(f, 1), seed=4)
     assert res.s_hat == (17,) and res.peak_probability > 1 - 1e-9
-    assert len(shift_maps) == 3 + 1
+    assert len(shift_maps) == 0 + 1
 
 
 def _full_marginal_reference(columns, pcs_vectors, t_digit_rows, layout):
@@ -520,10 +520,8 @@ def test_decode_dense_on_real_states_matches_complex_states(f8, monkeypatch):
     cases = [(gen_instance(code, 0, seed=seed), seed) for seed in range(3)]
     real = [decode_dense(inst, sigma, seed=seed) for inst, seed in cases]
     # every circuit starts from zero_state, so complex starts make the
-    # decoder's head join complex; the sampler checks that its factors'
-    # imaginary parts are exactly zero and holds their real join
+    # sampler's label amplitudes and the decoder's head join complex
     monkeypatch.setattr(DenseState, "zero_state", staticmethod(_complex_zero_state))
-    assert PcsSampler(code, sigma).amplitudes.dtype == np.float64
     measured = decoder.fourier_label_marginal
     heads = []
 

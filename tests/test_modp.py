@@ -69,22 +69,18 @@ def test_reference_echelon_matches_generic_loop_at_odd_p():
 
 
 def assert_stack_matches_reference(stack, p):
-    """Stacked rank and row_echelon against the reference, matrix by matrix."""
+    """Stacked rank against the reference, and each matrix's rank and echelon alone."""
     ranks = rank(stack, p)
-    echelons, pivots = row_echelon(stack, p)
     assert isinstance(ranks, np.ndarray) and ranks.dtype == np.int64
     assert ranks.shape == (len(stack),)
-    assert echelons.dtype == np.int64 and echelons.shape == stack.shape
-    assert len(pivots) == len(stack)
-    for mat, got_rank, ech, got_pivots in zip(stack, ranks.tolist(), echelons, pivots):
+    for mat, got_rank in zip(stack, ranks.tolist()):
         want, want_pivots = reference_echelon(mat, p)
-        assert np.array_equal(ech, want), mat.shape
-        assert got_pivots == want_pivots, mat.shape
         assert got_rank == len(want_pivots), mat.shape
         # the matrix alone, as a 2-D input, gives the same answer
         alone = rank(mat, p)
         assert type(alone) is int and alone == got_rank
         ech_alone, pivots_alone = row_echelon(mat, p)
+        assert ech_alone.dtype == np.int64 and ech_alone.shape == mat.shape
         assert np.array_equal(ech_alone, want) and pivots_alone == want_pivots
 
 
@@ -153,7 +149,9 @@ def test_rank_and_echelon_take_matrices_and_stacks_only(p):
         with pytest.raises(BadShape):
             row_echelon(bad, p)
     assert type(rank(np.eye(3, dtype=np.int64), p)) is int
-    # inverse and solve stay one matrix at a time
+    # echelon, inverse and solve stay one matrix at a time
+    with pytest.raises(BadShape):
+        row_echelon(np.ones((2, 3, 3), dtype=np.int64), p)
     with pytest.raises(BadShape):
         fp_gauss_invert(np.ones((2, 3, 3), dtype=np.int64), p)
     with pytest.raises(BadShape):

@@ -1,6 +1,7 @@
 import hashlib
 import tracemalloc
 from dataclasses import replace
+from functools import reduce
 from itertools import product
 from unittest.mock import patch
 
@@ -35,8 +36,6 @@ from pqdec.qsim import (
     SigmaParam,
     _dft_matrix,
     _dft_runs,
-    _join,
-    _real_part,
     _row_dots,
     cube_overlap,
     cube_vector,
@@ -50,6 +49,7 @@ from pqdec.qsim import (
 
 from conftest import (
     generator_table,
+    joined_sampler_state,
     power_generators,
     reference_label_law,
     sampler_state_reference,
@@ -762,19 +762,21 @@ def _built_sampler_and_bytes_held(code: LinearCode, sigma: SigmaParam) -> tuple[
 
 
 def test_built_sampler_holds_one_state_sized_array(f16):
-    # at r = 1 the held array is the state on the m - r high digits of each
-    # coordinate: p^(mk) * p^((m-r)n) = 2^4 * 2^9 amplitudes, an eighth of
-    # the 2^16 of the whole register
+    # the state after the controlled shift has one nonzero per label, so
+    # the sampler holds it as p^(mk) = 2^4 cube indices and 2^4 label
+    # amplitudes: under 4 kB in all, where the 2^4 * 2^9 floats of the
+    # joined high digits at r = 1 took 64 kB
     code = LinearCode(f16, [[f16.el(1)], [f16.el(2)], [f16.el(4)]], d=7)
     sampler, held = _built_sampler_and_bytes_held(code, SigmaParam.from_r(f16, 1))
-    state_bytes = 2**4 * 2 ** ((4 - 1) * 3) * 8
-    assert sampler.amplitudes.nbytes == state_bytes
-    assert state_bytes <= held < 1.5 * state_bytes
+    assert sampler.support.dtype == np.int64 and sampler.support.shape == (2**4,)
+    assert sampler.label_amplitudes.dtype == np.float64
+    assert sampler.label_amplitudes.shape == (2**4,)
+    assert 2 * 2**4 * 8 <= held < 2**12
 
 
 def test_sampler_build_at_the_dense_factorised_shape_peaks_under_1_mb():
     # F_27, n = 3, k = 1, sigma = 3: the whole register's 3^12 real
-    # amplitudes are 4.25 MB; the high digits' 3^3 * 3^6 are 157 kB
+    # amplitudes are 4.25 MB; the sampler holds 3^3 indices and amplitudes
     f = Field(3, 3, poly=(1, 2, 0))
     code = LinearCode(f, [[f.el(20)], [f.el(24)], [f.el(3)]], d=10)
     sigma = SigmaParam.from_r(f, 1)
@@ -786,15 +788,6 @@ def test_sampler_build_at_the_dense_factorised_shape_peaks_under_1_mb():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-
-
-def test_built_sampler_holds_8_bytes_per_amplitude_at_p3(f9):
-    # F_9 at n = 4: 3^10 amplitudes, held real although p >= 3
-    code = LinearCode(f9, [[f9.el(1)], [f9.el(3)], [f9.el(4)], [f9.el(7)]])
-    sampler, held = _built_sampler_and_bytes_held(code, SigmaParam.from_r(f9, 0))
-    state_bytes = 8 * sampler.layout.dim
-    assert sampler.amplitudes.nbytes == state_bytes
-    assert state_bytes <= held < 1.5 * state_bytes
 
 
 def test_from_parts_checks_part_sizes():
@@ -1003,8 +996,6 @@ def test_join_rejects_amounts_of_the_wrong_shape(shape):
     generators = np.zeros(shape, dtype=np.int64)
     with pytest.raises(BadRegister):
         DenseState.from_parts(lay, label, cubes, generators)
-    with pytest.raises(BadRegister):
-        _join(lay, label, cubes, generators, np.float64)  # the sampler's entry
 
 
 SAMPLER_LAYOUT = RegisterLayout(p=3, m=3, n=3, label_digits=3, cube_count=1)
@@ -1052,10 +1043,6 @@ def test_state_dtype_is_that_of_the_fields_fourier_matrix(p):
     assert DenseState.zero_state(lay).vec.dtype == want
     assert DenseState(lay, np.eye(lay.dim)[1]).vec.dtype == want
     assert DenseState.from_parts(lay, np.eye(p)[0], [np.ones(p) / np.sqrt(p)]).vec.dtype == want
-    # the sampler's joined state is no DenseState: it is real at every p
-    f = Field(p, 2)
-    code = LinearCode(f, [[f.el(1)], [f.el(p)]])
-    assert PcsSampler(code, SigmaParam.from_r(f, 0)).amplitudes.dtype == np.float64
 
 
 def test_a_complex_input_stays_complex_at_p2():
@@ -1094,16 +1081,17 @@ def test_gates_on_a_real_state_match_its_complex_copy(lay, gate):
 @pytest.mark.parametrize("r", [0, 1])
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_sampler_state_matches_composite_reference(p, r):
-    # the held array with the uniform low factor put back is the state
-    # before step 5; step 5 then measured is the reference law, and each
-    # label's slice of it is that label's collapse with the low factor put back
+    # the joined high digits with the uniform low factor put back are the
+    # state before step 5; step 5 then measured is the reference law, and
+    # each label's slice of it is that label's collapse with the low factor put back
     f = Field(p, 2)
     code = LinearCode(f, [[f.el(1)], [f.el(p)]])  # top digits (0, 1): orthogonal at r = 1
     sigma = SigmaParam.from_r(f, r)
     sampler = PcsSampler(code, sigma)
-    assert sampler.amplitudes.shape == (p**2, p ** ((2 - r) * code.n))
+    joined = joined_sampler_state(code, sigma)
+    assert joined.shape == (p**2, p ** ((2 - r) * code.n))
     ref = sampler_state_reference(code, sigma)
-    assert np.max(np.abs(with_low_factor(sampler, sampler.amplitudes).reshape(-1) - ref.vec)) < 1e-12
+    assert np.max(np.abs(with_low_factor(sampler, joined).reshape(-1) - ref.vec)) < 1e-12
     law = ref.qft_label().label_marginal()
     assert np.max(np.abs(law - 1 / sampler.layout.label_dim)) < 1e-12
     want = ref.vec.reshape(sampler.layout.label_dim, -1)
@@ -1112,14 +1100,56 @@ def test_sampler_state_matches_composite_reference(p, r):
     assert np.max(np.abs(got - want)) < 1e-12
 
 
-def test_sampler_joins_its_registers_without_from_parts(f4, monkeypatch):
-    # bench/tracer.py counts a from_parts call inside a decode as the full-tensor path
+# (p, m, n, k) shapes of random codes with no cached distance, so only the
+# rank decides which r the sampler accepts; F_(2^3) takes two label runs
+SUPPORT_SHAPES = [(2, 3, 3, 2), (2, 2, 4, 2), (3, 2, 3, 1), (3, 3, 2, 1), (5, 2, 2, 1), (7, 2, 2, 1)]
+
+
+@pytest.mark.parametrize("p,m,n,k", SUPPORT_SHAPES)
+def test_sampler_holds_the_joined_state_by_its_support(p, m, n, k):
+    # the controlled shift maps a basis state to a basis state, so row c
+    # of the joined state has one nonzero, at support[c], the label
+    # amplitude; and collapse is bit for bit that state's F-row product,
+    # normalised as it normalises
+    f = Field(p, m)
+    rng = np.random.default_rng(p * m * n * k)
+    accepted = set()
+    for _ in range(3):
+        code = random_code(f, n, k, rng)
+        assert code.d is None
+        for r in range(m):
+            sigma = SigmaParam.from_r(f, r)
+            try:
+                sampler = PcsSampler(code, sigma)
+            except OrthogonalityViolated:
+                continue
+            accepted.add(r)
+            joined = joined_sampler_state(code, sigma)
+            for c, row in enumerate(joined):
+                assert np.flatnonzero(row).tolist() == [sampler.support[c]]
+                assert row[sampler.support[c]] == sampler.label_amplitudes[c]
+            t = sampler.layout.label_digits
+            f_rows = reduce(np.kron, [_dft_matrix(p, False, w) for _, w in _dft_runs(0, t, p)])
+            want = f_rows @ joined
+            flat = want.view(np.float64)
+            want /= np.sqrt(_row_dots(flat, flat))[:, None]
+            got = sampler.collapse(label_to_digits(np.arange(len(joined)), t, p))
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (code, r)
+    assert accepted and max(accepted) >= 1
+
+
+def test_sampler_joins_its_registers_without_from_parts(f4, monkeypatch, shift_maps):
+    # bench/tracer.py counts a from_parts call inside a decode as the
+    # full-tensor path; the sampler needs no join at all, so it builds no
+    # shift map either
     def refuse(cls, *args):
         raise AssertionError("the sampler built its state through from_parts")
 
     monkeypatch.setattr(DenseState, "from_parts", classmethod(refuse))
     sampler = PcsSampler(code_123(f4), SigmaParam.from_r(f4, 0))
-    assert sampler.amplitudes.size == sampler.layout.dim
+    assert sampler.support.size == sampler.label_amplitudes.size == sampler.layout.label_dim
+    sampler.collapse((1, 0))
+    assert shift_maps == []
 
 
 @pytest.mark.parametrize("p,label_digits", [(2, 3), (3, 2), (5, 2)])
@@ -1340,8 +1370,8 @@ def test_sampler_refuses_before_it_allocates(f4, monkeypatch):
     def refuse(*args):
         raise AssertionError("the sampler allocated a state before its checks")
 
-    monkeypatch.setattr(qsim, "_join", refuse)
-    monkeypatch.setattr(DenseState, "zero_state", classmethod(refuse))
+    monkeypatch.setattr(DenseState, "zero_state", classmethod(refuse))  # the label amplitudes
+    monkeypatch.setattr(qsim, "label_to_digits", refuse)  # the support
     # Top_1(A) = [0 1] has rank 1 < m*k = 2: kappa_1 = 1, named with r
     line = LinearCode(f4, [[f4.el(1)]])
     message = r"^at r = 1, kappa_r = m\*k - rank Top_r\(A\) = 1 > 0"
@@ -1368,11 +1398,12 @@ def test_collapse_rejects_a_malformed_label(f4, label):
 
 
 def test_collapse_of_a_valid_label_is_unchanged(f4):
-    # label (0, 1) is basis row 1: the vector is row 1 of F times the held
-    # array, normalised, read from a tuple, from a numpy column and from a
-    # stack of labels
-    sampler = PcsSampler(code_123(f4), SigmaParam.from_r(f4, 0))
-    row = _dft_matrix(2, width=2)[1] @ sampler.amplitudes
+    # label (0, 1) is basis row 1: the vector is row 1 of F times the
+    # joined state, normalised, read from a tuple, from a numpy column and
+    # from a stack of labels
+    sigma = SigmaParam.from_r(f4, 0)
+    sampler = PcsSampler(code_123(f4), sigma)
+    row = _dft_matrix(2, width=2)[1] @ joined_sampler_state(code_123(f4), sigma)
     want = row / np.linalg.norm(row)
     assert np.array_equal(sampler.collapse((0, 1)), want)
     assert np.array_equal(sampler.collapse(np.array([0, 1])), want)
@@ -1398,9 +1429,11 @@ def test_sampler_measurement_is_the_transform_then_the_marginal(p, t, widths, ro
     # complex copy transformed in place, one label at a time or stacked
     f = Field(p, m)
     code = LinearCode(f, [[f.el(x) for x in row] for row in rows])
-    sampler = PcsSampler(code, SigmaParam.from_r(f, 0))
+    sigma = SigmaParam.from_r(f, 0)
+    sampler = PcsSampler(code, sigma)
     assert sampler.layout.label_digits == t
-    want = DenseState(sampler.layout, sampler.amplitudes.reshape(-1).astype(np.complex128))
+    joined = joined_sampler_state(code, sigma)
+    want = DenseState(sampler.layout, joined.reshape(-1).astype(np.complex128))
     want = want.qft_label().vec.reshape(sampler.layout.label_dim, -1)
     labels = label_to_digits(np.arange(sampler.layout.label_dim), t, p)
     stacked = sampler.collapse(labels)
@@ -1409,15 +1442,6 @@ def test_sampler_measurement_is_the_transform_then_the_marginal(p, t, widths, ro
         ref = want[z] / np.linalg.norm(want[z])
         assert np.max(np.abs(sampler.collapse(label) - ref)) < 1e-12
         assert np.max(np.abs(stacked[z] - ref)) < 1e-12
-
-
-def test_sampler_factors_must_be_exactly_real():
-    part = _real_part(np.array([0.5 + 0j, -0.0 + 0j, 0.5 - 0j]))
-    assert part.dtype == np.float64 and np.array_equal(part, [0.5, 0.0, 0.5])
-    with pytest.raises(InvariantViolated):
-        _real_part(np.array([0.5 + 0j, 0.5 + 1e-300j]))
-    with pytest.raises(InvariantViolated):
-        _real_part(np.array([0.5 + 0j, complex(0.5, np.nan)]))
 
 
 @pytest.mark.parametrize("length", [1, 127, 128, 300, 2 * 3**9])
